@@ -1,24 +1,44 @@
 """Derivations on field towers.
 
 A derivation is determined by its values on the transcendental generators;
-it vanishes on Q, and on each algebraic generator s with minimal polynomial
-p the value is forced to -p^d(s)/p'(s), where p^d applies the derivation to
-the coefficients.  Evaluation recurses along the tower structure: the
-coefficient rule on Q, the polynomial rule d(P(g)) = P^d(g) + d(g) P'(g) at
-each generator, and the quotient rule at transcendental levels.
+it vanishes on Q, and on each algebraic generator g with minimal polynomial
+p the value is forced to -p^d(g)/p'(g), where p^d applies the derivation to
+the coefficients.
+
+Evaluation works on level representations, one level at a time.  For level
+i, with generator g_i, let H(i) be the lowest level that holds g_i and every
+value d(g_j) with j <= i; d maps level i into level H(i).  A Derivation
+keeps, per level, H(i) and d(g_i) as a level-H(i) rep.
+
+Where H(i) = i and H(i-1) = i-1, d of a level-i element is computed on its
+coefficient tuples over level i-1: with P^d the polynomial of coefficient
+derivatives and P' the formal derivative, d(P(g)) = P^d(g) + d(g) P'(g) is
+reduced once at an algebraic level, and at a transcendental level with
+d(g) = a/b and element N/D,
+
+    d(N/D) = [(N^d D - N D^d) b + a (N' D - N D')] / (D^2 b),
+
+normalised once.  Otherwise some value lies above its generator, as with
+d(t) = u on Q(t)(u); the polynomial rule is then evaluated by Horner's rule
+in level-H(i) arithmetic.  Forced values are computed the same way, at the
+algebraic level itself.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .exact import BudgetError, Rational, rational
+from .exact import BudgetError, rational
 from .towers import (
-    DivisionByZeroElementError,
     FieldTower,
     TowerElement,
     TowerError,
     TowerMismatchError,
+    _padd,
+    _pderiv,
+    _pmul,
+    _psub,
+    _pstrip,
     element_eval,
 )
 
@@ -40,75 +60,102 @@ def _coerce_element(tower: FieldTower, value: ElementLike) -> TowerElement:
     return tower.rational(rational(value))
 
 
-def _eval_with_values(
-    tower: FieldTower,
-    values: Dict[str, TowerElement],
-    level_index: int,
-    rep,
-) -> TowerElement:
-    level = tower.levels[level_index]
-    if level.kind == "rational":
-        return tower.zero
-    gen_value = values[level.name]
-    gen_elem = tower.gen(level.name)
-    below = level_index - 1
-
-    def poly_parts(coeffs):
-        """Element value of sum c_i g^i together with its derivation image."""
-        val = tower.zero
-        dval = tower.zero
-        formal = tower.zero
-        for i, c in enumerate(coeffs):
-            ci = TowerElement(tower, tower.embed_rep(below, c))
-            gi = gen_elem ** i
-            val = val + ci * gi
-            dci = _eval_with_values(tower, values, below, c)
-            if not dci.is_zero():
-                dval = dval + dci * gi
-            if i >= 1 and not ci.is_zero():
-                formal = formal + ci * (gen_elem ** (i - 1)) * i
-        return val, dval + gen_value * formal
-
-    if level.kind == "algebraic":
-        return poly_parts(rep)[1]
-    num_val, num_d = poly_parts(rep[0])
-    den_val, den_d = poly_parts(rep[1])
-    return (den_val * num_d - num_val * den_d) / (den_val * den_val)
-
-
-def _forced_algebraic_value(
-    tower: FieldTower,
-    values: Dict[str, TowerElement],
-    level_index: int,
-) -> TowerElement:
-    level = tower.levels[level_index]
-    below = level_index - 1
-    gen_elem = tower.gen(level.name)
-    p_d = tower.zero
-    p_prime = tower.zero
-    for i, c in enumerate(level.minpoly):
-        dci = _eval_with_values(tower, values, below, c)
-        if not dci.is_zero():
-            p_d = p_d + dci * gen_elem ** i
-        if i >= 1:
-            ci = TowerElement(tower, tower.embed_rep(below, c))
-            if not ci.is_zero():
-                p_prime = p_prime + ci * (gen_elem ** (i - 1)) * i
-    return -p_d / p_prime
-
-
 class Derivation:
-    """Additive Leibniz map on a tower, stored by its generator values."""
+    """Additive Leibniz map on a tower, stored by its generator values.
 
-    __slots__ = ("tower", "values")
+    ``values`` must bind the transcendental generators.  The values on the
+    algebraic ones are forced: they are computed here, and ``self.values``
+    holds them too, in generator order.
+    """
+
+    __slots__ = ("tower", "values", "_high", "_dgen")
 
     def __init__(self, tower: FieldTower, values: Dict[str, TowerElement]):
         self.tower = tower
-        self.values = dict(values)
+        self.values: Dict[str, TowerElement] = {}
+        # Per level i: H(i), and d(g_i) as a level-H(i) rep (none at Q).
+        self._high: List[int] = [0]
+        self._dgen: list = [None]
+        top = len(tower.levels) - 1
+        for i, spec in enumerate(tower.gens, start=1):
+            if spec.kind == "transcendental":
+                value = values[spec.name]
+                low, rep = tower.lower_rep(top, value.rep)
+                high = max(self._high[i - 1], i, low)
+                rep = tower.embed_rep(low, rep, high)
+            else:
+                high, rep = self._forced(i)
+                value = TowerElement(tower, tower.embed_rep(high, rep))
+            self.values[spec.name] = value
+            self._high.append(high)
+            self._dgen.append(rep)
+
+    def _forced(self, i: int):
+        """-p^d(g)/p'(g) at the algebraic level i, as (H(i), rep)."""
+        tower = self.tower
+        level = tower.levels[i]
+        K = level.below
+        p = level.minpoly
+        high = self._high[i - 1]
+        if high == i - 1:
+            pd = _pstrip(K, [self._d(i - 1, c) for c in p])
+            return i, level.mul(level.neg(pd), level.inv(_pderiv(K, p)))
+        L = tower.levels[high]
+        pd = self._horner(i, high, [self._d(i - 1, c) for c in p], high)
+        pp = self._horner(i, high, _pderiv(K, p), i - 1)
+        return high, L.mul(L.neg(pd), L.inv(pp))
+
+    def _horner(self, i: int, high: int, coeffs, at: int):
+        """sum c_k g_i^k in level-`high` arithmetic, for level-`at` reps c_k."""
+        tower = self.tower
+        L = tower.levels[high]
+        g = tower.embed_rep(i, tower.levels[i].generator(), high)
+        acc = L.zero
+        for c in reversed(coeffs):
+            acc = L.add(L.mul(acc, g), tower.embed_rep(at, c, high))
+        return acc
+
+    def _d(self, i: int, rep):
+        """d(x) for a level-i rep x, as a level-H(i) rep."""
+        if i == 0:
+            return Fraction(0)
+        level = self.tower.levels[i]
+        high = self._high[i]
+        if high == i and self._high[i - 1] == i - 1:
+            K = level.below
+            dg = self._dgen[i]
+            if level.kind == "algebraic":
+                pd = _pstrip(K, [self._d(i - 1, c) for c in rep])
+                return level._reduce(_padd(K, pd, _pmul(K, dg, _pderiv(K, rep))))
+            num, den = rep
+            a, b = dg
+            num_d = _pstrip(K, [self._d(i - 1, c) for c in num])
+            den_d = _pstrip(K, [self._d(i - 1, c) for c in den])
+            coeff_part = _psub(K, _pmul(K, num_d, den), _pmul(K, num, den_d))
+            gen_part = _psub(K, _pmul(K, _pderiv(K, num), den), _pmul(K, num, _pderiv(K, den)))
+            return level._normalize(
+                _padd(K, _pmul(K, coeff_part, b), _pmul(K, a, gen_part)),
+                _pmul(K, _pmul(K, den, den), b),
+            )
+        L = self.tower.levels[high]
+
+        def value(coeffs):
+            return self._horner(i, high, coeffs, i - 1)
+
+        def derived(coeffs):
+            pd = self._horner(i, high, [self._d(i - 1, c) for c in coeffs], self._high[i - 1])
+            return L.add(pd, L.mul(self._dgen[i], value(_pderiv(level.below, coeffs))))
+
+        if level.kind == "algebraic":
+            return derived(rep)
+        num, den = rep
+        den_val = value(den)
+        top = L.sub(L.mul(derived(num), den_val), L.mul(value(num), derived(den)))
+        return L.mul(top, L.inv(L.mul(den_val, den_val)))
 
     def eval(self, x: ElementLike) -> TowerElement:
         elem = _coerce_element(self.tower, x)
-        return _eval_with_values(self.tower, self.values, len(self.tower.levels) - 1, elem.rep)
+        return TowerElement(self.tower, self._d(len(self.tower.levels) - 1, elem.rep))
 
     __call__ = eval
 
@@ -140,13 +187,7 @@ def derivation_define(tower: FieldTower, values: Dict[str, ElementLike]) -> Deri
         raise DerivationError(f"unknown generators in values: {sorted(given - trans)}")
     if trans - given:
         raise DerivationError(f"missing values for transcendental generators: {sorted(trans - given)}")
-    out: Dict[str, TowerElement] = {}
-    for idx, spec in enumerate(tower.gens, start=1):
-        if spec.kind == "transcendental":
-            out[spec.name] = _coerce_element(tower, values[spec.name])
-        else:
-            out[spec.name] = _forced_algebraic_value(tower, out, idx)
-    return Derivation(tower, out)
+    return Derivation(tower, {name: _coerce_element(tower, v) for name, v in values.items()})
 
 
 def derivation_eval(d: Derivation, x: ElementLike) -> TowerElement:

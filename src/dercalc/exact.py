@@ -371,8 +371,10 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Full gcd (content included), primitive with positive leading coefficient.
 
     Computed by content/primitive-part splitting with a subresultant
-    pseudo-remainder sequence in the first occurring variable; coefficient
-    growth stays tame at desk scale.
+    pseudo-remainder sequence in the main variable: the occurring variable
+    of least degree in p and q, the first declared on a tie.  The remainder
+    sequence is then as short as it can be; the gcd, normalised, is the same
+    whichever variable is main.
     """
     if p.variables != q.variables:
         raise ValueError("polynomials declared over different variables")
@@ -386,9 +388,11 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     a, b = poly_primitive(p), poly_primitive(q)
     if a.is_constant() or b.is_constant():
         return MultiPoly.const(p.variables, 1) * content
-    main = next((v for v in p.variables if a.degree_in(v) > 0 or b.degree_in(v) > 0), None)
-    if main is None:
+    degrees = {v: max(a.degree_in(v), b.degree_in(v)) for v in p.variables}
+    occurring = [v for v in p.variables if degrees[v] > 0]
+    if not occurring:
         return MultiPoly.const(p.variables, 1) * content
+    main = min(occurring, key=degrees.__getitem__)
     if a.degree_in(main) == 0 or b.degree_in(main) == 0:
         flat = a if a.degree_in(main) == 0 else b
         other = b if flat is a else a

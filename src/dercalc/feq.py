@@ -80,7 +80,7 @@ class FnTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FnTable):
             return NotImplemented
-        return self.carrier is other.carrier and self.values == other.values
+        return self.carrier == other.carrier and self.values == other.values
 
     def __str__(self) -> str:
         pairs = ", ".join(f"{x}->{v}" for x, v in sorted(self.values.items()))
@@ -332,10 +332,10 @@ def feq_check(
     missing_params = [p for p in eq.params if p not in params]
     if missing_params:
         raise UnboundSymbolError(f"no value bound for parameters {missing_params}")
-    carriers = {id(t.carrier): t.carrier for t in bindings.values()}
+    carriers = {t.carrier for t in bindings.values()}
     if len(carriers) != 1:
         raise FeqError("all bound tables must share one carrier")
-    carrier = next(iter(carriers.values()))
+    carrier = next(iter(carriers))
     for side in (eq.lhs, eq.rhs):
         _reject_constant_divisors(side, carrier)
     if isinstance(carrier, FiniteCarrier):

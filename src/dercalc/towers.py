@@ -11,9 +11,17 @@ Inverses at algebraic levels come from the extended Euclidean algorithm in
 the top generator, recursing downward through the chain.  When a minimal
 polynomial is not irreducible the Euclid run can surface a zero divisor;
 that raises ZeroDivisorError instead of silently producing garbage.
+
+Irreducibility is certified only in part.  A minimal polynomial whose
+coefficients are all rational is rejected when adjoined if it has a rational
+root.  Two cases stay uncertified and are accepted: reducible polynomials
+whose factors all have degree >= 2, such as (s^2 - 2)(s^2 - 3), and
+polynomials with coefficients above Q, such as s^2 - t^2 over Q(t).  Such a
+level is a ring, not a field, and its zero divisors surface as above.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -143,6 +151,59 @@ def _pderiv(level, a) -> tuple:
     for i in range(1, len(a)):
         out.append(level.mul(a[i], level.from_rational(Fraction(i))))
     return _pstrip(level, out)
+
+
+def _rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
+    """A rational root of a square-free polynomial over Q, or None.
+
+    With a the leading coefficient of the polynomial scaled to integer
+    coefficients, every rational root has a denominator dividing a, and two
+    such fractions lie at least 1/a^2 apart.  Intervals are bisected, keeping
+    those where a Sturm sequence counts a real root, until each is narrower
+    than 1/a^2; the one candidate in it is then tested exactly.
+    """
+    Q = _LevelQ()
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    f = tuple(c * scale for c in coeffs)
+    if f[0] == 0:
+        return Fraction(0)
+    lead = abs(int(f[-1]))
+
+    def value(p, x):
+        acc = Fraction(0)
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
+
+    sturm = [f, _pderiv(Q, f)]
+    while len(sturm[-1]) > 1:
+        rem = _pdivmod(Q, sturm[-2], sturm[-1])[1]
+        if not rem:
+            break
+        sturm.append(_pneg(Q, rem))
+
+    def sign_changes(x) -> int:
+        signs = [v > 0 for v in (value(p, x) for p in sturm) if v != 0]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    # Cauchy's bound: every root lies strictly inside (-bound, bound).
+    bound = 1 + max(abs(c) for c in f[:-1]) / abs(f[-1])
+    width = Fraction(1, lead * lead)
+    pending = [(-bound, bound)]
+    while pending:
+        lo, hi = pending.pop()
+        if sign_changes(lo) == sign_changes(hi):
+            continue
+        mid = (lo + hi) / 2
+        if hi - lo < width:
+            candidate = mid.limit_denominator(lead)
+            if value(f, candidate) == 0:
+                return candidate
+            continue
+        if value(f, mid) == 0:
+            return mid
+        pending += [(lo, mid), (mid, hi)]
+    return None
 
 
 # -- levels ------------------------------------------------------------------
@@ -383,6 +444,14 @@ class FieldTower:
                 "minimal polynomial is not square-free: gcd with its derivative "
                 "has positive degree"
             )
+        lowered = [self.lower_rep(len(self._levels) - 1, c) for c in monic]
+        if all(index == 0 for index, _ in lowered):
+            root = _rational_root([c for _, c in lowered])
+            if root is not None:
+                raise TowerError(
+                    f"minimal polynomial has the rational root {name} = {root}, "
+                    f"so it is reducible"
+                )
         level = _LevelAlg(top, name, monic)
         spec = GeneratorSpec(name, "algebraic", degree, _render_minpoly(self, name, monic))
         return FieldTower(self._levels + [level], self.gens + (spec,))
@@ -419,10 +488,28 @@ class FieldTower:
         rep = self._levels[idx].generator()
         return TowerElement(self, self.embed_rep(idx, rep))
 
-    def embed_rep(self, level_index: int, rep):
-        for level in self._levels[level_index + 1:]:
+    def embed_rep(self, level_index: int, rep, to: Optional[int] = None):
+        """Embed a level rep into a higher level, the top one by default."""
+        stop = len(self._levels) if to is None else to + 1
+        for level in self._levels[level_index + 1:stop]:
             rep = level.from_below(rep)
         return rep
+
+    def lower_rep(self, level_index: int, rep) -> Tuple[int, object]:
+        """The lowest level holding a level rep, and the rep there."""
+        while level_index > 0:
+            level = self._levels[level_index]
+            if level.kind == "algebraic":
+                if len(rep) > 1:
+                    break
+                rep = rep[0] if rep else level.below.zero
+            else:
+                num, den = rep
+                if len(num) > 1 or len(den) > 1:
+                    break
+                rep = num[0] if num else level.below.zero
+            level_index -= 1
+        return level_index, rep
 
     def level_of(self, name: str):
         return self._levels[self.variables.index(name) + 1]

@@ -52,6 +52,13 @@ def test_tower_bad_generator_kind_is_usage_error(cli):
     assert err == ["error: generator kind must be trans or alg, got 'bogus'"]
 
 
+def test_tower_reducible_minimal_polynomial_is_usage_error(cli):
+    code, out, err = cli("tower", "show", "--spec", "t:trans;s:alg:s^2 - 4")
+    assert code == 2
+    assert out == []
+    assert err == ["error: minimal polynomial has the rational root s = 2, so it is reducible"]
+
+
 # -- der -----------------------------------------------------------------
 
 
@@ -78,6 +85,24 @@ def test_der_eval_parse_error_position(cli):
     code, _, err = cli("der", "eval", "--tower", QT, "--der", D1, "--expr", "d(t^)")
     assert code == 2
     assert err == ["error: expected 'number', found ')' (line 1, column 5)"]
+
+
+DEEP_INPUTS = {
+    "nested": "(" * 1200 + "t" + ")" * 1200,
+    "long-sum": " + ".join(["t"] * 3000),
+}
+
+
+@pytest.mark.parametrize("expr", DEEP_INPUTS.values(), ids=DEEP_INPUTS.keys())
+def test_der_eval_deep_input_is_usage_error(expr):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dercalc.cli", "der", "eval", "--tower", QT,
+         "--der", D1, "--expr", expr],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: expression nested too deeply\n"
 
 
 RESIDUAL_CASES = [

@@ -83,6 +83,18 @@ def test_check_rejects_mixed_carriers():
         feq_check(eq, {"f": FnTable.zero(gf(3)), "g": FnTable.zero(gf(5))})
 
 
+def test_carriers_compare_by_value():
+    # Two separately made gf(7) values are one carrier.
+    square = lambda x: x * x
+    f, g = FnTable.from_callable(gf(7), square), FnTable.from_callable(gf(7), square)
+    assert f.carrier is not g.carrier
+    assert f == g
+    assert f != FnTable.from_callable(zmod(7), square)
+    report = feq_check(Equation.parse("two", "f(x) = g(x)"), {"f": f, "g": g})
+    assert report.status == "pass"
+    assert report.checked == 49
+
+
 def test_cauchy_add_solutions_on_gf3():
     report = feq_solve_brute(equation_by_name("cauchy-add"), ["f"], gf(3))
     assert report.status == "complete"

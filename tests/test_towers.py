@@ -112,6 +112,18 @@ def test_minimal_polynomial_must_be_square_free(qt):
         qt.adjoin_algebraic("s", "s^2 - 2*s + 1")
 
 
+@pytest.mark.parametrize("minpoly", ["s^2 - 4", "s^3 - s", "9*s^2 - 1", "s^3 - 2*s^2/3 + s - 2/3"])
+def test_minimal_polynomial_with_rational_root_is_rejected(qt, minpoly):
+    with pytest.raises(TowerError, match="rational root"):
+        qt.adjoin_algebraic("s", minpoly)
+
+
+@pytest.mark.parametrize("minpoly", ["s^2 - 2", "s^3 - 4", "(s^2 - 2)*(s^2 - 3)", "s^2 - t^2"])
+def test_minimal_polynomial_without_rational_root_is_accepted(qt, minpoly):
+    # The last two are reducible, but not certified: see the module docstring.
+    assert qt.adjoin_algebraic("s", minpoly).gens[-1].name == "s"
+
+
 def test_minimal_polynomial_must_involve_new_name(qt):
     with pytest.raises(TowerError):
         qt.adjoin_algebraic("s", "t^2 - 1")
