@@ -19,7 +19,6 @@ from .derivations import (
     derivation_bracket,
     derivation_combine,
     derivation_define,
-    derivation_eval,
     independence_rank,
     iterate,
     leibniz_residual,

@@ -76,13 +76,12 @@ from .multiadd import (
     trace,
 )
 from .multiadd import delta as multi_delta
-from .parser import Apply, Bin, DercalcSyntaxError, Neg, Num, Pow, Sym, parse_equation, parse_expr
+from .parser import Apply, Arithmetic, DercalcSyntaxError, Sym, compiled, fold, parse_equation, parse_expr
 from .session import (
     SessionError,
     fn2_from_expr,
     fn_from_spec,
     parse_carrier,
-    qeval,
     run_session,
 )
 from .towers import FieldTower, TowerElement, TowerError, element_eval, tower_new
@@ -205,49 +204,44 @@ def _tensor(arity: int, dim: int, spec: str) -> SymMultiMap:
 
 def _vector_fn(dim: int, source: str):
     """Expression in x0..x{dim-1} (plain x works when dim is 1)."""
-    ast = parse_expr(source)
-
-    def fn(vec) -> Fraction:
-        env = {f"x{i}": Fraction(vec[i]) for i in range(dim)}
-        if dim == 1:
-            env["x"] = Fraction(vec[0])
-        return qeval(ast, env)
-
-    return fn
+    names = [f"x{i}" for i in range(dim)] + (["x"] if dim == 1 else [])
+    f = compiled(parse_expr(source), Arithmetic(SessionError), names)
+    return lambda vec: f(*(Fraction(vec[i % dim]) for i in range(len(names))))
 
 
-def _poly_from_expr(variables: Tuple[str, ...], source: str) -> MultiPoly:
-    """Parse a polynomial over the declared variables; division only by
+class _Polynomials(Arithmetic):
+    """Algebra of polynomials over the declared variables; division only by
     nonzero rational constants."""
-    ast = parse_expr(source)
 
-    def walk(node) -> MultiPoly:
-        if isinstance(node, Num):
-            return MultiPoly.const(variables, node.value)
-        if isinstance(node, Sym):
-            if node.name not in variables:
-                raise SessionError(f"unknown polynomial variable {node.name!r}")
-            return MultiPoly.var(variables, node.name)
-        if isinstance(node, Neg):
-            return -walk(node.operand)
-        if isinstance(node, Pow):
-            if node.exponent < 0:
-                raise SessionError("polynomials take nonnegative exponents")
-            return walk(node.base) ** node.exponent
-        if isinstance(node, Bin):
-            left, right = walk(node.left), walk(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if not right.is_constant() or right.is_zero():
-                raise SessionError("polynomial division only by nonzero constants")
-            return left * (1 / right.constant_value())
+    def __init__(self, variables: Tuple[str, ...]):
+        self.variables = variables
+
+    def num(self, value: Fraction) -> MultiPoly:
+        return MultiPoly.const(self.variables, value)
+
+    def sym(self, name: str) -> MultiPoly:
+        if name not in self.variables:
+            raise SessionError(f"unknown polynomial variable {name!r}")
+        return MultiPoly.var(self.variables, name)
+
+    def pow(self, a: MultiPoly, e: int) -> MultiPoly:
+        if e < 0:
+            raise SessionError("polynomials take nonnegative exponents")
+        return a ** e
+
+    def bin(self, op: str, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+        if op != "/":
+            return super().bin(op, a, b)
+        if not b.is_constant() or b.is_zero():
+            raise SessionError("polynomial division only by nonzero constants")
+        return a * (1 / b.constant_value())
+
+    def apply(self, func: str, a: MultiPoly) -> MultiPoly:
         raise SessionError("function applications are not polynomials")
 
-    return walk(ast)
+
+def _polynomial(variables: Tuple[str, ...], source: str) -> MultiPoly:
+    return fold(parse_expr(source), _Polynomials(variables))
 
 
 def _gamma_table(args) -> GammaTable:
@@ -282,7 +276,7 @@ def _hod_values(variables: Tuple[str, ...], spec: Optional[str]):
             continue
         head, expr = part.split("=", 1)
         k_str, var = head.split(":", 1)
-        values[(int(k_str), var.strip())] = _poly_from_expr(variables, expr)
+        values[(int(k_str), var.strip())] = _polynomial(variables, expr)
     return values
 
 
@@ -295,7 +289,7 @@ def _choice(variables: Tuple[str, ...], spec: Optional[str]):
         if not part:
             continue
         var, expr = part.split("=", 1)
-        choice[var.strip()] = _poly_from_expr(variables, expr)
+        choice[var.strip()] = _polynomial(variables, expr)
     return choice
 
 
@@ -453,7 +447,7 @@ def _cmd_hod(args, out: Out) -> int:
         return 0
     if args.cmd2 == "eval":
         hd = hod_define(table, variables, values)
-        poly = _poly_from_expr(variables, args.expr)
+        poly = _polynomial(variables, args.expr)
         value = hod_eval(hd, args.k, poly)
         out.emit("hod-eval", f"d_{args.k}({args.expr}) = {value}", k=args.k,
                  expr=args.expr, value=value)
@@ -473,8 +467,8 @@ def _cmd_hod(args, out: Out) -> int:
         return 0
     if args.cmd2 == "residual":
         hd = hod_define(table, variables, values)
-        p = _poly_from_expr(variables, args.p)
-        q = _poly_from_expr(variables, args.q)
+        p = _polynomial(variables, args.p)
+        q = _polynomial(variables, args.q)
         value = hod_leibniz_residual(hd, args.k, p, q)
         out.emit("hod-residual", f"residual = {value}", k=args.k, value=value)
         return 0

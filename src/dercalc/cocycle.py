@@ -12,6 +12,7 @@ skipped and counted; everything on a modular carrier is total.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,10 +182,36 @@ def _ops(carrier: Carrier):
     return (lambda a, b: a + b), (lambda a, b: a - b), (lambda a, b: a * b)
 
 
-def _axiom_tuples(axiom: str, elems: Sequence[int]) -> Iterable[tuple]:
-    if axiom in ("alpha", "gamma"):
-        return ((a, b) for a in elems for b in elems)
-    return ((a, b, c) for a in elems for b in elems for c in elems)
+def _sampled_tuples(elems: Sequence[int], arity: int, sample: int,
+                    rng: random.Random) -> List[tuple]:
+    """`sample` tuples drawn as rng.choice would draw them from the list of
+    every tuple in product order, without building that list: a draw's
+    base-n digits, most significant first, index the entries."""
+    n = len(elems)
+    draws = [rng.randrange(n ** arity) for _ in range(sample)]
+    return [tuple(elems[i // n ** k % n] for k in reversed(range(arity))) for i in draws]
+
+
+def _check_tuples(lhs_fn, rhs_fn, tuples: Iterable[tuple], carrier: Carrier) -> AxiomResult:
+    """Compare both sides on each tuple, modulo the carrier where it has a
+    modulus; the first difference is the witness.  Tuples whose arguments
+    escape a window are skipped and counted."""
+    modulus = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
+    checked = skipped = 0
+    for tup in tuples:
+        try:
+            lhs = lhs_fn(*tup)
+            rhs = rhs_fn(*tup)
+        except _Escape:
+            skipped += 1
+            continue
+        checked += 1
+        if modulus:
+            lhs %= modulus
+            rhs %= modulus
+        if lhs != rhs:
+            return AxiomResult("fail", tup, lhs, rhs, checked, skipped)
+    return AxiomResult("pass", None, None, None, checked, skipped)
 
 
 def _axiom_sides(axiom: str, F, G, add, mul):
@@ -236,7 +263,6 @@ def cocycle_verify(
     elems = list(carrier.elements())
     results: Dict[str, AxiomResult] = {}
     rng = random.Random(seed)
-    modulus = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
     for axiom in axioms:
         if axiom == "zeta":
             results[axiom] = _check_zeta(F, carrier)
@@ -244,34 +270,16 @@ def cocycle_verify(
         if axiom in ("gamma", "delta", "epsilon") and G is None:
             raise CocycleError(f"axiom ({axiom}) needs the multiplicative cocycle G")
         lhs_fn, rhs_fn = _axiom_sides(axiom, F, G, add, mul)
-        tuples = list(_axiom_tuples(axiom, elems))
+        arity = 2 if axiom in ("alpha", "gamma") else 3
         if mode == "sampled":
             if sample <= 0:
                 raise CocycleError("sampled mode needs a positive sample size")
-            tuples = [rng.choice(tuples) for _ in range(sample)]
-        elif mode != "exhaustive":
-            raise CocycleError(f"unknown mode {mode!r}")
-        checked = skipped = 0
-        failure = None
-        for tup in tuples:
-            try:
-                lhs = lhs_fn(*tup)
-                rhs = rhs_fn(*tup)
-            except _Escape:
-                skipped += 1
-                continue
-            checked += 1
-            if modulus:
-                lhs %= modulus
-                rhs %= modulus
-            if lhs != rhs:
-                failure = (tup, lhs, rhs)
-                break
-        if failure:
-            tup, lhs, rhs = failure
-            results[axiom] = AxiomResult("fail", tup, lhs, rhs, checked, skipped)
+            tuples = _sampled_tuples(elems, arity, sample, rng)
+        elif mode == "exhaustive":
+            tuples = itertools.product(elems, repeat=arity)
         else:
-            results[axiom] = AxiomResult("pass", None, None, None, checked, skipped)
+            raise CocycleError(f"unknown mode {mode!r}")
+        results[axiom] = _check_tuples(lhs_fn, rhs_fn, tuples, carrier)
     return CocycleReport(results)
 
 
@@ -409,7 +417,6 @@ def leibniz_coboundary_check(D: Fn2Like, carrier: Carrier) -> CocycleReport:
     D_fn = Cocycle2(carrier, _as_fn2(D), "D")
     add, sub, mul = _ops(carrier)
     elems = list(carrier.elements())
-    modulus = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
     conditions = {
         "symmetry": (
             lambda x, y: D_fn(x, y),
@@ -427,35 +434,10 @@ def leibniz_coboundary_check(D: Fn2Like, carrier: Carrier) -> CocycleReport:
             3,
         ),
     }
-    results = {}
-    for name, (lhs_fn, rhs_fn, arity) in conditions.items():
-        tuples = (
-            ((a, b) for a in elems for b in elems)
-            if arity == 2
-            else ((a, b, c) for a in elems for b in elems for c in elems)
-        )
-        checked = skipped = 0
-        failure = None
-        for tup in tuples:
-            try:
-                lhs = lhs_fn(*tup)
-                rhs = rhs_fn(*tup)
-            except _Escape:
-                skipped += 1
-                continue
-            checked += 1
-            if modulus:
-                lhs %= modulus
-                rhs %= modulus
-            if lhs != rhs:
-                failure = (tup, lhs, rhs)
-                break
-        if failure:
-            tup, lhs, rhs = failure
-            results[name] = AxiomResult("fail", tup, lhs, rhs, checked, skipped)
-        else:
-            results[name] = AxiomResult("pass", None, None, None, checked, skipped)
-    return CocycleReport(results)
+    return CocycleReport({
+        name: _check_tuples(lhs_fn, rhs_fn, itertools.product(elems, repeat=arity), carrier)
+        for name, (lhs_fn, rhs_fn, arity) in conditions.items()
+    })
 
 
 # -- decomposition of the mixed equation -------------------------------------

@@ -190,10 +190,6 @@ def derivation_define(tower: FieldTower, values: Dict[str, ElementLike]) -> Deri
     return Derivation(tower, {name: _coerce_element(tower, v) for name, v in values.items()})
 
 
-def derivation_eval(d: Derivation, x: ElementLike) -> TowerElement:
-    return d.eval(x)
-
-
 def _same_tower(d1: Derivation, d2: Derivation) -> FieldTower:
     if d1.tower is not d2.tower:
         raise TowerMismatchError("derivations live on different towers")

@@ -664,32 +664,6 @@ def gf(p: int) -> FiniteCarrier:
 
 
 @dataclass(frozen=True)
-class CarrierTables:
-    elements: Tuple[int, ...]
-    add: Dict[Tuple[int, int], int]
-    mul: Dict[Tuple[int, int], int]
-    inv: Dict[int, int]
-
-
-def carrier_table(carrier: FiniteCarrier, budget: int = 257) -> CarrierTables:
-    """Full addition/multiplication/inverse tables for a modular carrier.
-
-    Kept behind a budget so nobody tabulates a large modulus by accident.
-    """
-    if carrier.modulus > budget:
-        raise BudgetError(f"modulus {carrier.modulus} exceeds table budget {budget}")
-    elems = tuple(carrier.elements())
-    add = {(a, b): carrier.add(a, b) for a in elems for b in elems}
-    mul = {(a, b): carrier.mul(a, b) for a in elems for b in elems}
-    inv = {}
-    for a in elems:
-        v = carrier.inv(a)
-        if v is not None:
-            inv[a] = v
-    return CarrierTables(elems, add, mul, inv)
-
-
-@dataclass(frozen=True)
 class IntegerWindow:
     """Finite slice of the integers used as a brute-force carrier.
 

@@ -10,17 +10,23 @@ integer window, does not divide exactly) is skipped and counted.  A division
 by a constant that is not invertible anywhere rejects the carrier up front.
 On a window, a pair is admissible only while every function argument stays
 inside the window.
+
+Each side is compiled once per carrier, into a straight-line program run as
+a function (x, y) -> value (see `parser.compiled`): once per `feq_check`,
+and in a solve once for the search and once for its dependency probe.  No
+pair visits the expression tree.
 """
 from __future__ import annotations
 
+import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import BudgetError, FiniteCarrier, IntegerWindow
-from .parser import Apply, Bin, Neg, Num, Pow, Sym, parse_equation
+from .parser import Apply, Arithmetic, Bin, Pow, Sym, compiled, fold, nodes, parse_equation
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
 
@@ -39,6 +45,11 @@ class CarrierUnsupportedError(FeqError):
 
 class _Skip(Exception):
     """Internal: this argument pair is inadmissible (division or escape)."""
+
+
+# A compiled side reads tables through bound dict lookups; a KeyError is a
+# table entry that is not there (yet), which makes the pair inadmissible.
+_INADMISSIBLE = (_Skip, KeyError)
 
 
 def default_budget() -> int:
@@ -72,10 +83,7 @@ class FnTable:
         return cls(carrier, {x: 0 for x in carrier.elements()})
 
     def __call__(self, x: int) -> int:
-        try:
-            return self.values[x]
-        except KeyError:
-            raise _Skip from None
+        return self.values[x]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FnTable):
@@ -116,8 +124,9 @@ class Equation:
         note: str = "",
     ) -> "Equation":
         lhs, rhs = parse_equation(source)
-        functions = sorted(_function_names(lhs) | _function_names(rhs))
-        free = (_symbol_names(lhs) | _symbol_names(rhs)) - {"x", "y"} - set(params)
+        found = [node for side in (lhs, rhs) for node in nodes(side)]
+        functions = sorted({n.func for n in found if isinstance(n, Apply)})
+        free = {n.name for n in found if isinstance(n, Sym)} - {"x", "y"} - set(params)
         if free:
             raise UnboundSymbolError(
                 f"equation {name!r} has undeclared symbols {sorted(free)}"
@@ -129,165 +138,79 @@ class Equation:
         return f"{self.name}: {self.source}{extra}"
 
 
-def _function_names(node) -> set:
-    if isinstance(node, Apply):
-        return {node.func} | _function_names(node.arg)
-    if isinstance(node, Bin):
-        return _function_names(node.left) | _function_names(node.right)
-    if isinstance(node, (Neg, Pow)):
-        inner = node.operand if isinstance(node, Neg) else node.base
-        return _function_names(inner)
-    return set()
-
-
-def _symbol_names(node) -> set:
-    if isinstance(node, Sym):
-        return {node.name}
-    if isinstance(node, Apply):
-        return _symbol_names(node.arg)
-    if isinstance(node, Bin):
-        return _symbol_names(node.left) | _symbol_names(node.right)
-    if isinstance(node, Neg):
-        return _symbol_names(node.operand)
-    if isinstance(node, Pow):
-        return _symbol_names(node.base)
-    return set()
-
-
-def _is_constant(node) -> bool:
-    if isinstance(node, Num):
-        return True
-    if isinstance(node, Neg):
-        return _is_constant(node.operand)
-    if isinstance(node, Pow):
-        return _is_constant(node.base)
-    if isinstance(node, Bin):
-        return _is_constant(node.left) and _is_constant(node.right)
-    return False
-
-
-def _constant_value(node) -> Fraction:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        return -_constant_value(node.operand)
-    if isinstance(node, Pow):
-        return _constant_value(node.base) ** node.exponent
-    op = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-          "*": lambda a, b: a * b, "/": lambda a, b: a / b}[node.op]
-    return op(_constant_value(node.left), _constant_value(node.right))
-
-
-def _reject_constant_divisors(node, carrier: Carrier) -> None:
+def _reject_constant_divisors(side, carrier: Carrier) -> None:
     """A division by a fixed non-invertible constant can never be admissible,
     so the whole carrier is rejected (e.g. halving needs an invertible 2)."""
-    if isinstance(node, Bin):
-        if node.op == "/" and _is_constant(node.right):
-            c = _constant_value(node.right)
-            if c == 0:
-                raise CarrierUnsupportedError("division by constant zero")
-            if isinstance(carrier, FiniteCarrier):
-                m = carrier.modulus
-                if (c.numerator % m) == 0 or (c.denominator % m) == 0 or not (
-                    _is_unit(c.numerator, m) and _is_unit(c.denominator, m)
-                ):
-                    raise CarrierUnsupportedError(
-                        f"constant divisor {c} is not invertible modulo {m}"
-                    )
-        _reject_constant_divisors(node.left, carrier)
-        _reject_constant_divisors(node.right, carrier)
-    elif isinstance(node, Neg):
-        _reject_constant_divisors(node.operand, carrier)
-    elif isinstance(node, Pow):
-        _reject_constant_divisors(node.base, carrier)
-    elif isinstance(node, Apply):
-        _reject_constant_divisors(node.arg, carrier)
+    constant_divisors = [
+        n.right for n in nodes(side) if isinstance(n, Bin) and n.op == "/"
+        and not any(isinstance(m, (Sym, Apply)) for m in nodes(n.right))
+    ]
+    for divisor in constant_divisors:
+        c = fold(divisor, Arithmetic(CarrierUnsupportedError))
+        if c == 0:
+            raise CarrierUnsupportedError("division by constant zero")
+        if isinstance(carrier, FiniteCarrier):
+            m = carrier.modulus
+            if math.gcd(c.numerator * c.denominator, m) != 1:
+                raise CarrierUnsupportedError(
+                    f"constant divisor {c} is not invertible modulo {m}"
+                )
 
 
-def _is_unit(a: int, m: int) -> bool:
-    try:
-        pow(a, -1, m)
-        return True
-    except ValueError:
-        return False
-
-
-class _Evaluator:
-    """Evaluate an expression at (x, y) with bound tables and parameters."""
-
-    __slots__ = ("carrier", "tables", "params", "modulus")
+class _Carrier:
+    """Algebra of carrier values, for sides compiled in x and y: `tables`
+    maps function names to one-argument callables.  An inadmissible pair
+    raises _Skip, or KeyError from a table."""
 
     def __init__(self, carrier: Carrier, tables: Dict[str, Callable[[int], int]],
                  params: Dict[str, int]):
-        self.carrier = carrier
+        self.window = carrier if isinstance(carrier, IntegerWindow) else None
+        self.modulus = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
         self.tables = tables
         self.params = params
-        self.modulus = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
 
-    def _num(self, value: Fraction) -> int:
-        if self.modulus:
-            num = value.numerator % self.modulus
-            den = value.denominator % self.modulus
-            if not _is_unit(den, self.modulus):
+    def num(self, value: Fraction) -> int:
+        return self.bin("/", value.numerator, value.denominator)
+
+    def sym(self, name: str) -> int:
+        if name not in self.params:
+            raise UnboundSymbolError(f"symbol {name!r} has no binding")
+        return self.params[name]
+
+    def neg(self, a: int) -> int:
+        return -a % self.modulus if self.modulus else -a
+
+    def pow(self, a: int, e: int) -> int:
+        if not self.modulus:
+            return a ** e if e >= 0 else self.bin("/", 1, a ** -e)
+        try:
+            return pow(a, e, self.modulus)
+        except ValueError:  # a negative power of a non-unit
+            raise _Skip from None
+
+    def bin(self, op: str, a: int, b: int) -> int:
+        m = self.modulus
+        if op != "/":
+            r = a + b if op == "+" else a - b if op == "-" else a * b
+            return r % m if m else r
+        if not m:
+            if b == 0 or a % b != 0:
                 raise _Skip
-            return num * pow(den, -1, self.modulus) % self.modulus
-        if value.denominator != 1:
+            return a // b
+        try:
+            return a * pow(b, -1, m) % m
+        except ValueError:
+            raise _Skip from None
+
+    def apply(self, func: str, a: int) -> int:
+        if self.window is not None and not self.window.contains(a):
             raise _Skip
-        return value.numerator
+        return self.tables[func](a)
 
-    def eval(self, node, x: int, y: int) -> int:
-        if isinstance(node, Num):
-            return self._num(node.value)
-        if isinstance(node, Sym):
-            if node.name == "x":
-                return x
-            if node.name == "y":
-                return y
-            if node.name in self.params:
-                return self.params[node.name]
-            raise UnboundSymbolError(f"symbol {node.name!r} has no binding")
-        if isinstance(node, Neg):
-            v = self.eval(node.operand, x, y)
-            return (-v) % self.modulus if self.modulus else -v
-        if isinstance(node, Apply):
-            fn = self.tables.get(node.func)
-            if fn is None:
-                raise UnboundSymbolError(f"function {node.func!r} has no binding")
-            arg = self.eval(node.arg, x, y)
-            if isinstance(self.carrier, IntegerWindow) and not self.carrier.contains(arg):
-                raise _Skip
-            return fn(arg)
-        if isinstance(node, Pow):
-            base = self.eval(node.base, x, y)
-            e = node.exponent
-            if self.modulus:
-                if e < 0 and not _is_unit(base, self.modulus):
-                    raise _Skip
-                return pow(base, e, self.modulus)
-            if e >= 0:
-                return base ** e
-            return self._divide(1, base ** (-e))
-        if isinstance(node, Bin):
-            a = self.eval(node.left, x, y)
-            b = self.eval(node.right, x, y)
-            if node.op == "+":
-                r = a + b
-            elif node.op == "-":
-                r = a - b
-            elif node.op == "*":
-                r = a * b
-            else:
-                return self._divide(a, b)
-            return r % self.modulus if self.modulus else r
 
-    def _divide(self, a: int, b: int) -> int:
-        if self.modulus:
-            if not _is_unit(b, self.modulus):
-                raise _Skip
-            return a * pow(b, -1, self.modulus) % self.modulus
-        if b == 0 or a % b != 0:
-            raise _Skip
-        return a // b
+def _compile(eq: "Equation", carrier: Carrier, tables, params):
+    algebra = _Carrier(carrier, tables, params)
+    return tuple(compiled(side, algebra, ("x", "y")) for side in (eq.lhs, eq.rhs))
 
 
 @dataclass(frozen=True)
@@ -340,7 +263,8 @@ def feq_check(
         _reject_constant_divisors(side, carrier)
     if isinstance(carrier, FiniteCarrier):
         params = {k: v % carrier.modulus for k, v in params.items()}
-    ev = _Evaluator(carrier, dict(bindings), params)
+    lhs_fn, rhs_fn = _compile(
+        eq, carrier, {name: t.values.__getitem__ for name, t in bindings.items()}, params)
     elems = list(carrier.elements())
     pairs: Iterable[Tuple[int, int]] = ((a, b) for a in elems for b in elems)
     if mode == "sampled":
@@ -353,9 +277,9 @@ def feq_check(
     checked = skipped = 0
     for a, b in pairs:
         try:
-            lhs = ev.eval(eq.lhs, a, b)
-            rhs = ev.eval(eq.rhs, a, b)
-        except _Skip:
+            lhs = lhs_fn(a, b)
+            rhs = rhs_fn(a, b)
+        except _INADMISSIBLE:
             skipped += 1
             continue
         checked += 1
@@ -427,35 +351,26 @@ def feq_solve_brute(
     slots = [(f, e) for e in elems for f in unknowns]
     slot_index = {fe: i for i, fe in enumerate(slots)}
     partial: Dict[str, Dict[int, int]] = {f: {} for f in unknowns}
-
-    class _Partial:
-        __slots__ = ("name",)
-
-        def __init__(self, name: str):
-            self.name = name
-
-        def __call__(self, x: int) -> int:
-            try:
-                return partial[self.name][x]
-            except KeyError:
-                raise _Skip from None
-
-    ev = _Evaluator(carrier, {f: _Partial(f) for f in unknowns}, params)
+    lhs_fn, rhs_fn = _compile(
+        eq, carrier, {f: partial[f].__getitem__ for f in unknowns}, params)
 
     # Static dependency analysis: with no unknown inside a divisor or an
     # exponent base, the table entries a pair reads are known up front.
-    dynamic = _has_value_dependent_branching(eq.lhs) or _has_value_dependent_branching(eq.rhs)
+    dynamic = any(_value_dependent(side) for side in (eq.lhs, eq.rhs))
     skipped_pairs = 0
     pairs_at: List[List[Tuple[int, int]]] = [[] for _ in range(len(slots))]
     pending: List[Tuple[int, int]] = []
     if not dynamic:
-        probe = _Evaluator(carrier, {f: (lambda _x: 0) for f in unknowns}, params)
+        # The probe's tables record every entry a pair reads and return 0.
+        points: set = set()
+        recorders = {f: (lambda x, f=f: points.add((f, x)) or 0) for f in unknowns}
+        probe_lhs, probe_rhs = _compile(eq, carrier, recorders, params)
         for a in elems:
             for b in elems:
-                points: set = set()
+                points.clear()
                 try:
-                    _collect_points(probe, eq.lhs, a, b, unknowns, points)
-                    _collect_points(probe, eq.rhs, a, b, unknowns, points)
+                    probe_lhs(a, b)
+                    probe_rhs(a, b)
                 except _Skip:
                     skipped_pairs += 1
                     continue
@@ -465,9 +380,7 @@ def feq_solve_brute(
                 else:
                     pending.append((a, b))
         for a, b in pending:
-            lhs = ev.eval(eq.lhs, a, b)
-            rhs = ev.eval(eq.rhs, a, b)
-            if lhs != rhs:
+            if lhs_fn(a, b) != rhs_fn(a, b):
                 return SolveReport(eq.name, carrier, unknowns, "complete", (), skipped_pairs)
         pending = []
     else:
@@ -478,9 +391,9 @@ def feq_solve_brute(
     def check_pairs(pairs: Sequence[Tuple[int, int]]) -> bool:
         for a, b in pairs:
             try:
-                if ev.eval(eq.lhs, a, b) != ev.eval(eq.rhs, a, b):
+                if lhs_fn(a, b) != rhs_fn(a, b):
                     return False
-            except _Skip:
+            except _INADMISSIBLE:
                 continue
         return True
 
@@ -497,10 +410,7 @@ def feq_solve_brute(
         f, e = slots[k]
         for v in range(m):
             partial[f][e] = v
-            ok = check_pairs(pairs_at[k]) if not dynamic else check_pairs(
-                [(a, b) for a, b in pending]
-            )
-            if ok:
+            if check_pairs(pending if dynamic else pairs_at[k]):
                 assign(k + 1)
         del partial[f][e]
 
@@ -516,63 +426,12 @@ def feq_solve_brute(
     return report
 
 
-def _has_value_dependent_branching(node) -> bool:
+def _value_dependent(side) -> bool:
     """True when a divisor or negative-power base contains a function call,
     so admissibility depends on table values, not only on (x, y)."""
-    if isinstance(node, Bin):
-        if node.op == "/" and _function_names(node.right):
-            return True
-        return _has_value_dependent_branching(node.left) or _has_value_dependent_branching(
-            node.right
-        )
-    if isinstance(node, Pow):
-        if node.exponent < 0 and _function_names(node.base):
-            return True
-        return _has_value_dependent_branching(node.base)
-    if isinstance(node, Neg):
-        return _has_value_dependent_branching(node.operand)
-    if isinstance(node, Apply):
-        return _has_value_dependent_branching(node.arg)
-    return False
-
-
-def _collect_points(probe: _Evaluator, node, x: int, y: int, unknowns, out: set) -> int:
-    """Evaluate with zero placeholders for unknown tables, recording every
-    (function, argument) lookup; _Skip propagates for inadmissible pairs."""
-    if isinstance(node, Apply):
-        arg = _collect_points(probe, node.arg, x, y, unknowns, out)
-        if isinstance(probe.carrier, IntegerWindow) and not probe.carrier.contains(arg):
-            raise _Skip
-        if node.func in unknowns:
-            out.add((node.func, arg))
-            return 0
-        return probe.tables[node.func](arg)
-    if isinstance(node, Bin):
-        a = _collect_points(probe, node.left, x, y, unknowns, out)
-        b = _collect_points(probe, node.right, x, y, unknowns, out)
-        if node.op == "+":
-            r = a + b
-        elif node.op == "-":
-            r = a - b
-        elif node.op == "*":
-            r = a * b
-        else:
-            return probe._divide(a, b)
-        return r % probe.modulus if probe.modulus else r
-    if isinstance(node, Neg):
-        v = _collect_points(probe, node.operand, x, y, unknowns, out)
-        return (-v) % probe.modulus if probe.modulus else -v
-    if isinstance(node, Pow):
-        base = _collect_points(probe, node.base, x, y, unknowns, out)
-        e = node.exponent
-        if probe.modulus:
-            if e < 0 and not _is_unit(base, probe.modulus):
-                raise _Skip
-            return pow(base, e, probe.modulus)
-        if e >= 0:
-            return base ** e
-        return probe._divide(1, base ** (-e))
-    return probe.eval(node, x, y)
+    divisors = [n.right for n in nodes(side) if isinstance(n, Bin) and n.op == "/"]
+    divisors += [n.base for n in nodes(side) if isinstance(n, Pow) and n.exponent < 0]
+    return any(isinstance(n, Apply) for d in divisors for n in nodes(d))
 
 
 # -- built-in corpus ----------------------------------------------------------

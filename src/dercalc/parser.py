@@ -9,12 +9,33 @@
 Precedence from tightest to loosest: ^, unary minus, * and /, + and -.
 Exponents are integer literals (optionally negative).  Errors carry
 1-based line and column positions.
+
+A tree is evaluated by folding it: `fold(node, algebra)` computes the
+nodes in post-order, left operand first, from an explicit stack, so no
+depth of tree can raise RecursionError.  The algebra gives each node its
+value from its operands' values:
+
+    num(value)       a literal; value is a Fraction
+    sym(name)        a symbol
+    neg(a)           -a
+    pow(a, e)        a^e for the integer literal e
+    bin(op, a, b)    a op b for op in "+", "-", "*", "/"
+    apply(func, a)   func(a)
+
+An algebra rejects what it cannot evaluate by raising its own error.
+`compiled(node, algebra, variables)` turns a tree once into a function of
+the named variables that folds it without visiting the tree again; a
+symbol that names a variable takes the argument's value.  `fold` is that
+function with no variables, called once.  `nodes` walks a tree for
+structural questions, such as which functions it calls.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Sequence, Tuple, Type, Union
 
 
 class DercalcSyntaxError(Exception):
@@ -219,6 +240,106 @@ def parse_equation(source: str) -> Tuple[Expr, Expr]:
         col = source.index("=", source.index("=") + 1) + 1
         raise DercalcSyntaxError("more than one '=' in equation", 1, col)
     return parse_expr(lhs_text), parse_expr(rhs_text)
+
+
+def nodes(node: Expr) -> Iterator[Expr]:
+    """Every node of a tree, each before its operands, without recursion."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, Bin):
+            todo += (node.left, node.right)
+        elif isinstance(node, Neg):
+            todo.append(node.operand)
+        elif isinstance(node, Pow):
+            todo.append(node.base)
+        elif isinstance(node, Apply):
+            todo.append(node.arg)
+
+
+class Arithmetic:
+    """Exact arithmetic with Python's operators.  As it stands it is the
+    algebra of Fractions: literals are their values, the symbols must be
+    variables of a `compiled` tree, and other symbols, function
+    applications and division by zero raise `error`.  Algebras of other
+    values subclass it and replace num, sym, apply and what else differs."""
+
+    def __init__(self, error: Type[Exception] = ValueError):
+        self.error = error
+
+    def num(self, value: Fraction):
+        return value
+
+    def sym(self, name: str):
+        raise self.error(f"unknown symbol {name!r}")
+
+    def neg(self, a):
+        return -a
+
+    def pow(self, a, e: int):
+        return a ** e
+
+    def bin(self, op: str, a, b):
+        if op == "/" and b == 0:
+            raise self.error("division by zero in expression")
+        return _ARITH[op](a, b)
+
+    def apply(self, func: str, a):
+        raise self.error(f"function {func!r} is not allowed here")
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def compiled(node: Expr, algebra, variables: Sequence[str] = ()) -> Callable:
+    """Compile a tree once into a function of the named variables that
+    returns its value in `algebra`.
+
+    The function runs a straight-line program: one instruction per node
+    that is not a variable, in post-order with the left operand first, so
+    its calls never nest, however deep the tree."""
+    variables = tuple(variables)
+    code: List[tuple] = []  # (fn, a, b): the next register gets fn(), fn(r[a]) or fn(r[a], r[b])
+    stack: List[int] = []  # registers of the values made so far
+    # `nodes` yields a node, its right subtree, then its left subtree, so
+    # the reverse is a post-order that takes the left operand first.
+    for node in reversed(list(nodes(node))):
+        a = b = -1
+        if isinstance(node, Num):
+            fn = functools.partial(algebra.num, node.value)
+        elif isinstance(node, Sym):
+            if node.name in variables:
+                stack.append(variables.index(node.name))
+                continue
+            fn = functools.partial(algebra.sym, node.name)
+        elif isinstance(node, Bin):
+            b, a = stack.pop(), stack.pop()
+            fn = functools.partial(algebra.bin, node.op)
+        elif isinstance(node, Neg):
+            fn, a = algebra.neg, stack.pop()
+        elif isinstance(node, Pow):
+            fn, a = functools.partial(algebra.pow, e=node.exponent), stack.pop()
+        elif isinstance(node, Apply):
+            fn, a = functools.partial(algebra.apply, node.func), stack.pop()
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        stack.append(len(variables) + len(code))
+        code.append((fn, a, b))
+    out = stack.pop()
+
+    def run(*args):
+        r = list(args)
+        for fn, a, b in code:
+            r.append(fn() if a < 0 else fn(r[a]) if b < 0 else fn(r[a], r[b]))
+        return r[out]
+
+    return run
+
+
+def fold(node: Expr, algebra):
+    """The value of a tree in an algebra; see the module docstring."""
+    return compiled(node, algebra)()
 
 
 _PREC_ADD = 1

@@ -33,7 +33,7 @@ from .cocycle import (
 from .derivations import Derivation, derivation_define
 from .exact import FiniteCarrier, IntegerWindow, gf, rational, zmod
 from .feq import FnTable, equation_by_name, feq_check
-from .parser import Apply, Bin, DercalcSyntaxError, Neg, Num, Pow, Sym, parse_equation, parse_expr
+from .parser import Apply, Arithmetic, DercalcSyntaxError, Sym, compiled, parse_equation, parse_expr
 from .towers import FieldTower, TowerElement, element_eval, tower_new
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
@@ -47,36 +47,6 @@ class SessionError(Exception):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
-
-
-def qeval(node, env: Dict[str, Fraction]) -> Fraction:
-    """Exact rational evaluation of a function-free expression tree."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Sym):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise SessionError(f"unknown symbol {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -qeval(node.operand, env)
-    if isinstance(node, Pow):
-        return qeval(node.base, env) ** node.exponent
-    if isinstance(node, Bin):
-        a = qeval(node.left, env)
-        b = qeval(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0:
-            raise SessionError("division by zero in expression")
-        return a / b
-    if isinstance(node, Apply):
-        raise SessionError(f"function {node.func!r} is not allowed here")
-    raise SessionError(f"unsupported expression node {node!r}")
 
 
 def parse_carrier(spec: str) -> Carrier:
@@ -118,11 +88,9 @@ def fn_from_spec(spec: str, carrier: Carrier) -> FnTable:
         ast = parse_expr(spec)
     except DercalcSyntaxError as exc:
         raise SessionError(f"bad function expression {spec!r}: {exc}") from None
-    values = {}
-    for x in carrier.elements():
-        v = qeval(ast, {"x": Fraction(x)})
-        values[x] = _to_carrier_value(v, carrier, f"f({x})")
-    return FnTable(carrier, values)
+    f = compiled(ast, Arithmetic(SessionError), ("x",))
+    return FnTable(carrier, {
+        x: _to_carrier_value(f(Fraction(x)), carrier, f"f({x})") for x in carrier.elements()})
 
 
 def fn2_from_expr(text: str, carrier: Carrier) -> Callable[[int, int], int]:
@@ -131,12 +99,8 @@ def fn2_from_expr(text: str, carrier: Carrier) -> Callable[[int, int], int]:
         ast = parse_expr(text)
     except DercalcSyntaxError as exc:
         raise SessionError(f"bad expression {text!r}: {exc}") from None
-
-    def fn(a: int, b: int) -> int:
-        v = qeval(ast, {"a": Fraction(a), "b": Fraction(b)})
-        return _to_carrier_value(v, carrier, f"F({a},{b})")
-
-    return fn
+    F = compiled(ast, Arithmetic(SessionError), ("a", "b"))
+    return lambda a, b: _to_carrier_value(F(Fraction(a), Fraction(b)), carrier, f"F({a},{b})")
 
 
 _SECTION_RE = re.compile(r"^\[(tower|check|derivation\s+(\w+))\]$")

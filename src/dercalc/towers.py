@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import MultiPoly, RatFunc, rational
-from .parser import Apply, Bin, Neg, Num, Pow, Sym, parse_expr
+from .parser import Arithmetic, fold, parse_expr
 
 
 class TowerError(Exception):
@@ -458,9 +458,12 @@ class FieldTower:
 
     def _minpoly_coeffs(self, name: str, minpoly: Union[str, Sequence]) -> tuple:
         if isinstance(minpoly, str):
-            ast = parse_expr(minpoly)
-            poly = _eval_minpoly_ast(self, name, ast)
-            return _pstrip(self.top, tuple(c.rep for c in poly))
+            # The polynomial is an element of self(name), name transcendental;
+            # its denominator is monic, so it is 1 unless it involves name.
+            num, den = element_eval(self.adjoin_transcendental(name), minpoly).rep
+            if len(den) > 1:
+                raise TowerError("minimal polynomial must be polynomial in the new generator")
+            return num
         coeffs = []
         for c in minpoly:
             elem = c if isinstance(c, TowerElement) else self.rational(rational(c))
@@ -678,94 +681,6 @@ def _needs_parens(s: str) -> bool:
     return " " in s or "/" in s or "*" in s
 
 
-class _MinpolyPoly:
-    """Polynomial in the new generator symbol with tower-element coefficients;
-    only the arithmetic a minimal-polynomial expression needs."""
-
-    __slots__ = ("tower", "coeffs")
-
-    def __init__(self, tower: FieldTower, coeffs: List[TowerElement]):
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.tower = tower
-        self.coeffs = coeffs
-
-    @classmethod
-    def const(cls, tower: FieldTower, value: TowerElement) -> "_MinpolyPoly":
-        return cls(tower, [value])
-
-    def add(self, other: "_MinpolyPoly") -> "_MinpolyPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.tower.zero
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else zero
-            b = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(a + b)
-        return _MinpolyPoly(self.tower, out)
-
-    def neg(self) -> "_MinpolyPoly":
-        return _MinpolyPoly(self.tower, [-c for c in self.coeffs])
-
-    def mul(self, other: "_MinpolyPoly") -> "_MinpolyPoly":
-        if not self.coeffs or not other.coeffs:
-            return _MinpolyPoly(self.tower, [])
-        zero = self.tower.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return _MinpolyPoly(self.tower, out)
-
-    def pow(self, k: int) -> "_MinpolyPoly":
-        if k < 0:
-            raise TowerError("minimal polynomial expressions take nonnegative powers")
-        result = _MinpolyPoly.const(self.tower, self.tower.one)
-        base = self
-        while k:
-            if k & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            k >>= 1
-        return result
-
-
-def _eval_minpoly_ast(tower: FieldTower, name: str, ast) -> List[TowerElement]:
-    def walk(node) -> _MinpolyPoly:
-        if isinstance(node, Num):
-            return _MinpolyPoly.const(tower, tower.rational(node.value))
-        if isinstance(node, Sym):
-            if node.name == name:
-                return _MinpolyPoly(tower, [tower.zero, tower.one])
-            return _MinpolyPoly.const(tower, tower.gen(node.name))
-        if isinstance(node, Neg):
-            return walk(node.operand).neg()
-        if isinstance(node, Pow):
-            return walk(node.base).pow(node.exponent)
-        if isinstance(node, Bin):
-            left, right = walk(node.left), walk(node.right)
-            if node.op == "+":
-                return left.add(right)
-            if node.op == "-":
-                return left.add(right.neg())
-            if node.op == "*":
-                return left.mul(right)
-            if node.op == "/":
-                if len(right.coeffs) > 1:
-                    raise TowerError(
-                        "minimal polynomial must be polynomial in the new generator"
-                    )
-                if not right.coeffs:
-                    raise DivisionByZeroElementError("division by zero element")
-                inv = right.coeffs[0].inv()
-                return _MinpolyPoly(tower, [c * inv for c in left.coeffs])
-        if isinstance(node, Apply):
-            raise TowerError("function applications are not allowed in minimal polynomials")
-        raise TowerError(f"unsupported node in minimal polynomial: {node!r}")
-
-    return walk(ast).coeffs
-
-
 def element_eval(
     tower: FieldTower,
     source,
@@ -777,34 +692,30 @@ def element_eval(
     through the optional derivations map.
     """
     ast = parse_expr(source) if isinstance(source, str) else source
-    derivations = derivations or {}
+    return fold(ast, _Elements(tower, derivations or {}))
 
-    def walk(node) -> TowerElement:
-        if isinstance(node, Num):
-            return tower.rational(node.value)
-        if isinstance(node, Sym):
-            return tower.gen(node.name)
-        if isinstance(node, Neg):
-            return -walk(node.operand)
-        if isinstance(node, Pow):
-            return walk(node.base) ** node.exponent
-        if isinstance(node, Bin):
-            left, right = walk(node.left), walk(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                if right.is_zero():
-                    raise DivisionByZeroElementError("division by an element that reduces to zero")
-                return left / right
-        if isinstance(node, Apply):
-            fn = derivations.get(node.func)
-            if fn is None:
-                raise UnknownSymbolError(f"unknown function {node.func!r}")
-            return fn(walk(node.arg))
-        raise TowerError(f"unsupported expression node: {node!r}")
 
-    return walk(ast)
+class _Elements(Arithmetic):
+    """Algebra of tower elements: symbols are generators, and function
+    applications go through the derivations map."""
+
+    def __init__(self, tower: FieldTower, derivations: Dict[str, Callable]):
+        self.tower = tower
+        self.derivations = derivations
+
+    def num(self, value: Fraction) -> TowerElement:
+        return self.tower.rational(value)
+
+    def sym(self, name: str) -> TowerElement:
+        return self.tower.gen(name)
+
+    def bin(self, op: str, a: TowerElement, b: TowerElement) -> TowerElement:
+        if op == "/" and b.is_zero():
+            raise DivisionByZeroElementError("division by an element that reduces to zero")
+        return super().bin(op, a, b)
+
+    def apply(self, func: str, a: TowerElement) -> TowerElement:
+        fn = self.derivations.get(func)
+        if fn is None:
+            raise UnknownSymbolError(f"unknown function {func!r}")
+        return fn(a)

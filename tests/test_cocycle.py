@@ -1,5 +1,9 @@
 """Two-argument difference maps: axioms, extensions, primitives, splittings."""
 
+import itertools
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +23,7 @@ from dercalc.cocycle import (
     leibniz_coboundary_check,
     leibniz_difference,
     leibniz_maps,
+    _sampled_tuples,
 )
 
 
@@ -101,6 +106,33 @@ def test_sum_axiom_void_in_characteristic_zero():
     report = cocycle_verify(F, axioms=("zeta",))
     assert report.axioms["zeta"].status == "void"
     assert "(zeta) void on this carrier" in report.lines()
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_sampled_tuples_match_choice_from_the_full_list(arity, seed):
+    elems = list(IntegerWindow(-4, 4).elements())
+    every = list(itertools.product(elems, repeat=arity))
+    old = random.Random(seed)
+    expected = [old.choice(every) for _ in range(40)]
+    assert _sampled_tuples(elems, arity, 40, random.Random(seed)) == expected
+
+
+def test_sampled_mode_on_a_wide_window_builds_no_tuple_list():
+    w = IntegerWindow(-60, 60)
+    f = {x: x * x for x in range(-60, 61)}
+    F, G = cauchy_difference(f, w), leibniz_difference(f, w)
+    tracemalloc.start()
+    try:
+        report = cocycle_verify(F, G, axioms=("beta", "delta"), mode="sampled",
+                                sample=10, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert all(r.checked + r.skipped == 10 for r in report.axioms.values())
+    # The 121^3 triples of the window would take well over 100 MB.
+    assert peak < 1_000_000
 
 
 def test_sampled_mode_bounds_work():

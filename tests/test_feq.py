@@ -278,3 +278,20 @@ def test_reflection_survivors():
         t1431_check(4)
     with pytest.raises(FeqError):
         t1431_check(2)
+
+
+LONG_SIDE = " + ".join(["f(x)"] * 3000)
+
+
+def test_equation_with_a_3000_term_side_parses():
+    eq = Equation.parse("long", f"{LONG_SIDE} = 3000*f(x)")
+    assert eq.functions == ("f",)
+
+
+def test_feq_check_with_a_3000_term_side():
+    eq = Equation.parse("long", f"{LONG_SIDE} + f(y) = 3000*f(x) + f(y)")
+    report = feq_check(eq, {"f": FnTable.from_callable(gf(7), lambda x: x * x)})
+    assert report.line() == "long: pass (49 pairs, 0 skipped)"
+    wrong = Equation.parse("wrong", f"{LONG_SIDE} = 2999*f(x)")
+    report = feq_check(wrong, {"f": FnTable.from_callable(gf(7), lambda x: x)})
+    assert report.witness == (1, 0)

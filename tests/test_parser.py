@@ -5,14 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dercalc.exact import gf
+from dercalc.feq import _Carrier, _Skip
 from dercalc.parser import (
     Apply,
+    Arithmetic,
     Bin,
     DercalcSyntaxError,
     Neg,
     Num,
     Pow,
     Sym,
+    compiled,
+    fold,
+    nodes,
     parse_equation,
     parse_expr,
     to_text,
@@ -20,21 +26,29 @@ from dercalc.parser import (
 
 names = st.sampled_from(["x", "y", "t", "u", "f", "g", "phi", "a2"])
 numbers = st.integers(0, 99).map(lambda n: Num(Fraction(n)))
-symbols = names.map(Sym)
 
 
-def extend(children):
-    return st.one_of(
-        children.map(Neg),
-        st.tuples(children, st.integers(-4, 6)).map(lambda p: Pow(*p)),
-        st.tuples(names, children).map(lambda p: Apply(*p)),
-        st.tuples(st.sampled_from("+-*/"), children, children).map(
-            lambda p: Bin(*p)
-        ),
-    )
+def tree_strategy(names, exponents=st.integers(-4, 6), functions=True):
+    def extend(children):
+        shapes = [
+            children.map(Neg),
+            st.tuples(children, exponents).map(lambda p: Pow(*p)),
+            st.tuples(names, children).map(lambda p: Apply(*p)),
+            st.tuples(st.sampled_from("+-*/"), children, children).map(
+                lambda p: Bin(*p)
+            ),
+        ]
+        if not functions:
+            del shapes[2]
+        return st.one_of(shapes)
+
+    return st.recursive(st.one_of(numbers, names.map(Sym)), extend, max_leaves=25)
 
 
-trees = st.recursive(st.one_of(numbers, symbols), extend, max_leaves=25)
+trees = tree_strategy(names)
+# Function-free trees in x and y, with exponents small enough that the exact
+# rational value of a nested power stays cheap.
+xy_trees = tree_strategy(st.sampled_from(["x", "y"]), st.integers(-2, 2), functions=False)
 
 
 @given(trees)
@@ -124,3 +138,110 @@ def test_trailing_garbage_rejected():
 def test_printer_rejects_non_integer_literal():
     with pytest.raises(ValueError):
         to_text(Num(Fraction(1, 2)))
+
+
+class _Text:
+    """Renders each node as it is combined, to show the fold's order."""
+
+    def __init__(self):
+        self.seen = []
+
+    def _note(self, text):
+        self.seen.append(text)
+        return text
+
+    def num(self, value):
+        return self._note(str(value))
+
+    def sym(self, name):
+        return self._note(name)
+
+    def neg(self, a):
+        return self._note(f"(-{a})")
+
+    def pow(self, a, e):
+        return self._note(f"{a}^{e}")
+
+    def bin(self, op, a, b):
+        return self._note(f"({a} {op} {b})")
+
+    def apply(self, func, a):
+        return self._note(f"{func}({a})")
+
+
+def test_fold_is_post_order_left_operand_first():
+    algebra = _Text()
+    value = fold(parse_expr("f(a - b) * -c^2"), algebra)
+    assert value == "(f((a - b)) * (-c^2))"
+    assert algebra.seen == ["a", "b", "(a - b)", "f((a - b))", "c", "c^2", "(-c^2)", value]
+
+
+def test_nodes_yields_each_node_before_its_operands():
+    tree = parse_expr("f(a) + b*c")
+    assert [to_text(n) for n in nodes(tree)] == [
+        "f(a) + b * c", "b * c", "c", "b", "f(a)", "a",
+    ]
+
+
+class _Depth:
+    """Counts the operations on the longest path from a leaf to the root."""
+
+    def num(self, value):
+        return 0
+
+    sym = num
+
+    def neg(self, a):
+        return a + 1
+
+    def pow(self, a, e):
+        return a + 1
+
+    def bin(self, op, a, b):
+        return max(a, b) + 1
+
+    def apply(self, func, a):
+        return a + 1
+
+
+def test_fold_and_nodes_take_trees_deeper_than_the_recursion_limit():
+    tree = Sym("x")
+    for i in range(20000):
+        tree = Neg(tree) if i % 2 else Apply("f", tree)
+    assert sum(1 for _ in nodes(tree)) == 20001
+    depth = fold(tree, _Depth())
+    assert depth == 20000
+
+
+def test_compiled_program_runs_a_long_sum():
+    f = compiled(parse_expr(" + ".join(["x"] * 3000)), Arithmetic(), ("x",))
+    assert f(Fraction(1, 3)) == 1000
+
+
+def test_arithmetic_raises_the_given_error():
+    class Bad(Exception):
+        pass
+
+    cases = [("x + z", "unknown symbol 'z'"), ("g(x)", "function 'g' is not allowed"),
+             ("1/(x - 1)", "division by zero")]
+    for source, message in cases:
+        f = compiled(parse_expr(source), Arithmetic(Bad), ("x",))
+        with pytest.raises(Bad, match=message):
+            f(Fraction(1))
+    f = compiled(parse_expr("1/(x - 1)"), Arithmetic(Bad), ("x",))
+    assert f(Fraction(3)) == Fraction(1, 2)
+
+
+@given(xy_trees, st.sampled_from([2, 5, 7, 97]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_compiled_carrier_side_agrees_with_exact_rationals(tree, p, data):
+    x = data.draw(st.integers(0, p - 1))
+    y = data.draw(st.integers(0, p - 1))
+    try:
+        got = compiled(tree, _Carrier(gf(p), {}, {}), ("x", "y"))(x, y)
+    except _Skip:
+        return
+    # Every divisor is a unit mod p where the carrier does not skip, so the
+    # exact value has a denominator prime to p.
+    exact = compiled(tree, Arithmetic(), ("x", "y"))(Fraction(x), Fraction(y))
+    assert got == exact.numerator * pow(exact.denominator, -1, p) % p

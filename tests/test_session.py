@@ -151,3 +151,10 @@ def test_failing_cocycle_f_check_stops_the_script():
     assert lines[0] == "cocycle F = a*a*b on window:-2:2"
     assert any("FAIL" in line for line in lines)
     assert "1 = 1" not in lines
+
+
+def test_eval_line_with_a_3000_term_sum():
+    expr = " + ".join(["t"] * 3000)
+    lines, code = run_session_text(f"[tower]\nt : transcendental\n[check]\neval {expr}\n")
+    assert code == 0
+    assert lines == [f"{expr} = 3000*t"]

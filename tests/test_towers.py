@@ -129,6 +129,40 @@ def test_minimal_polynomial_must_involve_new_name(qt):
         qt.adjoin_algebraic("s", "t^2 - 1")
 
 
+# Minimal polynomials are evaluated in the tower extended by the new name as
+# a transcendental; the renderings are the ones printed before that change.
+MINPOLY_RENDERINGS = [
+    ("t:trans", "s", "s^2 - t/2", "s^2 + (-t/2)"),
+    ("t:trans", "s", "t*s^2 - 1", "s^2 + (-1/t)"),
+    ("t:trans", "s", "(s - t)*(s + 1/t)", "s^2 + ((-t^2 + 1)/t)*s - 1"),
+    ("t:trans;s:trans", "u", "2*u^3 - s*u + t/3", "u^3 + (-s/2)*u + (t/6)"),
+    ("t:trans;s:alg", "u", "2*u^3 - s*u + t/3", "u^3 + (-s/2)*u + (t/6)"),
+]
+
+
+def _tower(spec):
+    tower = tower_new()
+    for part in spec.split(";"):
+        name, kind = part.split(":")
+        if kind == "trans":
+            tower = tower.adjoin_transcendental(name)
+        else:
+            tower = tower.adjoin_algebraic(name, f"{name}^2 - t")
+    return tower
+
+
+@pytest.mark.parametrize("spec,name,minpoly,rendered", MINPOLY_RENDERINGS)
+def test_minimal_polynomial_rendering(spec, name, minpoly, rendered):
+    gen = _tower(spec).adjoin_algebraic(name, minpoly).gens[-1]
+    assert gen.minpoly_text == rendered
+
+
+@pytest.mark.parametrize("minpoly", ["1/s", "s^-2", "f(s)", "s^2 + 1/(s + t)"])
+def test_minimal_polynomial_must_be_polynomial_in_new_name(qt, minpoly):
+    with pytest.raises(TowerError):
+        qt.adjoin_algebraic("s", minpoly)
+
+
 def test_element_eval_expression(qts):
     a = element_eval(qts, "s^2 + 1/t")
     t = qts.gen("t")
