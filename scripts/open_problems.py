@@ -2,8 +2,10 @@
 
 The corpus equations opp2 and opp3 each ask whether a single identity mixing
 an additive-type and a Leibniz-type defect forces both defects to vanish.
-Nobody knows the answer over the rationals; over a prime field GF(p) the
-question is decidable by enumeration, which is what this script does.
+Nobody knows the answer over the rationals; over a prime field GF(p) both
+equations are linear in the table of f, so the solutions are the kernel of
+a p^2 x p system mod p, which `feq_solve_brute` finds by elimination and
+this script lists.
 
 A run prints, per prime, every solution table of each equation and whether
 it is additive, Leibniz, both, or neither.  Finding only the zero table is

@@ -2,8 +2,21 @@
 
 Equations are small expression trees in x, y, named one-argument functions,
 and optional parameters.  A check runs one bound table through every
-admissible argument pair; a solve enumerates all tables, pruning partial
-assignments as soon as any fully determined pair fails.
+admissible argument pair; a solve lists every table assignment that passes.
+
+A solve takes one of two paths.  On a prime modulus with no unknown inside
+a divisor, both sides are compiled as affine forms in the table entries;
+if they stay affine (no product of two entries, no power of one above the
+first, no entry inside a function argument), each pair gives one linear
+equation mod p and the solutions are the kernel of that system, found by
+elimination (Aczel & Dhombres, Functional Equations in Several Variables,
+ch. 1-2).  Everything else -- nonlinear equations, unknowns in divisors,
+composite moduli -- goes to a backtracking search that fills tables one
+entry at a time and prunes a partial assignment as soon as any fully
+determined pair fails.  The search is also the oracle the elimination is
+tested against: both give the same solutions in the same order.  The budget
+(`default_budget`) bounds the work either path would do: the number of
+solutions elimination is to list, or the table entries the search places.
 
 Division is pointwise: a pair whose divisor is not invertible (or, on an
 integer window, does not divide exactly) is skipped and counted.  A division
@@ -13,11 +26,12 @@ inside the window.
 
 Each side is compiled once per carrier, into a straight-line program run as
 a function (x, y) -> value (see `parser.compiled`): once per `feq_check`,
-and in a solve once for the search and once for its dependency probe.  No
-pair visits the expression tree.
+in elimination once as affine forms, and in the search once for the search
+and once for its dependency probe.  No pair visits the expression tree.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -25,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .exact import BudgetError, FiniteCarrier, IntegerWindow
+from .exact import BudgetError, FiniteCarrier, IntegerWindow, _is_prime
 from .parser import Apply, Arithmetic, Bin, Pow, Sym, compiled, fold, nodes, parse_equation
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
@@ -53,7 +67,9 @@ _INADMISSIBLE = (_Skip, KeyError)
 
 
 def default_budget() -> int:
-    """Enumeration budget; DERCALC_BUDGET overrides the 10^7 default."""
+    """Solver budget: at most this many solutions listed by elimination, or
+    table entries placed by a backtracking search.  DERCALC_BUDGET
+    overrides the 10^7 default."""
     return int(os.environ.get("DERCALC_BUDGET", 10_000_000))
 
 
@@ -208,8 +224,7 @@ class _Carrier:
         return self.tables[func](a)
 
 
-def _compile(eq: "Equation", carrier: Carrier, tables, params):
-    algebra = _Carrier(carrier, tables, params)
+def _compile(eq: "Equation", algebra):
     return tuple(compiled(side, algebra, ("x", "y")) for side in (eq.lhs, eq.rhs))
 
 
@@ -263,8 +278,8 @@ def feq_check(
         _reject_constant_divisors(side, carrier)
     if isinstance(carrier, FiniteCarrier):
         params = {k: v % carrier.modulus for k, v in params.items()}
-    lhs_fn, rhs_fn = _compile(
-        eq, carrier, {name: t.values.__getitem__ for name, t in bindings.items()}, params)
+    lhs_fn, rhs_fn = _compile(eq, _Carrier(
+        carrier, {name: t.values.__getitem__ for name, t in bindings.items()}, params))
     elems = list(carrier.elements())
     pairs: Iterable[Tuple[int, int]] = ((a, b) for a in elems for b in elems)
     if mode == "sampled":
@@ -314,13 +329,18 @@ def feq_solve_brute(
     params: Optional[Dict[str, int]] = None,
     budget: Optional[int] = None,
 ) -> SolveReport:
-    """Enumerate every table assignment for the unknown functions.
+    """Every table assignment for the unknown functions that satisfies the
+    equation, in lexicographic order of the table values (slots ordered by
+    carrier point, the unknowns interleaved at each point).
 
-    Tables are filled one carrier point at a time, all unknowns interleaved,
-    and each argument pair is checked the moment the last entry it reads is
-    placed; a violated pair prunes the whole subtree.  The solution order is
-    lexicographic in the table values.  Every solution is re-checked
-    exhaustively before it is reported."""
+    On a prime modulus with no unknown inside a divisor, both sides are
+    first compiled as affine forms in the table entries; when they stay
+    affine the solutions are the kernel of one linear system, solved by
+    elimination (`_eliminate`), and the budget bounds the number of
+    solutions to list.  Otherwise the backtracking search lists them
+    (`_backtrack`), and the budget bounds the table entries it places.
+    Either way every solution is re-checked exhaustively before it is
+    reported."""
     if not isinstance(carrier, FiniteCarrier):
         raise FeqError("brute-force solving needs a finite carrier")
     unknowns = tuple(unknowns)
@@ -335,24 +355,189 @@ def feq_solve_brute(
         raise UnboundSymbolError(f"no value bound for parameters {missing_params}")
     if budget is None:
         budget = default_budget()
-    elems = list(carrier.elements())
-    if eq.min_size and len(elems) < eq.min_size:
+    if eq.min_size and carrier.modulus < eq.min_size:
         return SolveReport(eq.name, carrier, unknowns, "skipped", (), 0, eq.note)
     for side in (eq.lhs, eq.rhs):
         _reject_constant_divisors(side, carrier)
-    m = carrier.modulus
-    size = len(elems)
-    space = size ** (size * len(unknowns))
-    if space > budget:
-        raise BudgetError(
-            f"{size}^{size * len(unknowns)} candidate tables exceed budget {budget}"
-        )
 
+    found = None
+    if _is_prime(carrier.modulus) and not any(_value_dependent(s) for s in (eq.lhs, eq.rhs)):
+        try:
+            found = _eliminate(eq, unknowns, carrier, params, budget)
+        except _Nonlinear:
+            pass
+    solutions, skipped_pairs = found or _backtrack(eq, unknowns, carrier, params, budget)
+    for sol in solutions:
+        check = feq_check(eq, dict(zip(unknowns, sol)), params)
+        if not check.ok:
+            raise FeqError(f"internal: emitted solution fails re-check at {check.witness}")
+    return SolveReport(eq.name, carrier, unknowns, "complete", solutions, skipped_pairs)
+
+
+Solutions = Tuple[Tuple[FnTable, ...], ...]
+
+
+class _Nonlinear(Exception):
+    """Internal: a side is not affine in the unknown table entries."""
+
+
+_CONST = -1  # the key of an affine form's constant term; slots are >= 0
+
+
+def _normal(form: Dict[int, int]):
+    """An affine form without zero coefficients, or its constant when no
+    slot is left."""
+    if 0 in form.values():
+        form = {s: c for s, c in form.items() if c}
+    if len(form) > (_CONST in form):
+        return form
+    return form.get(_CONST, 0)
+
+
+def _as_form(a) -> Dict[int, int]:
+    return a if type(a) is dict else {_CONST: a}
+
+
+class _Affine(_Carrier):
+    """Algebra of affine forms in the unknown table entries over a prime
+    field.  A value is an int constant or a dict {slot: coefficient} whose
+    key _CONST holds the constant term.  Constants compute as in _Carrier,
+    so a pair is skipped exactly where the search skips it; anything that
+    is not affine in the entries raises _Nonlinear."""
+
+    def __init__(self, carrier: FiniteCarrier, slot_index: Dict[Tuple[str, int], int],
+                 params: Dict[str, int]):
+        super().__init__(carrier, {}, params)
+        self.slot_index = slot_index
+
+    def neg(self, a):
+        if type(a) is int:
+            return super().neg(a)
+        return {s: -c % self.modulus for s, c in a.items()}
+
+    def pow(self, a, e: int):
+        if type(a) is int:
+            return super().pow(a, e)
+        if e == 1:
+            return a
+        if e == 0:
+            return 1
+        raise _Nonlinear
+
+    def bin(self, op: str, a, b):
+        if type(a) is int and type(b) is int:
+            return super().bin(op, a, b)
+        m = self.modulus
+        if op == "/":
+            if type(b) is not int:
+                raise _Nonlinear
+            op, b = "*", super().bin("/", 1, b)
+        if op == "*":
+            if type(a) is not int:
+                if type(b) is not int:
+                    raise _Nonlinear
+                a, b = b, a
+            return {s: c * a % m for s, c in b.items()} if a else 0
+        form = dict(_as_form(a))
+        sign = 1 if op == "+" else -1
+        for s, c in _as_form(b).items():
+            form[s] = (form.get(s, 0) + sign * c) % m
+        return _normal(form)
+
+    def apply(self, func: str, a):
+        if type(a) is not int:
+            raise _Nonlinear
+        return {self.slot_index[(func, a)]: 1}
+
+
+def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
+               params: Dict[str, int], budget: int) -> Tuple[Solutions, int]:
+    """Solutions and skipped pairs by elimination mod a prime; raises
+    _Nonlinear when a side is not affine in the table entries.
+
+    Each admissible pair adds the row lhs - rhs = 0.  The rows are kept in
+    reduced row-echelon form with the highest slot of a row as its pivot, so
+    a pivot entry is fixed by free entries at lower slots, and the first
+    entry at which two solutions differ is free: listing the free entries
+    in lexicographic order lists the solutions in lexicographic order."""
+    m = carrier.modulus
+    slots = [(f, e) for e in range(m) for f in unknowns]
+    algebra = _Affine(carrier, {fe: i for i, fe in enumerate(slots)}, params)
+    lhs_fn, rhs_fn = _compile(eq, algebra)
+    pivots: Dict[int, Dict[int, int]] = {}  # pivot slot -> the rest of its row
+    consistent = True
+    skipped_pairs = 0
+    for a in range(m):
+        for b in range(m):
+            try:
+                row = algebra.bin("-", lhs_fn(a, b), rhs_fn(a, b))
+            except _Skip:
+                skipped_pairs += 1
+                continue
+            if consistent:
+                consistent = _add_row(pivots, row, m)
+    if not consistent:
+        return (), skipped_pairs
+    free = [s for s in range(len(slots)) if s not in pivots]
+    if m ** len(free) > budget:
+        raise BudgetError(f"{m}^{len(free)} solutions exceed budget {budget}")
+    fixed = [(s, row.get(_CONST, 0), [(t, c) for t, c in row.items() if t != _CONST])
+             for s, row in pivots.items()]
+    values = [0] * len(slots)
+    k = len(unknowns)
+    solutions = []
+    for choice in itertools.product(range(m), repeat=len(free)):
+        for s, v in zip(free, choice):
+            values[s] = v
+        for s, const, terms in fixed:
+            values[s] = -(const + sum(c * values[t] for t, c in terms)) % m
+        # slot e * k + i holds the value of unknown i at e
+        solutions.append(tuple(FnTable(carrier, dict(enumerate(values[i::k])))
+                               for i in range(k)))
+    return tuple(solutions), skipped_pairs
+
+
+def _add_row(pivots: Dict[int, Dict[int, int]], row, m: int) -> bool:
+    """Adds the equation row = 0 to a reduced system; False when the system
+    has become inconsistent.  `pivots` maps each pivot slot s to the rest
+    of its row, so v_s = -(sum of c * v_t over that rest), the constant
+    counting as v_{_CONST} = 1; the rest holds free slots below s only."""
+    if type(row) is int:
+        return row == 0
+    reduced: Dict[int, int] = {}
+    for s, c in row.items():
+        for t, d in pivots[s].items() if s in pivots else ((s, -1),):
+            reduced[t] = (reduced.get(t, 0) - c * d) % m
+    row = _normal(reduced)
+    if type(row) is int:
+        return row == 0
+    s = max(row)
+    inv = pow(row.pop(s), -1, m)
+    row = {t: c * inv % m for t, c in row.items()}
+    for rest in pivots.values():
+        c = rest.pop(s, 0)
+        for t, d in row.items() if c else ():
+            rest[t] = (rest.get(t, 0) - c * d) % m
+    pivots[s] = row
+    return True
+
+
+def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
+               params: Dict[str, int], budget: int) -> Tuple[Solutions, int]:
+    """Solutions and skipped pairs by backtracking search.
+
+    Tables are filled one slot at a time, and each argument pair is checked
+    the moment the last entry it reads is placed; a violated pair prunes
+    the whole subtree.  With an unknown inside a divisor, admissibility
+    depends on table values, so every pair is rechecked at every node.
+    BudgetError once more than `budget` table entries have been placed."""
+    m = carrier.modulus
+    elems = list(carrier.elements())
     slots = [(f, e) for e in elems for f in unknowns]
     slot_index = {fe: i for i, fe in enumerate(slots)}
     partial: Dict[str, Dict[int, int]] = {f: {} for f in unknowns}
     lhs_fn, rhs_fn = _compile(
-        eq, carrier, {f: partial[f].__getitem__ for f in unknowns}, params)
+        eq, _Carrier(carrier, {f: partial[f].__getitem__ for f in unknowns}, params))
 
     # Static dependency analysis: with no unknown inside a divisor or an
     # exponent base, the table entries a pair reads are known up front.
@@ -364,7 +549,7 @@ def feq_solve_brute(
         # The probe's tables record every entry a pair reads and return 0.
         points: set = set()
         recorders = {f: (lambda x, f=f: points.add((f, x)) or 0) for f in unknowns}
-        probe_lhs, probe_rhs = _compile(eq, carrier, recorders, params)
+        probe_lhs, probe_rhs = _compile(eq, _Carrier(carrier, recorders, params))
         for a in elems:
             for b in elems:
                 points.clear()
@@ -381,12 +566,13 @@ def feq_solve_brute(
                     pending.append((a, b))
         for a, b in pending:
             if lhs_fn(a, b) != rhs_fn(a, b):
-                return SolveReport(eq.name, carrier, unknowns, "complete", (), skipped_pairs)
+                return (), skipped_pairs
         pending = []
     else:
         pending = [(a, b) for a in elems for b in elems]
 
     solutions: List[Tuple[FnTable, ...]] = []
+    placed = visited = 0
 
     def check_pairs(pairs: Sequence[Tuple[int, int]]) -> bool:
         for a, b in pairs:
@@ -397,33 +583,33 @@ def feq_solve_brute(
                 continue
         return True
 
-    def emit() -> None:
-        tables = tuple(FnTable(carrier, dict(partial[f])) for f in unknowns)
-        solutions.append(tables)
-
     def assign(k: int) -> None:
+        nonlocal placed, visited
+        visited += 1
         if k == len(slots):
             if dynamic and not check_pairs(pending):
                 return
-            emit()
+            solutions.append(tuple(FnTable(carrier, dict(partial[f])) for f in unknowns))
             return
         f, e = slots[k]
         for v in range(m):
+            placed += 1
+            if placed > budget:
+                raise _work_exceeded(placed, visited, budget)
             partial[f][e] = v
             if check_pairs(pending if dynamic else pairs_at[k]):
                 assign(k + 1)
         del partial[f][e]
 
     assign(0)
-    report = SolveReport(
-        eq.name, carrier, unknowns, "complete", tuple(solutions), skipped_pairs
+    return tuple(solutions), skipped_pairs
+
+
+def _work_exceeded(placed: int, visited: int, budget: int) -> BudgetError:
+    return BudgetError(
+        f"search over budget {budget}: {placed} table entries placed, {visited} "
+        f"nodes visited; raise it with --budget or DERCALC_BUDGET"
     )
-    for sol in report.solutions:
-        bindings = dict(zip(unknowns, sol))
-        check = feq_check(eq, bindings, params)
-        if not check.ok:
-            raise FeqError(f"internal: emitted solution fails re-check at {check.witness}")
-    return report
 
 
 def _value_dependent(side) -> bool:
@@ -517,7 +703,8 @@ def logarithmic_zero_check(
     On a carrier containing 0 the pair (0,0) forces f(0) = 2 f(0) and
     additivity collapses everything to the zero table.  With units_only the
     domain shrinks to the unit group and the codomain to integers modulo the
-    group order, where nonzero homomorphisms exist."""
+    group order, where nonzero homomorphisms exist.  That search fills the
+    table by backtracking, and the budget bounds the entries it places."""
     if budget is None:
         budget = default_budget()
     if not units_only:
@@ -525,10 +712,9 @@ def logarithmic_zero_check(
         return LogZeroReport(carrier, False, tuple(s[0].values for s in report.solutions))
     units = carrier.units()
     n = len(units)
-    if n ** n > budget:
-        raise BudgetError(f"{n}^{n} candidate tables exceed budget {budget}")
     solutions = []
     table: Dict[int, int] = {}
+    placed = visited = 0
 
     def ok_prefix() -> bool:
         for a in units:
@@ -543,10 +729,15 @@ def logarithmic_zero_check(
         return True
 
     def assign(i: int) -> None:
+        nonlocal placed, visited
+        visited += 1
         if i == len(units):
             solutions.append(dict(table))
             return
         for v in range(n):
+            placed += 1
+            if placed > budget:
+                raise _work_exceeded(placed, visited, budget)
             table[units[i]] = v
             if ok_prefix():
                 assign(i + 1)

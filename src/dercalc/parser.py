@@ -278,7 +278,10 @@ class Arithmetic:
         return -a
 
     def pow(self, a, e: int):
-        return a ** e
+        try:
+            return a ** e
+        except ZeroDivisionError:
+            raise self.error("division by zero in expression") from None
 
     def bin(self, op: str, a, b):
         if op == "/" and b == 0:

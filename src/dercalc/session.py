@@ -33,7 +33,9 @@ from .cocycle import (
 from .derivations import Derivation, derivation_define
 from .exact import FiniteCarrier, IntegerWindow, gf, rational, zmod
 from .feq import FnTable, equation_by_name, feq_check
-from .parser import Apply, Arithmetic, DercalcSyntaxError, Sym, compiled, parse_equation, parse_expr
+from .parser import (
+    Apply, Arithmetic, Bin, DercalcSyntaxError, Pow, Sym, compiled, nodes, parse_equation, parse_expr,
+)
 from .towers import FieldTower, TowerElement, element_eval, tower_new
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
@@ -77,6 +79,43 @@ def _to_carrier_value(v: Fraction, carrier: Carrier, where: str) -> int:
     return v.numerator
 
 
+class _Residues(Arithmetic):
+    """Integers modulo m.  A tree with no division and no negative exponent
+    has the same value here as its exact value reduced mod m, since
+    reduction is a ring homomorphism from Z; x^99999999 costs a modular
+    power instead of a 100-million-bit integer."""
+
+    def __init__(self, modulus: int):
+        super().__init__(SessionError)
+        self.modulus = modulus
+
+    def num(self, value: Fraction) -> int:
+        return value.numerator % self.modulus
+
+    def neg(self, a: int) -> int:
+        return -a % self.modulus
+
+    def pow(self, a: int, e: int) -> int:
+        return pow(a, e, self.modulus)
+
+    def bin(self, op: str, a: int, b: int) -> int:
+        return super().bin(op, a, b) % self.modulus
+
+
+def _carrier_function(ast, carrier: Carrier, variables: Tuple[str, ...],
+                      name: str) -> Callable[..., int]:
+    """A tree as a function of carrier values, named `name` in errors.  On
+    a finite carrier a tree without division or negative exponent is
+    evaluated modulo m; otherwise exactly, then reduced."""
+    if isinstance(carrier, FiniteCarrier) and not any(
+            isinstance(n, Bin) and n.op == "/" or isinstance(n, Pow) and n.exponent < 0
+            for n in nodes(ast)):
+        return compiled(ast, _Residues(carrier.modulus), variables)
+    exact = compiled(ast, Arithmetic(SessionError), variables)
+    return lambda *args: _to_carrier_value(
+        exact(*map(Fraction, args)), carrier, f"{name}({','.join(map(str, args))})")
+
+
 def fn_from_spec(spec: str, carrier: Carrier) -> FnTable:
     """One-argument table: "parity", "zero", or an expression in x."""
     spec = spec.strip()
@@ -88,9 +127,7 @@ def fn_from_spec(spec: str, carrier: Carrier) -> FnTable:
         ast = parse_expr(spec)
     except DercalcSyntaxError as exc:
         raise SessionError(f"bad function expression {spec!r}: {exc}") from None
-    f = compiled(ast, Arithmetic(SessionError), ("x",))
-    return FnTable(carrier, {
-        x: _to_carrier_value(f(Fraction(x)), carrier, f"f({x})") for x in carrier.elements()})
+    return FnTable.from_callable(carrier, _carrier_function(ast, carrier, ("x",), "f"))
 
 
 def fn2_from_expr(text: str, carrier: Carrier) -> Callable[[int, int], int]:
@@ -99,8 +136,7 @@ def fn2_from_expr(text: str, carrier: Carrier) -> Callable[[int, int], int]:
         ast = parse_expr(text)
     except DercalcSyntaxError as exc:
         raise SessionError(f"bad expression {text!r}: {exc}") from None
-    F = compiled(ast, Arithmetic(SessionError), ("a", "b"))
-    return lambda a, b: _to_carrier_value(F(Fraction(a), Fraction(b)), carrier, f"F({a},{b})")
+    return _carrier_function(ast, carrier, ("a", "b"), "F")
 
 
 _SECTION_RE = re.compile(r"^\[(tower|check|derivation\s+(\w+))\]$")

@@ -2,6 +2,7 @@
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -276,6 +277,12 @@ def test_cocycle_verify_pair(cli):
     assert out == PAIR_REPORT
 
 
+def test_cocycle_verify_zero_to_a_negative_power_is_usage_error(cli):
+    code, _, err = cli("cocycle", "verify", "--F", "a^-1", "--carrier", "gf:5")
+    assert code == 2
+    assert err == ["error: division by zero in expression"]
+
+
 def test_cocycle_diff_table(cli):
     code, out, _ = cli("cocycle", "diff", "--kind", "cauchy", "--f", "x^2",
                        "--carrier", "gf:5")
@@ -463,9 +470,35 @@ def test_feq_solve_additive_maps(cli):
 
 def test_feq_solve_budget_exceeded(cli):
     code, _, err = cli("feq", "solve", "--eq", "cauchy-add", "--carrier", "gf:3",
-                       "--budget", "10")
+                       "--budget", "2")
     assert code == 2
-    assert err == ["error: 3^3 candidate tables exceed budget 10"]
+    assert err == ["error: 3^1 solutions exceed budget 2"]
+
+
+def test_feq_solve_nonlinear_budget_counts_work(cli):
+    code, _, err = cli("feq", "solve", "--eq", "cauchy-mult", "--carrier", "gf:13",
+                       "--budget", "50")
+    assert code == 2
+    assert err == ["error: search over budget 50: 51 table entries placed, 14 nodes "
+                   "visited; raise it with --budget or DERCALC_BUDGET"]
+
+
+def test_feq_solve_gf11_fits_the_default_budget(cli):
+    code, out, _ = cli("feq", "solve", "--eq", "cauchy-add", "--carrier", "gf:11")
+    assert code == 0
+    assert out[-1] == "cauchy-add on gf:11: 11 solutions (0 pairs skipped)"
+    assert out[2] == "f = {0->0, 1->2, 2->4, 3->6, 4->8, 5->10, 6->1, 7->3, 8->5, 9->7, 10->9}"
+
+
+def test_feq_check_huge_exponent_reduces_modulo_the_carrier(cli):
+    # x^99999999 = x^3 on GF(5): 99999999 = 3 mod 4, and 0^e = 0.
+    start = time.perf_counter()
+    code, out, err = cli("feq", "check", "--eq", "cauchy-add", "--f", "x^99999999",
+                         "--carrier", "gf:5")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == cli("feq", "check", "--eq", "cauchy-add", "--f", "x^3",
+                                   "--carrier", "gf:5")
+    assert code == 1
 
 
 def test_feq_list_is_sorted_and_complete(cli):

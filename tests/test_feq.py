@@ -18,7 +18,11 @@ from dercalc.feq import (
     feq_solve_brute,
     logarithmic_zero_check,
     t1431_check,
+    _Nonlinear,
+    _backtrack,
+    _eliminate,
 )
+from dercalc import feq
 
 
 def window_parity(lo=-10, hi=10):
@@ -226,9 +230,36 @@ def test_solver_guards():
     with pytest.raises(FeqError):
         feq_solve_brute(eq, ["f"], IntegerWindow(-3, 3))
     with pytest.raises(BudgetError):
-        feq_solve_brute(eq, ["f"], gf(3), budget=10)
+        feq_solve_brute(eq, ["f"], gf(3), budget=2)
     with pytest.raises(BudgetError):
-        feq_solve_brute(eq, ["f"], gf(13))
+        feq_solve_brute(equation_by_name("cauchy-mult"), ["f"], gf(13), budget=50)
+
+
+def test_budget_bounds_solutions_listed_by_elimination():
+    eq = equation_by_name("jensen")
+    with pytest.raises(BudgetError, match=r"^11\^2 solutions exceed budget 120$"):
+        feq_solve_brute(eq, ["f"], gf(11), budget=120)
+    assert feq_solve_brute(eq, ["f"], gf(11), budget=121).count == 121
+    assert feq_solve_brute(equation_by_name("leibniz"), ["f"], gf(23), budget=1).count == 1
+    # an inconsistent system has nothing to list
+    assert feq_solve_brute(Equation.parse("no", "f(x) + 1 = f(x)"), ["f"], gf(5),
+                           budget=0).count == 0
+
+
+def test_budget_bounds_entries_placed_by_the_search():
+    eq = equation_by_name("cauchy-exp")
+    # f(0) tries 3 values, and 0 and 1 survive.  Below f(0) = 0, f(1) tries
+    # 3 and only 0 survives, then f(2) tries 3; below f(0) = 1, f(1) tries 3
+    # and all survive, then f(2) tries 3 below each.
+    placed = 3 + 3 + 3 + 3 + 9
+    assert feq_solve_brute(eq, ["f"], gf(3), budget=placed).count == 2
+    with pytest.raises(BudgetError) as err:
+        feq_solve_brute(eq, ["f"], gf(3), budget=placed - 1)
+    assert str(err.value) == (
+        "search over budget 20: 21 table entries placed, 9 nodes visited; "
+        "raise it with --budget or DERCALC_BUDGET")
+    # the raw table space 23^23 is far above the default budget
+    assert feq_solve_brute(eq, ["f"], gf(23)).count == 2
 
 
 def test_budget_env_override(monkeypatch):
@@ -254,6 +285,12 @@ def test_log_zero_on_full_carrier():
     report = logarithmic_zero_check(gf(5))
     assert report.only_zero
     assert not report.units_only
+
+
+def test_log_zero_units_only_budget_counts_entries_placed():
+    assert len(logarithmic_zero_check(gf(23), units_only=True).solutions) == 22
+    with pytest.raises(BudgetError, match="table entries placed"):
+        logarithmic_zero_check(gf(5), units_only=True, budget=3)
 
 
 def test_log_zero_units_only():
@@ -295,3 +332,79 @@ def test_feq_check_with_a_3000_term_side():
     wrong = Equation.parse("wrong", f"{LONG_SIDE} = 2999*f(x)")
     report = feq_check(wrong, {"f": FnTable.from_callable(gf(7), lambda x: x)})
     assert report.witness == (1, 0)
+
+
+# -- elimination against the backtracking oracle ------------------------------
+
+LINEAR = ("cauchy-add", "cauchy-log", "jensen", "hosszu", "leibniz", "opp2", "opp3")
+PRIMES = (2, 3, 5, 7, 11, 13)
+# Skipped: jensen and opp3 reject GF(2) (the constant divisor 2), hosszu
+# below its minimum size, and hosszu above 7, where backtracking takes 10 s.
+LINEAR_CASES = [
+    (name, p) for name in LINEAR for p in PRIMES
+    if not (p == 2 and name in ("jensen", "opp3"))
+    and CORPUS[name].min_size <= p and not (name == "hosszu" and p > 7)
+]
+
+
+def assert_elimination_matches_backtracking(eq, unknowns, carrier, params=None):
+    """Identical solutions, in the same order, and identical skipped pairs."""
+    params = {k: v % carrier.modulus for k, v in (params or {}).items()}
+    want = _backtrack(eq, tuple(unknowns), carrier, params, 10 ** 30)
+    assert _eliminate(eq, tuple(unknowns), carrier, params, 10 ** 30) == want
+    report = feq_solve_brute(eq, unknowns, carrier, params)
+    assert (report.solutions, report.skipped_pairs) == want
+
+
+@pytest.mark.parametrize("name, p", LINEAR_CASES)
+def test_elimination_matches_backtracking_on_linear_corpus(name, p):
+    assert_elimination_matches_backtracking(equation_by_name(name), ["f"], gf(p))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_elimination_matches_backtracking_on_alien_weights(p):
+    for lam, mu in ((1, 1), (1, -1), (3, 2), (0, 1)):
+        assert_elimination_matches_backtracking(
+            equation_by_name("alien-c22"), ["f"], gf(p), {"lam": lam, "mu": mu})
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_elimination_matches_backtracking_with_two_unknowns(p):
+    eq = Equation.parse("pexider", "f(x+y) = g(x) + g(y)")
+    assert_elimination_matches_backtracking(eq, ["f", "g"], gf(p))
+    assert_elimination_matches_backtracking(eq, ["g", "f"], gf(p))
+    # g(x) = c x + d and f(z) = c z + 2 d
+    assert feq_solve_brute(eq, ["f", "g"], gf(p)).count == p * p
+
+
+def test_elimination_matches_backtracking_with_skipped_pairs():
+    eq = Equation.parse("recip", "f(x) * x^-1 = f(1/(x + 1)) + 3*f(y/(x - 2))")
+    for p in (3, 5, 7):
+        assert_elimination_matches_backtracking(eq, ["f"], gf(p))
+    assert feq_solve_brute(eq, ["f"], gf(5)).skipped_pairs == 15
+
+
+def test_elimination_on_prime_zmod():
+    assert_elimination_matches_backtracking(equation_by_name("cauchy-add"), ["f"], zmod(7))
+
+
+def test_nonlinear_equations_stay_on_backtracking():
+    for name in ("cauchy-exp", "cauchy-mult", "ger-hom"):
+        with pytest.raises(_Nonlinear):
+            _eliminate(equation_by_name(name), ("f",), gf(5), {}, 10 ** 30)
+    for src in ("f(f(x)) = x", "f(x)^2 = f(y)^2", "x*f(y) = f(x)*f(y)"):
+        with pytest.raises(_Nonlinear):
+            _eliminate(Equation.parse("q", src), ("f",), gf(3), {}, 10 ** 30)
+    assert feq_solve_brute(equation_by_name("cauchy-mult"), ["f"], gf(5)).count == 6
+    assert feq_solve_brute(equation_by_name("cauchy-mult"), ["f"], gf(7)).count == 8
+
+
+def test_value_dependent_and_composite_carriers_skip_elimination(monkeypatch):
+    def unused(*args):
+        raise AssertionError("elimination attempted")
+
+    monkeypatch.setattr(feq, "_eliminate", unused)
+    selfdiv = Equation.parse("selfdiv", "x / f(y) = x / f(y)")
+    assert feq_solve_brute(selfdiv, ["f"], gf(3)).count == 27
+    report = feq_solve_brute(equation_by_name("cauchy-add"), ["f"], zmod(6))
+    assert (report.count, report.skipped_pairs) == (6, 0)

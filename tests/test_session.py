@@ -5,6 +5,7 @@ import pytest
 
 from dercalc.session import (
     SessionError,
+    fn2_from_expr,
     fn_from_spec,
     parse_carrier,
     run_session,
@@ -142,6 +143,22 @@ def test_fn_from_spec_requires_values_defined_on_the_carrier():
     assert fn_from_spec("x/2", parse_carrier("gf:5")).values[1] == 3
     with pytest.raises(SessionError, match="not an integer"):
         fn_from_spec("x/2", parse_carrier("window:0:3"))
+
+
+def test_finite_carrier_specs_without_division_reduce_as_they_go():
+    # reduction mod m commutes with +, - and *, so these agree with the
+    # exact values reduced at the end
+    cases = [("3*x^5 - 2*x + 1", lambda x: 3 * x ** 5 - 2 * x + 1),
+             ("-(x^2 - 4)^3*5", lambda x: -(x ** 2 - 4) ** 3 * 5),
+             ("x^0 - (x - 1)*(x + 1)", lambda x: 1 - (x - 1) * (x + 1))]
+    for m in (5, 6, 7):
+        for spec, exact in cases:
+            got = fn_from_spec(spec, parse_carrier(f"zmod:{m}")).values
+            assert got == {x: exact(x) % m for x in range(m)}
+    assert (fn_from_spec("x^99999999", parse_carrier("gf:5"))
+            == fn_from_spec("x^3", parse_carrier("gf:5")))
+    F = fn2_from_expr("a^1000001*b - 7", parse_carrier("zmod:9"))
+    assert [F(a, 2) for a in range(9)] == [(pow(a, 1000001, 9) * 2 - 7) % 9 for a in range(9)]
 
 
 def test_failing_cocycle_f_check_stops_the_script():
