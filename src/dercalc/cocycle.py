@@ -2,23 +2,25 @@
 
 For a one-variable map f the Cauchy difference F(a,b) = f(a+b)-f(a)-f(b)
 and the Leibniz difference G(a,b) = f(ab)-af(b)-bf(a) always satisfy a
-small axiom system; this module checks the axioms exhaustively, extends
-positive-domain cocycles to signed windows via sign tables, reconstructs a
-primitive from its Cauchy difference, and brute-forces the degenerate
-"alien" mixtures of both differences.
+small axiom system; this module checks the axioms exhaustively (with
+feq's tuple loop), extends positive-domain cocycles to signed windows via
+sign tables, reconstructs a primitive from its Cauchy difference, and
+solves for the degenerate "alien" mixtures of both differences with feq.
 
-On an IntegerWindow, tuples whose function arguments escape the window are
-skipped and counted; everything on a modular carrier is total.
+On an IntegerWindow, tuples whose function arguments escape the window or
+miss a dict table's entry are skipped and counted; everything on a modular
+carrier is total.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .exact import BudgetError, FiniteCarrier, IntegerWindow
+from .exact import FiniteCarrier, IntegerWindow
+from .feq import (CORPUS, Equation, FnTable, _INADMISSIBLE, _Skip, _check_tuples, feq_check,
+                  feq_solve_brute)
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
 
@@ -47,40 +49,19 @@ class DecompositionDefectError(CocycleError):
     so it is raised loudly instead of returned as data."""
 
 
-class _Escape(Exception):
-    """Internal: a function argument left the window."""
-
-
 FnLike = Union[Dict[int, int], Callable[[int], int]]
 Fn2Like = Union[Dict[Tuple[int, int], int], Callable[[int, int], int]]
 
 
 def _as_fn(f: FnLike) -> Callable[[int], int]:
-    if callable(f):
-        return f
-    table = dict(f)
-
-    def lookup(x: int) -> int:
-        try:
-            return table[x]
-        except KeyError:
-            raise _Escape from None
-
-    return lookup
+    return f if callable(f) else dict(f).__getitem__
 
 
 def _as_fn2(f: Fn2Like) -> Callable[[int, int], int]:
     if callable(f):
         return f
     table = dict(f)
-
-    def lookup(a: int, b: int) -> int:
-        try:
-            return table[(a, b)]
-        except KeyError:
-            raise _Escape from None
-
-    return lookup
+    return lambda a, b: table[(a, b)]
 
 
 @dataclass
@@ -94,17 +75,16 @@ class Cocycle2:
     def __call__(self, a: int, b: int) -> int:
         if isinstance(self.carrier, IntegerWindow):
             if not (self.carrier.contains(a) and self.carrier.contains(b)):
-                raise _Escape
+                raise _Skip
         return self.fn(a, b)
 
     def table(self) -> Dict[Tuple[int, int], int]:
         out = {}
-        for a in self.carrier.elements():
-            for b in self.carrier.elements():
-                try:
-                    out[(a, b)] = self(a, b)
-                except _Escape:
-                    pass
+        for a, b in itertools.product(self.carrier.elements(), repeat=2):
+            try:
+                out[(a, b)] = self(a, b)
+            except _INADMISSIBLE:
+                pass
         return out
 
 
@@ -118,7 +98,7 @@ def cauchy_difference(f: FnLike, carrier: Carrier, name: str = "F") -> Cocycle2:
         def F(a: int, b: int) -> int:
             s = a + b
             if not carrier.contains(s):
-                raise _Escape
+                raise _Skip
             return fn(s) - fn(a) - fn(b)
     return Cocycle2(carrier, F, name)
 
@@ -134,7 +114,7 @@ def leibniz_difference(f: FnLike, carrier: Carrier, name: str = "G") -> Cocycle2
         def G(a: int, b: int) -> int:
             m = a * b
             if not carrier.contains(m):
-                raise _Escape
+                raise _Skip
             return fn(m) - a * fn(b) - b * fn(a)
     return Cocycle2(carrier, G, name)
 
@@ -192,26 +172,11 @@ def _sampled_tuples(elems: Sequence[int], arity: int, sample: int,
     return [tuple(elems[i // n ** k % n] for k in reversed(range(arity))) for i in draws]
 
 
-def _check_tuples(lhs_fn, rhs_fn, tuples: Iterable[tuple], carrier: Carrier) -> AxiomResult:
-    """Compare both sides on each tuple, modulo the carrier where it has a
-    modulus; the first difference is the witness.  Tuples whose arguments
-    escape a window are skipped and counted."""
+def _axiom_result(lhs_fn, rhs_fn, tuples: Iterable[tuple], carrier: Carrier) -> AxiomResult:
+    """feq's tuple loop, modulo the carrier where it has a modulus."""
     modulus = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
-    checked = skipped = 0
-    for tup in tuples:
-        try:
-            lhs = lhs_fn(*tup)
-            rhs = rhs_fn(*tup)
-        except _Escape:
-            skipped += 1
-            continue
-        checked += 1
-        if modulus:
-            lhs %= modulus
-            rhs %= modulus
-        if lhs != rhs:
-            return AxiomResult("fail", tup, lhs, rhs, checked, skipped)
-    return AxiomResult("pass", None, None, None, checked, skipped)
+    witness, lhs, rhs, checked, skipped = _check_tuples(lhs_fn, rhs_fn, tuples, modulus)
+    return AxiomResult("pass" if witness is None else "fail", witness, lhs, rhs, checked, skipped)
 
 
 def _axiom_sides(axiom: str, F, G, add, mul):
@@ -279,7 +244,7 @@ def cocycle_verify(
             tuples = itertools.product(elems, repeat=arity)
         else:
             raise CocycleError(f"unknown mode {mode!r}")
-        results[axiom] = _check_tuples(lhs_fn, rhs_fn, tuples, carrier)
+        results[axiom] = _axiom_result(lhs_fn, rhs_fn, tuples, carrier)
     return CocycleReport(results)
 
 
@@ -355,7 +320,6 @@ def cocycle_extend_positive(
     if window.lo > -1 or window.hi < 1:
         raise CocycleError("extension needs a window containing both signs")
     F_fn = _as_fn2(F)
-    positives = window.positives()
     pos_window = IntegerWindow(1, window.hi)
     F_pos = Cocycle2(pos_window, F_fn, "F")
     pre = cocycle_verify(F_pos, axioms=("alpha", "beta"))
@@ -396,14 +360,11 @@ def cocycle_primitive(F: Fn2Like, window: IntegerWindow, f1: int) -> Dict[int, i
         f[k + 1] = f[k] + f[1] + F_fn(k, 1)
     for k in range(0, window.lo, -1):
         f[k - 1] = f[k] - f[1] - F_fn(k - 1, 1)
-    for a in window.elements():
-        for b in window.elements():
-            if not window.contains(a + b):
-                continue
-            if f[a + b] - f[a] - f[b] != F_fn(a, b):
-                raise NotACoboundaryError(
-                    f"re-differencing disagrees with F at ({a},{b})"
-                )
+    witness, *_ = _check_tuples(lambda a, b: f[a + b] - f[a] - f[b], F_fn,
+                                itertools.product(window.elements(), repeat=2))
+    if witness is not None:
+        a, b = witness
+        raise NotACoboundaryError(f"re-differencing disagrees with F at ({a},{b})")
     return f
 
 
@@ -435,7 +396,7 @@ def leibniz_coboundary_check(D: Fn2Like, carrier: Carrier) -> CocycleReport:
         ),
     }
     return CocycleReport({
-        name: _check_tuples(lhs_fn, rhs_fn, itertools.product(elems, repeat=arity), carrier)
+        name: _axiom_result(lhs_fn, rhs_fn, itertools.product(elems, repeat=arity), carrier)
         for name, (lhs_fn, rhs_fn, arity) in conditions.items()
     })
 
@@ -443,54 +404,13 @@ def leibniz_coboundary_check(D: Fn2Like, carrier: Carrier) -> CocycleReport:
 # -- decomposition of the mixed equation -------------------------------------
 
 
-def _primitive_root(p: int) -> int:
-    units = set(range(1, p))
-    for w in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = (x * w) % p
-            seen.add(x)
-        if seen == units:
-            return w
-    raise CocycleError(f"no primitive root modulo {p}")
-
-
 def leibniz_maps(carrier: FiniteCarrier) -> List[Dict[int, int]]:
-    """All maps with f(xy) = x f(y) + y f(x) on a prime field.
-
-    A candidate is determined by its value on a multiplicative generator;
-    the consistency constraint around the unit group filters the list (on a
-    prime field only the zero map survives, which the caller may rely on)."""
+    """All maps with f(xy) = x f(y) + y f(x) on a prime field, the solutions
+    of `leibniz`: only the zero map, which the caller may rely on."""
     if carrier.kind != "gf":
         raise CocycleError("Leibniz map enumeration runs on prime fields")
-    p = carrier.modulus
-    if p == 2:
-        candidates = [{0: 0, 1: 0}]
-    else:
-        w = _primitive_root(p)
-        candidates = []
-        for v in range(p):
-            table = {0: 0}
-            x = 1
-            for k in range(p - 1):
-                # phi(w^k) = k w^(k-1) v
-                table[x] = (k * pow(w, k - 1, p) * v) % p if k else 0
-                x = (x * w) % p
-            candidates.append(table)
-    out = []
-    seen = set()
-    for table in candidates:
-        ok = all(
-            table[(x * y) % p] == (x * table[y] + y * table[x]) % p
-            for x in range(p)
-            for y in range(p)
-        )
-        key = tuple(sorted(table.items()))
-        if ok and key not in seen:
-            seen.add(key)
-            out.append(table)
-    return out
+    report = feq_solve_brute(CORPUS["leibniz"], ["f"], carrier)
+    return [dict(f.values) for f in report.tables("f")]
 
 
 @dataclass(frozen=True)
@@ -508,28 +428,29 @@ class Decomposition:
         return f"alpha(x) = {self.alpha}*x, beta(x) = {self.beta}*x, phi = {phi_s}"
 
 
+# Not in CORPUS, so `feq list` leaves it out.
+_MIXED = Equation.parse("mixed", "f(x+y) - f(x) - f(y) = g(x*y) - x*g(y) - y*g(x)")
+
+
 def char_decompose(f: FnLike, g: FnLike, carrier: FiniteCarrier) -> Decomposition:
     """Split a solution pair of
 
         f(x+y) - f(x) - f(y) = g(xy) - x g(y) - y g(x)
 
-    over an odd prime field into the structured form above.  The search
+    over an odd prime field into the structured form above.  The pair is
+    first checked against the mixed equation with feq_check.  The search
     space is small because additive maps on a prime field are x -> c x and
-    Leibniz maps are pinned by one generator value."""
+    Leibniz maps are the solutions of `leibniz` (only the zero map)."""
     if carrier.kind != "gf" or carrier.modulus < 3:
         raise CocycleError("decomposition runs on odd prime fields")
     p = carrier.modulus
-    f_fn, g_fn = _as_fn(f), _as_fn(g)
-    f_tab = {x: f_fn(x) % p for x in range(p)}
-    g_tab = {x: g_fn(x) % p for x in range(p)}
-    for x in range(p):
-        for y in range(p):
-            lhs = (f_tab[(x + y) % p] - f_tab[x] - f_tab[y]) % p
-            rhs = (g_tab[(x * y) % p] - x * g_tab[y] - y * g_tab[x]) % p
-            if lhs != rhs:
-                raise CocycleError(
-                    f"pair does not solve the mixed equation; witness ({x},{y})"
-                )
+    f_table = FnTable.from_callable(carrier, _as_fn(f))
+    g_table = FnTable.from_callable(carrier, _as_fn(g))
+    check = feq_check(_MIXED, {"f": f_table, "g": g_table})
+    if not check.ok:
+        x, y = check.witness
+        raise CocycleError(f"pair does not solve the mixed equation; witness ({x},{y})")
+    f_tab, g_tab = f_table.values, g_table.values
     inv2 = pow(2, -1, p)
     phis = leibniz_maps(carrier)
     for a in range(p):
@@ -560,59 +481,21 @@ class AlienReport:
 
 
 def alien_check(
-    lam: int, mu: int, carrier: FiniteCarrier, budget: int = 10_000_000
+    lam: int, mu: int, carrier: FiniteCarrier, budget: Optional[int] = None
 ) -> AlienReport:
-    """Enumerate all f with lam*CauchyDiff(f) + mu*LeibnizDiff(f) = 0.
-
-    Backtracking assigns f(0), f(1), ... in order and evaluates every
-    equation instance as soon as its table entries exist, so the raw p^p
-    space collapses quickly.  Each solution is post-checked to be additive
-    and Leibniz."""
+    """Every f with lam*CauchyDiff(f) + mu*LeibnizDiff(f) = 0: the solutions
+    of `alien-c22` by feq_solve_brute, under its budget.  Each solution is
+    then checked to be additive and Leibniz."""
     if carrier.kind != "gf":
         raise CocycleError("alien check runs on prime fields")
     p = carrier.modulus
     if lam % p == 0 or mu % p == 0:
         raise CocycleError("both weights must be nonzero in the field")
-    if p ** p > budget:
-        raise BudgetError(f"{p}^{p} candidate tables exceed budget {budget}")
     lam, mu = lam % p, mu % p
-
-    pairs_at: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(p)]
-    for x in range(p):
-        for y in range(p):
-            s, m = (x + y) % p, (x * y) % p
-            pairs_at[max(x, y, s, m)].append((x, y, s, m))
-
-    solutions: List[Tuple[int, ...]] = []
-    values = [0] * p
-
-    def ok_at(k: int) -> bool:
-        for x, y, s, m in pairs_at[k]:
-            cauchy = values[s] - values[x] - values[y]
-            leibniz = values[m] - x * values[y] - y * values[x]
-            if (lam * cauchy + mu * leibniz) % p != 0:
-                return False
-        return True
-
-    def assign(k: int) -> None:
-        if k == p:
-            solutions.append(tuple(values))
-            return
-        for v in range(p):
-            values[k] = v
-            if ok_at(k):
-                assign(k + 1)
-        values[k] = 0
-
-    assign(0)
-
-    def is_derivation(tab: Tuple[int, ...]) -> bool:
-        return all(
-            tab[(x + y) % p] == (tab[x] + tab[y]) % p
-            and tab[(x * y) % p] == (x * tab[y] + y * tab[x]) % p
-            for x in range(p)
-            for y in range(p)
-        )
-
-    all_der = all(is_derivation(sol) for sol in solutions)
-    return AlienReport(carrier, lam, mu, tuple(solutions), all_der)
+    report = feq_solve_brute(CORPUS["alien-c22"], ["f"], carrier,
+                             params={"lam": lam, "mu": mu}, budget=budget)
+    tables = report.tables("f")
+    all_der = all(feq_check(CORPUS[name], {"f": f}).ok
+                  for f in tables for name in ("cauchy-add", "leibniz"))
+    solutions = tuple(tuple(f(x) for x in range(p)) for f in tables)
+    return AlienReport(carrier, lam, mu, solutions, all_der)

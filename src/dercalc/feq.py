@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .exact import BudgetError, FiniteCarrier, IntegerWindow, _is_prime
+from .exact import BudgetError, FiniteCarrier, IntegerWindow, _is_prime, gf
 from .parser import Apply, Arithmetic, Bin, Pow, Sym, compiled, fold, nodes, parse_equation
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
@@ -281,7 +281,7 @@ def feq_check(
     lhs_fn, rhs_fn = _compile(eq, _Carrier(
         carrier, {name: t.values.__getitem__ for name, t in bindings.items()}, params))
     elems = list(carrier.elements())
-    pairs: Iterable[Tuple[int, int]] = ((a, b) for a in elems for b in elems)
+    pairs: Iterable[Tuple[int, int]] = itertools.product(elems, repeat=2)
     if mode == "sampled":
         if sample <= 0:
             raise FeqError("sampled mode needs a positive sample size")
@@ -289,18 +289,30 @@ def feq_check(
         pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(sample)]
     elif mode != "exhaustive":
         raise FeqError(f"unknown mode {mode!r}")
+    witness, lhs, rhs, checked, skipped = _check_tuples(lhs_fn, rhs_fn, pairs)
+    return CheckReport(eq.name, "pass" if witness is None else "fail",
+                       witness, lhs, rhs, checked, skipped)
+
+
+def _check_tuples(lhs_fn, rhs_fn, tuples: Iterable[tuple], modulus: int = 0):
+    """(witness, lhs, rhs, checked, skipped): the first tuple whose sides
+    differ, modulo `modulus` if nonzero, or None three times.  A tuple on
+    which a side raises _Skip or KeyError is skipped and counted."""
     checked = skipped = 0
-    for a, b in pairs:
+    for tup in tuples:
         try:
-            lhs = lhs_fn(a, b)
-            rhs = rhs_fn(a, b)
+            lhs = lhs_fn(*tup)
+            rhs = rhs_fn(*tup)
         except _INADMISSIBLE:
             skipped += 1
             continue
         checked += 1
+        if modulus:
+            lhs %= modulus
+            rhs %= modulus
         if lhs != rhs:
-            return CheckReport(eq.name, "fail", (a, b), lhs, rhs, checked, skipped)
-    return CheckReport(eq.name, "pass", None, None, None, checked, skipped)
+            return tup, lhs, rhs, checked, skipped
+    return None, None, None, checked, skipped
 
 
 @dataclass(frozen=True)
@@ -564,10 +576,8 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
                     pairs_at[last].append((a, b))
                 else:
                     pending.append((a, b))
-        for a, b in pending:
-            if lhs_fn(a, b) != rhs_fn(a, b):
-                return (), skipped_pairs
-        pending = []
+        if _check_tuples(lhs_fn, rhs_fn, pending)[0] is not None:
+            return (), skipped_pairs
     else:
         pending = [(a, b) for a in elems for b in elems]
 
@@ -712,20 +722,22 @@ def logarithmic_zero_check(
         return LogZeroReport(carrier, False, tuple(s[0].values for s in report.solutions))
     units = carrier.units()
     n = len(units)
+    inverse = {u: pow(u, -1, carrier.modulus) for u in units}
     solutions = []
     table: Dict[int, int] = {}
     placed = visited = 0
 
-    def ok_prefix() -> bool:
-        for a in units:
-            if a not in table:
-                continue
-            for b in units:
-                if b not in table:
-                    continue
-                prod = carrier.mul(a, b)
-                if prod in table and table[prod] != (table[a] + table[b]) % n:
-                    return False
+    # Only the pairs entry a completes are new: (a, b) and (b, a/b) for each
+    # placed b; (b, a) is (a, b) in a commutative group.
+    def ok_with(a: int) -> bool:
+        va = table[a]
+        for b, vb in table.items():
+            prod = carrier.mul(a, b)
+            if prod in table and table[prod] != (va + vb) % n:
+                return False
+            quot = carrier.mul(a, inverse[b])
+            if quot in table and va != (vb + table[quot]) % n:
+                return False
         return True
 
     def assign(i: int) -> None:
@@ -739,7 +751,7 @@ def logarithmic_zero_check(
             if placed > budget:
                 raise _work_exceeded(placed, visited, budget)
             table[units[i]] = v
-            if ok_prefix():
+            if ok_with(units[i]):
                 assign(i + 1)
         del table[units[i]]
 
@@ -758,25 +770,19 @@ class ReflectionSurvivorReport:
         return self.survivors == (0,)
 
 
+# Not in CORPUS, so `feq list` leaves it out.
+_REFLECTION = Equation.parse("reflection", "f(x) = -x^2*f(1/x)")
+
+
 def t1431_check(p: int) -> ReflectionSurvivorReport:
     """Additive maps on GF(p) that also satisfy f(x) = -x^2 f(1/x) on units.
 
-    Additive maps on a prime field are the slopes x -> c x; the reflection
-    identity forces 2c = 0, so for odd p only the zero map survives, and the
-    zero map is a derivation."""
-    if p < 3 or any(p % q == 0 for q in range(2, p)):
+    The solutions of `cauchy-add` (slopes x -> c x) are checked against the
+    identity, whose pairs at x = 0 are skipped (1/0); it forces 2c = 0, so
+    for odd p only the zero map survives, checked against `leibniz`."""
+    if p < 3 or not _is_prime(p):
         raise FeqError("needs an odd prime")
-    survivors = []
-    for c in range(p):
-        if all(
-            (c * x) % p == (-(x * x) * c * pow(x, -1, p)) % p for x in range(1, p)
-        ):
-            survivors.append(c)
-    def leibniz_ok(c: int) -> bool:
-        return all(
-            (c * (x * y)) % p == (x * c * y + y * c * x) % p
-            for x in range(p)
-            for y in range(p)
-        )
-    all_leibniz = all(leibniz_ok(c) for c in survivors)
-    return ReflectionSurvivorReport(p, tuple(survivors), all_leibniz)
+    additive = feq_solve_brute(CORPUS["cauchy-add"], ["f"], gf(p)).tables("f")
+    survivors = [f for f in additive if feq_check(_REFLECTION, {"f": f}).ok]
+    all_leibniz = all(feq_check(CORPUS["leibniz"], {"f": f}).ok for f in survivors)
+    return ReflectionSurvivorReport(p, tuple(f(1) for f in survivors), all_leibniz)

@@ -31,10 +31,10 @@ from .cocycle import (
     leibniz_difference,
 )
 from .derivations import Derivation, derivation_define
-from .exact import FiniteCarrier, IntegerWindow, gf, rational, zmod
+from .exact import FiniteCarrier, IntegerWindow, gf, zmod
 from .feq import FnTable, equation_by_name, feq_check
 from .parser import (
-    Apply, Arithmetic, Bin, DercalcSyntaxError, Pow, Sym, compiled, nodes, parse_equation, parse_expr,
+    Apply, Arithmetic, DercalcSyntaxError, Sym, compiled, parse_equation, parse_expr,
 )
 from .towers import FieldTower, TowerElement, element_eval, tower_new
 
@@ -79,11 +79,15 @@ def _to_carrier_value(v: Fraction, carrier: Carrier, where: str) -> int:
     return v.numerator
 
 
+class _NonUnit(Exception):
+    """Internal: a divisor is not a unit modulo m."""
+
+
 class _Residues(Arithmetic):
-    """Integers modulo m.  A tree with no division and no negative exponent
-    has the same value here as its exact value reduced mod m, since
-    reduction is a ring homomorphism from Z; x^99999999 costs a modular
-    power instead of a 100-million-bit integer."""
+    """The localisation Z_(m), rationals with denominators prime to m, kept
+    modulo m.  Reduction is a ring homomorphism from it, so a tree whose
+    divisors are units mod m has here its exact value reduced mod m, and
+    x^99999999/2 costs a modular power.  A non-unit divisor raises _NonUnit."""
 
     def __init__(self, modulus: int):
         super().__init__(SessionError)
@@ -96,24 +100,40 @@ class _Residues(Arithmetic):
         return -a % self.modulus
 
     def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.modulus)
+        try:
+            return pow(a, e, self.modulus)
+        except ValueError:
+            raise _NonUnit from None
 
     def bin(self, op: str, a: int, b: int) -> int:
+        if op == "/":
+            op, b = "*", self.pow(b, -1)
         return super().bin(op, a, b) % self.modulus
 
 
 def _carrier_function(ast, carrier: Carrier, variables: Tuple[str, ...],
                       name: str) -> Callable[..., int]:
     """A tree as a function of carrier values, named `name` in errors.  On
-    a finite carrier a tree without division or negative exponent is
-    evaluated modulo m; otherwise exactly, then reduced."""
-    if isinstance(carrier, FiniteCarrier) and not any(
-            isinstance(n, Bin) and n.op == "/" or isinstance(n, Pow) and n.exponent < 0
-            for n in nodes(ast)):
-        return compiled(ast, _Residues(carrier.modulus), variables)
+    a finite carrier it is evaluated modulo m, and exactly, then reduced,
+    only at arguments where a divisor is not a unit mod m (as in (5*x)/5
+    on gf:5); on a window, exactly."""
     exact = compiled(ast, Arithmetic(SessionError), variables)
-    return lambda *args: _to_carrier_value(
-        exact(*map(Fraction, args)), carrier, f"{name}({','.join(map(str, args))})")
+
+    def exact_value(*args: int) -> int:
+        return _to_carrier_value(exact(*map(Fraction, args)), carrier,
+                                 f"{name}({','.join(map(str, args))})")
+
+    if not isinstance(carrier, FiniteCarrier):
+        return exact_value
+    modular = compiled(ast, _Residues(carrier.modulus), variables)
+
+    def value(*args: int) -> int:
+        try:
+            return modular(*args)
+        except _NonUnit:
+            return exact_value(*args)
+
+    return value
 
 
 def fn_from_spec(spec: str, carrier: Carrier) -> FnTable:

@@ -1,5 +1,6 @@
 """Command-line surface: frozen transcripts, record mode, exit codes."""
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -375,6 +376,39 @@ def test_char_alien_text_and_records(cli):
     ]
 
 
+def test_char_alien_answers_on_gf11_under_the_default_budget(cli):
+    code, out, err = cli("char", "alien", "--lam", "1", "--mu", "1", "--carrier", "gf:11")
+    assert code == 0
+    assert out == ["  " + ", ".join(f"f({i})=0" for i in range(11)),
+                   "solutions: 1; only zero: True; all derivations: True"]
+    assert err == []
+
+
+def _golden_cases(path):
+    """A CLI golden file holds one case per command: "$ " and the argv
+    (shell-quoted), "> " before each stdout line, "! " before each stderr
+    line, and "= " and the exit code."""
+    cases = []
+    for line in path.read_text().splitlines():
+        tag, text = line[:2], line[2:]
+        if tag == "$ ":
+            argv, out, err = shlex.split(text), [], []
+        elif tag == "> ":
+            out.append(text)
+        elif tag == "! ":
+            err.append(text)
+        else:
+            assert tag == "= ", line
+            cases.append(pytest.param(argv, out, err, int(text), id=shlex.join(argv)))
+    return cases
+
+
+@pytest.mark.parametrize("argv, out, err, code", _golden_cases(DATA / "finite_cli.expected"))
+def test_finite_carrier_commands_match_golden(cli, argv, out, err, code):
+    # char, cocycle and feq commands on gf:3/5/7 and windows, text and records
+    assert cli(*argv) == (code, out, err)
+
+
 # -- multi ---------------------------------------------------------------
 
 
@@ -499,6 +533,17 @@ def test_feq_check_huge_exponent_reduces_modulo_the_carrier(cli):
     assert (code, out, err) == cli("feq", "check", "--eq", "cauchy-add", "--f", "x^3",
                                    "--carrier", "gf:5")
     assert code == 1
+
+
+def test_feq_check_huge_exponent_over_a_unit_divisor(cli):
+    # 2 is a unit mod 5, so x^99999999/2 is evaluated modulo 5 as x^3/2.
+    start = time.perf_counter()
+    code, out, err = cli("feq", "check", "--eq", "cauchy-add", "--f", "x^99999999/2",
+                         "--carrier", "gf:5")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == cli("feq", "check", "--eq", "cauchy-add", "--f", "x^3/2",
+                                   "--carrier", "gf:5")
+    assert out == ["cauchy-add: FAIL at (1, 1): lhs 4 != rhs 1 (7 pairs checked, 0 skipped)"]
 
 
 def test_feq_list_is_sorted_and_complete(cli):

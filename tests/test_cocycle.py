@@ -318,5 +318,71 @@ def test_alien_check_guards():
         alien_check(5, 1, gf(5))
     with pytest.raises(CocycleError):
         alien_check(1, 1, zmod(6))
-    with pytest.raises(BudgetError):
-        alien_check(1, 1, gf(11))
+    # The budget is the solver's: it bounds the solutions to list, not p^p.
+    assert alien_check(1, 1, gf(11)).solutions == ((0,) * 11,)
+    with pytest.raises(BudgetError, match=r"^11\^0 solutions exceed budget 0$"):
+        alien_check(1, 1, gf(11), budget=0)
+
+
+# -- dict tables with missing entries --------------------------------------
+# A missing entry makes a tuple inadmissible exactly as a window escape
+# does.  The counts, witnesses and keys below were taken when dict lookups
+# and window escapes still raised separate signals.
+
+W4 = IntegerWindow(-4, 4)
+E4 = range(-4, 5)
+
+
+def _outcomes(report):
+    return {name: (r.status, r.witness, r.lhs, r.rhs, r.checked, r.skipped)
+            for name, r in report.axioms.items()}
+
+
+def test_missing_entries_skip_in_pair_axioms_and_tables():
+    f = {x: x ** 3 - x for x in E4 if x not in (-2, 3)}
+    report = cocycle_verify(cauchy_difference(f, W4), leibniz_difference(f, W4))
+    assert _outcomes(report) == {
+        "alpha": ("pass", None, None, None, 29, 52),
+        "beta": ("pass", None, None, None, 90, 639),
+        "gamma": ("pass", None, None, None, 30, 51),
+        "delta": ("pass", None, None, None, 130, 599),
+        "epsilon": ("pass", None, None, None, 94, 635),
+        "zeta": ("void", None, None, None, 0, 0),
+    }
+    assert sorted(cauchy_difference(f, W4).table()) == [
+        (-4, 0), (-4, 1), (-4, 4), (-3, -1), (-3, 0), (-3, 2), (-3, 4), (-1, -3), (-1, 0),
+        (-1, 1), (-1, 2), (0, -4), (0, -3), (0, -1), (0, 0), (0, 1), (0, 2), (0, 4), (1, -4),
+        (1, -1), (1, 0), (1, 1), (2, -3), (2, -1), (2, 0), (2, 2), (4, -4), (4, -3), (4, 0)]
+    G = leibniz_difference(f, W4).table()
+    assert sorted(G) == [
+        (-4, -1), (-4, 0), (-4, 1), (-3, 0), (-3, 1), (-1, -4), (-1, -1), (-1, 0), (-1, 1),
+        (-1, 4), (0, -4), (0, -3), (0, -1), (0, 0), (0, 1), (0, 2), (0, 4), (1, -4), (1, -3),
+        (1, -1), (1, 0), (1, 1), (1, 2), (1, 4), (2, 0), (2, 1), (2, 2), (4, -1), (4, 0), (4, 1)]
+    assert {k: v for k, v in G.items() if v} == {(2, 2): 36}
+
+
+def test_missing_entries_skip_in_leibniz_coboundary_conditions():
+    D = {(a, b): a * b * b for a in E4 for b in E4 if (a, b) not in ((1, 1), (0, 2), (-3, 1))}
+    assert _outcomes(leibniz_coboundary_check(D, W4)) == {
+        "symmetry": ("fail", (1, -1), 1, -1, 10, 2),
+        "associator": ("fail", (1, -1, 2), -2, 0, 47, 56),
+        "additivity": ("pass", None, None, None, 493, 236),
+    }
+
+
+def test_missing_entries_skip_in_extension_and_primitive():
+    P = range(1, 5)
+    F = {(a, b): a * b for a in P for b in P if (a, b) != (2, 3)}
+    G = {(a, b): a * a * b * b - a * b * b - a * a * b for a in P for b in P if (a, b) != (1, 4)}
+    Fe, Ge, report = cocycle_extend_positive(F, W4, G)
+    assert _outcomes(report) == {
+        "alpha": ("pass", None, None, None, 77, 4),
+        "beta": ("pass", None, None, None, 415, 314),
+        "gamma": ("pass", None, None, None, 73, 8),
+        "delta": ("pass", None, None, None, 273, 456),
+        "epsilon": ("fail", (1, 1, 2), 2, 4, 56, 38),
+    }
+    assert (len(Fe.table()), len(Ge.table())) == (79, 77)
+    # only the pairs whose sum leaves the window are missing
+    F = {(a, b): 2 * a * b for a in E4 for b in E4 if -4 <= a + b <= 4}
+    assert cocycle_primitive(F, W4, 1) == {k: k * k for k in E4}

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dercalc.exact import BudgetError, IntegerWindow, gf, zmod
-from dercalc.cocycle import alien_check
 from dercalc.feq import (
     CORPUS,
     CarrierUnsupportedError,
@@ -184,13 +183,15 @@ def test_hosszu_parity_passes_on_window():
     assert report.checked + report.skipped == 21 * 21
 
 
-def test_alien_equation_agrees_with_direct_search():
+def test_alien_equation_has_only_the_zero_solution():
+    # Closed form: on GF(p), for every pair of nonzero weights, only the zero
+    # table solves lam*CauchyDiff(f) + mu*LeibnizDiff(f) = 0.
     eq = equation_by_name("alien-c22")
-    report = feq_solve_brute(eq, ["f"], gf(5), params={"lam": 1, "mu": 1})
-    direct = alien_check(1, 1, gf(5))
-    got = {tuple(t.values.values()) for t in report.tables("f")}
-    assert got == set(direct.solutions)
-    assert report.count == 1
+    for p in (2, 3, 5, 7, 11):
+        for lam in range(1, p):
+            for mu in range(1, p):
+                report = feq_solve_brute(eq, ["f"], gf(p), params={"lam": lam, "mu": mu})
+                assert report.tables("f") == [FnTable.zero(gf(p))], (p, lam, mu)
 
 
 def test_alien_equation_requires_params():
@@ -291,6 +292,23 @@ def test_log_zero_units_only_budget_counts_entries_placed():
     assert len(logarithmic_zero_check(gf(23), units_only=True).solutions) == 22
     with pytest.raises(BudgetError, match="table entries placed"):
         logarithmic_zero_check(gf(5), units_only=True, budget=3)
+
+
+def test_log_zero_units_only_search_tree_is_pinned():
+    # Entries placed and nodes visited in the budget message pin the search
+    # tree that checking only the pairs each new entry completes must prune.
+    for budget, placed, visited in ((20, 21, 7), (100, 101, 22)):
+        with pytest.raises(BudgetError) as err:
+            logarithmic_zero_check(gf(7), units_only=True, budget=budget)
+        assert str(err.value) == (
+            f"search over budget {budget}: {placed} table entries placed, {visited} "
+            f"nodes visited; raise it with --budget or DERCALC_BUDGET")
+    for p, g in ((7, 3), (11, 2), (13, 2)):
+        # GF(p)* is cyclic with generator g: the homomorphisms to Z/(p-1) are
+        # g^k -> k*v, listed in lexicographic order of their values on 1..p-1.
+        homs = [{pow(g, k, p): k * v % (p - 1) for k in range(p - 1)} for v in range(p - 1)]
+        homs.sort(key=lambda h: [h[u] for u in range(1, p)])
+        assert list(logarithmic_zero_check(gf(p), units_only=True).solutions) == homs
 
 
 def test_log_zero_units_only():

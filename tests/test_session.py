@@ -161,6 +161,22 @@ def test_finite_carrier_specs_without_division_reduce_as_they_go():
     assert [F(a, 2) for a in range(9)] == [(pow(a, 1000001, 9) * 2 - 7) % 9 for a in range(9)]
 
 
+def test_finite_carrier_specs_fall_back_to_exact_at_non_unit_divisors():
+    # 5 is not a unit mod 5: (5*x)/5 is evaluated exactly, then reduced.
+    assert fn_from_spec("(5*x)/5", parse_carrier("gf:5")).values == {x: x for x in range(5)}
+    F = fn2_from_expr("(a^2 - b^2)/(a - b) + 1/2", parse_carrier("gf:7"))
+    assert F(3, 1) == (4 + pow(2, -1, 7)) % 7
+    with pytest.raises(SessionError, match="division by zero"):
+        F(2, 2)
+    with pytest.raises(SessionError, match=r"f\(0\): value 1/2 is not defined modulo 4"):
+        fn_from_spec("x + 1/2", parse_carrier("zmod:4"))
+    with pytest.raises(SessionError, match="division by zero"):
+        fn_from_spec("x^-1", parse_carrier("gf:5"))
+    # windows are evaluated exactly
+    assert fn_from_spec("(2*x)/2 + x^2/x^2", parse_carrier("window:1:4")).values == {
+        x: x + 1 for x in range(1, 5)}
+
+
 def test_failing_cocycle_f_check_stops_the_script():
     text = "[check]\ncocycle F = a*a*b on window:-2:2\neval 1\n"
     lines, code = run_session_text(text)
