@@ -7,7 +7,6 @@ from .exact import (
     FiniteCarrier,
     IntegerWindow,
     MultiPoly,
-    RatFunc,
     gf,
     rational,
     zmod,

@@ -50,7 +50,6 @@ from .feq import (
     FeqError,
     FnTable,
     CORPUS,
-    default_budget,
     equation_by_name,
     feq_check,
     feq_solve_brute,
@@ -310,9 +309,17 @@ def _window(spec: str) -> IntegerWindow:
     return IntegerWindow(int(lo), int(hi))
 
 
+def _budget(args) -> Optional[int]:
+    """--budget as given; 0 is a budget too, and only a negative one is refused."""
+    if args.budget is not None and args.budget < 0:
+        raise SessionError(f"--budget must be nonnegative, got {args.budget}")
+    return args.budget
+
+
 def _report_exit(out: Out, report, kind: str) -> int:
-    for line in report.lines():
-        out.emit(kind, "  " + line)
+    for line, (name, r) in zip(report.lines(), report.axioms.items()):
+        out.emit(kind, "  " + line, axiom=name, status=r.status, witness=r.witness,
+                 lhs=r.lhs, rhs=r.rhs, checked=r.checked, skipped=r.skipped)
     return 0 if report.ok else 1
 
 
@@ -535,8 +542,7 @@ def _cmd_char(args, out: Out) -> int:
                  phi=str(sorted(dec.phi.items())))
         return 0
     if args.cmd2 == "alien":
-        budget = args.budget if args.budget else default_budget()
-        report = alien_check(args.lam, args.mu, carrier, budget)
+        report = alien_check(args.lam, args.mu, carrier, _budget(args))
         for sol in report.solutions:
             text = ", ".join(f"f({i})={v}" for i, v in enumerate(sol))
             out.emit("solution", "  " + text, table=",".join(str(v) for v in sol))
@@ -626,7 +632,7 @@ def _cmd_feq(args, out: Out) -> int:
     if args.cmd2 == "solve":
         if not isinstance(carrier, FiniteCarrier):
             raise SessionError("brute-force solving needs a finite carrier")
-        budget = args.budget if args.budget else None
+        budget = _budget(args)
         if params == "all-units":
             for lam in carrier.units():
                 for mu in carrier.units():

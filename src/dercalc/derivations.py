@@ -28,19 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .exact import BudgetError, rational
-from .towers import (
-    FieldTower,
-    TowerElement,
-    TowerError,
-    TowerMismatchError,
-    _padd,
-    _pderiv,
-    _pmul,
-    _psub,
-    _pstrip,
-    element_eval,
-)
+from .exact import BudgetError, _padd, _pderiv, _pmul, _psub, _pstrip, rational
+from .towers import FieldTower, TowerElement, TowerError, TowerMismatchError, element_eval
 
 
 class DerivationError(TowerError):

@@ -1,19 +1,27 @@
-"""Exact arithmetic substrate: rationals, multivariate polynomials, rational
-functions, and finite carriers.
+"""Exact arithmetic substrate: rationals, polynomials, and finite carriers.
 
 Every quantity in this package is exact.  Rationals are ``fractions.Fraction``
 (already normalized: coprime numerator/denominator, positive denominator).
-Polynomials carry an explicit variable tuple; the monomial order is
-graded-lexicographic by declared variable order and every canonical form
-below is stated relative to that order.
+
+One polynomial kernel serves the tower levels, the derivations and the
+printer: coefficient tuples over a coefficient domain.  Over a field (Q or a
+tower level) it has Euclid: division with remainder, gcd, extended gcd.  Over
+Q[x1..xn], nested as Q[x1][x2]...[xn], gcds come from a primitive
+pseudo-remainder sequence with rational contents at the bottom.
+
+``MultiPoly`` is the sparse display format: an explicit variable tuple and
+graded-lexicographic term order.  ``RatFunc`` is the printed normal form of a
+tower element: a coprime numerator and denominator, scaled jointly to coprime
+integer coefficients with a positive graded-lex leading denominator
+coefficient.
 """
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -166,12 +174,6 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        idx = self.variables.index(name)
-        if not self.terms:
-            return -1
-        return max(e[idx] for e in self.terms)
-
     def leading(self) -> Tuple[Tuple[int, ...], Fraction]:
         """Leading (exponents, coefficient) under graded-lex order."""
         if not self.terms:
@@ -249,222 +251,276 @@ def poly_formal_derivative(p: MultiPoly, name: str) -> MultiPoly:
     return MultiPoly(p.variables, terms)
 
 
-# -- univariate views -------------------------------------------------------
+# -- coefficient-tuple polynomials ------------------------------------------
 #
-# gcd and exact division work on a polynomial viewed as univariate in one
-# "main" variable with MultiPoly coefficients (main-variable exponent zero).
+# A polynomial over a coefficient domain is a tuple of domain elements,
+# lowest degree first, with no trailing zeros; () is the zero polynomial.
+# A domain is any object with zero, one, is_zero, add, sub, neg, mul and
+# from_rational: the rationals, a tower level, or a PolyRing.  The Euclid
+# helpers (_pdivmod and after) also need inv, so they run over fields only.
 
 
-def _univariate_view(p: MultiPoly, name: str) -> Dict[int, MultiPoly]:
-    idx = p.variables.index(name)
-    buckets: Dict[int, Dict[Tuple[int, ...], Fraction]] = {}
-    for exps, coeff in p.terms.items():
-        d = exps[idx]
-        rest = tuple(x if i != idx else 0 for i, x in enumerate(exps))
-        buckets.setdefault(d, {})[rest] = coeff
-    return {d: MultiPoly(p.variables, t) for d, t in buckets.items()}
+def _pstrip(level, coeffs) -> tuple:
+    cs = list(coeffs)
+    while cs and level.is_zero(cs[-1]):
+        cs.pop()
+    return tuple(cs)
 
 
-def _from_univariate(coeffs: Dict[int, MultiPoly], variables: Tuple[str, ...], name: str) -> MultiPoly:
-    idx = variables.index(name)
-    terms: Dict[Tuple[int, ...], Fraction] = {}
-    for d, poly in coeffs.items():
-        for exps, coeff in poly.terms.items():
-            lifted = tuple(x if i != idx else d for i, x in enumerate(exps))
-            terms[lifted] = terms.get(lifted, Fraction(0)) + coeff
+def _padd(level, a, b) -> tuple:
+    n = max(len(a), len(b))
+    out = []
+    for i in range(n):
+        x = a[i] if i < len(a) else level.zero
+        y = b[i] if i < len(b) else level.zero
+        out.append(level.add(x, y))
+    return _pstrip(level, out)
+
+
+def _pneg(level, a) -> tuple:
+    return tuple(level.neg(x) for x in a)
+
+
+def _psub(level, a, b) -> tuple:
+    return _padd(level, a, _pneg(level, b))
+
+
+def _pmul(level, a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [level.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if level.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = level.add(out[i + j], level.mul(x, y))
+    return _pstrip(level, out)
+
+
+def _pscale(level, a, c) -> tuple:
+    return _pstrip(level, tuple(level.mul(x, c) for x in a))
+
+
+def _pdivmod(level, a, b) -> Tuple[tuple, tuple]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lc_inv = level.inv(b[-1])
+    rem = list(a)
+    quo = [level.zero] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        if level.is_zero(rem[-1]):
+            rem.pop()
+            continue
+        shift = len(rem) - len(b)
+        q = level.mul(rem[-1], lc_inv)
+        quo[shift] = q
+        for i in range(len(b)):
+            rem[shift + i] = level.sub(rem[shift + i], level.mul(q, b[i]))
+        rem.pop()
+    return _pstrip(level, quo), _pstrip(level, rem)
+
+
+def _pmonic(level, a) -> tuple:
+    if not a:
+        return a
+    return _pscale(level, a, level.inv(a[-1]))
+
+
+def _pgcd(level, a, b) -> tuple:
+    a, b = _pstrip(level, a), _pstrip(level, b)
+    while b:
+        a, b = b, _pdivmod(level, a, b)[1]
+    return _pmonic(level, a)
+
+
+def _pxgcd(level, a, m) -> Tuple[tuple, tuple, tuple]:
+    """Extended Euclid: returns monic g and s, t with s*a + t*m = g."""
+    r0, r1 = _pstrip(level, a), _pstrip(level, m)
+    s0, s1 = (level.one,), ()
+    t0, t1 = (), (level.one,)
+    while r1:
+        q, r = _pdivmod(level, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(level, s0, _pmul(level, q, s1))
+        t0, t1 = t1, _psub(level, t0, _pmul(level, q, t1))
+    if r0:
+        c = level.inv(r0[-1])
+        r0, s0, t0 = _pscale(level, r0, c), _pscale(level, s0, c), _pscale(level, t0, c)
+    return r0, s0, t0
+
+
+def _pderiv(level, a) -> tuple:
+    out = []
+    for i in range(1, len(a)):
+        out.append(level.mul(a[i], level.from_rational(Fraction(i))))
+    return _pstrip(level, out)
+
+
+# -- Q[x1][x2]...[xn] ---------------------------------------------------------
+#
+# Multivariate polynomials nest coefficient tuples: an element of
+# Q[x1..xk] is a tuple over Q[x1..x(k-1)], with Fractions at the bottom.
+# Gcds use the primitive pseudo-remainder sequence (Collins 1967, Brown and
+# Traub 1971): contents come off through gcds one ring down, and each
+# pseudo-remainder is cut to its primitive part, so the coefficients stay
+# the size of the inputs' instead of growing with every step.
+
+
+class RationalField:
+    """Q as a coefficient domain; elements are Fractions."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+    add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+    is_zero = operator.not_
+
+    def from_rational(self, q: Fraction):
+        return q
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("division by zero")
+        return 1 / a
+
+
+QQ = RationalField()
+
+
+class PolyRing:
+    """The ring below[x] of coefficient tuples: Q[x1] over QQ, and
+    Q[x1..xn] over Q[x1..x(n-1)]."""
+
+    def __init__(self, below):
+        self.below = below
+        self.zero = ()
+        self.one = (below.one,)
+
+    def from_rational(self, q: Fraction):
+        return _pstrip(self.below, (self.below.from_rational(q),))
+
+    def is_zero(self, a) -> bool:
+        return not a
+
+    def add(self, a, b):
+        return _padd(self.below, a, b)
+
+    def sub(self, a, b):
+        return _psub(self.below, a, b)
+
+    def neg(self, a):
+        return _pneg(self.below, a)
+
+    def mul(self, a, b):
+        return _pmul(self.below, a, b)
+
+
+def _exquo(K, a, b):
+    return poly_exquo(K, a, b) if isinstance(K, PolyRing) else a / b
+
+
+def _gcd(K, a, b):
+    """gcd in K; over Q, the positive rational c making a/c and b/c
+    coprime integers."""
+    if isinstance(K, PolyRing):
+        return poly_gcd(K, a, b)
+    num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
+    return Fraction(num, a.denominator * b.denominator)
+
+
+def poly_exquo(ring: PolyRing, a: tuple, b: tuple) -> tuple:
+    """a / b in ring; raises NotDivisibleError when b does not divide a."""
+    K = ring.below
+    if not b:
+        raise ZeroDivisionError("exact division by the zero polynomial")
+    rem = list(a)
+    quo = [K.zero] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        if K.is_zero(rem[-1]):
+            rem.pop()
+            continue
+        shift = len(rem) - len(b)
+        quo[shift] = q = _exquo(K, rem.pop(), b[-1])
+        for i in range(len(b) - 1):
+            rem[shift + i] = K.sub(rem[shift + i], K.mul(q, b[i]))
+    if _pstrip(K, rem):
+        raise NotDivisibleError("polynomial division leaves a remainder")
+    return _pstrip(K, quo)
+
+
+def _primitive(K, a: tuple) -> Tuple[object, tuple]:
+    """The content of a (the gcd of its coefficients, in K) and a over it."""
+    c = K.zero
+    for x in a:
+        c = _gcd(K, c, x)
+        if c == K.one:
+            return c, a
+    return c, tuple(_exquo(K, x, c) for x in a)
+
+
+def _pprem(K, a: tuple, b: tuple) -> tuple:
+    """The pseudo-remainder of a by b, up to a nonzero factor from K."""
+    lc = b[-1]
+    r = a
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        top = r[-1]
+        r = _psub(K, tuple(K.mul(lc, x) for x in r[:-1]),
+                  (K.zero,) * shift + tuple(K.mul(top, y) for y in b[:-1]))
+    return r
+
+
+def poly_gcd(ring: PolyRing, a: tuple, b: tuple) -> tuple:
+    """gcd of a and b in Q[x1..xn], found by a primitive PRS in xn.
+
+    The gcd is the gcd of the two contents (taken one ring down) times the
+    primitive part of the last nonzero pseudo-remainder.  It comes out
+    normalised: that primitive part has a positive leading rational
+    coefficient (leading in xn, then in x(n-1), ...), and at Q[x1] the
+    content is the positive rational gcd of the coefficients.
+    """
+    K = ring.below
+    (ca, a), (cb, b) = _primitive(K, a), _primitive(K, b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            a = (K.one,)
+            break
+        a, b = b, _primitive(K, _pprem(K, a, b))[1]
+    if not a:
+        return a
+    lead = a[-1]
+    while isinstance(lead, tuple):
+        lead = lead[-1]
+    return _pscale(K, a if lead > 0 else _pneg(K, a), _gcd(K, ca, cb))
+
+
+def poly_lcm(ring: PolyRing, a: tuple, b: tuple) -> tuple:
+    """lcm of nonzero a and b, a*b over their gcd."""
+    return poly_exquo(ring, _pmul(ring.below, a, b), poly_gcd(ring, a, b))
+
+
+def dense_to_multipoly(variables: Tuple[str, ...], p) -> MultiPoly:
+    """The MultiPoly of an element of Q[x1..xn], xi named variables[i-1]."""
+    terms = {(): p}
+    for _ in variables:
+        terms = {(e,) + exps: c for exps, poly in terms.items() for e, c in enumerate(poly)}
     return MultiPoly(variables, terms)
 
 
-def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
-    """Exact division p / d; raises NotDivisibleError on any remainder."""
-    if d.is_zero():
-        raise ZeroDivisionError("exact division by the zero polynomial")
-    if p.is_zero():
-        return MultiPoly(p.variables, {})
-    if d.is_constant():
-        c = d.constant_value()
-        return p * (1 / c)
-    main = next(v for v in d.variables if d.degree_in(v) > 0)
-    num = _univariate_view(p, main)
-    den = _univariate_view(d, main)
-    dd = max(den)
-    lead = den[dd]
-    quotient: Dict[int, MultiPoly] = {}
-    while num:
-        dn = max(num)
-        if dn < dd:
-            raise NotDivisibleError("polynomial division leaves a remainder")
-        q = poly_divexact(num[dn], lead)
-        quotient[dn - dd] = q
-        for k, c in den.items():
-            shift = dn - dd + k
-            acc = num.get(shift, MultiPoly.const(p.variables, 0)) - q * c
-            if acc.is_zero():
-                num.pop(shift, None)
-            else:
-                num[shift] = acc
-    return _from_univariate(quotient, p.variables, main)
-
-
-def _int_content_and_sign(p: MultiPoly) -> Fraction:
-    """Rational c such that p / c has coprime integer coefficients and a
-    positive graded-lex leading coefficient.  Zero maps to 1."""
-    if p.is_zero():
-        return Fraction(1)
-    denom_lcm = 1
-    for coeff in p.terms.values():
-        denom_lcm = denom_lcm * coeff.denominator // math.gcd(denom_lcm, coeff.denominator)
-    numer_gcd = 0
-    for coeff in p.terms.values():
-        numer_gcd = math.gcd(numer_gcd, abs(coeff.numerator * (denom_lcm // coeff.denominator)))
-    content = Fraction(numer_gcd, denom_lcm)
-    _, lc = p.leading()
-    return content if lc > 0 else -content
-
-
-def poly_primitive(p: MultiPoly) -> MultiPoly:
-    """Primitive associate: coprime integer coefficients, positive leading one."""
-    if p.is_zero():
-        return p
-    return p * (1 / _int_content_and_sign(p))
-
-
-def _prem(a: Dict[int, MultiPoly], b: Dict[int, MultiPoly], variables: Tuple[str, ...]) -> Dict[int, MultiPoly]:
-    """Pseudo-remainder of univariate views: lc(b)^(da-db+1) * a mod b."""
-    da, db = max(a), max(b)
-    lead_b = b[db]
-    r = dict(a)
-    for _ in range(da - db + 1):
-        if not r:
-            break
-        dr = max(r)
-        if dr < db:
-            r = {k: v * lead_b for k, v in r.items()}
-            continue
-        lead_r = r[dr]
-        nxt: Dict[int, MultiPoly] = {}
-        for k, v in r.items():
-            if k != dr:
-                nxt[k] = v * lead_b
-        for k, v in b.items():
-            if k != db:
-                shift = dr - db + k
-                acc = nxt.get(shift, MultiPoly.const(variables, 0)) - lead_r * v
-                if acc.is_zero():
-                    nxt.pop(shift, None)
-                else:
-                    nxt[shift] = acc
-        r = nxt
-    return {k: v for k, v in r.items() if not v.is_zero()}
-
-
-def _gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
-    acc = polys[0]
-    for p in polys[1:]:
-        acc = poly_gcd(acc, p)
-        if acc.is_constant() and not acc.is_zero():
-            break
-    return acc
-
-
-def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Full gcd (content included), primitive with positive leading coefficient.
-
-    Computed by content/primitive-part splitting with a subresultant
-    pseudo-remainder sequence in the main variable: the occurring variable
-    of least degree in p and q, the first declared on a tie.  The remainder
-    sequence is then as short as it can be; the gcd, normalised, is the same
-    whichever variable is main.
-    """
-    if p.variables != q.variables:
-        raise ValueError("polynomials declared over different variables")
-    if p.is_zero() and q.is_zero():
-        return MultiPoly(p.variables, {})
-    if p.is_zero():
-        return poly_primitive(q) * _content_gcd(q, q)
-    if q.is_zero():
-        return poly_primitive(p) * _content_gcd(p, p)
-    content = _content_gcd(p, q)
-    a, b = poly_primitive(p), poly_primitive(q)
-    if a.is_constant() or b.is_constant():
-        return MultiPoly.const(p.variables, 1) * content
-    degrees = {v: max(a.degree_in(v), b.degree_in(v)) for v in p.variables}
-    occurring = [v for v in p.variables if degrees[v] > 0]
-    if not occurring:
-        return MultiPoly.const(p.variables, 1) * content
-    main = min(occurring, key=degrees.__getitem__)
-    if a.degree_in(main) == 0 or b.degree_in(main) == 0:
-        flat = a if a.degree_in(main) == 0 else b
-        other = b if flat is a else a
-        other_cont = _gcd_many(list(_univariate_view(other, main).values()))
-        return poly_primitive(poly_gcd(flat, other_cont)) * content
-    ua, ub = _univariate_view(a, main), _univariate_view(b, main)
-    cont_a = _gcd_many(list(ua.values()))
-    cont_b = _gcd_many(list(ub.values()))
-    cont_ab = poly_gcd(cont_a, cont_b)
-    aa = {k: poly_divexact(v, cont_a) for k, v in ua.items()}
-    bb = {k: poly_divexact(v, cont_b) for k, v in ub.items()}
-    if max(aa) < max(bb):
-        aa, bb = bb, aa
-    one = MultiPoly.const(p.variables, 1)
-    g = one
-    h = one
-    while True:
-        delta = max(aa) - max(bb)
-        rem = _prem(aa, bb, p.variables)
-        if not rem:
-            break
-        if max(rem) == 0:
-            bb = {0: one}
-            break
-        divisor = g * h ** delta
-        aa, bb = bb, {k: poly_divexact(v, divisor) for k, v in rem.items()}
-        g = aa[max(aa)]
-        if delta > 0:
-            h = poly_divexact(g ** delta, h ** (delta - 1)) if delta > 1 else g
-    result = _from_univariate(bb, p.variables, main)
-    result_pp = poly_primitive(result)
-    coeff_cont = _gcd_many(list(_univariate_view(result_pp, main).values()))
-    if not coeff_cont.is_constant():
-        result_pp = poly_divexact(result_pp, coeff_cont)
-    return poly_primitive(result_pp * cont_ab) * content
-
-
-def _content_gcd(p: MultiPoly, q: MultiPoly) -> Fraction:
-    """gcd of the rational contents of two polynomials (positive)."""
-    cp = abs(_int_content_and_sign(p))
-    cq = abs(_int_content_and_sign(q))
-    num = math.gcd(cp.numerator * cq.denominator, cq.numerator * cp.denominator)
-    den = cp.denominator * cq.denominator
-    return Fraction(num, den)
-
-
 class RatFunc:
-    """Rational function in normalized form.
+    """A rational function as a normalised coprime pair.
 
-    Numerator and denominator are jointly scaled to coprime integer
-    polynomials with gcd 1 and a positive graded-lex leading denominator
-    coefficient, so equal functions have identical representations.
+    The caller passes num and den with no common factor.  They are scaled
+    jointly to coprime integer coefficients with a positive graded-lex
+    leading denominator coefficient, so equal functions print identically.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: Union[MultiPoly, Scalar, None] = None):
-        if den is None:
-            den = MultiPoly.const(num.variables, 1)
-        elif not isinstance(den, MultiPoly):
-            den = MultiPoly.const(num.variables, den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.variables != den.variables:
-            raise ValueError("numerator and denominator declared over different variables")
+    def __init__(self, num: MultiPoly, den: MultiPoly):
         if num.is_zero():
-            self.num = MultiPoly(num.variables, {})
-            self.den = MultiPoly.const(num.variables, 1)
-            return
-        g = poly_gcd(num, den)
-        num = poly_divexact(num, g)
-        den = poly_divexact(den, g)
+            den = MultiPoly.const(num.variables, 1)
         scale = _joint_integer_scale(num, den)
         self.num = num * scale
         self.den = den * scale
@@ -473,78 +529,11 @@ class RatFunc:
     def variables(self) -> Tuple[str, ...]:
         return self.num.variables
 
-    @classmethod
-    def const(cls, variables: Sequence[str], value: Scalar) -> "RatFunc":
-        return cls(MultiPoly.const(variables, value))
-
-    @classmethod
-    def var(cls, variables: Sequence[str], name: str) -> "RatFunc":
-        return cls(MultiPoly.var(variables, name))
-
-    def _coerce(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            if other.variables != self.variables:
-                raise ValueError("rational functions declared over different variables")
-            return other
-        if isinstance(other, MultiPoly):
-            return RatFunc(other)
-        return RatFunc.const(self.variables, other)
-
-    def __add__(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
-        other = self._coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: Union[MultiPoly, Scalar]) -> "RatFunc":
-        return self._coerce(other) - self
-
-    def __mul__(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
-        other = self._coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
-        other = self._coerce(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other: Union[MultiPoly, Scalar]) -> "RatFunc":
-        return self._coerce(other) / self
-
-    def __pow__(self, k: int) -> "RatFunc":
-        if not isinstance(k, int):
-            raise ValueError("rational function powers take integer exponents")
-        if k < 0:
-            return (RatFunc.const(self.variables, 1) / self) ** (-k)
-        return RatFunc(self.num ** k, self.den ** k)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def substitute(self, assignment: Dict[str, Fraction]) -> Fraction:
         den = self.den.substitute(assignment)
         if den == 0:
             raise ZeroDivisionError("substitution hits a pole")
         return self.num.substitute(assignment) / den
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = self._coerce(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         if self.den == MultiPoly.const(self.variables, 1):
@@ -556,9 +545,6 @@ class RatFunc:
         if not _is_single_factor(self.den):
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self})"
 
 
 def _is_single_factor(p: MultiPoly) -> bool:
@@ -573,17 +559,10 @@ def _is_single_factor(p: MultiPoly) -> bool:
 
 
 def _joint_integer_scale(num: MultiPoly, den: MultiPoly) -> Fraction:
-    denom_lcm = 1
-    for poly in (num, den):
-        for coeff in poly.terms.values():
-            denom_lcm = denom_lcm * coeff.denominator // math.gcd(denom_lcm, coeff.denominator)
-    numer_gcd = 0
-    for poly in (num, den):
-        for coeff in poly.terms.values():
-            numer_gcd = math.gcd(numer_gcd, abs(coeff.numerator * (denom_lcm // coeff.denominator)))
-    scale = Fraction(denom_lcm, numer_gcd)
-    _, lc = den.leading()
-    return scale if lc > 0 else -scale
+    coeffs = [*num.terms.values(), *den.terms.values()]
+    scale = Fraction(math.lcm(*(c.denominator for c in coeffs)),
+                     math.gcd(*(c.numerator for c in coeffs)))
+    return scale if den.leading()[1] > 0 else -scale
 
 
 # -- finite carriers --------------------------------------------------------

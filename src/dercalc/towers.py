@@ -7,6 +7,7 @@ with a monic square-free minimal polynomial (elements are coefficient vectors
 of length below the degree).  Each level's canonical form is unique, so
 element equality is plain structural equality: sound and complete.
 
+Level arithmetic runs on the coefficient-tuple kernel of ``exact``.
 Inverses at algebraic levels come from the extended Euclidean algorithm in
 the top generator, recursing downward through the chain.  When a minimal
 polynomial is not irreducible the Euclid run can surface a zero divisor;
@@ -18,6 +19,12 @@ root.  Two cases stay uncertified and are accepted: reducible polynomials
 whose factors all have degree >= 2, such as (s^2 - 2)(s^2 - 3), and
 polynomials with coefficients above Q, such as s^2 - t^2 over Q(t).  Such a
 level is a ring, not a field, and its zero divisors surface as above.
+
+An element prints as a rational function of its generators read as free
+variables: a coprime integer numerator and denominator, the denominator's
+graded-lex leading coefficient positive.  The pair is built from the rep one
+level at a time in Q[x1..xk], clearing coefficient denominators to their lcm;
+see ``_dense_pair`` for why no gcd of the final pair is needed.
 """
 from __future__ import annotations
 
@@ -26,7 +33,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .exact import MultiPoly, RatFunc, rational
+from .exact import (
+    QQ,
+    PolyRing,
+    RatFunc,
+    _padd,
+    _pderiv,
+    _pdivmod,
+    _pgcd,
+    _pmonic,
+    _pmul,
+    _pneg,
+    _pscale,
+    _pstrip,
+    _pxgcd,
+    dense_to_multipoly,
+    poly_exquo,
+    poly_gcd,
+    poly_lcm,
+    rational,
+)
 from .parser import Arithmetic, fold, parse_expr
 
 
@@ -51,108 +77,6 @@ class UnknownSymbolError(TowerError):
     """An expression referenced a symbol the tower does not declare."""
 
 
-# -- univariate polynomial helpers over an abstract coefficient field -------
-#
-# Polynomials are tuples of level representations, lowest degree first, with
-# no trailing zeros; () is the zero polynomial.
-
-
-def _pstrip(level, coeffs) -> tuple:
-    cs = list(coeffs)
-    while cs and level.is_zero(cs[-1]):
-        cs.pop()
-    return tuple(cs)
-
-
-def _padd(level, a, b) -> tuple:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else level.zero
-        y = b[i] if i < len(b) else level.zero
-        out.append(level.add(x, y))
-    return _pstrip(level, out)
-
-
-def _pneg(level, a) -> tuple:
-    return tuple(level.neg(x) for x in a)
-
-
-def _psub(level, a, b) -> tuple:
-    return _padd(level, a, _pneg(level, b))
-
-
-def _pmul(level, a, b) -> tuple:
-    if not a or not b:
-        return ()
-    out = [level.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if level.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = level.add(out[i + j], level.mul(x, y))
-    return _pstrip(level, out)
-
-
-def _pscale(level, a, c) -> tuple:
-    return _pstrip(level, tuple(level.mul(x, c) for x in a))
-
-
-def _pdivmod(level, a, b) -> Tuple[tuple, tuple]:
-    if not b:
-        raise DivisionByZeroElementError("polynomial division by zero")
-    lc_inv = level.inv(b[-1])
-    rem = list(a)
-    quo = [level.zero] * max(0, len(a) - len(b) + 1)
-    while len(rem) >= len(b):
-        if level.is_zero(rem[-1]):
-            rem.pop()
-            continue
-        shift = len(rem) - len(b)
-        q = level.mul(rem[-1], lc_inv)
-        quo[shift] = q
-        for i in range(len(b)):
-            rem[shift + i] = level.sub(rem[shift + i], level.mul(q, b[i]))
-        rem.pop()
-    return _pstrip(level, quo), _pstrip(level, rem)
-
-
-def _pmonic(level, a) -> tuple:
-    if not a:
-        return a
-    return _pscale(level, a, level.inv(a[-1]))
-
-
-def _pgcd(level, a, b) -> tuple:
-    a, b = _pstrip(level, a), _pstrip(level, b)
-    while b:
-        a, b = b, _pdivmod(level, a, b)[1]
-    return _pmonic(level, a)
-
-
-def _pxgcd(level, a, m) -> Tuple[tuple, tuple, tuple]:
-    """Extended Euclid: returns monic g and s, t with s*a + t*m = g."""
-    r0, r1 = _pstrip(level, a), _pstrip(level, m)
-    s0, s1 = (level.one,), ()
-    t0, t1 = (), (level.one,)
-    while r1:
-        q, r = _pdivmod(level, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(level, s0, _pmul(level, q, s1))
-        t0, t1 = t1, _psub(level, t0, _pmul(level, q, t1))
-    if r0:
-        c = level.inv(r0[-1])
-        r0, s0, t0 = _pscale(level, r0, c), _pscale(level, s0, c), _pscale(level, t0, c)
-    return r0, s0, t0
-
-
-def _pderiv(level, a) -> tuple:
-    out = []
-    for i in range(1, len(a)):
-        out.append(level.mul(a[i], level.from_rational(Fraction(i))))
-    return _pstrip(level, out)
-
-
 def _rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
     """A rational root of a square-free polynomial over Q, or None.
 
@@ -162,7 +86,6 @@ def _rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
     those where a Sturm sequence counts a real root, until each is narrower
     than 1/a^2; the one candidate in it is then tested exactly.
     """
-    Q = _LevelQ()
     scale = math.lcm(*(c.denominator for c in coeffs))
     f = tuple(c * scale for c in coeffs)
     if f[0] == 0:
@@ -175,12 +98,12 @@ def _rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
             acc = acc * x + c
         return acc
 
-    sturm = [f, _pderiv(Q, f)]
+    sturm = [f, _pderiv(QQ, f)]
     while len(sturm[-1]) > 1:
-        rem = _pdivmod(Q, sturm[-2], sturm[-1])[1]
+        rem = _pdivmod(QQ, sturm[-2], sturm[-1])[1]
         if not rem:
             break
-        sturm.append(_pneg(Q, rem))
+        sturm.append(_pneg(QQ, rem))
 
     def sign_changes(x) -> int:
         signs = [v > 0 for v in (value(p, x) for p in sturm) if v != 0]
@@ -207,38 +130,6 @@ def _rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
 
 
 # -- levels ------------------------------------------------------------------
-
-
-class _LevelQ:
-    kind = "rational"
-    name: Optional[str] = None
-    below = None
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_rational(self, q: Fraction):
-        return q
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZeroElementError("division by zero")
-        return 1 / a
 
 
 class _LevelTrans:
@@ -302,47 +193,28 @@ class _LevelTrans:
         return self._normalize(a[1], a[0])
 
 
-class _LevelAlg:
+class _LevelAlg(PolyRing):
     """Quotient below[name]/(minpoly); reps are coefficient tuples of length
     under the degree.  minpoly is monic with coefficients from below."""
 
     kind = "algebraic"
 
     def __init__(self, below, name: str, minpoly: tuple):
-        self.below = below
+        super().__init__(below)
         self.name = name
         self.minpoly = minpoly
         self.degree = len(minpoly) - 1
-        self.zero = ()
-        self.one = (below.one,)
-
-    def from_rational(self, q: Fraction):
-        return self.from_below(self.below.from_rational(q))
 
     def from_below(self, c):
-        if self.below.is_zero(c):
-            return ()
-        return (c,)
+        return _pstrip(self.below, (c,))
 
     def generator(self):
         return (self.below.zero, self.below.one)
-
-    def is_zero(self, a) -> bool:
-        return not a
 
     def _reduce(self, a):
         if len(a) <= self.degree:
             return _pstrip(self.below, a)
         return _pdivmod(self.below, a, self.minpoly)[1]
-
-    def add(self, a, b):
-        return _padd(self.below, a, b)
-
-    def sub(self, a, b):
-        return _psub(self.below, a, b)
-
-    def neg(self, a):
-        return _pneg(self.below, a)
 
     def mul(self, a, b):
         return self._reduce(_pmul(self.below, a, b))
@@ -380,6 +252,10 @@ class FieldTower:
     def __init__(self, levels: List, gens: Tuple[GeneratorSpec, ...]):
         self._levels = levels
         self.gens = gens
+        # rings[k] is Q[x1..xk], where printing clears level k's denominators.
+        self.rings = [QQ]
+        for _ in levels[2:]:
+            self.rings.append(PolyRing(self.rings[-1]))
 
     @property
     def levels(self) -> List:
@@ -514,12 +390,9 @@ class FieldTower:
             level_index -= 1
         return level_index, rep
 
-    def level_of(self, name: str):
-        return self._levels[self.variables.index(name) + 1]
-
 
 def tower_new() -> FieldTower:
-    return FieldTower([_LevelQ()], ())
+    return FieldTower([QQ], ())
 
 
 class TowerElement:
@@ -562,6 +435,8 @@ class TowerElement:
     __rmul__ = __mul__
 
     def inv(self) -> "TowerElement":
+        if self.is_zero():
+            raise DivisionByZeroElementError("division by zero element")
         return TowerElement(self.tower, self.tower.top.inv(self.rep))
 
     def __truediv__(self, other):
@@ -603,8 +478,11 @@ class TowerElement:
         return hash((id(self.tower), self.rep))
 
     def as_ratfunc(self) -> RatFunc:
-        num, den = _flatten(self.tower, len(self.tower.levels) - 1, self.rep)
-        return RatFunc(num, den)
+        """The element as a rational function of its generators, read as
+        free variables: a coprime numerator and denominator."""
+        variables = self.tower.variables
+        num, den = _dense_pair(self.tower, len(variables), self.rep)
+        return RatFunc(dense_to_multipoly(variables, num), dense_to_multipoly(variables, den))
 
     def __str__(self) -> str:
         return str(self.as_ratfunc())
@@ -622,28 +500,44 @@ def element_eq(a: TowerElement, b: TowerElement) -> bool:
     return a.rep == b.rep
 
 
-def _flatten(tower: FieldTower, level_index: int, rep) -> Tuple[MultiPoly, MultiPoly]:
-    variables = tower.variables
-    one = MultiPoly.const(variables, 1)
-    if level_index == 0:
-        return MultiPoly.const(variables, rep), one
-    level = tower.levels[level_index]
-    x = MultiPoly.var(variables, level.name)
+def _dense_pair(tower: FieldTower, index: int, rep) -> tuple:
+    """Coprime (N, D) in Q[x1..x_index] with N/D the level rep, the
+    generators read as free variables.
 
-    def flatten_poly(coeffs) -> Tuple[MultiPoly, MultiPoly]:
-        num = MultiPoly.const(variables, 0)
-        den = one
-        for i, c in enumerate(coeffs):
-            cn, cd = _flatten(tower, level_index - 1, c)
-            num = num * cd + cn * (x ** i) * den
-            den = den * cd
-        return num, den
+    At an algebraic level D is the lcm L of the coefficients' denominators.
+    A prime factor of L divides some denominator as often as it divides L,
+    and not that coefficient's numerator, so no factor of L divides every
+    cleared coefficient.  At a transcendental level num/den becomes
+    (P/L_num)/(Q/L_den), and only g = gcd(L_num, L_den) cancels.  L_num
+    shares no factor with P, nor L_den with Q, as above.  P and Q share
+    none either: num and den are coprime over the level below, so a common
+    factor would have to lose its leading coefficient there; but that
+    coefficient divides L_den, the leading coefficient of Q (den is monic),
+    and L_den does not vanish in the tower (Gauss's lemma).
+    """
+    if index == 0:
+        return rep, Fraction(1)
+    ring = tower.rings[index - 1]
+    if tower.levels[index].kind == "algebraic":
+        num, den = _cleared(tower, index - 1, ring, rep)
+        return num, (den,)
+    num, l_num = _cleared(tower, index - 1, ring, rep[0])
+    den, l_den = _cleared(tower, index - 1, ring, rep[1])
+    if l_num != ring.one and l_den != ring.one:
+        g = poly_gcd(ring, l_num, l_den)
+        l_num, l_den = poly_exquo(ring, l_num, g), poly_exquo(ring, l_den, g)
+    return _pscale(ring, num, l_den), _pscale(ring, den, l_num)
 
-    if level.kind == "algebraic":
-        return flatten_poly(rep)
-    num_n, num_d = flatten_poly(rep[0])
-    den_n, den_d = flatten_poly(rep[1])
-    return num_n * den_d, num_d * den_n
+
+def _cleared(tower: FieldTower, index: int, ring, coeffs: tuple) -> Tuple[tuple, object]:
+    """Level-index coefficients as (their multiples by L, L), in ring, with
+    L the lcm of their denominators."""
+    pairs = [_dense_pair(tower, index, c) for c in coeffs]
+    lcm = ring.one
+    for _, d in pairs:
+        if d != ring.one and d != lcm:
+            lcm = d if lcm == ring.one else poly_lcm(ring, lcm, d)
+    return tuple(n if d == lcm else ring.mul(n, poly_exquo(ring, lcm, d)) for n, d in pairs), lcm
 
 
 def _render_minpoly(tower: FieldTower, name: str, coeffs: tuple) -> str:

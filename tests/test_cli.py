@@ -509,6 +509,27 @@ def test_feq_solve_budget_exceeded(cli):
     assert err == ["error: 3^1 solutions exceed budget 2"]
 
 
+def test_feq_solve_budget_zero_is_a_budget(cli):
+    code, out, err = cli("feq", "solve", "--eq", "cauchy-add", "--carrier", "gf:3",
+                         "--budget", "0")
+    assert (code, out, err) == (2, [], ["error: 3^1 solutions exceed budget 0"])
+
+
+def test_char_alien_budget_zero_is_a_budget(cli):
+    code, out, err = cli("char", "alien", "--lam", "1", "--mu", "1", "--carrier", "gf:3",
+                         "--budget", "0")
+    assert (code, out, err) == (2, [], ["error: 3^0 solutions exceed budget 0"])
+
+
+@pytest.mark.parametrize("command", [
+    ("feq", "solve", "--eq", "cauchy-add", "--carrier", "gf:3"),
+    ("char", "alien", "--lam", "1", "--mu", "1", "--carrier", "gf:3"),
+])
+def test_negative_budget_is_refused(cli, command):
+    code, out, err = cli(*command, "--budget", "-1")
+    assert (code, out, err) == (2, [], ["error: --budget must be nonnegative, got -1"])
+
+
 def test_feq_solve_nonlinear_budget_counts_work(cli):
     code, _, err = cli("feq", "solve", "--eq", "cauchy-mult", "--carrier", "gf:13",
                        "--budget", "50")

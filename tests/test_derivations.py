@@ -269,3 +269,48 @@ def test_rational_image_rejects_algebraic_part():
     tower = tower_new().adjoin_transcendental("t").adjoin_algebraic("s", "s^2 - t")
     with pytest.raises(DerivationError):
         rational_image(tower.gen("s"))
+
+
+QTSU = "t:trans;s:alg:s^2 - t;u:trans"
+
+
+def _tower(spec):
+    tower = tower_new()
+    for part in spec.split(";"):
+        name, kind, *rest = part.split(":")
+        tower = (tower.adjoin_transcendental(name) if kind == "trans"
+                 else tower.adjoin_algebraic(name, rest[0]))
+    return tower
+
+
+def test_rational_image_above_two_levels_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    tower = _tower(QTSU)
+    # s^2 reduces to t, so the element is free of s.
+    x = element_eval(tower, "(s^2*u + 3)/(u^2 - t*u + 2) + 1/(t + s^2)")
+    t, u = sympy.symbols("t u")
+    expr = (t * u + 3) / (u**2 - t * u + 2) + 1 / (2 * t)
+    for subst in ({"t": Fraction(2), "u": Fraction(3)}, {"t": Fraction(5), "u": Fraction(-7, 2)}):
+        want = expr.subs({t: sympy.Rational(str(subst["t"])), u: sympy.Rational(str(subst["u"]))})
+        assert rational_image(x, subst) == Fraction(int(want.p), int(want.q))
+    assert rational_image(x) == rational_image(x, {"t": 2, "u": 3})
+
+
+def test_rational_image_above_two_levels_rejects_algebraic_part():
+    tower = _tower(QTSU)
+    with pytest.raises(DerivationError):
+        rational_image(element_eval(tower, "u + s/(t + 1)"))
+
+
+@pytest.mark.parametrize("spec", ["t:trans;u:trans", QTSU])
+def test_rank_of_iterates_above_one_level(spec):
+    # d(t) = 1, d(u) = u.  At t = 2, u = 3 the rows (x, d x, d^2 x) are
+    #   t:   (2, 1, 0)      t^2: (4, 4, 2)
+    #   u:   (3, 3, 3)      t*u: (6, 9, 12)
+    # {t, u, t*u} has determinant 18 - 18 = 0 and rank 2; {t^2, u, t*u} has
+    # determinant 36 - 72 + 18 = -18 and rank 3.
+    tower = _tower(spec)
+    maps = iterate(derivation_define(tower, {"t": 1, "u": "u"}), 2)
+    t, u = tower.gen("t"), tower.gen("u")
+    assert independence_rank(maps, [t, u, t * u]) == 2
+    assert independence_rank(maps, [t**2, u, t * u]) == 3

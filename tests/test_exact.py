@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: polynomials, rational functions, carriers."""
+"""Exact arithmetic layer: polynomials, their gcds, carriers."""
 
 from fractions import Fraction
 
@@ -9,14 +9,19 @@ from dercalc.exact import (
     IntegerWindow,
     MultiPoly,
     NotDivisibleError,
-    RatFunc,
+    PolyRing,
+    QQ,
+    _pmul,
+    dense_to_multipoly,
     gf,
-    poly_divexact,
+    poly_exquo,
     poly_formal_derivative,
     poly_gcd,
+    poly_lcm,
     rational,
     zmod,
 )
+from dercalc.towers import element_eval, tower_new
 
 VARS = ("t", "u")
 
@@ -98,91 +103,113 @@ def test_pow_matches_repeated_mul(p, k):
     assert p**k == expected
 
 
+# -- gcds in Q[t][u] ---------------------------------------------------------
+#
+# A MultiPoly over (t, u) is the element of Q[t][u] nesting coefficient
+# tuples: u outermost, Fractions innermost.
+
+R = PolyRing(PolyRing(QQ))
+
+
+def dense(p: MultiPoly) -> tuple:
+    rows = {}
+    for (i, j), c in p.terms.items():
+        rows.setdefault(j, {})[i] = c
+    out = []
+    for j in range(max(rows, default=-1) + 1):
+        row = rows.get(j, {})
+        out.append(tuple(row.get(i, Fraction(0)) for i in range(max(row, default=-1) + 1)))
+    return tuple(out)
+
+
+def multipoly(p: tuple) -> MultiPoly:
+    return dense_to_multipoly(VARS, p)
+
+
+def rational_multiple(p: MultiPoly, q: MultiPoly) -> bool:
+    """p = c*q for a nonzero rational c."""
+    ratios = {p.coefficient(e) / c for e, c in q.terms.items()}
+    return set(p.terms) == set(q.terms) and len(ratios) == 1 and 0 not in ratios
+
+
+def test_dense_round_trip():
+    p = mono((2, 1), 3) + mono((0, 0), -1) + mono((1, 3))
+    assert multipoly(dense(p)) == p
+    assert dense(MultiPoly(VARS, {})) == ()
+
+
 @given(nonzero_polys(2), nonzero_polys(2), nonzero_polys(2))
 @settings(max_examples=40, deadline=None)
 def test_gcd_divides_both(p, q, g):
-    h = poly_gcd(p * g, q * g)
-    for prod in (p * g, q * g):
-        assert poly_divexact(prod, h) * h == prod
+    a, b = dense(p * g), dense(q * g)
+    h = poly_gcd(R, a, b)
+    for prod in (a, b):
+        assert _pmul(R.below, poly_exquo(R, prod, h), h) == prod
+    poly_exquo(R, h, dense(g))
+
+
+@given(nonzero_polys(3), nonzero_polys(3))
+@settings(max_examples=40, deadline=None)
+def test_gcd_times_lcm_is_the_product(p, q):
+    a, b = dense(p), dense(q)
+    product = _pmul(R.below, poly_gcd(R, a, b), poly_lcm(R, a, b))
+    assert rational_multiple(multipoly(product), p * q)
 
 
 @given(nonzero_polys(), nonzero_polys())
 @settings(max_examples=60, deadline=None)
 def test_gcd_leading_coefficient_positive(p, q):
-    h = poly_gcd(p, q)
-    _, lead = h.leading()
-    assert lead > 0
+    h = poly_gcd(R, dense(p), dense(q))
+    assert h[-1][-1] > 0
 
 
 @given(nonzero_polys())
 @settings(max_examples=60, deadline=None)
 def test_gcd_with_self_is_sign_normalized(p):
-    assert poly_gcd(p, p) in (p, -p)
+    assert multipoly(poly_gcd(R, dense(p), dense(p))) in (p, -p)
 
 
 def test_gcd_coprime_is_one():
     t, u = mono((1, 0)), mono((0, 1))
-    assert poly_gcd(t + 1, u + 2) == MultiPoly.const(VARS, 1)
+    assert poly_gcd(R, dense(t + 1), dense(u + 2)) == R.one
 
 
 def test_divexact_rejects_inexact():
-    t = mono((1, 0))
+    t, u = mono((1, 0)), mono((0, 1))
     with pytest.raises(NotDivisibleError):
-        poly_divexact(t + 1, t)
+        poly_exquo(R, dense(t + 1), dense(t))
+    with pytest.raises(NotDivisibleError):
+        poly_exquo(R, dense(u * t + 1), dense(u))
+    assert poly_exquo(R, dense((t + u) * (t - 1)), dense(t - 1)) == dense(t + u)
+
+
+# -- printed normal form -------------------------------------------------------
 
 
 def test_ratfunc_canonical_form():
-    x = MultiPoly(("x",), {(1,): Fraction(1)})
-    r = RatFunc(2 * x * x, 4 * x)
+    qx = tower_new().adjoin_transcendental("x")
+    r = element_eval(qx, "(2*x*x)/(4*x)")
     assert str(r) == "x/2"
-    assert r == RatFunc(x, 2)
+    rf = r.as_ratfunc()
+    assert (rf.num, rf.den) == (MultiPoly.var(("x",), "x"), MultiPoly.const(("x",), 2))
 
 
 def test_ratfunc_denominator_sign_normalized():
-    x = MultiPoly(("x",), {(1,): Fraction(1)})
-    r = RatFunc(MultiPoly.const(("x",), 1), -x)
-    assert str(r) == "-1/x"
+    qx = tower_new().adjoin_transcendental("x")
+    assert str(element_eval(qx, "1/(-x)")) == "-1/x"
 
 
-@st.composite
-def ratfuncs(draw):
-    num = draw(polys(max_terms=3))
-    den = draw(nonzero_polys())
-    return RatFunc(num, den)
-
-
-@given(ratfuncs(), ratfuncs())
-@settings(max_examples=80, deadline=None)
-def test_ratfunc_add_commutes(a, b):
-    assert a + b == b + a
-
-
-@given(ratfuncs(), ratfuncs(), ratfuncs())
-@settings(max_examples=50, deadline=None)
-def test_ratfunc_distributes(a, b, c):
-    assert a * (b + c) == a * b + a * c
-
-
-@given(ratfuncs())
-@settings(max_examples=50, deadline=None)
-def test_ratfunc_inverse(a):
-    if a.is_zero():
-        return
-    one = RatFunc.const(VARS, 1)
-    assert a * (one / a) == one
-    assert a ** (-1) == one / a
-
-
-@given(ratfuncs(), points)
-@settings(max_examples=80, deadline=None)
-def test_ratfunc_substitute_matches_fractions(a, pt):
+@given(polys(max_terms=3), nonzero_polys(), points)
+@settings(max_examples=60, deadline=None)
+def test_ratfunc_substitute_matches_fractions(p, q, pt):
+    qtu = tower_new().adjoin_transcendental("t").adjoin_transcendental("u")
+    rf = element_eval(qtu, f"({p})/({q})").as_ratfunc()
     try:
-        got = a.substitute(pt)
+        got = rf.substitute(pt)
     except ZeroDivisionError:
         return
-    num = a.num.substitute(pt)
-    den = a.den.substitute(pt)
-    assert got == num / den
+    if q.substitute(pt) != 0:
+        assert got == p.substitute(pt) / q.substitute(pt)
 
 
 def test_gf_units_and_inverses():

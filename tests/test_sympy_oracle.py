@@ -17,7 +17,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from dercalc import MultiPoly, derivation_define, element_eval, tower_new  # noqa: E402
-from dercalc.exact import poly_gcd, poly_primitive  # noqa: E402
+from dercalc.exact import QQ, PolyRing, dense_to_multipoly, poly_gcd  # noqa: E402
 
 t, s, u = sympy.symbols("t s u")
 SYMBOLS = {"t": t, "s": s, "u": u}
@@ -130,43 +130,78 @@ def random_trivariate(rng, terms):
     return out
 
 
-def as_multipoly(terms, order):
-    """The polynomial over the variable tuple `order`."""
-    perm = [VARS.index(v) for v in order]
-    return MultiPoly(order, {tuple(e[i] for i in perm): c for e, c in terms.items()})
+def dense(terms, n):
+    """The element of Q[x1..xn] with the given {exponents: coefficient}
+    terms, exponents listed x1 first; xn is the outermost tuple."""
+    if n == 0:
+        return sum(terms.values(), Fraction(0))
+    rows = {}
+    for exps, c in terms.items():
+        rows.setdefault(exps[-1], {})[exps[:-1]] = c
+    out = [dense(rows.get(k, {}), n - 1) for k in range(max(rows) + 1)] if rows else []
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-def back_to_vars(p):
-    perm = [p.variables.index(v) for v in VARS]
-    return MultiPoly(VARS, {tuple(e[i] for i in perm): c for e, c in p.terms.items()})
-
-
-def to_sympy_poly(p):
+def to_sympy_poly(terms):
     x = sympy.symbols(VARS)
     return sum(sympy.Rational(c.numerator, c.denominator)
                * sympy.Mul(*(xi**e for xi, e in zip(x, exps)))
-               for exps, c in p.terms.items())
+               for exps, c in terms.items())
 
 
-def from_sympy_poly(expr):
+def sympy_terms(expr):
     poly = sympy.Poly(expr, *sympy.symbols(VARS))
-    return MultiPoly(VARS, {exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.terms()})
+    return {exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.terms()}
+
+
+def same_up_to_rational_unit(p, q):
+    ratios = {p.terms[e] / c for e, c in q.terms.items() if e in p.terms}
+    return set(p.terms) == set(q.terms) and len(ratios) == 1
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_poly_gcd_is_independent_of_variable_order(seed):
+    """The gcd of two seeded trivariate products, taken in each of the six
+    nestings Q[a][b][c] of x, y, z, is sympy's up to a rational unit."""
     rng = random.Random(f"gcd:{seed}")
-    g = random_trivariate(rng, 3)
-    a_xyz = as_multipoly(g, VARS) * as_multipoly(random_trivariate(rng, 3), VARS)
-    b_xyz = as_multipoly(g, VARS) * as_multipoly(random_trivariate(rng, 2), VARS)
-    results = []
-    for order in itertools.permutations(VARS):
-        a = as_multipoly(a_xyz.terms, order)
-        b = as_multipoly(b_xyz.terms, order)
-        results.append(back_to_vars(poly_gcd(a, b)))
-    # The sign is normalised in each declared order; the gcd is unique up to it.
-    reference = results[0]
-    for got in results[1:]:
-        assert got == reference or got == -reference
-    want = sympy.gcd(to_sympy_poly(a_xyz), to_sympy_poly(b_xyz))
-    assert poly_primitive(reference) == poly_primitive(from_sympy_poly(want))
+    g = to_sympy_poly(random_trivariate(rng, 3))
+    a = sympy.expand(g * to_sympy_poly(random_trivariate(rng, 3)))
+    b = sympy.expand(g * to_sympy_poly(random_trivariate(rng, 2)))
+    want = MultiPoly(VARS, sympy_terms(sympy.gcd(a, b)))
+    ring = PolyRing(PolyRing(PolyRing(QQ)))
+    for order in itertools.permutations(range(3)):
+        names = tuple(VARS[i] for i in order)
+
+        def nested(expr):
+            return dense({tuple(e[i] for i in order): c for e, c in sympy_terms(expr).items()}, 3)
+
+        got = dense_to_multipoly(names, poly_gcd(ring, nested(a), nested(b)))
+        back = MultiPoly(VARS, {tuple(e[names.index(v)] for v in VARS): c
+                                for e, c in got.terms.items()})
+        assert same_up_to_rational_unit(back, want), names
+
+
+# -- printed normal form ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", TOWERS)
+def test_printed_numerator_and_denominator_are_coprime(label):
+    """Generators read as free variables, sympy finds no common factor of
+    the printed numerator and denominator.  Elements are differentiated
+    only when their denominator is free of the top generator: otherwise d
+    costs seconds in Q(t)(s)(u)."""
+    spec, values, *_, den_names = TOWERS[label]
+    tower = build_tower(spec)
+    der = derivation_define(tower, values)
+    rng = random.Random(f"coprime:{label}")
+    for _ in range(6):
+        x = element_eval(tower, random_element(rng, tower.variables, den_names))
+        elems = [x]
+        if all(exps[-1] == 0 for exps in x.as_ratfunc().den.terms):
+            elems.append(der(x))
+        for elem in elems:
+            rf = elem.as_ratfunc()
+            num, den = to_sympy(str(rf.num)), to_sympy(str(rf.den))
+            assert sympy.gcd(num, den).is_number, str(elem)

@@ -1,5 +1,6 @@
 """Field towers: canonical forms, exact field arithmetic, algebraic reduction."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -200,3 +201,39 @@ def test_second_transcendental():
     a = (t + u) ** 2
     assert a - 2 * t * u == t**2 + u**2
     assert str(tower) == "Q(t)(u)"
+
+
+def _random_tower(rng):
+    """One to three levels.  An algebraic level adjoins the square root of
+    a fresh radicand, an unused transcendental generator or prime, so the
+    levels stay fields."""
+    tower = tower_new()
+    radicands = ["2", "3", "5"]
+    for name in ("t", "s", "u")[: rng.randint(1, 3)]:
+        if rng.random() < 0.5:
+            tower = tower.adjoin_transcendental(name)
+            radicands.insert(0, name)
+        else:
+            tower = tower.adjoin_algebraic(name, f"{name}^2 - {radicands.pop(0)}")
+    return tower
+
+
+def _random_poly(rng, names):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        mono = "".join(f"*{n}^{rng.randint(0, 2)}" for n in names)
+        terms.append(f"{rng.randint(-4, 4)}{mono}")
+    return " + ".join(terms)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_print_round_trips_through_element_eval(seed):
+    rng = random.Random(f"round-trip:{seed}")
+    tower = _random_tower(rng)
+    names = tower.variables
+    for _ in range(3):
+        den = element_eval(tower, _random_poly(rng, names))
+        if den.is_zero():
+            continue
+        x = element_eval(tower, _random_poly(rng, names)) / den + 1
+        assert element_eval(tower, str(x)) == x, str(x)
