@@ -14,41 +14,25 @@ listed; a nonzero solution would be an actual counterexample for that field.
 """
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from dercalc.exact import gf
-from dercalc.feq import FnTable, equation_by_name, feq_solve_brute
+from dercalc.feq import CORPUS, FnTable, equation_by_name, feq_check, feq_solve_brute
+
+EQUATIONS = ("opp2", "opp3")
+BUDGET = 10 ** 30
 
 
 @dataclass
 class ExperimentConfig:
     primes: Tuple[int, ...] = (3, 5, 7, 11, 13)
-    equations: Tuple[str, ...] = ("opp2", "opp3")
-    budget: int = 10 ** 30
-    show_tables: bool = field(default=True)
-
-
-def is_additive(tab: FnTable) -> bool:
-    p = tab.carrier.modulus
-    return all(
-        tab((x + y) % p) == (tab(x) + tab(y)) % p
-        for x in range(p)
-        for y in range(p)
-    )
-
-
-def is_leibniz(tab: FnTable) -> bool:
-    p = tab.carrier.modulus
-    return all(
-        tab(x * y % p) == (x * tab(y) + y * tab(x)) % p
-        for x in range(p)
-        for y in range(p)
-    )
+    show_tables: bool = True
 
 
 def classify(tab: FnTable) -> str:
-    additive, leibniz = is_additive(tab), is_leibniz(tab)
+    additive, leibniz = (feq_check(CORPUS[name], {"f": tab}).ok
+                         for name in ("cauchy-add", "leibniz"))
     if additive and leibniz:
         return "derivation (additive and Leibniz)"
     if additive:
@@ -60,11 +44,11 @@ def classify(tab: FnTable) -> str:
 
 def run(config: ExperimentConfig) -> int:
     surprises = 0
-    for name in config.equations:
+    for name in EQUATIONS:
         eq = equation_by_name(name)
         print(f"== {eq.describe()}")
         for p in config.primes:
-            report = feq_solve_brute(eq, ("f",), gf(p), budget=config.budget)
+            report = feq_solve_brute(eq, ("f",), gf(p), budget=BUDGET)
             nonzero = [
                 sol[0] for sol in report.solutions
                 if any(v != 0 for v in sol[0].values.values())

@@ -13,28 +13,22 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .cocycle import (
-    Cocycle2,
     CocycleError,
     DecompositionDefectError,
-    F_AXIOMS,
     NotACoboundaryError,
     NotACocycleError,
-    PAIR_AXIOMS,
     alien_check,
     cauchy_difference,
     char_decompose,
     cocycle_extend_positive,
     cocycle_primitive,
-    cocycle_verify,
     leibniz_coboundary_check,
     leibniz_difference,
 )
 from .derivations import (
     AffineDerivation,
-    Derivation,
     default_substitution,
     derivation_bracket,
-    derivation_define,
     independence_rank,
     iterate,
     leibniz_residual,
@@ -48,7 +42,6 @@ from .derivations import (
 from .exact import ExactError, FiniteCarrier, IntegerWindow, MultiPoly, rational
 from .feq import (
     FeqError,
-    FnTable,
     CORPUS,
     equation_by_name,
     feq_check,
@@ -75,15 +68,18 @@ from .multiadd import (
     trace,
 )
 from .multiadd import delta as multi_delta
-from .parser import Apply, Arithmetic, DercalcSyntaxError, Sym, compiled, fold, parse_equation, parse_expr
+from .parser import Arithmetic, DercalcSyntaxError, compiled, fold, parse_expr
 from .session import (
     SessionError,
+    adjoin_generator,
+    build_derivation,
+    check_cocycle,
     fn2_from_expr,
     fn_from_spec,
     parse_carrier,
     run_session,
 )
-from .towers import FieldTower, TowerElement, TowerError, element_eval, tower_new
+from .towers import FieldTower, TowerError, element_eval, tower_new
 
 
 class Out:
@@ -114,43 +110,13 @@ def _tower_from_spec(spec: str) -> FieldTower:
         fields = part.strip().split(":", 2)
         if len(fields) < 2:
             raise SessionError(f"bad generator spec {part!r}")
-        name, kind = fields[0].strip(), fields[1].strip()
-        if kind in ("trans", "transcendental"):
-            if len(fields) > 2 and fields[2].strip():
-                raise SessionError(f"transcendental generator {name!r} takes no polynomial")
-            tower = tower.adjoin_transcendental(name)
-        elif kind in ("alg", "algebraic"):
-            if len(fields) < 3 or not fields[2].strip():
-                raise SessionError(f"algebraic generator {name!r} needs a minimal polynomial")
-            tower = tower.adjoin_algebraic(name, fields[2].strip())
-        else:
-            raise SessionError(f"generator kind must be trans or alg, got {kind!r}")
+        name, kind, poly = (f.strip() for f in (fields + [""])[:3])
+        tower = adjoin_generator(tower, name, kind, poly)
     return tower
 
 
-def _derivation_from_spec(tower: FieldTower, spec: str) -> Tuple[str, Derivation]:
-    """"d(t)=1;d(u)=u^2" builds the derivation named d."""
-    values: Dict[str, TowerElement] = {}
-    name: Optional[str] = None
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        lhs, rhs = parse_equation(part)
-        if not (isinstance(lhs, Apply) and isinstance(lhs.arg, Sym)):
-            raise SessionError(f"expected 'name(generator) = expression', got {part!r}")
-        if name is None:
-            name = lhs.func
-        elif lhs.func != name:
-            raise SessionError(f"one derivation per spec: {lhs.func!r} vs {name!r}")
-        values[lhs.arg.name] = element_eval(tower, rhs)
-    if name is None:
-        raise SessionError("empty derivation spec")
-    return name, derivation_define(tower, values)
-
-
 def _affine(tower: FieldTower, der_spec: str, slope: str) -> Tuple[str, AffineDerivation]:
-    name, der = _derivation_from_spec(tower, der_spec)
+    name, der = build_derivation(tower, der_spec.split(";"))
     return name, AffineDerivation(der, rational(slope))
 
 
@@ -338,20 +304,20 @@ def _cmd_tower(args, out: Out) -> int:
 def _cmd_der(args, out: Out) -> int:
     tower = _tower_from_spec(args.tower)
     if args.cmd2 == "define":
-        name, der = _derivation_from_spec(tower, args.der)
+        name, der = build_derivation(tower, args.der.split(";"))
         for line in der.describe(name).splitlines():
             out.emit("derivation", line, value=line)
         return 0
     if args.cmd2 == "eval":
-        name, der = _derivation_from_spec(tower, args.der)
+        name, der = build_derivation(tower, args.der.split(";"))
         value = element_eval(tower, args.expr, {name: der})
         out.emit("eval", f"{args.expr} = {value}", expr=args.expr, value=value)
         return 0
     if args.cmd2 == "residual":
         return _cmd_der_residual(args, out, tower)
     if args.cmd2 == "bracket":
-        name1, d1 = _derivation_from_spec(tower, args.der)
-        name2, d2 = _derivation_from_spec(tower, args.der2)
+        name1, d1 = build_derivation(tower, args.der.split(";"))
+        name2, d2 = build_derivation(tower, args.der2.split(";"))
         br = derivation_bracket(d1, d2)
         label = f"[{name1},{name2}]"
         if args.expr:
@@ -363,7 +329,7 @@ def _cmd_der(args, out: Out) -> int:
                 out.emit("bracket", line, value=line)
         return 0
     if args.cmd2 == "iterate":
-        name, der = _derivation_from_spec(tower, args.der)
+        name, der = build_derivation(tower, args.der.split(";"))
         maps = iterate(der, args.k)
         elem = element_eval(tower, args.expr, {name: der})
         for i, mp in enumerate(maps):
@@ -377,7 +343,7 @@ def _cmd_der(args, out: Out) -> int:
             )
         return 0
     if args.cmd2 == "rank":
-        name, der = _derivation_from_spec(tower, args.der)
+        name, der = build_derivation(tower, args.der.split(";"))
         maps = iterate(der, args.k)
         points = [element_eval(tower, p.strip(), {name: der}) for p in args.points.split(",")]
         subst = _subst(args.subst) if args.subst else default_substitution(tower)
@@ -390,7 +356,7 @@ def _cmd_der(args, out: Out) -> int:
 def _cmd_der_residual(args, out: Out, tower: FieldTower) -> int:
     kind = args.kind
     if kind == "leibniz":
-        name, der = _derivation_from_spec(tower, args.der)
+        name, der = build_derivation(tower, args.der.split(";"))
         u = element_eval(tower, args.u, {name: der})
         v = element_eval(tower, args.v, {name: der})
         value = leibniz_residual(der, u, v)
@@ -492,19 +458,11 @@ def _cmd_cocycle(args, out: Out) -> int:
             out.emit("difference", f"{a} {b} {v}", a=a, b=b, value=v)
         return 0
     if args.cmd2 == "verify":
-        carrier = parse_carrier(args.carrier)
-        if args.F:
-            F = Cocycle2(carrier, fn2_from_expr(args.F, carrier), "F")
-            out.emit("verify", f"cocycle F = {args.F} on {args.carrier}", F=args.F)
-            report = cocycle_verify(F, axioms=F_AXIOMS)
-        else:
-            if not args.f:
-                raise SessionError("need --f (pair from one function) or --F (raw cocycle)")
-            table = fn_from_spec(args.f, carrier)
-            F = cauchy_difference(dict(table.values), carrier)
-            G = leibniz_difference(dict(table.values), carrier)
-            out.emit("verify", f"cocycle pair f = {args.f} on {args.carrier}", f=args.f)
-            report = cocycle_verify(F, G, axioms=PAIR_AXIOMS)
+        if not (args.F or args.f):
+            raise SessionError("need --f (pair from one function) or --F (raw cocycle)")
+        pair = not args.F
+        header, report = check_cocycle(args.f if pair else args.F, args.carrier, pair)
+        out.emit("verify", header, **({"f": args.f} if pair else {"F": args.F}))
         return _report_exit(out, report, "axiom")
     if args.cmd2 == "extend":
         window = _window(args.window)

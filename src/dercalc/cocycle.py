@@ -306,6 +306,14 @@ def _extend_G(G: Callable[[int, int], int]) -> Callable[[int, int], int]:
     return Ge
 
 
+def _require_alpha_beta(report: CocycleReport) -> None:
+    """Raise NotACocycleError if (alpha) or (beta) failed in `report`."""
+    for name in ("alpha", "beta"):
+        r = report.axioms[name]
+        if r.status == "fail":
+            raise NotACocycleError(name, r.witness, r.lhs, r.rhs)
+
+
 def cocycle_extend_positive(
     F: Fn2Like,
     window: IntegerWindow,
@@ -322,11 +330,7 @@ def cocycle_extend_positive(
     F_fn = _as_fn2(F)
     pos_window = IntegerWindow(1, window.hi)
     F_pos = Cocycle2(pos_window, F_fn, "F")
-    pre = cocycle_verify(F_pos, axioms=("alpha", "beta"))
-    for name in ("alpha", "beta"):
-        r = pre.axioms[name]
-        if r.status == "fail":
-            raise NotACocycleError(name, r.witness, r.lhs, r.rhs)
+    _require_alpha_beta(cocycle_verify(F_pos, axioms=("alpha", "beta")))
     Fe = Cocycle2(window, _extend_F(F_fn), "F~")
     Ge = None
     axioms: Tuple[str, ...] = ("alpha", "beta")
@@ -334,10 +338,7 @@ def cocycle_extend_positive(
         Ge = Cocycle2(window, _extend_G(_as_fn2(G)), "G~")
         axioms = ("alpha", "beta", "gamma", "delta", "epsilon")
     report = cocycle_verify(Fe, Ge, axioms=axioms)
-    for name in ("alpha", "beta"):
-        r = report.axioms[name]
-        if r.status == "fail":
-            raise NotACocycleError(name, r.witness, r.lhs, r.rhs)
+    _require_alpha_beta(report)
     return Fe, Ge, report
 
 
@@ -350,11 +351,7 @@ def cocycle_primitive(F: Fn2Like, window: IntegerWindow, f1: int) -> Dict[int, i
     if not (window.contains(0) and window.contains(1)):
         raise CocycleError("primitive reconstruction needs 0 and 1 in the window")
     F_fn = Cocycle2(window, _as_fn2(F), "F")
-    pre = cocycle_verify(F_fn, axioms=("alpha", "beta"))
-    for name in ("alpha", "beta"):
-        r = pre.axioms[name]
-        if r.status == "fail":
-            raise NotACocycleError(name, r.witness, r.lhs, r.rhs)
+    _require_alpha_beta(cocycle_verify(F_fn, axioms=("alpha", "beta")))
     f: Dict[int, int] = {0: -F_fn(0, 0), 1: f1}
     for k in range(1, window.hi):
         f[k + 1] = f[k] + f[1] + F_fn(k, 1)

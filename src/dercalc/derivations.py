@@ -148,9 +148,6 @@ class Derivation:
 
     __call__ = eval
 
-    def generator_values(self) -> Dict[str, TowerElement]:
-        return dict(self.values)
-
     def describe(self, name: str = "d") -> str:
         lines = []
         for g in self.tower.gens:

@@ -675,8 +675,5 @@ class IntegerWindow:
             if self.contains(-mag):
                 yield -mag
 
-    def positives(self) -> List[int]:
-        return [a for a in range(max(self.lo, 1), self.hi + 1)]
-
     def __str__(self) -> str:
         return f"Z[{self.lo},{self.hi}]"

@@ -17,7 +17,7 @@ the binomial table, whose systems are rescalings of derivation iterates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -149,6 +149,14 @@ def gamma_check(table: GammaTable) -> GammaCheckReport:
     return GammaCheckReport(not violations, tuple(violations))
 
 
+def _require_cocycle_condition(table: GammaTable) -> None:
+    """Raise CocycleConditionError at the first triple gamma_check rejects."""
+    report = gamma_check(table)
+    if not report.ok:
+        i, j, k, lhs, rhs = report.violations[0]
+        raise CocycleConditionError((i, j, k), lhs, rhs)
+
+
 @dataclass(frozen=True)
 class GammaFactor:
     """gamma(0..n) with gamma(0) = gamma(1) = 1 and no zero values."""
@@ -177,10 +185,7 @@ def gamma_factor(table: GammaTable) -> GammaFactor:
     for (i, j), v in table.entries.items():
         if v == 0:
             raise GammaError(f"zero entry at ({i},{j}); factorization needs nowhere-zero tables")
-    report = gamma_check(table)
-    if not report.ok:
-        i, j, k, lhs, rhs = report.violations[0]
-        raise CocycleConditionError((i, j, k), lhs, rhs)
+    _require_cocycle_condition(table)
     values = [Fraction(1), Fraction(1)]
     for k in range(2, table.order + 1):
         values.append(values[-1] * table(k - 1, 1))
@@ -207,10 +212,7 @@ def gamma_from_factor(factor: GammaFactor, order: Optional[int] = None) -> Gamma
         for j in range(1, order + 1 - i)
     }
     table = GammaTable(order, entries)
-    report = gamma_check(table)
-    if not report.ok:
-        i, j, k, lhs, rhs = report.violations[0]
-        raise CocycleConditionError((i, j, k), lhs, rhs)
+    _require_cocycle_condition(table)
     return table
 
 
@@ -303,10 +305,7 @@ def hod_define(
 ) -> HigherDerivation:
     """Build a system after checking the weight table; unset generator
     values default to zero."""
-    report = gamma_check(gamma)
-    if not report.ok:
-        i, j, k, lhs, rhs = report.violations[0]
-        raise CocycleConditionError((i, j, k), lhs, rhs)
+    _require_cocycle_condition(gamma)
     return HigherDerivation(gamma, variables, values)
 
 
@@ -358,10 +357,7 @@ def hod_construct_next(
         raise GammaError(f"extension table must have order {n}")
     if gamma_next.restricted_to(hd.order) != hd.gamma:
         raise GammaError("extension table does not restrict to the current table")
-    report = gamma_check(gamma_next)
-    if not report.ok:
-        i, j, k, lhs, rhs = report.violations[0]
-        raise CocycleConditionError((i, j, k), lhs, rhs)
+    _require_cocycle_condition(gamma_next)
     values = dict(hd.values)
     choice = choice or {}
     for v, poly in choice.items():

@@ -51,10 +51,6 @@ def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vec_scale(r: Fraction, x: Vector) -> Vector:
-    return tuple(r * a for a in x)
-
-
 class SymMultiMap:
     """Symmetric k-additive map on Q^dim; coefficients live on sorted index
     tuples and stand for every permutation of the tuple."""

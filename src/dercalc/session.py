@@ -5,25 +5,35 @@ A script has three section kinds:
     [tower]            one generator per line: "t : transcendental" or
                        "s : algebraic s^2 - t"
     [derivation NAME]  generator values, one per line: "NAME(t) = 1"
-    [check]            commands, executed in order:
-                         eval EXPR
-                         zero EXPR
-                         cocycle pair f = EXPR on CARRIER
-                         cocycle F = EXPR on CARRIER
-                         feq NAME f = SPEC on CARRIER [with k=v ...]
+    [check]            commands, executed in order
+
+Each check command prints what the CLI command it corresponds to prints on
+stdout; both front ends build towers, derivations and cocycle checks with
+the functions below:
+
+    eval EXPR                            dercalc der eval --expr EXPR
+    zero EXPR                            (asserts EXPR is 0; no CLI twin)
+    cocycle pair f = EXPR on CARRIER     dercalc cocycle verify --f EXPR
+                                           --carrier CARRIER
+    cocycle F = EXPR on CARRIER          dercalc cocycle verify --F EXPR
+                                           --carrier CARRIER
+    feq NAME f = SPEC on CARRIER         dercalc feq check --eq NAME --f SPEC
+        [with k=v ...]                     --carrier CARRIER [--params k=v,...]
 
 Blank lines and "#" comments are ignored.  Carriers are written "gf:5",
 "zmod:6", or "window:-10:10".  The first failing check aborts the run with
-exit code 1; malformed input raises SessionError (exit code 2 at the CLI).
+exit code 1; malformed input, or any other error a line raises, raises
+SessionError with that line's number (exit code 2 at the CLI).
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .cocycle import (
     Cocycle2,
+    CocycleReport,
     F_AXIOMS,
     PAIR_AXIOMS,
     cauchy_difference,
@@ -159,10 +169,65 @@ def fn2_from_expr(text: str, carrier: Carrier) -> Callable[[int, int], int]:
     return _carrier_function(ast, carrier, ("a", "b"), "F")
 
 
+def adjoin_generator(tower: FieldTower, name: str, kind: str, poly: str) -> FieldTower:
+    """`tower` with the generator `name` adjoined: kind "trans" or
+    "transcendental" takes no polynomial, "alg" or "algebraic" needs its
+    minimal polynomial `poly`."""
+    if kind in ("trans", "transcendental"):
+        if poly:
+            raise SessionError(f"transcendental generator {name!r} takes no polynomial")
+        return tower.adjoin_transcendental(name)
+    if kind in ("alg", "algebraic"):
+        if not poly:
+            raise SessionError(f"algebraic generator {name!r} needs a minimal polynomial")
+        return tower.adjoin_algebraic(name, poly)
+    raise SessionError(f"generator kind must be trans or alg, got {kind!r}")
+
+
+def build_derivation(
+    tower: FieldTower,
+    equations: Iterable[str],
+    name: Optional[str] = None,
+    derivations: Optional[Dict[str, Derivation]] = None,
+) -> Tuple[str, Derivation]:
+    """The derivation on `tower` given by "name(gen) = expr" equations, one
+    per transcendental generator; blank equations are skipped.  A
+    [derivation NAME] section passes its NAME, which every equation must
+    use, and the derivations defined before it, which right-hand sides may
+    apply; without them the first equation names the derivation."""
+    values: Dict[str, TowerElement] = {}
+    for text in map(str.strip, equations):
+        if not text:
+            continue
+        lhs, rhs = parse_equation(text)
+        if not (isinstance(lhs, Apply) and isinstance(lhs.arg, Sym)
+                and (name is None or lhs.func == name)):
+            raise SessionError(f"expected '{name or 'name'}(generator) = expression', got {text!r}")
+        name = lhs.func
+        values[lhs.arg.name] = element_eval(tower, rhs, derivations)
+    if name is None:
+        raise SessionError("empty derivation spec")
+    return name, derivation_define(tower, values)
+
+
+def check_cocycle(expr: str, carrier_spec: str, pair: bool) -> Tuple[str, CocycleReport]:
+    """The header line and the axioms' report for the Cauchy and Leibniz
+    differences of f = `expr` in x (`pair`), or for the raw cocycle
+    F = `expr` in a and b, on the carrier `carrier_spec`."""
+    carrier = parse_carrier(carrier_spec)
+    if pair:
+        values = dict(fn_from_spec(expr, carrier).values)
+        F = cauchy_difference(values, carrier)
+        G = leibniz_difference(values, carrier)
+        return (f"cocycle pair f = {expr} on {carrier_spec}",
+                cocycle_verify(F, G, axioms=PAIR_AXIOMS))
+    F = Cocycle2(carrier, fn2_from_expr(expr, carrier), "F")
+    return f"cocycle F = {expr} on {carrier_spec}", cocycle_verify(F, axioms=F_AXIOMS)
+
+
 _SECTION_RE = re.compile(r"^\[(tower|check|derivation\s+(\w+))\]$")
 _GEN_RE = re.compile(r"^(\w+)\s*:\s*(transcendental|algebraic)\s*(.*)$")
-_COCYCLE_PAIR_RE = re.compile(r"^cocycle\s+pair\s+f\s*=\s*(.+?)\s+on\s+(\S+)$")
-_COCYCLE_F_RE = re.compile(r"^cocycle\s+F\s*=\s*(.+?)\s+on\s+(\S+)$")
+_COCYCLE_RE = re.compile(r"^cocycle\s+(?:(pair)\s+f|F)\s*=\s*(.+?)\s+on\s+(\S+)$")
 _FEQ_RE = re.compile(
     r"^feq\s+(\S+)\s+f\s*=\s*(.+?)\s+on\s+(\S+)(?:\s+with\s+(.+))?$"
 )
@@ -172,185 +237,111 @@ class _Session:
     def __init__(self) -> None:
         self.tower: FieldTower = tower_new()
         self.derivations: Dict[str, Derivation] = {}
-        self.der_maps: Dict[str, Callable[[TowerElement], TowerElement]] = {}
         self.lines: List[str] = []
-        self.frozen_tower = False
+        self.mode: Optional[str] = None  # 'tower' | 'check' | 'derivation'
+        # the open [derivation NAME] section: NAME and its (line, equation)s
+        self.pending: Optional[Tuple[str, List[Tuple[int, str]]]] = None
+        self.at: Optional[int] = None  # the line an error is reported against
 
-    # -- declarations --
+    def read(self, line: str) -> bool:
+        """Take one line of the script; False means a check failed."""
+        m = _SECTION_RE.match(line)
+        if m:
+            self.end_derivation()
+            self.mode = "derivation" if m.group(2) else m.group(1)
+            if m.group(2):
+                self.pending = (m.group(2), [])
+        elif self.mode == "tower":
+            self.add_generator(line)
+        elif self.mode == "derivation":
+            self.pending[1].append((self.at, line))
+        elif self.mode == "check":
+            return self.run_check(line)
+        else:
+            raise SessionError(f"content before any section: {line!r}")
+        return True
 
-    def add_generator(self, line: str, no: int) -> None:
-        if self.frozen_tower:
-            raise SessionError("tower generators must come before derivations", no)
+    def add_generator(self, line: str) -> None:
+        if self.derivations:
+            raise SessionError("tower generators must come before derivations")
         m = _GEN_RE.match(line)
         if not m:
-            raise SessionError(f"bad generator line {line!r}", no)
-        name, kind, rest = m.group(1), m.group(2), m.group(3).strip()
-        try:
-            if kind == "transcendental":
-                if rest:
-                    raise SessionError("transcendental generator takes no polynomial", no)
-                self.tower = self.tower.adjoin_transcendental(name)
-            else:
-                if not rest:
-                    raise SessionError("algebraic generator needs a minimal polynomial", no)
-                self.tower = self.tower.adjoin_algebraic(name, rest)
-        except SessionError:
-            raise
-        except Exception as exc:
-            raise SessionError(str(exc), no) from None
+            raise SessionError(f"bad generator line {line!r}")
+        self.tower = adjoin_generator(self.tower, m.group(1), m.group(2), m.group(3).strip())
 
-    def build_derivation(self, name: str, body: List[Tuple[int, str]]) -> None:
-        self.frozen_tower = True
-        values: Dict[str, TowerElement] = {}
-        for no, line in body:
-            try:
-                lhs, rhs = parse_equation(line)
-            except DercalcSyntaxError as exc:
-                raise SessionError(str(exc), no) from None
-            if not (
-                isinstance(lhs, Apply)
-                and lhs.func == name
-                and isinstance(lhs.arg, Sym)
-            ):
-                raise SessionError(
-                    f"expected '{name}(generator) = expression'", no
-                )
-            gen = lhs.arg.name
-            try:
-                values[gen] = element_eval(self.tower, rhs, self.der_maps)
-            except Exception as exc:
-                raise SessionError(str(exc), no) from None
-        try:
-            der = derivation_define(self.tower, values)
-        except Exception as exc:
-            raise SessionError(str(exc), body[0][0] if body else None) from None
-        self.derivations[name] = der
-        self.der_maps[name] = der
+    def end_derivation(self) -> None:
+        if self.pending is None:
+            return
+        name, body = self.pending
+        self.pending = None
+
+        def equations():
+            # An equation's error names its line; once all are read, the
+            # derivation's own (missing or forced values) names the first.
+            for self.at, text in body:
+                yield text
+            self.at = body[0][0] if body else None
+
+        self.derivations[name] = build_derivation(
+            self.tower, equations(), name, self.derivations)[1]
 
     # -- checks: True means keep going, False aborts with exit 1 --
 
-    def run_check(self, line: str, no: int) -> bool:
+    def run_check(self, line: str) -> bool:
         if line.startswith("eval "):
-            return self._check_eval(line[5:].strip(), no)
+            src = line[5:].strip()
+            self.lines.append(f"{src} = {element_eval(self.tower, src, self.derivations)}")
+            return True
         if line.startswith("zero "):
-            return self._check_zero(line[5:].strip(), no)
-        m = _COCYCLE_PAIR_RE.match(line)
+            src = line[5:].strip()
+            value = element_eval(self.tower, src, self.derivations)
+            if value.is_zero():
+                self.lines.append(f"zero {src}: pass")
+                return True
+            self.lines.append(f"zero {src}: FAIL, got {value}")
+            return False
+        m = _COCYCLE_RE.match(line)
         if m:
-            return self._check_cocycle(m.group(1), m.group(2), no, pair=True)
-        m = _COCYCLE_F_RE.match(line)
-        if m:
-            return self._check_cocycle(m.group(1), m.group(2), no, pair=False)
+            header, report = check_cocycle(m.group(2), m.group(3), pair=bool(m.group(1)))
+            self.lines.append(header)
+            self.lines.extend("  " + text for text in report.lines())
+            return report.ok
         m = _FEQ_RE.match(line)
         if m:
-            return self._check_feq(m.group(1), m.group(2), m.group(3), m.group(4), no)
-        raise SessionError(f"unknown check command {line!r}", no)
-
-    def _element(self, src: str, no: int) -> TowerElement:
-        try:
-            return element_eval(self.tower, src, self.der_maps)
-        except DercalcSyntaxError as exc:
-            raise SessionError(str(exc), no) from None
-        except Exception as exc:
-            raise SessionError(str(exc), no) from None
-
-    def _check_eval(self, src: str, no: int) -> bool:
-        value = self._element(src, no)
-        self.lines.append(f"{src} = {value}")
-        return True
-
-    def _check_zero(self, src: str, no: int) -> bool:
-        value = self._element(src, no)
-        if value.is_zero():
-            self.lines.append(f"zero {src}: pass")
-            return True
-        self.lines.append(f"zero {src}: FAIL, got {value}")
-        return False
-
-    def _check_cocycle(self, expr: str, carrier_spec: str, no: int, pair: bool) -> bool:
-        try:
-            carrier = parse_carrier(carrier_spec)
-        except SessionError as exc:
-            raise SessionError(str(exc), no) from None
-        if pair:
-            table = fn_from_spec(expr, carrier)
-            F = cauchy_difference(dict(table.values), carrier)
-            G = leibniz_difference(dict(table.values), carrier)
-            report = cocycle_verify(F, G, axioms=PAIR_AXIOMS)
-            self.lines.append(f"cocycle pair f = {expr} on {carrier_spec}")
-        else:
-            F = Cocycle2(carrier, fn2_from_expr(expr, carrier), "F")
-            report = cocycle_verify(F, axioms=F_AXIOMS)
-            self.lines.append(f"cocycle F = {expr} on {carrier_spec}")
-        for line in report.lines():
-            self.lines.append("  " + line)
-        return report.ok
+            return self._check_feq(*m.groups())
+        raise SessionError(f"unknown check command {line!r}")
 
     def _check_feq(
-        self, eq_name: str, f_spec: str, carrier_spec: str, with_clause: Optional[str], no: int
+        self, eq_name: str, f_spec: str, carrier_spec: str, with_clause: Optional[str]
     ) -> bool:
-        try:
-            carrier = parse_carrier(carrier_spec)
-            eq = equation_by_name(eq_name)
-        except SessionError as exc:
-            raise SessionError(str(exc), no) from None
-        except Exception as exc:
-            raise SessionError(str(exc), no) from None
+        carrier = parse_carrier(carrier_spec)
+        eq = equation_by_name(eq_name)
         params: Dict[str, int] = {}
-        if with_clause:
-            for piece in with_clause.split():
-                if "=" not in piece:
-                    raise SessionError(f"bad parameter {piece!r}", no)
-                k, v = piece.split("=", 1)
-                params[k.strip()] = int(v)
-        table = fn_from_spec(f_spec, carrier)
-        try:
-            report = feq_check(eq, {"f": table}, params)
-        except Exception as exc:
-            raise SessionError(str(exc), no) from None
+        for piece in (with_clause or "").split():
+            if "=" not in piece:
+                raise SessionError(f"bad parameter {piece!r}")
+            k, v = piece.split("=", 1)
+            params[k.strip()] = int(v)
+        report = feq_check(eq, {"f": fn_from_spec(f_spec, carrier)}, params)
         self.lines.append(report.line())
         return report.ok
 
 
 def run_session_text(text: str) -> Tuple[List[str], int]:
-    """Execute a script given as text; returns (transcript lines, exit code)."""
+    """Execute a script given as text; returns (transcript lines, exit code).
+    Whatever a line raises comes out as a SessionError naming that line."""
     session = _Session()
-    mode: Optional[str] = None  # 'tower' | 'check' | 'derivation'
-    der_name: Optional[str] = None
-    der_body: List[Tuple[int, str]] = []
-
-    def flush_derivation() -> None:
-        nonlocal der_name, der_body
-        if der_name is not None:
-            session.build_derivation(der_name, der_body)
-            der_name = None
-            der_body = []
-
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _SECTION_RE.match(line)
-        if m:
-            flush_derivation()
-            if m.group(1) == "tower":
-                mode = "tower"
-            elif m.group(1) == "check":
-                mode = "check"
-            else:
-                mode = "derivation"
-                der_name = m.group(2)
-                der_body = []
-            continue
-        if mode == "tower":
-            session.add_generator(line, no)
-        elif mode == "derivation":
-            der_body.append((no, line))
-        elif mode == "check":
-            if not session.run_check(line, no):
+    try:
+        for no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            session.at = no
+            if not session.read(line):
                 return session.lines, 1
-        else:
-            raise SessionError(f"content before any section: {line!r}", no)
-    flush_derivation()
+        session.end_derivation()
+    except Exception as exc:
+        raise SessionError(str(exc), session.at) from None
     return session.lines, 0
 
 

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from dercalc.cli import main
+from dercalc.session import run_session_text
 
 DATA = pathlib.Path(__file__).parent / "data"
 REM1 = str(DATA / "rem1_table.txt")
@@ -594,6 +595,28 @@ def test_run_session_records_mode(cli):
         "session line='zero d(s^2) - 1: pass'",
         "session line='zero d(s)*2*s - 1: pass'",
     ]
+
+
+FRONT_END_PAIRS = {
+    "eval": ("[tower]\nt : transcendental\ns : algebraic s^2 - t\n"
+             "[derivation d]\nd(t) = 1\n[check]\neval d(s/t + 1/s)",
+             ["der", "eval", "--tower", QTS, "--der", D1, "--expr", "d(s/t + 1/s)"]),
+    "cocycle-pair": ("[check]\ncocycle pair f = x^3 + 2*x on gf:5",
+                     ["cocycle", "verify", "--f", "x^3 + 2*x", "--carrier", "gf:5"]),
+    "cocycle-F": ("[check]\ncocycle F = a*b + 1 on window:-3:3",
+                  ["cocycle", "verify", "--F", "a*b + 1", "--carrier", "window:-3:3"]),
+    "feq-params": ("[check]\nfeq alien-c22 f = 2*x on gf:5 with lam=1 mu=2",
+                   ["feq", "check", "--eq", "alien-c22", "--f", "2*x", "--carrier", "gf:5",
+                    "--params", "lam=1,mu=2"]),
+}
+
+
+@pytest.mark.parametrize("script, argv", FRONT_END_PAIRS.values(), ids=FRONT_END_PAIRS.keys())
+def test_session_check_prints_what_its_cli_command_prints(cli, script, argv):
+    lines, session_code = run_session_text(script)
+    code, out, err = cli(*argv)
+    assert (lines, session_code) == (out, code)
+    assert err == []
 
 
 def test_run_failing_session_exits_1(cli):

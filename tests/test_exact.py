@@ -242,7 +242,6 @@ def test_window_enumeration_order():
             break
     assert head == [0, 1, -1, 2, -2]
     assert w.contains(10) and not w.contains(11)
-    assert w.positives() == list(range(1, 11))
 
 
 def test_window_asymmetric():

@@ -1,5 +1,6 @@
 """Session scripts: golden transcripts and failure diagnostics."""
 import pathlib
+import re
 
 import pytest
 
@@ -109,6 +110,16 @@ def test_syntax_error_in_check_keeps_script_line_number():
 def test_bad_feq_parameter_clause():
     with pytest.raises(SessionError, match="bad parameter 'lam'"):
         run_session_text("[check]\nfeq alien-c22 f = zero on gf:5 with lam\n")
+
+
+@pytest.mark.parametrize("check, message", [
+    ("feq cauchy-add f = 1/(x-x) on gf:5", "division by zero in expression"),
+    ("cocycle pair f = 1/(x-x) on gf:5", "division by zero in expression"),
+    ("feq alien-c22 f = zero on gf:5 with lam=x mu=1", "invalid literal for int()"),
+])
+def test_errors_in_feq_and_cocycle_checks_carry_the_line_number(check, message):
+    with pytest.raises(SessionError, match=r"^line 2: " + re.escape(message)):
+        run_session_text(f"[check]\n{check}\n")
 
 
 def test_feq_with_clause_binds_parameters():
