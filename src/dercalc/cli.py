@@ -855,9 +855,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("error: expression nested too deeply", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

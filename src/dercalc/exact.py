@@ -4,9 +4,9 @@ Every quantity in this package is exact.  Rationals are ``fractions.Fraction``
 (already normalized: coprime numerator/denominator, positive denominator).
 
 One polynomial kernel serves the tower levels, the derivations and the
-printer: coefficient tuples over a coefficient domain.  Over a field (Q or a
-tower level) it has Euclid: division with remainder, gcd, extended gcd.  Over
-Q[x1..xn], nested as Q[x1][x2]...[xn], gcds come from a primitive
+printer: coefficient tuples over a coefficient domain.  Over a field (Q,
+GF(p) or a tower level) it has Euclid: division with remainder, gcd, extended
+gcd.  Over Q[x1..xn], nested as Q[x1][x2]...[xn], gcds come from a primitive
 pseudo-remainder sequence with rational contents at the bottom.
 
 ``MultiPoly`` is the sparse display format: an explicit variable tuple and
@@ -256,7 +256,7 @@ def poly_formal_derivative(p: MultiPoly, name: str) -> MultiPoly:
 # A polynomial over a coefficient domain is a tuple of domain elements,
 # lowest degree first, with no trailing zeros; () is the zero polynomial.
 # A domain is any object with zero, one, is_zero, add, sub, neg, mul and
-# from_rational: the rationals, a tower level, or a PolyRing.  The Euclid
+# from_rational: the rationals, GF(p), a tower level, or a PolyRing.  The Euclid
 # helpers (_pdivmod and after) also need inv, so they run over fields only.
 
 
@@ -304,7 +304,7 @@ def _pscale(level, a, c) -> tuple:
 def _pdivmod(level, a, b) -> Tuple[tuple, tuple]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    lc_inv = level.inv(b[-1])
+    lc_inv = None if b[-1] == level.one else level.inv(b[-1])
     rem = list(a)
     quo = [level.zero] * max(0, len(a) - len(b) + 1)
     while len(rem) >= len(b):
@@ -312,7 +312,7 @@ def _pdivmod(level, a, b) -> Tuple[tuple, tuple]:
             rem.pop()
             continue
         shift = len(rem) - len(b)
-        q = level.mul(rem[-1], lc_inv)
+        q = rem[-1] if lc_inv is None else level.mul(rem[-1], lc_inv)
         quo[shift] = q
         for i in range(len(b)):
             rem[shift + i] = level.sub(rem[shift + i], level.mul(q, b[i]))
@@ -333,20 +333,18 @@ def _pgcd(level, a, b) -> tuple:
     return _pmonic(level, a)
 
 
-def _pxgcd(level, a, m) -> Tuple[tuple, tuple, tuple]:
-    """Extended Euclid: returns monic g and s, t with s*a + t*m = g."""
+def _pxgcd(level, a, m) -> Tuple[tuple, tuple]:
+    """Half-extended Euclid: returns monic g and s with s*a = g modulo m."""
     r0, r1 = _pstrip(level, a), _pstrip(level, m)
     s0, s1 = (level.one,), ()
-    t0, t1 = (), (level.one,)
     while r1:
         q, r = _pdivmod(level, r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, _psub(level, s0, _pmul(level, q, s1))
-        t0, t1 = t1, _psub(level, t0, _pmul(level, q, t1))
     if r0:
         c = level.inv(r0[-1])
-        r0, s0, t0 = _pscale(level, r0, c), _pscale(level, s0, c), _pscale(level, t0, c)
-    return r0, s0, t0
+        r0, s0 = _pscale(level, r0, c), _pscale(level, s0, c)
+    return r0, s0
 
 
 def _pderiv(level, a) -> tuple:
@@ -366,13 +364,55 @@ def _pderiv(level, a) -> tuple:
 # the size of the inputs' instead of growing with every step.
 
 
+class PrimeField:
+    """GF(p) as a coefficient domain, p prime; elements are ints in range(p).
+
+    It is the shadow of Q: the image of a rational is its residue mod p.
+    Nothing maps further down, so it has no shadow of its own."""
+
+    zero = 0
+    one = 1
+    is_zero = operator.not_
+    shadow = None
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def from_rational(self, q: Fraction):
+        """q mod p; raises ZeroDivisionError when p divides q's denominator."""
+        return q.numerator * self.inv(q.denominator % self.p) % self.p
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("division by zero")
+        return pow(a, -1, self.p)
+
+
+GF_SHADOW = PrimeField(2**61 - 1)
+
+
 class RationalField:
-    """Q as a coefficient domain; elements are Fractions."""
+    """Q as a coefficient domain; elements are Fractions.  Its shadow is
+    GF(2^61 - 1); see ``towers`` for what the shadows certify."""
 
     zero = Fraction(0)
     one = Fraction(1)
     add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
     is_zero = operator.not_
+    shadow = GF_SHADOW
+    image = GF_SHADOW.from_rational
 
     def from_rational(self, q: Fraction):
         return q

@@ -8,7 +8,9 @@
 
 Precedence from tightest to loosest: ^, unary minus, * and /, + and -.
 Exponents are integer literals (optionally negative).  Errors carry
-1-based line and column positions.
+1-based line and column positions.  The descent recurses once per group
+and per unary minus; beyond MAX_NESTING of them it raises NestingError, so
+parsing never runs out of interpreter stack.
 
 A tree is evaluated by folding it: `fold(node, algebra)` computes the
 nodes in post-order, left operand first, from an explicit stack, so no
@@ -45,6 +47,21 @@ class DercalcSyntaxError(Exception):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+
+class NestingError(DercalcSyntaxError):
+    """An expression nested deeper than MAX_NESTING.  The message names no
+    position: the whole expression is at fault, not one token."""
+
+    def __init__(self, line: int, column: int):
+        Exception.__init__(self, "expression nested too deeply")
+        self.line = line
+        self.column = column
+
+
+# Groups and unary minus signs one inside another; each group costs the
+# descent seven stack frames, well inside Python's default limit of 1000.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -138,6 +155,7 @@ class _Parser:
     def __init__(self, tokens: List[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -180,10 +198,20 @@ class _Parser:
             node = Bin(op, node, self.unary())
         return node
 
+    def nested(self, parse: Callable[[], Expr], tok: _Token) -> Expr:
+        """parse() one level deeper inside the group or sign at tok."""
+        if self.depth == MAX_NESTING:
+            raise NestingError(tok.line, tok.column)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def unary(self) -> Expr:
-        if self.peek().kind == "-":
+        tok = self.peek()
+        if tok.kind == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary, tok))
         return self.power()
 
     def power(self) -> Expr:
@@ -201,6 +229,11 @@ class _Parser:
         tok = self.expect("number")
         return sign * int(tok.text)
 
+    def group(self) -> Expr:
+        node = self.expr()
+        self.expect(")")
+        return node
+
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "number":
@@ -209,16 +242,11 @@ class _Parser:
         if tok.kind == "name":
             self.advance()
             if self.peek().kind == "(":
-                self.advance()
-                arg = self.expr()
-                self.expect(")")
+                arg = self.nested(self.group, self.advance())
                 return Apply(tok.text, arg)
             return Sym(tok.text)
         if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
+            return self.nested(self.group, self.advance())
         raise DercalcSyntaxError(
             f"expected an expression, found {tok.text or 'end of input'!r}",
             tok.line,

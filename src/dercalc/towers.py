@@ -13,6 +13,25 @@ the top generator, recursing downward through the chain.  When a minimal
 polynomial is not irreducible the Euclid run can surface a zero divisor;
 that raises ZeroDivisorError instead of silently producing garbage.
 
+A transcendental level normalises num/den by dividing out their gcd over
+the level below, but first asks for a certificate that the gcd is 1
+(Brown, JACM 1971).  Every level maps into a small "shadow": Q into
+GF(2^61 - 1), a transcendental generator to a constant fixed by its level
+index, an algebraic level to the shadow below with the image of its
+minimal polynomial adjoined.  The map is a ring homomorphism where it is
+defined; it is undefined on a rational whose denominator the prime divides
+and on a fraction whose denominator's image is not a unit.  If both
+leading coefficients survive the map and Euclid on the images ends in a
+unit, every leading coefficient it inverted being a unit too, then the
+resultant of the images is a unit.  It is the image of Res(num, den), so
+that resultant is not 0, and num and den are coprime.  In every other case
+(an undefined image, a vanished leading coefficient, a non-unit, a common
+factor) Euclid runs as it always did, so the canonical form never depends
+on the certificate.  What stays uncertified is the field property: over a
+reducible minimal polynomial the argument still shows Res(num, den) != 0,
+but a zero divisor that Euclid would have met along the way no longer
+surfaces in a normalisation whose operands are certified coprime.
+
 Irreducibility is certified only in part.  A minimal polynomial whose
 coefficients are all rational is rejected when adjoined if it has a rational
 root.  Two cases stay uncertified and are accepted: reducible polynomials
@@ -41,7 +60,6 @@ from .exact import (
     _pderiv,
     _pdivmod,
     _pgcd,
-    _pmonic,
     _pmul,
     _pneg,
     _pscale,
@@ -132,17 +150,59 @@ def _rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
 # -- levels ------------------------------------------------------------------
 
 
+_UNLUCKY = (ZeroDivisionError, ZeroDivisorError)  # what a shadow raises on a non-unit
+
+
 class _LevelTrans:
     """Fraction field of below[name]; reps are (num, den) coefficient tuples
-    with gcd(num, den) = 1 and den monic."""
+    with gcd(num, den) = 1 and den monic.
+
+    Its shadow is the shadow of the level below: ``image`` sends the
+    generator to ``point``, a constant fixed by the level index."""
 
     kind = "transcendental"
 
-    def __init__(self, below, name: str):
+    def __init__(self, below, name: str, index: int):
         self.below = below
         self.name = name
         self.zero = ((), (below.one,))
         self.one = ((below.one,), (below.one,))
+        self.shadow = below.shadow
+        if self.shadow is not None:
+            # Fibonacci hashing spreads the levels' points over 64 bits.
+            self.point = self.shadow.from_rational(Fraction(index * 0x9E3779B97F4A7C15 % 2**64))
+
+    def _at_point(self, poly: tuple):
+        S, K = self.shadow, self.below
+        acc = S.zero
+        for c in reversed(poly):
+            acc = S.add(S.mul(acc, self.point), K.image(c))
+        return acc
+
+    def image(self, a):
+        """The image of a rep in the shadow; raises when its denominator's
+        image is not a unit."""
+        num, den = a
+        if den == (self.below.one,):
+            return self._at_point(num)
+        return self.shadow.mul(self._at_point(num), self.shadow.inv(self._at_point(den)))
+
+    def _coprime(self, num: tuple, den: tuple) -> bool:
+        """True when num and den, nonzero, are certified coprime over the
+        level below: one is a constant, or Euclid on their images in the
+        shadow keeps both leading coefficients and ends in a unit."""
+        if len(num) == 1 or len(den) == 1:
+            return True
+        K = self.below
+        S = K.shadow
+        if S is None:
+            return False
+        try:
+            a = tuple(K.image(c) for c in num)
+            b = tuple(K.image(c) for c in den)
+            return not S.is_zero(a[-1]) and not S.is_zero(b[-1]) and len(_pgcd(S, a, b)) == 1
+        except _UNLUCKY:
+            return False
 
     def _normalize(self, num: tuple, den: tuple):
         K = self.below
@@ -151,12 +211,15 @@ class _LevelTrans:
             raise DivisionByZeroElementError("division by zero element")
         if not num:
             return ((), (K.one,))
-        g = _pgcd(K, num, den)
-        if len(g) > 1:
-            num = _pdivmod(K, num, g)[0]
-            den = _pdivmod(K, den, g)[0]
+        if not self._coprime(num, den):
+            g = _pgcd(K, num, den)
+            if len(g) > 1:
+                num = _pdivmod(K, num, g)[0]
+                den = _pdivmod(K, den, g)[0]
+        if den[-1] == K.one:
+            return (num, den)
         c = K.inv(den[-1])
-        return (_pscale(K, num, c), _pmonic(K, den))
+        return (_pscale(K, num, c), _pscale(K, den, c))
 
     def from_rational(self, q: Fraction):
         return self.from_below(self.below.from_rational(q))
@@ -204,6 +267,23 @@ class _LevelAlg(PolyRing):
         self.name = name
         self.minpoly = minpoly
         self.degree = len(minpoly) - 1
+        self.shadow = self._shadow_level()
+
+    def _shadow_level(self):
+        """The shadow of the level below with name adjoined by the image of
+        minpoly; None when the level below has no shadow or minpoly has no
+        image."""
+        S = self.below.shadow
+        if S is None:
+            return None
+        try:
+            return _LevelAlg(S, self.name, tuple(self.below.image(c) for c in self.minpoly))
+        except _UNLUCKY:
+            return None
+
+    def image(self, a):
+        """The image of a rep in the shadow, coefficient by coefficient."""
+        return _pstrip(self.shadow.below, tuple(self.below.image(c) for c in a))
 
     def from_below(self, c):
         return _pstrip(self.below, (c,))
@@ -222,7 +302,7 @@ class _LevelAlg(PolyRing):
     def inv(self, a):
         if not a:
             raise DivisionByZeroElementError("division by zero element")
-        g, s, _ = _pxgcd(self.below, a, self.minpoly)
+        g, s = _pxgcd(self.below, a, self.minpoly)
         if len(g) != 1:
             raise ZeroDivisorError(
                 f"zero divisor while inverting modulo the minimal polynomial of "
@@ -297,7 +377,7 @@ class FieldTower:
 
     def adjoin_transcendental(self, name: str) -> "FieldTower":
         self._check_name(name)
-        level = _LevelTrans(self.top, name)
+        level = _LevelTrans(self.top, name, len(self._levels))
         spec = GeneratorSpec(name, "transcendental")
         return FieldTower(self._levels + [level], self.gens + (spec,))
 

@@ -11,7 +11,9 @@ from dercalc.parser import (
     Apply,
     Arithmetic,
     Bin,
+    MAX_NESTING,
     DercalcSyntaxError,
+    NestingError,
     Neg,
     Num,
     Pow,
@@ -245,3 +247,16 @@ def test_compiled_carrier_side_agrees_with_exact_rationals(tree, p, data):
     # exact value has a denominator prime to p.
     exact = compiled(tree, Arithmetic(), ("x", "y"))(Fraction(x), Fraction(y))
     assert got == exact.numerator * pow(exact.denominator, -1, p) % p
+
+
+@pytest.mark.parametrize("wrap", [lambda e: f"({e})", lambda e: f"-{e}", lambda e: f"d({e})"])
+def test_nesting_limit_is_exact_and_reports_position(wrap):
+    source = "t"
+    for _ in range(MAX_NESTING):
+        source = wrap(source)
+    parse_expr(source)
+    with pytest.raises(NestingError) as info:
+        parse_expr(wrap(source))
+    assert str(info.value) == "expression nested too deeply"
+    assert isinstance(info.value, DercalcSyntaxError)
+    assert info.value.line == 1

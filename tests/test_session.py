@@ -202,3 +202,25 @@ def test_eval_line_with_a_3000_term_sum():
     lines, code = run_session_text(f"[tower]\nt : transcendental\n[check]\neval {expr}\n")
     assert code == 0
     assert lines == [f"{expr} = 3000*t"]
+
+
+DEEP = "(" * 1200 + "t" + ")" * 1200
+
+
+@pytest.mark.parametrize("line", [f"eval {DEEP}", f"zero {DEEP} - t"])
+def test_deeply_nested_expression_is_refused_with_its_line(line):
+    text = f"[tower]\nt: transcendental\n[derivation d]\nd(t) = 1\n[check]\n{line}\n"
+    with pytest.raises(SessionError) as info:
+        run_session_text(text)
+    assert str(info.value) == "line 6: expression nested too deeply"
+
+
+def test_run_prints_nesting_error_with_exit_code_2(tmp_path, capsys):
+    from dercalc.cli import main
+
+    script = tmp_path / "deep.session"
+    script.write_text(f"[tower]\nt: transcendental\n[check]\neval {DEEP}\n")
+    assert main(["run", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 4: expression nested too deeply\n"

@@ -68,12 +68,13 @@ TOWERS = {
                          {"s": s**3 - t}, s**3, "ts"),
     "Q(t)(s)(u), d(u) = u": ("t:trans;s:alg:s^2 - t;u:trans", {"t": "1", "u": "u"},
                              {"t": 1, "u": u}, {"s": s**2 - t}, s**2, "tsu"),
+    "Q(t)(s)(u), d(u) = u*s + t": ("t:trans;s:alg:s^2 - t;u:trans", {"t": "1", "u": "u*s + t"},
+                                   {"t": 1, "u": u * s + t}, {"s": s**2 - t}, s**2, "tsu"),
     "Q(t)(u), d(u) = t/(u + 1)": ("t:trans;u:trans", {"t": "1", "u": "t/(u + 1)"},
                                   {"t": 1, "u": t / (u + 1)}, {}, None, "tu"),
-    # d(s) lies above s: the forced value is computed in Q(t)(s)(u).  The
-    # denominators stay free of u, where a gcd over Q(t)(s) takes seconds.
+    # d(s) lies above s: the forced value is computed in Q(t)(s)(u).
     "Q(t)(s)(u), d(t) = u, d(u) = s": ("t:trans;s:alg:s^2 - t;u:trans", {"t": "u", "u": "s"},
-                                       {"t": u, "u": s}, {"s": s**2 - t}, s**2, "ts"),
+                                       {"t": u, "u": s}, {"s": s**2 - t}, s**2, "tsu"),
     "Q(t)(u), d(t) = u, d(u) = t": ("t:trans;u:trans", {"t": "u", "u": "t"},
                                     {"t": u, "u": t}, {}, None, "tu"),
 }
@@ -113,6 +114,20 @@ def test_derivation_matches_sympy_chain_rule(label):
         got = to_sympy(str(der(x)))
         want = sympy_apply(sym_d, to_sympy(text))
         assert same_in_tower(got, want, t_of_s), text
+
+
+REFERENCE = "(s*u + t)/(u^2 - s)"
+
+
+@pytest.mark.parametrize("label", ["Q(t)(s)(u), d(u) = u", "Q(t)(s)(u), d(u) = u*s + t"])
+def test_reference_element_matches_sympy_chain_rule(label):
+    """d((s*u + t)/(u^2 - s)): with d(u) = u*s + t its u-level
+    normalisation once ran Euclid over Q(t)(s) for minutes."""
+    spec, values, sym_values, minpolys, t_of_s, _ = TOWERS[label]
+    tower = build_tower(spec)
+    got = derivation_define(tower, values)(element_eval(tower, REFERENCE))
+    want = sympy_apply(sympy_derivation(sym_values, minpolys), to_sympy(REFERENCE))
+    assert same_in_tower(to_sympy(str(got)), want, t_of_s)
 
 
 # -- poly_gcd --------------------------------------------------------------------
@@ -189,19 +204,15 @@ def test_poly_gcd_is_independent_of_variable_order(seed):
 @pytest.mark.parametrize("label", TOWERS)
 def test_printed_numerator_and_denominator_are_coprime(label):
     """Generators read as free variables, sympy finds no common factor of
-    the printed numerator and denominator.  Elements are differentiated
-    only when their denominator is free of the top generator: otherwise d
-    costs seconds in Q(t)(s)(u)."""
+    the printed numerator and denominator, of an element or of its
+    derivative."""
     spec, values, *_, den_names = TOWERS[label]
     tower = build_tower(spec)
     der = derivation_define(tower, values)
     rng = random.Random(f"coprime:{label}")
     for _ in range(6):
         x = element_eval(tower, random_element(rng, tower.variables, den_names))
-        elems = [x]
-        if all(exps[-1] == 0 for exps in x.as_ratfunc().den.terms):
-            elems.append(der(x))
-        for elem in elems:
+        for elem in (x, der(x)):
             rf = elem.as_ratfunc()
             num, den = to_sympy(str(rf.num)), to_sympy(str(rf.den))
             assert sympy.gcd(num, den).is_number, str(elem)

@@ -2,15 +2,19 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from dercalc.exact import QQ, _pmul
 from dercalc.towers import (
     DivisionByZeroElementError,
     TowerError,
     TowerMismatchError,
     UnknownSymbolError,
+    ZeroDivisorError,
+    _LevelTrans,
     element_eq,
     element_eval,
     tower_new,
@@ -237,3 +241,111 @@ def test_print_round_trips_through_element_eval(seed):
             continue
         x = element_eval(tower, _random_poly(rng, names)) / den + 1
         assert element_eval(tower, str(x)) == x, str(x)
+
+
+# -- the coprimality certificate ----------------------------------------------
+#
+# Each property computes one result twice: as the tower does, and with every
+# certificate declined, so that each normalisation runs Euclid, the path
+# that serves as the oracle.  Canonical forms are unique, so the reps must
+# be equal.
+
+
+def _euclid_only(compute):
+    with mock.patch.object(_LevelTrans, "_coprime", lambda self, num, den: False):
+        return compute()
+
+
+def _both_ways(compute):
+    got = compute()
+    assert got.rep == _euclid_only(compute).rep
+    return got
+
+
+def _random_element(rng, tower):
+    """One or two terms, each generator to degree at most 1: a common
+    factor makes Euclid run over the levels below, which costs seconds on
+    larger elements."""
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        mono = "".join(f"*{n}^{rng.randint(0, 1)}" for n in tower.variables)
+        terms.append(f"{rng.choice([-3, -2, -1, 1, 2, 3])}/{rng.randint(1, 3)}{mono}")
+    return element_eval(tower, " + ".join(terms))
+
+
+def _unlucky(tower):
+    """(g1 - c1)...(gk - ck)/(2^61 - 1) over the transcendental generators
+    gi, with ci the constant the shadow sends gi to: its image vanishes in
+    the shadows' arithmetic mod 2^61 - 1, or is undefined there, and so is
+    that of its inverse."""
+    x = tower.rational(Fraction(1, 2**61 - 1))
+    for level, name in zip(tower.levels[1:], tower.variables):
+        if level.kind == "transcendental":
+            point = level.point
+            while isinstance(point, tuple):  # a constant of an algebraic shadow
+                point = point[0] if point else 0
+            x = x * (tower.gen(name) - point)
+    return x
+
+
+# The examples are fixed (derandomize): their cost ranges from milliseconds
+# to seconds, and a fixed set keeps the suite's time from moving by minutes.
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_certificate_agrees_with_euclid_on_common_factors(rng):
+    tower = _random_tower(rng)
+    a, b, g = (_random_element(rng, tower) for _ in range(3))
+    if rng.random() < 0.5:
+        # Its image is 1: the common factor leaves no trace in the shadow.
+        g = (2**61 - 1) * g + 1
+    assume(not b.is_zero() and not g.is_zero())
+    num, den = a * g, b * g
+    _both_ways(lambda: num / den)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_certificate_agrees_with_euclid_where_the_point_is_a_pole(rng):
+    tower = _random_tower(rng)
+    a, b = (_random_element(rng, tower) for _ in range(2))
+    assume(not b.is_zero())
+    unlucky = _unlucky(tower)
+    x = _both_ways(lambda: a / unlucky)
+    _both_ways(lambda: x / b)
+    _both_ways(lambda: x * b + unlucky)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_product_over_a_factor_is_the_other_factor(rng):
+    tower = _random_tower(rng)
+    a, b = (_random_element(rng, tower) for _ in range(2))
+    assume(not b.is_zero())
+    assert _both_ways(lambda: (a * b) / b) == a
+
+
+def test_certificate_declines_unlucky_pairs(qts):
+    # A coefficient with a pole at the point has no image.
+    pole = 1 / (qts.gen("t") - qts.levels[1].point)
+    with pytest.raises(ZeroDivisionError):
+        qts.levels[1].image(pole.rep[0])
+    u_level = qts.adjoin_transcendental("u").top
+    one = qts.one.rep
+    assert not u_level._coprime((pole.rep, one), (one, one))
+    assert u_level._coprime((qts.gen("t").rep, one), (one, one))
+    # t*g and (t + 1)*g with g = 1 + (2^61 - 1)*t: the images are t and
+    # t + 1, coprime, but both leading coefficients vanish.  (The tower
+    # never asks for such a pair: one operand is monic in every call.)
+    g = (Fraction(1), Fraction(2**61 - 1))
+    t_level = qts.levels[1]
+    assert not t_level._coprime(_pmul(QQ, g, (0, 1)), _pmul(QQ, g, (1, 1)))
+
+
+@pytest.mark.parametrize("spec", ["", "t"])
+def test_zero_divisor_surfaces_under_reducible_minimal_polynomial(spec):
+    tower = tower_new()
+    if spec:
+        tower = tower.adjoin_transcendental(spec)
+    tower = tower.adjoin_algebraic("s", "s^4 - 5*s^2 + 6")
+    with pytest.raises(ZeroDivisorError):
+        element_eval(tower, "1/(s^2 - 2)")
