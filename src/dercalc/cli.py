@@ -77,6 +77,7 @@ from .session import (
     fn2_from_expr,
     fn_from_spec,
     parse_carrier,
+    parse_params,
     run_session,
 )
 from .towers import FieldTower, TowerError, element_eval, tower_new
@@ -263,11 +264,7 @@ def _param_values(spec: Optional[str]):
         return {}
     if spec.strip() == "all-units":
         return "all-units"
-    out = {}
-    for part in spec.split(","):
-        k, v = part.split("=", 1)
-        out[k.strip()] = int(v)
-    return out
+    return parse_params(piece.strip() for piece in spec.split(","))
 
 
 def _window(spec: str) -> IntegerWindow:

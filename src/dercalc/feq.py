@@ -24,10 +24,21 @@ by a constant that is not invertible anywhere rejects the carrier up front.
 On a window, a pair is admissible only while every function argument stays
 inside the window.
 
-Each side is compiled once per carrier, into a straight-line program run as
-a function (x, y) -> value (see `parser.compiled`): once per `feq_check`,
-in elimination once as affine forms, and in the search once for the search
-and once for its dependency probe.  No pair visits the expression tree.
+`feq_check` and the search run each side as generated Python: a flat
+function `side(x, y)` with one assignment per node, in post-order with the
+left operand first, so a side of any length compiles and nothing recurses
+(`_Side`).  Sums, differences, products, negations and non-negative powers
+are inlined, reduced modulo the carrier; a table read is a call of the
+bound table, behind the window test on a window.  Constant subtrees,
+parameters included, are folded when a side is bound, and a constant
+divisor on a finite carrier becomes a product with its inverse.  Every
+other division and every negative power calls `_Carrier`, which alone
+decides when a pair is skipped.  The code of both sides is compiled once
+per carrier modulus or window and kept on the `Equation` (`Equation.code`);
+each check, search or dependency probe binds it to its own tables and
+parameters.  No user text reaches the generated source: functions and
+constants are numbered slots.  Elimination compiles each side once with
+`parser.compiled`, as affine forms.  No pair visits the expression tree.
 """
 from __future__ import annotations
 
@@ -35,12 +46,13 @@ import itertools
 import math
 import os
 import random
-from dataclasses import dataclass
+import types
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import BudgetError, FiniteCarrier, IntegerWindow, _is_prime, gf
-from .parser import Apply, Arithmetic, Bin, Pow, Sym, compiled, fold, nodes, parse_equation
+from .parser import Apply, Arithmetic, Bin, Neg, Num, Pow, Sym, compiled, fold, nodes, parse_equation
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
 
@@ -129,6 +141,11 @@ class Equation:
     params: Tuple[str, ...] = ()
     min_size: int = 0
     note: str = ""
+    # The generated code of both sides, per carrier key (see `_sides`).  It
+    # is not part of the equation's value, and it is not keyed on the
+    # trees: hashing a tree recurses once per level.
+    code: Dict[tuple, Tuple["_Side", "_Side"]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def parse(
@@ -174,15 +191,12 @@ def _reject_constant_divisors(side, carrier: Carrier) -> None:
 
 
 class _Carrier:
-    """Algebra of carrier values, for sides compiled in x and y: `tables`
-    maps function names to one-argument callables.  An inadmissible pair
-    raises _Skip, or KeyError from a table."""
+    """Algebra of carrier values: the rules every evaluation of a side
+    follows.  A generated side inlines the total operations and calls
+    `bin("/")` and `pow` for the rest; an inadmissible pair raises _Skip."""
 
-    def __init__(self, carrier: Carrier, tables: Dict[str, Callable[[int], int]],
-                 params: Dict[str, int]):
-        self.window = carrier if isinstance(carrier, IntegerWindow) else None
+    def __init__(self, carrier: Carrier, params: Dict[str, int]):
         self.modulus = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
-        self.tables = tables
         self.params = params
 
     def num(self, value: Fraction) -> int:
@@ -218,14 +232,114 @@ class _Carrier:
         except ValueError:
             raise _Skip from None
 
-    def apply(self, func: str, a: int) -> int:
-        if self.window is not None and not self.window.contains(a):
-            raise _Skip
-        return self.tables[func](a)
+
+def _arity(node) -> int:
+    return 2 if isinstance(node, Bin) else 1
 
 
-def _compile(eq: "Equation", algebra):
-    return tuple(compiled(side, algebra, ("x", "y")) for side in (eq.lhs, eq.rhs))
+def _always_skip(x: int, y: int) -> int:
+    raise _Skip
+
+
+class _Side:
+    """One side of an equation, generated as Python source for one carrier
+    and compiled once: `side(x, y)` assigns one local per node, in
+    post-order with the left operand first.  The source names no user
+    text: table i of the equation's functions is the global T<i>, and each
+    maximal subtree without x, y or a function call is the global k<i>,
+    folded by `bind` (as the inverse of its value where it divides on a
+    finite carrier)."""
+
+    __slots__ = ("code", "constants")
+
+    def __init__(self, side, functions: Sequence[str], carrier: Carrier):
+        m = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
+        window = None if m else carrier
+        self.constants: List[Tuple[object, bool]] = []  # (subtree, invert)
+        lines: List[str] = []
+        # A stack entry is the name of a value the code holds, or a
+        # constant subtree not yet given a name.
+        stack: List[object] = []
+
+        def name(entry, invert: bool = False) -> str:
+            if isinstance(entry, str):
+                return entry
+            self.constants.append((entry, invert))
+            return f"k{len(self.constants) - 1}"
+
+        registers = itertools.count()
+
+        def assign(expr: str) -> None:
+            stack.append(f"v{next(registers)}")
+            lines.append(f"{stack[-1]} = {expr}")
+
+        # `nodes` yields a node, its right subtree, then its left subtree,
+        # so the reverse is a post-order that takes the left operand first.
+        for node in reversed(list(nodes(side))):
+            if isinstance(node, Num) or (isinstance(node, Sym) and node.name not in ("x", "y")):
+                stack.append(node)
+            elif isinstance(node, Sym):
+                stack.append(node.name)
+            elif isinstance(node, Apply):
+                a = name(stack.pop())
+                if window is not None:
+                    lines.append(f"if not {window.lo} <= {a} <= {window.hi}: raise SKIP")
+                assign(f"T{functions.index(node.func)}({a})")
+            elif not any(isinstance(e, str) for e in stack[-_arity(node):]):
+                del stack[-_arity(node):]  # every operand is constant, so the node is too
+                stack.append(node)
+            elif isinstance(node, Neg):
+                a = name(stack.pop())
+                assign(f"-{a} % {m}" if m else f"-{a}")
+            elif isinstance(node, Pow):
+                a, e = name(stack.pop()), node.exponent
+                assign(f"POW({a}, {e})" if e < 0 else f"pow({a}, {e}, {m})" if m
+                       else f"{a} ** {e}")
+            elif isinstance(node, Bin):
+                right = stack.pop()
+                a = name(stack.pop())
+                if node.op != "/":
+                    b = name(right)
+                    assign(f"({a} {node.op} {b}) % {m}" if m else f"{a} {node.op} {b}")
+                elif m and not isinstance(right, str):
+                    assign(f"{a} * {name(right, invert=True)} % {m}")
+                else:
+                    assign(f'BIN("/", {a}, {name(right)})')
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+        lines.append(f"return {name(stack.pop())}")
+        source = "def side(x, y):\n" + "".join(f"    {line}\n" for line in lines)
+        module = compile(source, "<feq side>", "exec")
+        self.code = next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+    def bind(self, algebra: _Carrier, tables: Sequence[Callable[[int], int]]):
+        """The side as a function of (x, y) reading `tables`; a side with a
+        constant that is inadmissible skips every pair."""
+        env = {"pow": pow, "POW": algebra.pow, "BIN": algebra.bin, "SKIP": _Skip}
+        env.update((f"T{i}", t) for i, t in enumerate(tables))
+        try:
+            for i, (subtree, invert) in enumerate(self.constants):
+                c = fold(subtree, algebra)
+                env[f"k{i}"] = algebra.bin("/", 1, c) if invert else c
+        except _Skip:
+            return _always_skip
+        return types.FunctionType(self.code, env)
+
+
+def _sides(eq: "Equation", carrier: Carrier, tables: Dict[str, Callable[[int], int]],
+           params: Dict[str, int]):
+    """Both sides of `eq` as functions of (x, y) on `carrier`, reading the
+    table bound to each function name.  The code is generated on the first
+    use of a modulus or window and kept in `eq.code`."""
+    if isinstance(carrier, FiniteCarrier):
+        key = ("mod", carrier.modulus)
+    else:
+        key = ("window", carrier.lo, carrier.hi)
+    if key not in eq.code:
+        eq.code[key] = tuple(_Side(side, eq.functions, carrier) for side in (eq.lhs, eq.rhs))
+    algebra = _Carrier(carrier, params)
+    bound = [tables[f] for f in eq.functions]
+    return tuple(side.bind(algebra, bound) for side in eq.code[key])
 
 
 @dataclass(frozen=True)
@@ -278,8 +392,8 @@ def feq_check(
         _reject_constant_divisors(side, carrier)
     if isinstance(carrier, FiniteCarrier):
         params = {k: v % carrier.modulus for k, v in params.items()}
-    lhs_fn, rhs_fn = _compile(eq, _Carrier(
-        carrier, {name: t.values.__getitem__ for name, t in bindings.items()}, params))
+    lhs_fn, rhs_fn = _sides(
+        eq, carrier, {name: t.values.__getitem__ for name, t in bindings.items()}, params)
     elems = list(carrier.elements())
     pairs: Iterable[Tuple[int, int]] = itertools.product(elems, repeat=2)
     if mode == "sampled":
@@ -419,7 +533,7 @@ class _Affine(_Carrier):
 
     def __init__(self, carrier: FiniteCarrier, slot_index: Dict[Tuple[str, int], int],
                  params: Dict[str, int]):
-        super().__init__(carrier, {}, params)
+        super().__init__(carrier, params)
         self.slot_index = slot_index
 
     def neg(self, a):
@@ -475,7 +589,7 @@ def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     m = carrier.modulus
     slots = [(f, e) for e in range(m) for f in unknowns]
     algebra = _Affine(carrier, {fe: i for i, fe in enumerate(slots)}, params)
-    lhs_fn, rhs_fn = _compile(eq, algebra)
+    lhs_fn, rhs_fn = (compiled(side, algebra, ("x", "y")) for side in (eq.lhs, eq.rhs))
     pivots: Dict[int, Dict[int, int]] = {}  # pivot slot -> the rest of its row
     consistent = True
     skipped_pairs = 0
@@ -541,18 +655,20 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     Tables are filled one slot at a time, and each argument pair is checked
     the moment the last entry it reads is placed; a violated pair prunes
     the whole subtree.  With an unknown inside a divisor, admissibility
-    depends on table values, so every pair is rechecked at every node.
+    depends on table values, and with one inside a function argument, so
+    do the entries a pair reads; then every pair is rechecked at every
+    node.
     BudgetError once more than `budget` table entries have been placed."""
     m = carrier.modulus
     elems = list(carrier.elements())
     slots = [(f, e) for e in elems for f in unknowns]
     slot_index = {fe: i for i, fe in enumerate(slots)}
     partial: Dict[str, Dict[int, int]] = {f: {} for f in unknowns}
-    lhs_fn, rhs_fn = _compile(
-        eq, _Carrier(carrier, {f: partial[f].__getitem__ for f in unknowns}, params))
+    lhs_fn, rhs_fn = _sides(eq, carrier, {f: partial[f].__getitem__ for f in unknowns}, params)
 
-    # Static dependency analysis: with no unknown inside a divisor or an
-    # exponent base, the table entries a pair reads are known up front.
+    # Static dependency analysis: with no unknown inside a divisor, an
+    # exponent base or a function argument, the table entries a pair reads
+    # are known up front.
     dynamic = any(_value_dependent(side) for side in (eq.lhs, eq.rhs))
     skipped_pairs = 0
     pairs_at: List[List[Tuple[int, int]]] = [[] for _ in range(len(slots))]
@@ -561,7 +677,7 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
         # The probe's tables record every entry a pair reads and return 0.
         points: set = set()
         recorders = {f: (lambda x, f=f: points.add((f, x)) or 0) for f in unknowns}
-        probe_lhs, probe_rhs = _compile(eq, _Carrier(carrier, recorders, params))
+        probe_lhs, probe_rhs = _sides(eq, carrier, recorders, params)
         for a in elems:
             for b in elems:
                 points.clear()
@@ -623,11 +739,13 @@ def _work_exceeded(placed: int, visited: int, budget: int) -> BudgetError:
 
 
 def _value_dependent(side) -> bool:
-    """True when a divisor or negative-power base contains a function call,
-    so admissibility depends on table values, not only on (x, y)."""
-    divisors = [n.right for n in nodes(side) if isinstance(n, Bin) and n.op == "/"]
-    divisors += [n.base for n in nodes(side) if isinstance(n, Pow) and n.exponent < 0]
-    return any(isinstance(n, Apply) for d in divisors for n in nodes(d))
+    """True when a divisor, a negative-power base or a function argument
+    contains a function call, so which pairs are admissible, or which table
+    entries a pair reads, depends on table values, not only on (x, y)."""
+    inner = [n.right for n in nodes(side) if isinstance(n, Bin) and n.op == "/"]
+    inner += [n.base for n in nodes(side) if isinstance(n, Pow) and n.exponent < 0]
+    inner += [n.arg for n in nodes(side) if isinstance(n, Apply)]
+    return any(isinstance(n, Apply) for d in inner for n in nodes(d))
 
 
 # -- built-in corpus ----------------------------------------------------------

@@ -76,6 +76,21 @@ def parse_carrier(spec: str) -> Carrier:
     raise SessionError(f"bad carrier spec {spec!r}")
 
 
+def parse_params(pieces: Iterable[str]) -> Dict[str, int]:
+    """Parameter values from "name=integer" pieces, as a session's `with`
+    clause and the CLI's --params give them."""
+    params: Dict[str, int] = {}
+    for piece in pieces:
+        name, sep, value = piece.partition("=")
+        if not sep or not name.strip():
+            raise SessionError(f"bad parameter {piece!r}: expected name=value")
+        try:
+            params[name.strip()] = int(value)
+        except ValueError:
+            raise SessionError(f"bad parameter {piece!r}: expected an integer value") from None
+    return params
+
+
 def _to_carrier_value(v: Fraction, carrier: Carrier, where: str) -> int:
     if isinstance(carrier, FiniteCarrier):
         m = carrier.modulus
@@ -316,12 +331,7 @@ class _Session:
     ) -> bool:
         carrier = parse_carrier(carrier_spec)
         eq = equation_by_name(eq_name)
-        params: Dict[str, int] = {}
-        for piece in (with_clause or "").split():
-            if "=" not in piece:
-                raise SessionError(f"bad parameter {piece!r}")
-            k, v = piece.split("=", 1)
-            params[k.strip()] = int(v)
+        params = parse_params((with_clause or "").split())
         report = feq_check(eq, {"f": fn_from_spec(f_spec, carrier)}, params)
         self.lines.append(report.line())
         return report.ok

@@ -492,6 +492,17 @@ def test_feq_check_even_modulus_divisor_is_usage_error(cli):
     assert err == ["error: constant divisor 2 is not invertible modulo 4"]
 
 
+@pytest.mark.parametrize("params, message", [
+    ("lam=1,mu", "bad parameter 'mu': expected name=value"),
+    ("lam=1,mu=x", "bad parameter 'mu=x': expected an integer value"),
+])
+@pytest.mark.parametrize("cmd", [["check", "--f", "x"], ["solve"]], ids=["check", "solve"])
+def test_feq_bad_params_name_the_bad_piece(cli, cmd, params, message):
+    code, out, err = cli("feq", *cmd, "--eq", "alien-c22", "--carrier", "gf:5",
+                         "--params", params)
+    assert (code, out, err) == (2, [], [f"error: {message}"])
+
+
 def test_feq_solve_additive_maps(cli):
     code, out, _ = cli("feq", "solve", "--eq", "cauchy-add", "--carrier", "gf:3")
     assert code == 0

@@ -1,9 +1,12 @@
 """Brute-force functional equation checking and solving on finite carriers."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import itertools
+from fractions import Fraction
 
-from dercalc.exact import BudgetError, IntegerWindow, gf, zmod
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from dercalc.exact import BudgetError, FiniteCarrier, IntegerWindow, gf, zmod
 from dercalc.feq import (
     CORPUS,
     CarrierUnsupportedError,
@@ -17,11 +20,17 @@ from dercalc.feq import (
     feq_solve_brute,
     logarithmic_zero_check,
     t1431_check,
+    _Carrier,
+    _INADMISSIBLE,
     _Nonlinear,
+    _Skip,
     _backtrack,
+    _check_tuples,
     _eliminate,
+    _sides,
 )
 from dercalc import feq
+from dercalc.parser import Apply, Bin, Neg, Num, Pow, Sym, compiled, nodes
 
 
 def window_parity(lo=-10, hi=10):
@@ -213,6 +222,16 @@ def test_unknown_in_divisor_uses_dynamic_path():
     report = feq_solve_brute(eq, ["f"], gf(3))
     # trivially true wherever defined, so every table is a solution
     assert report.count == 27
+
+
+def test_unknown_inside_a_function_argument_uses_dynamic_path():
+    # Which entries f(f(x)) reads depends on f itself: the involutions of
+    # {0, 1, 2} are the identity and the three transpositions.
+    report = feq_solve_brute(Equation.parse("involution", "f(f(x)) = x"), ["f"], gf(3))
+    assert [t.serialize() for t in report.tables("f")] == [
+        ["0 -> 0", "1 -> 1", "2 -> 2"], ["0 -> 0", "1 -> 2", "2 -> 1"],
+        ["0 -> 1", "1 -> 0", "2 -> 2"], ["0 -> 2", "1 -> 1", "2 -> 0"]]
+    assert feq_solve_brute(Equation.parse("fixed", "0 = f(f(0))"), ["f"], gf(2)).count == 3
 
 
 @given(st.sampled_from(["cauchy-add", "cauchy-mult", "ger-hom", "hosszu"]))
@@ -426,3 +445,166 @@ def test_value_dependent_and_composite_carriers_skip_elimination(monkeypatch):
     assert feq_solve_brute(selfdiv, ["f"], gf(3)).count == 27
     report = feq_solve_brute(equation_by_name("cauchy-add"), ["f"], zmod(6))
     assert (report.count, report.skipped_pairs) == (6, 0)
+
+
+# -- generated sides against the interpreted reference ------------------------
+
+
+class Interpreted(_Carrier):
+    """The reference evaluation of a side, which the generated sides must
+    agree with: `parser.compiled` drives the carrier's algebra node by
+    node, with table reads through `apply`."""
+
+    def __init__(self, carrier, tables, params):
+        super().__init__(carrier, params)
+        self.window = carrier if isinstance(carrier, IntegerWindow) else None
+        self.tables = tables
+
+    def apply(self, func, a):
+        if self.window is not None and not self.window.contains(a):
+            raise _Skip
+        return self.tables[func](a)
+
+
+def interpreted_sides(eq, carrier, tables, params):
+    algebra = Interpreted(carrier, tables, params)
+    return tuple(compiled(side, algebra, ("x", "y")) for side in (eq.lhs, eq.rhs))
+
+
+def interpreted_report(eq, bindings, params):
+    """(witness, lhs, rhs, checked, skipped) of an exhaustive check."""
+    carrier = next(iter(bindings.values())).carrier
+    if isinstance(carrier, FiniteCarrier):
+        params = {k: v % carrier.modulus for k, v in params.items()}
+    sides = interpreted_sides(
+        eq, carrier, {f: t.values.__getitem__ for f, t in bindings.items()}, params)
+    return _check_tuples(*sides, itertools.product(list(carrier.elements()), repeat=2))
+
+
+def outcome(fn, x, y):
+    """The value of a side, or "inadmissible".  Where a side meets two
+    inadmissible nodes, which of them raises first may differ: constants
+    are folded before any table is read."""
+    try:
+        return fn(x, y)
+    except _INADMISSIBLE:
+        return "inadmissible"
+
+
+ORACLE_CARRIERS = [gf(2), gf(5), gf(7), zmod(6), zmod(8), IntegerWindow(-3, 3),
+                   IntegerWindow(-2, 4)]
+side_trees = st.recursive(
+    st.one_of(st.integers(0, 12).map(lambda n: Num(Fraction(n))),
+              st.sampled_from(["x", "y", "lam", "mu"]).map(Sym)),
+    lambda children: st.one_of(
+        children.map(Neg),
+        st.tuples(children, st.integers(-2, 3)).map(lambda p: Pow(*p)),
+        st.tuples(st.sampled_from(["f", "g"]), children).map(lambda p: Apply(*p)),
+        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda p: Bin(*p)),
+    ),
+    max_leaves=14,
+)
+
+
+def oracle_equation(lhs, rhs):
+    found = [n for side in (lhs, rhs) for n in nodes(side)]
+    functions = tuple(sorted({n.func for n in found if isinstance(n, Apply)} | {"f"}))
+    return Equation("oracle", "", lhs, rhs, functions, ("lam", "mu"))
+
+
+@given(side_trees, side_trees, st.sampled_from(ORACLE_CARRIERS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_generated_sides_match_the_interpreted_reference(lhs, rhs, carrier, data):
+    eq = oracle_equation(lhs, rhs)
+    elems = list(carrier.elements())
+    values = st.integers(-9, 9)
+    params = {"lam": data.draw(values), "mu": data.draw(values)}
+    # Partial tables: a missing entry raises KeyError.  On a window they
+    # also hold entries outside it, which the window test must keep unread.
+    points = elems if isinstance(carrier, FiniteCarrier) else range(
+        min(elems) - 6, max(elems) + 7)
+    partial = {}
+    for f in eq.functions:
+        missing = data.draw(st.sets(st.sampled_from(points), max_size=3))
+        table = dict(zip(points, data.draw(st.lists(values, min_size=len(points),
+                                                    max_size=len(points)))))
+        partial[f] = {k: v for k, v in table.items() if k not in missing}.__getitem__
+    got = _sides(eq, carrier, partial, params)
+    want = interpreted_sides(eq, carrier, partial, params)
+    for x, y in itertools.product(elems, repeat=2):
+        for g, w in zip(got, want):
+            assert outcome(g, x, y) == outcome(w, x, y)
+
+    bindings = {f: FnTable(carrier, {e: data.draw(values) for e in elems})
+                for f in eq.functions}
+    try:
+        report = feq_check(eq, bindings, params)
+    except CarrierUnsupportedError:
+        return
+    assert (report.witness, report.lhs, report.rhs, report.checked,
+            report.skipped) == interpreted_report(eq, bindings, params)
+
+
+@given(side_trees, side_trees, st.sampled_from([gf(2), gf(3), zmod(4)]))
+@settings(max_examples=40, deadline=None)
+def test_solver_lists_every_table_the_interpreted_check_passes(lhs, rhs, carrier):
+    eq = oracle_equation(lhs, rhs)
+    m, k = carrier.modulus, len(eq.functions)
+    assume(m ** (m * k) <= 729)  # tables the reference enumerates
+    params = {"lam": 1, "mu": 2}
+    try:
+        report = feq_solve_brute(eq, eq.functions, carrier, params)
+    except CarrierUnsupportedError:
+        return
+    want = []
+    # Tables in the solver's order: lexicographic by point, then function.
+    for choice in itertools.product(range(m), repeat=m * k):
+        sol = tuple(FnTable(carrier, dict(enumerate(choice[i::k]))) for i in range(k))
+        if interpreted_report(eq, dict(zip(eq.functions, sol)), params)[0] is None:
+            want.append(sol)
+    assert report.solutions == tuple(want)
+
+
+def test_one_equation_gives_each_carrier_table_and_binding_its_own_answer():
+    eq = Equation.parse("alien-twin", CORPUS["alien-c22"].source, params=("lam", "mu"))
+    carriers = [gf(5), gf(7), IntegerWindow(-4, 4)]
+    tables = [lambda x: x, lambda x: x * x + 1]
+    weights = [{"lam": 1, "mu": 0}, {"lam": 0, "mu": 3}]
+    passes = []
+    for _ in range(2):
+        reports = []
+        for carrier, table, params in itertools.product(carriers, tables, weights):
+            bindings = {"f": FnTable.from_callable(carrier, table)}
+            report = feq_check(eq, bindings, params)
+            assert (report.witness, report.lhs, report.rhs, report.checked,
+                    report.skipped) == interpreted_report(eq, bindings, params)
+            reports.append(report)
+        passes.append(reports)
+    assert passes[0] == passes[1]
+    # Twelve checks, ten answers: with mu = 3, x^2 + 1 fails at (0, 0)
+    # with lhs 3 on every carrier.
+    assert len(set(passes[0])) == 10
+    assert sorted(eq.code) == [("mod", 5), ("mod", 7), ("window", -4, 4)]
+
+
+def test_a_3000_term_side_is_compiled_without_hashing_the_tree(monkeypatch):
+    def unhashable(node):
+        raise AssertionError("a tree node was hashed")
+
+    eq = Equation.parse("long", f"{LONG_SIDE} + f(y) = 3000*f(x) + f(y)")
+    for node_type in (Apply, Bin, Neg, Num, Pow, Sym):
+        monkeypatch.setattr(node_type, "__hash__", unhashable)
+    report = feq_check(eq, {"f": FnTable.from_callable(gf(7), lambda x: x * x)})
+    assert report.line() == "long: pass (49 pairs, 0 skipped)"
+    assert list(eq.code) == [("mod", 7)]
+
+
+def test_a_side_with_an_inadmissible_constant_skips_every_pair():
+    eq = Equation.parse("halves", "f(x) * (3/2) = f(x)")
+    report = feq_check(eq, {"f": FnTable.zero(IntegerWindow(-2, 2))})
+    assert (report.checked, report.skipped) == (0, 25)
+    eq = Equation.parse("scaled", "f(x) / lam = f(y)", params=("lam",))
+    report = feq_check(eq, {"f": FnTable.zero(zmod(6))}, {"lam": 4})
+    assert (report.checked, report.skipped) == (0, 36)
+    report = feq_check(eq, {"f": FnTable.zero(zmod(6))}, {"lam": 5})
+    assert (report.checked, report.skipped) == (36, 0)

@@ -112,10 +112,23 @@ def test_bad_feq_parameter_clause():
         run_session_text("[check]\nfeq alien-c22 f = zero on gf:5 with lam\n")
 
 
+@pytest.mark.parametrize("clause, message", [
+    ("lam=1 mu", "bad parameter 'mu': expected name=value"),
+    ("lam=1 =2", "bad parameter '=2': expected name=value"),
+    ("lam=1 mu=x", "bad parameter 'mu=x': expected an integer value"),
+    ("lam=1.5 mu=1", "bad parameter 'lam=1.5': expected an integer value"),
+])
+def test_bad_feq_parameters_are_named_in_the_error(clause, message):
+    with pytest.raises(SessionError) as info:
+        run_session_text(f"[check]\nfeq alien-c22 f = zero on gf:5 with {clause}\n")
+    assert str(info.value) == f"line 2: {message}"
+
+
 @pytest.mark.parametrize("check, message", [
     ("feq cauchy-add f = 1/(x-x) on gf:5", "division by zero in expression"),
     ("cocycle pair f = 1/(x-x) on gf:5", "division by zero in expression"),
-    ("feq alien-c22 f = zero on gf:5 with lam=x mu=1", "invalid literal for int()"),
+    ("feq alien-c22 f = zero on gf:5 with lam=x mu=1",
+     "bad parameter 'lam=x': expected an integer value"),
 ])
 def test_errors_in_feq_and_cocycle_checks_carry_the_line_number(check, message):
     with pytest.raises(SessionError, match=r"^line 2: " + re.escape(message)):
