@@ -202,7 +202,7 @@ class _Polynomials(Arithmetic):
             raise SessionError("polynomial division only by nonzero constants")
         return a * (1 / b.constant_value())
 
-    def apply(self, func: str, a: MultiPoly) -> MultiPoly:
+    def apply(self, func: str, *args: MultiPoly) -> MultiPoly:
         raise SessionError("function applications are not polynomials")
 
 
@@ -464,7 +464,7 @@ def _cmd_cocycle(args, out: Out) -> int:
     if args.cmd2 == "extend":
         window = _window(args.window)
         F = fn2_from_expr(args.F, window)
-        G = fn2_from_expr(args.G, window) if args.G else None
+        G = fn2_from_expr(args.G, window, "G") if args.G else None
         Fe, Ge, report = cocycle_extend_positive(F, window, G)
         out.emit("extend", f"extended to window [{window.lo}, {window.hi}]",
                  lo=window.lo, hi=window.hi)
@@ -478,7 +478,7 @@ def _cmd_cocycle(args, out: Out) -> int:
         return 0
     if args.cmd2 == "ld-check":
         carrier = parse_carrier(args.carrier)
-        D = fn2_from_expr(args.D, carrier)
+        D = fn2_from_expr(args.D, carrier, "D")
         report = leibniz_coboundary_check(D, carrier)
         out.emit("ld-check", f"Leibniz-difference conditions on {args.carrier}", D=args.D)
         return _report_exit(out, report, "condition")

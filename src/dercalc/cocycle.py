@@ -2,14 +2,27 @@
 
 For a one-variable map f the Cauchy difference F(a,b) = f(a+b)-f(a)-f(b)
 and the Leibniz difference G(a,b) = f(ab)-af(b)-bf(a) always satisfy a
-small axiom system; this module checks the axioms exhaustively (with
-feq's tuple loop), extends positive-domain cocycles to signed windows via
-sign tables, reconstructs a primitive from its Cauchy difference, and
-solves for the degenerate "alien" mixtures of both differences with feq.
+small axiom system: functional equations in x, y, z whose unknowns F and
+G take two arguments, and a sum (zeta):
 
-On an IntegerWindow, tuples whose function arguments escape the window or
-miss a dict table's entry are skipped and counted; everything on a modular
-carrier is total.
+    (alpha)    F(x, y) = F(y, x)
+    (beta)     F(x + y, z) + F(x, y) = F(x, y + z) + F(y, z)
+    (gamma)    G(x, y) = G(y, x)
+    (delta)    z*G(x, y) + G(x*y, z) = x*G(y, z) + G(x, y*z)
+    (epsilon)  F(x*z, y*z) - z*F(x, y) = G(x + y, z) - G(x, z) - G(y, z)
+    (eta)      F(x*z, y*z) = z*F(x, y), for differences of additive maps
+    (zeta)     F(1, 0) + F(1, 1) + ... + F(1, p - 1) = 0 in characteristic p
+
+`CONDITIONS` holds them, with the conditions for D to be the Leibniz
+difference of an additive map.  feq's generated sides and tuple loop check
+them, exhaustively, reading each map from a table made once per call
+(`Cocycle2.table`), or on a seeded sample, calling the map.  Values on a
+finite carrier are reduced modulo m as they are read.  On an
+IntegerWindow, tuples whose function arguments escape the window or miss
+a dict table's entry are skipped and counted.  The module also extends
+positive-domain cocycles to signed windows via sign tables, reconstructs
+a primitive from its Cauchy difference, and solves for the "alien"
+mixtures of both differences with feq.
 """
 from __future__ import annotations
 
@@ -19,8 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import FiniteCarrier, IntegerWindow
-from .feq import (CORPUS, Equation, FnTable, _INADMISSIBLE, _Skip, _check_tuples, feq_check,
-                  feq_solve_brute)
+from .feq import (CORPUS, Equation, FnTable, _INADMISSIBLE, _check_tuples, _sides,
+                  feq_check, feq_solve_brute)
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
 
@@ -66,57 +79,56 @@ def _as_fn2(f: Fn2Like) -> Callable[[int, int], int]:
 
 @dataclass
 class Cocycle2:
-    """Two-argument map on a carrier; window arguments are range-checked."""
+    """Two-argument map on a carrier."""
 
     carrier: Carrier
     fn: Callable[[int, int], int]
     name: str = "F"
 
     def __call__(self, a: int, b: int) -> int:
-        if isinstance(self.carrier, IntegerWindow):
-            if not (self.carrier.contains(a) and self.carrier.contains(b)):
-                raise _Skip
         return self.fn(a, b)
 
+    def read(self, ab: Tuple[int, int]) -> int:
+        """The value at the pair ab, reduced modulo a finite carrier."""
+        v = self.fn(*ab)
+        return v % self.carrier.modulus if isinstance(self.carrier, FiniteCarrier) else v
+
     def table(self) -> Dict[Tuple[int, int], int]:
+        """`read` at every pair in product order; inadmissible pairs are left out."""
         out = {}
-        for a, b in itertools.product(self.carrier.elements(), repeat=2):
+        for ab in itertools.product(self.carrier.elements(), repeat=2):
             try:
-                out[(a, b)] = self(a, b)
+                out[ab] = self.read(ab)
             except _INADMISSIBLE:
                 pass
         return out
 
 
+# Its sides are f's Cauchy and g's Leibniz difference; `feq list` leaves it out.
+_MIXED = Equation.parse("mixed", "f(x+y) - f(x) - f(y) = g(x*y) - x*g(y) - y*g(x)")
+
+
+class _Difference:
+    """The Cauchy (side 0) or Leibniz (side 1) difference of f: that side of
+    `_MIXED` with f as f and g, generated and bound on the first call."""
+
+    def __init__(self, f: Callable[[int], int], carrier: Carrier, index: int):
+        self.f, self.carrier, self.index, self.side = f, carrier, index, None
+
+    def __call__(self, a: int, b: int) -> int:
+        if self.side is None:
+            self.side = _sides(_MIXED, self.carrier, {"f": self.f, "g": self.f}, {})[self.index]
+        return self.side(a, b)
+
+
 def cauchy_difference(f: FnLike, carrier: Carrier, name: str = "F") -> Cocycle2:
     """F(a,b) = f(a+b) - f(a) - f(b) in the carrier's arithmetic."""
-    fn = _as_fn(f)
-    if isinstance(carrier, FiniteCarrier):
-        def F(a: int, b: int) -> int:
-            return carrier.sub(fn(carrier.add(a, b)), carrier.add(fn(a), fn(b)))
-    else:
-        def F(a: int, b: int) -> int:
-            s = a + b
-            if not carrier.contains(s):
-                raise _Skip
-            return fn(s) - fn(a) - fn(b)
-    return Cocycle2(carrier, F, name)
+    return Cocycle2(carrier, _Difference(_as_fn(f), carrier, 0), name)
 
 
 def leibniz_difference(f: FnLike, carrier: Carrier, name: str = "G") -> Cocycle2:
     """G(a,b) = f(ab) - a f(b) - b f(a) in the carrier's arithmetic."""
-    fn = _as_fn(f)
-    if isinstance(carrier, FiniteCarrier):
-        def G(a: int, b: int) -> int:
-            prod = fn(carrier.mul(a, b))
-            return carrier.sub(prod, carrier.add(carrier.mul(a, fn(b)), carrier.mul(b, fn(a))))
-    else:
-        def G(a: int, b: int) -> int:
-            m = a * b
-            if not carrier.contains(m):
-                raise _Skip
-            return fn(m) - a * fn(b) - b * fn(a)
-    return Cocycle2(carrier, G, name)
+    return Cocycle2(carrier, _Difference(_as_fn(f), carrier, 1), name)
 
 
 @dataclass(frozen=True)
@@ -156,12 +168,6 @@ PAIR_AXIOMS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 F_AXIOMS = ("alpha", "beta", "zeta")
 
 
-def _ops(carrier: Carrier):
-    if isinstance(carrier, FiniteCarrier):
-        return carrier.add, carrier.sub, carrier.mul
-    return (lambda a, b: a + b), (lambda a, b: a - b), (lambda a, b: a * b)
-
-
 def _sampled_tuples(elems: Sequence[int], arity: int, sample: int,
                     rng: random.Random) -> List[tuple]:
     """`sample` tuples drawn as rng.choice would draw them from the list of
@@ -172,39 +178,34 @@ def _sampled_tuples(elems: Sequence[int], arity: int, sample: int,
     return [tuple(elems[i // n ** k % n] for k in reversed(range(arity))) for i in draws]
 
 
-def _axiom_result(lhs_fn, rhs_fn, tuples: Iterable[tuple], carrier: Carrier) -> AxiomResult:
-    """feq's tuple loop, modulo the carrier where it has a modulus."""
-    modulus = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
-    witness, lhs, rhs, checked, skipped = _check_tuples(lhs_fn, rhs_fn, tuples, modulus)
+# The axioms, the Leibniz-coboundary conditions and the primitive's re-difference,
+# in x, y and, where it appears, z.  Not in CORPUS, so `feq list` leaves them out.
+CONDITIONS: Dict[str, Equation] = {
+    name: Equation.parse(name, source, variables=("x", "y", "z")[:3 if "z" in source else 2])
+    for name, source in (
+        ("alpha", "F(x, y) = F(y, x)"),
+        ("beta", "F(x + y, z) + F(x, y) = F(x, y + z) + F(y, z)"),
+        ("gamma", "G(x, y) = G(y, x)"),
+        ("delta", "z*G(x, y) + G(x*y, z) = x*G(y, z) + G(x, y*z)"),
+        ("epsilon", "F(x*z, y*z) - z*F(x, y) = G(x + y, z) - G(x, z) - G(y, z)"),
+        ("eta", "F(x*z, y*z) = z*F(x, y)"),
+        ("symmetry", "D(x, y) = D(y, x)"),
+        ("associator", "D(x*y, z) + z*D(x, y) = D(x, y*z) + x*D(y, z)"),
+        ("additivity", "D(x + y, z) = D(x, z) + D(y, z)"),
+        ("primitive", "f(x + y) - f(x) - f(y) = F(x, y)"),
+    )
+}
+
+
+def _check(eq: Equation, carrier: Carrier, tables: Dict[str, Callable],
+           tuples: Optional[Iterable[tuple]] = None) -> AxiomResult:
+    """feq's tuple loop on the generated sides of `eq`, reading `tables`, on
+    `tuples` or else on every tuple of the carrier's elements."""
+    if tuples is None:
+        tuples = itertools.product(list(carrier.elements()), repeat=len(eq.variables))
+    lhs_fn, rhs_fn = _sides(eq, carrier, tables, {})
+    witness, lhs, rhs, checked, skipped = _check_tuples(lhs_fn, rhs_fn, tuples)
     return AxiomResult("pass" if witness is None else "fail", witness, lhs, rhs, checked, skipped)
-
-
-def _axiom_sides(axiom: str, F, G, add, mul):
-    if axiom == "alpha":
-        return (lambda a, b: F(a, b)), (lambda a, b: F(b, a))
-    if axiom == "beta":
-        return (
-            lambda a, b, c: F(add(a, b), c) + F(a, b),
-            lambda a, b, c: F(a, add(b, c)) + F(b, c),
-        )
-    if axiom == "gamma":
-        return (lambda a, b: G(a, b)), (lambda a, b: G(b, a))
-    if axiom == "delta":
-        return (
-            lambda a, b, c: c * G(a, b) + G(mul(a, b), c),
-            lambda a, b, c: a * G(b, c) + G(a, mul(b, c)),
-        )
-    if axiom == "epsilon":
-        return (
-            lambda a, b, c: F(mul(a, c), mul(b, c)) - c * F(a, b),
-            lambda a, b, c: G(add(a, b), c) - G(a, c) - G(b, c),
-        )
-    if axiom == "eta":
-        return (
-            lambda a, b, c: F(mul(a, c), mul(b, c)),
-            lambda a, b, c: c * F(a, b),
-        )
-    raise CocycleError(f"unknown axiom {axiom!r}")
 
 
 def cocycle_verify(
@@ -217,34 +218,36 @@ def cocycle_verify(
 ) -> CocycleReport:
     """Check the requested axioms, exhaustively or on a seeded sample.
 
-    Mixed-value comparisons reduce modulo the carrier where applicable;
-    the first offending tuple in canonical enumeration order is the witness.
+    Values are compared modulo the carrier where it has a modulus; the
+    first offending tuple in canonical enumeration order is the witness.
     The sum axiom (zeta) is void on characteristic-zero carriers.
     """
+    if mode not in ("exhaustive", "sampled"):
+        raise CocycleError(f"unknown mode {mode!r}")
+    if mode == "sampled" and sample <= 0:
+        raise CocycleError("sampled mode needs a positive sample size")
     carrier = F.carrier
     if axioms is None:
         axioms = PAIR_AXIOMS if G is not None else F_AXIOMS
-    add, sub, mul = _ops(carrier)
     elems = list(carrier.elements())
     results: Dict[str, AxiomResult] = {}
     rng = random.Random(seed)
+    maps = {"F": F, "G": G}
+    tables: Dict[str, Callable] = {}  # how each map is read, made on first use
     for axiom in axioms:
         if axiom == "zeta":
             results[axiom] = _check_zeta(F, carrier)
             continue
-        if axiom in ("gamma", "delta", "epsilon") and G is None:
+        if axiom not in PAIR_AXIOMS + ("eta",):
+            raise CocycleError(f"unknown axiom {axiom!r}")
+        eq = CONDITIONS[axiom]
+        if "G" in eq.functions and G is None:
             raise CocycleError(f"axiom ({axiom}) needs the multiplicative cocycle G")
-        lhs_fn, rhs_fn = _axiom_sides(axiom, F, G, add, mul)
-        arity = 2 if axiom in ("alpha", "gamma") else 3
-        if mode == "sampled":
-            if sample <= 0:
-                raise CocycleError("sampled mode needs a positive sample size")
-            tuples = _sampled_tuples(elems, arity, sample, rng)
-        elif mode == "exhaustive":
-            tuples = itertools.product(elems, repeat=arity)
-        else:
-            raise CocycleError(f"unknown mode {mode!r}")
-        results[axiom] = _axiom_result(lhs_fn, rhs_fn, tuples, carrier)
+        tuples = (_sampled_tuples(elems, len(eq.variables), sample, rng)
+                  if mode == "sampled" else None)
+        for name in [f for f in eq.functions if f not in tables]:
+            tables[name] = maps[name].read if mode == "sampled" else maps[name].table().__getitem__
+        results[axiom] = _check(eq, carrier, tables, tuples)
     return CocycleReport(results)
 
 
@@ -252,9 +255,7 @@ def _check_zeta(F: Cocycle2, carrier: Carrier) -> AxiomResult:
     p = carrier.characteristic
     if p == 0:
         return AxiomResult("void", None, None, None, 0, 0)
-    total = 0
-    for i in range(1, p + 1):
-        total = carrier.add(total, F(1, (i * 1) % p))
+    total = sum(F(1, i % p) for i in range(1, p + 1)) % p
     if total == 0:
         return AxiomResult("pass", None, None, None, 1, 0)
     return AxiomResult("fail", ("sum",), total, 0, 1, 0)
@@ -357,10 +358,10 @@ def cocycle_primitive(F: Fn2Like, window: IntegerWindow, f1: int) -> Dict[int, i
         f[k + 1] = f[k] + f[1] + F_fn(k, 1)
     for k in range(0, window.lo, -1):
         f[k - 1] = f[k] - f[1] - F_fn(k - 1, 1)
-    witness, *_ = _check_tuples(lambda a, b: f[a + b] - f[a] - f[b], F_fn,
-                                itertools.product(window.elements(), repeat=2))
-    if witness is not None:
-        a, b = witness
+    result = _check(CONDITIONS["primitive"], window,
+                    {"f": f.__getitem__, "F": F_fn.table().__getitem__})
+    if result.status == "fail":
+        a, b = result.witness
         raise NotACoboundaryError(f"re-differencing disagrees with F at ({a},{b})")
     return f
 
@@ -372,30 +373,9 @@ def leibniz_coboundary_check(D: Fn2Like, carrier: Carrier) -> CocycleReport:
     """Necessary-and-sufficient conditions for D to be a Leibniz difference
     of some additive map: symmetry, the associator identity, and additivity
     in the first slot."""
-    D_fn = Cocycle2(carrier, _as_fn2(D), "D")
-    add, sub, mul = _ops(carrier)
-    elems = list(carrier.elements())
-    conditions = {
-        "symmetry": (
-            lambda x, y: D_fn(x, y),
-            lambda x, y: D_fn(y, x),
-            2,
-        ),
-        "associator": (
-            lambda x, y, z: D_fn(mul(x, y), z) + z * D_fn(x, y),
-            lambda x, y, z: D_fn(x, mul(y, z)) + x * D_fn(y, z),
-            3,
-        ),
-        "additivity": (
-            lambda x, y, z: D_fn(add(x, y), z),
-            lambda x, y, z: D_fn(x, z) + D_fn(y, z),
-            3,
-        ),
-    }
-    return CocycleReport({
-        name: _axiom_result(lhs_fn, rhs_fn, itertools.product(elems, repeat=arity), carrier)
-        for name, (lhs_fn, rhs_fn, arity) in conditions.items()
-    })
+    tables = {"D": Cocycle2(carrier, _as_fn2(D), "D").table().__getitem__}
+    return CocycleReport({name: _check(CONDITIONS[name], carrier, tables)
+                          for name in ("symmetry", "associator", "additivity")})
 
 
 # -- decomposition of the mixed equation -------------------------------------
@@ -423,10 +403,6 @@ class Decomposition:
         phi_zero = all(v == 0 for v in self.phi.values())
         phi_s = "0" if phi_zero else str(dict(sorted(self.phi.items())))
         return f"alpha(x) = {self.alpha}*x, beta(x) = {self.beta}*x, phi = {phi_s}"
-
-
-# Not in CORPUS, so `feq list` leaves it out.
-_MIXED = Equation.parse("mixed", "f(x+y) - f(x) - f(y) = g(x*y) - x*g(y) - y*g(x)")
 
 
 def char_decompose(f: FnLike, g: FnLike, carrier: FiniteCarrier) -> Decomposition:

@@ -648,18 +648,6 @@ class FiniteCarrier:
     def units(self) -> List[int]:
         return [a for a in range(self.modulus) if math.gcd(a, self.modulus) == 1]
 
-    def contains(self, a: int) -> bool:
-        return 0 <= a < self.modulus
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.modulus
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.modulus
 

@@ -1,44 +1,46 @@
-"""Two-variable functional equations over finite carriers.
+"""Functional equations over finite carriers.
 
-Equations are small expression trees in x, y, named one-argument functions,
-and optional parameters.  A check runs one bound table through every
-admissible argument pair; a solve lists every table assignment that passes.
+Equations are small expression trees in declared variables (x and y
+unless an equation names others, such as x, y, z), named functions of one
+or two arguments, and optional parameters.  A check runs bound tables
+through every admissible tuple of variable values; a solve lists every
+table assignment that passes.  Two-argument unknowns are check-only: the
+cocycle module binds them, and no solve takes them.
 
 A solve takes one of two paths.  On a prime modulus with no unknown inside
 a divisor, both sides are compiled as affine forms in the table entries;
 if they stay affine (no product of two entries, no power of one above the
-first, no entry inside a function argument), each pair gives one linear
+first, no entry inside a function argument), each tuple gives one linear
 equation mod p and the solutions are the kernel of that system, found by
 elimination (Aczel & Dhombres, Functional Equations in Several Variables,
 ch. 1-2).  Everything else -- nonlinear equations, unknowns in divisors,
 composite moduli -- goes to a backtracking search that fills tables one
 entry at a time and prunes a partial assignment as soon as any fully
-determined pair fails.  The search is also the oracle the elimination is
+determined tuple fails.  The search is also the oracle the elimination is
 tested against: both give the same solutions in the same order.  The budget
 (`default_budget`) bounds the work either path would do: the number of
 solutions elimination is to list, or the table entries the search places.
 
-Division is pointwise: a pair whose divisor is not invertible (or, on an
+Division is pointwise: a tuple whose divisor is not invertible (or, on an
 integer window, does not divide exactly) is skipped and counted.  A division
 by a constant that is not invertible anywhere rejects the carrier up front.
-On a window, a pair is admissible only while every function argument stays
+On a window, a tuple is admissible only while every function argument stays
 inside the window.
 
-`feq_check` and the search run each side as generated Python: a flat
-function `side(x, y)` with one assignment per node, in post-order with the
-left operand first, so a side of any length compiles and nothing recurses
-(`_Side`).  Sums, differences, products, negations and non-negative powers
-are inlined, reduced modulo the carrier; a table read is a call of the
+Checks and the search run each side as generated Python (`_Side`): a flat
+function with one argument per variable and one assignment per node, in
+post-order with the left operand first, so nothing recurses.  Sums,
+differences, products, negations and non-negative powers are inlined,
+reduced modulo the carrier; a table read, T(a) or T((a, b)), calls the
 bound table, behind the window test on a window.  Constant subtrees,
 parameters included, are folded when a side is bound, and a constant
-divisor on a finite carrier becomes a product with its inverse.  Every
-other division and every negative power calls `_Carrier`, which alone
-decides when a pair is skipped.  The code of both sides is compiled once
-per carrier modulus or window and kept on the `Equation` (`Equation.code`);
-each check, search or dependency probe binds it to its own tables and
-parameters.  No user text reaches the generated source: functions and
-constants are numbered slots.  Elimination compiles each side once with
-`parser.compiled`, as affine forms.  No pair visits the expression tree.
+divisor on a finite carrier becomes a product with its inverse; other
+divisions and negative powers call `_Carrier`, which alone decides when a
+tuple is skipped.  The code is compiled once per equation and carrier
+modulus or window (`Equation.code`), after its constant divisors are
+examined, and each check, search or probe binds it to its tables and
+parameters.  No user text reaches the source: variables, functions and
+constants are numbered slots.  Elimination runs `parser.compiled` sides.
 """
 from __future__ import annotations
 
@@ -141,7 +143,8 @@ class Equation:
     params: Tuple[str, ...] = ()
     min_size: int = 0
     note: str = ""
-    # The generated code of both sides, per carrier key (see `_sides`).  It
+    variables: Tuple[str, ...] = ("x", "y")
+    # The generated code of both sides, per carrier key (see `_code`).  It
     # is not part of the equation's value, and it is not keyed on the
     # trees: hashing a tree recurses once per level.
     code: Dict[tuple, Tuple["_Side", "_Side"]] = field(
@@ -155,16 +158,21 @@ class Equation:
         params: Sequence[str] = (),
         min_size: int = 0,
         note: str = "",
+        variables: Sequence[str] = ("x", "y"),
     ) -> "Equation":
         lhs, rhs = parse_equation(source)
         found = [node for side in (lhs, rhs) for node in nodes(side)]
-        functions = sorted({n.func for n in found if isinstance(n, Apply)})
-        free = {n.name for n in found if isinstance(n, Sym)} - {"x", "y"} - set(params)
+        arities = {(n.func, len(n.args)) for n in found if isinstance(n, Apply)}
+        functions = sorted({f for f, _ in arities})
+        if len(functions) < len(arities):
+            raise FeqError(f"equation {name!r} applies a function to one and to two arguments")
+        free = {n.name for n in found if isinstance(n, Sym)} - set(variables) - set(params)
         if free:
             raise UnboundSymbolError(
                 f"equation {name!r} has undeclared symbols {sorted(free)}"
             )
-        return cls(name, source, lhs, rhs, tuple(functions), tuple(params), min_size, note)
+        return cls(name, source, lhs, rhs, tuple(functions), tuple(params), min_size, note,
+                   tuple(variables))
 
     def describe(self) -> str:
         extra = f"  [params: {', '.join(self.params)}]" if self.params else ""
@@ -237,25 +245,27 @@ def _arity(node) -> int:
     return 2 if isinstance(node, Bin) else 1
 
 
-def _always_skip(x: int, y: int) -> int:
+def _always_skip(*args: int) -> int:
     raise _Skip
 
 
 class _Side:
     """One side of an equation, generated as Python source for one carrier
-    and compiled once: `side(x, y)` assigns one local per node, in
-    post-order with the left operand first.  The source names no user
-    text: table i of the equation's functions is the global T<i>, and each
-    maximal subtree without x, y or a function call is the global k<i>,
-    folded by `bind` (as the inverse of its value where it divides on a
-    finite carrier)."""
+    and compiled once: `side(a0, a1, ...)` takes one argument per variable
+    and assigns one local per node, in post-order with the left operand
+    first.  No user text is named: variable i is a<i>, function i the table
+    T<i>, read as T<i>(a) or T<i>((a, b)), and each maximal subtree without
+    a variable or a function call the global k<i>, folded by `bind` (as the
+    inverse of its value where it divides on a finite carrier)."""
 
-    __slots__ = ("code", "constants")
+    __slots__ = ("code", "constants", "binary")
 
-    def __init__(self, side, functions: Sequence[str], carrier: Carrier):
+    def __init__(self, side, functions: Sequence[str], carrier: Carrier,
+                 variables: Sequence[str] = ("x", "y")):
         m = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
         window = None if m else carrier
         self.constants: List[Tuple[object, bool]] = []  # (subtree, invert)
+        self.binary = False  # whether it reads a two-argument function
         lines: List[str] = []
         # A stack entry is the name of a value the code holds, or a
         # constant subtree not yet given a name.
@@ -267,6 +277,7 @@ class _Side:
             self.constants.append((entry, invert))
             return f"k{len(self.constants) - 1}"
 
+        slots = [f"a{i}" for i in range(len(variables))]
         registers = itertools.count()
 
         def assign(expr: str) -> None:
@@ -276,15 +287,19 @@ class _Side:
         # `nodes` yields a node, its right subtree, then its left subtree,
         # so the reverse is a post-order that takes the left operand first.
         for node in reversed(list(nodes(side))):
-            if isinstance(node, Num) or (isinstance(node, Sym) and node.name not in ("x", "y")):
+            if isinstance(node, Num) or (isinstance(node, Sym) and node.name not in variables):
                 stack.append(node)
             elif isinstance(node, Sym):
-                stack.append(node.name)
+                stack.append(f"a{variables.index(node.name)}")
             elif isinstance(node, Apply):
-                a = name(stack.pop())
-                if window is not None:
-                    lines.append(f"if not {window.lo} <= {a} <= {window.hi}: raise SKIP")
-                assign(f"T{functions.index(node.func)}({a})")
+                args = [name(entry) for entry in stack[-len(node.args):]]
+                del stack[-len(node.args):]
+                if window is not None:  # a variable's value lies in the window
+                    lines += [f"if not {window.lo} <= {a} <= {window.hi}: raise SKIP"
+                              for a in args if a not in slots]
+                self.binary |= len(args) == 2
+                key = args[0] if len(args) == 1 else f"({', '.join(args)})"
+                assign(f"T{functions.index(node.func)}({key})")
             elif not any(isinstance(e, str) for e in stack[-_arity(node):]):
                 del stack[-_arity(node):]  # every operand is constant, so the node is too
                 stack.append(node)
@@ -308,13 +323,13 @@ class _Side:
             else:
                 raise TypeError(f"not an expression node: {node!r}")
         lines.append(f"return {name(stack.pop())}")
-        source = "def side(x, y):\n" + "".join(f"    {line}\n" for line in lines)
+        source = f"def side({', '.join(slots)}):\n" + "".join(f"    {line}\n" for line in lines)
         module = compile(source, "<feq side>", "exec")
         self.code = next(c for c in module.co_consts if isinstance(c, types.CodeType))
 
     def bind(self, algebra: _Carrier, tables: Sequence[Callable[[int], int]]):
-        """The side as a function of (x, y) reading `tables`; a side with a
-        constant that is inadmissible skips every pair."""
+        """The side as a function of the variables reading `tables`; a side
+        with a constant that is inadmissible skips every tuple."""
         env = {"pow": pow, "POW": algebra.pow, "BIN": algebra.bin, "SKIP": _Skip}
         env.update((f"T{i}", t) for i, t in enumerate(tables))
         try:
@@ -326,27 +341,44 @@ class _Side:
         return types.FunctionType(self.code, env)
 
 
-def _sides(eq: "Equation", carrier: Carrier, tables: Dict[str, Callable[[int], int]],
-           params: Dict[str, int]):
-    """Both sides of `eq` as functions of (x, y) on `carrier`, reading the
-    table bound to each function name.  The code is generated on the first
-    use of a modulus or window and kept in `eq.code`."""
+def _code(eq: "Equation", carrier: Carrier) -> Tuple[_Side, _Side]:
+    """The code of both sides of `eq` on `carrier`, made on the first use of
+    a modulus or window and kept in `eq.code`.  A constant divisor never
+    invertible there refuses the carrier, on every use, as nothing is kept."""
     if isinstance(carrier, FiniteCarrier):
         key = ("mod", carrier.modulus)
     else:
         key = ("window", carrier.lo, carrier.hi)
     if key not in eq.code:
-        eq.code[key] = tuple(_Side(side, eq.functions, carrier) for side in (eq.lhs, eq.rhs))
+        for side in (eq.lhs, eq.rhs):
+            _reject_constant_divisors(side, carrier)
+        eq.code[key] = tuple(_Side(side, eq.functions, carrier, eq.variables)
+                             for side in (eq.lhs, eq.rhs))
+    return eq.code[key]
+
+
+def _table_code(eq: "Equation", carrier: Carrier) -> Tuple[_Side, _Side]:
+    """`_code` for the checks and solves that bind one-argument `FnTable`s."""
+    code = _code(eq, carrier)
+    if any(side.binary for side in code):
+        raise FeqError(f"equation {eq.name!r} has a two-argument unknown, which is check-only")
+    return code
+
+
+def _sides(eq: "Equation", carrier: Carrier, tables: Dict[str, Callable[[int], int]],
+           params: Dict[str, int]):
+    """Both sides of `eq` as functions of its variables on `carrier`,
+    reading the table bound to each function name (see `_code`)."""
     algebra = _Carrier(carrier, params)
     bound = [tables[f] for f in eq.functions]
-    return tuple(side.bind(algebra, bound) for side in eq.code[key])
+    return tuple(side.bind(algebra, bound) for side in _code(eq, carrier))
 
 
 @dataclass(frozen=True)
 class CheckReport:
     equation: str
     status: str  # 'pass' or 'fail'
-    witness: Optional[Tuple[int, int]]
+    witness: Optional[Tuple[int, ...]]
     lhs: Optional[int]
     rhs: Optional[int]
     checked: int
@@ -373,9 +405,10 @@ def feq_check(
     sample: int = 0,
     seed: int = 0,
 ) -> CheckReport:
-    """Run one set of tables through the equation on every admissible pair.
+    """Run one set of tables through the equation on every admissible tuple
+    of its variables' values.
 
-    The witness of a failure is the first offending pair in the carrier's
+    The witness of a failure is the first offending tuple in the carrier's
     canonical enumeration order."""
     params = dict(params or {})
     missing = [f for f in eq.functions if f not in bindings]
@@ -388,30 +421,30 @@ def feq_check(
     if len(carriers) != 1:
         raise FeqError("all bound tables must share one carrier")
     carrier = next(iter(carriers))
-    for side in (eq.lhs, eq.rhs):
-        _reject_constant_divisors(side, carrier)
+    _table_code(eq, carrier)
     if isinstance(carrier, FiniteCarrier):
         params = {k: v % carrier.modulus for k, v in params.items()}
     lhs_fn, rhs_fn = _sides(
         eq, carrier, {name: t.values.__getitem__ for name, t in bindings.items()}, params)
     elems = list(carrier.elements())
-    pairs: Iterable[Tuple[int, int]] = itertools.product(elems, repeat=2)
+    arity = len(eq.variables)
+    tuples: Iterable[tuple] = itertools.product(elems, repeat=arity)
     if mode == "sampled":
         if sample <= 0:
             raise FeqError("sampled mode needs a positive sample size")
         rng = random.Random(seed)
-        pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(sample)]
+        tuples = [tuple(rng.choice(elems) for _ in range(arity)) for _ in range(sample)]
     elif mode != "exhaustive":
         raise FeqError(f"unknown mode {mode!r}")
-    witness, lhs, rhs, checked, skipped = _check_tuples(lhs_fn, rhs_fn, pairs)
+    witness, lhs, rhs, checked, skipped = _check_tuples(lhs_fn, rhs_fn, tuples)
     return CheckReport(eq.name, "pass" if witness is None else "fail",
                        witness, lhs, rhs, checked, skipped)
 
 
-def _check_tuples(lhs_fn, rhs_fn, tuples: Iterable[tuple], modulus: int = 0):
+def _check_tuples(lhs_fn, rhs_fn, tuples: Iterable[tuple]):
     """(witness, lhs, rhs, checked, skipped): the first tuple whose sides
-    differ, modulo `modulus` if nonzero, or None three times.  A tuple on
-    which a side raises _Skip or KeyError is skipped and counted."""
+    differ, or None three times.  A tuple on which a side raises _Skip or
+    KeyError is skipped and counted."""
     checked = skipped = 0
     for tup in tuples:
         try:
@@ -421,9 +454,6 @@ def _check_tuples(lhs_fn, rhs_fn, tuples: Iterable[tuple], modulus: int = 0):
             skipped += 1
             continue
         checked += 1
-        if modulus:
-            lhs %= modulus
-            rhs %= modulus
         if lhs != rhs:
             return tup, lhs, rhs, checked, skipped
     return None, None, None, checked, skipped
@@ -483,8 +513,7 @@ def feq_solve_brute(
         budget = default_budget()
     if eq.min_size and carrier.modulus < eq.min_size:
         return SolveReport(eq.name, carrier, unknowns, "skipped", (), 0, eq.note)
-    for side in (eq.lhs, eq.rhs):
-        _reject_constant_divisors(side, carrier)
+    _table_code(eq, carrier)
 
     found = None
     if _is_prime(carrier.modulus) and not any(_value_dependent(s) for s in (eq.lhs, eq.rhs)):
@@ -570,10 +599,12 @@ class _Affine(_Carrier):
             form[s] = (form.get(s, 0) + sign * c) % m
         return _normal(form)
 
-    def apply(self, func: str, a):
-        if type(a) is not int:
+    def apply(self, func: str, *args):
+        if len(args) != 1:
+            raise FeqError(f"{func!r} takes {len(args)} arguments; the solver's take one")
+        if type(args[0]) is not int:
             raise _Nonlinear
-        return {self.slot_index[(func, a)]: 1}
+        return {self.slot_index[(func, args[0])]: 1}
 
 
 def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
@@ -589,19 +620,18 @@ def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     m = carrier.modulus
     slots = [(f, e) for e in range(m) for f in unknowns]
     algebra = _Affine(carrier, {fe: i for i, fe in enumerate(slots)}, params)
-    lhs_fn, rhs_fn = (compiled(side, algebra, ("x", "y")) for side in (eq.lhs, eq.rhs))
+    lhs_fn, rhs_fn = (compiled(side, algebra, eq.variables) for side in (eq.lhs, eq.rhs))
     pivots: Dict[int, Dict[int, int]] = {}  # pivot slot -> the rest of its row
     consistent = True
     skipped_pairs = 0
-    for a in range(m):
-        for b in range(m):
-            try:
-                row = algebra.bin("-", lhs_fn(a, b), rhs_fn(a, b))
-            except _Skip:
-                skipped_pairs += 1
-                continue
-            if consistent:
-                consistent = _add_row(pivots, row, m)
+    for tup in itertools.product(range(m), repeat=len(eq.variables)):
+        try:
+            row = algebra.bin("-", lhs_fn(*tup), rhs_fn(*tup))
+        except _Skip:
+            skipped_pairs += 1
+            continue
+        if consistent:
+            consistent = _add_row(pivots, row, m)
     if not consistent:
         return (), skipped_pairs
     free = [s for s in range(len(slots)) if s not in pivots]
@@ -652,12 +682,12 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
                params: Dict[str, int], budget: int) -> Tuple[Solutions, int]:
     """Solutions and skipped pairs by backtracking search.
 
-    Tables are filled one slot at a time, and each argument pair is checked
-    the moment the last entry it reads is placed; a violated pair prunes
-    the whole subtree.  With an unknown inside a divisor, admissibility
-    depends on table values, and with one inside a function argument, so
-    do the entries a pair reads; then every pair is rechecked at every
-    node.
+    Tables are filled one slot at a time, and each argument tuple is
+    checked the moment the last entry it reads is placed; a violated tuple
+    prunes the whole subtree.  With an unknown inside a divisor,
+    admissibility depends on table values, and with one inside a function
+    argument, so do the entries a tuple reads; then every tuple is
+    rechecked at every node.
     BudgetError once more than `budget` table entries have been placed."""
     m = carrier.modulus
     elems = list(carrier.elements())
@@ -671,50 +701,36 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     # are known up front.
     dynamic = any(_value_dependent(side) for side in (eq.lhs, eq.rhs))
     skipped_pairs = 0
-    pairs_at: List[List[Tuple[int, int]]] = [[] for _ in range(len(slots))]
-    pending: List[Tuple[int, int]] = []
+    every = list(itertools.product(elems, repeat=len(eq.variables)))
+    tuples_at: List[List[tuple]] = [[] for _ in range(len(slots))]
+    pending: List[tuple] = every if dynamic else []
     if not dynamic:
-        # The probe's tables record every entry a pair reads and return 0.
+        # The probe's tables record every entry a tuple reads and return 0.
         points: set = set()
         recorders = {f: (lambda x, f=f: points.add((f, x)) or 0) for f in unknowns}
         probe_lhs, probe_rhs = _sides(eq, carrier, recorders, params)
-        for a in elems:
-            for b in elems:
-                points.clear()
-                try:
-                    probe_lhs(a, b)
-                    probe_rhs(a, b)
-                except _Skip:
-                    skipped_pairs += 1
-                    continue
-                if points:
-                    last = max(slot_index[pt] for pt in points)
-                    pairs_at[last].append((a, b))
-                else:
-                    pending.append((a, b))
+        for tup in every:
+            points.clear()
+            try:
+                probe_lhs(*tup)
+                probe_rhs(*tup)
+            except _Skip:
+                skipped_pairs += 1
+                continue
+            if points:
+                tuples_at[max(slot_index[pt] for pt in points)].append(tup)
+            else:
+                pending.append(tup)
         if _check_tuples(lhs_fn, rhs_fn, pending)[0] is not None:
             return (), skipped_pairs
-    else:
-        pending = [(a, b) for a in elems for b in elems]
 
     solutions: List[Tuple[FnTable, ...]] = []
     placed = visited = 0
 
-    def check_pairs(pairs: Sequence[Tuple[int, int]]) -> bool:
-        for a, b in pairs:
-            try:
-                if lhs_fn(a, b) != rhs_fn(a, b):
-                    return False
-            except _INADMISSIBLE:
-                continue
-        return True
-
     def assign(k: int) -> None:
         nonlocal placed, visited
         visited += 1
-        if k == len(slots):
-            if dynamic and not check_pairs(pending):
-                return
+        if k == len(slots):  # the last placement checked every tuple that reads it
             solutions.append(tuple(FnTable(carrier, dict(partial[f])) for f in unknowns))
             return
         f, e = slots[k]
@@ -723,7 +739,13 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
             if placed > budget:
                 raise _work_exceeded(placed, visited, budget)
             partial[f][e] = v
-            if check_pairs(pending if dynamic else pairs_at[k]):
+            for tup in pending if dynamic else tuples_at[k]:
+                try:
+                    if lhs_fn(*tup) != rhs_fn(*tup):
+                        break
+                except _INADMISSIBLE:
+                    pass
+            else:
                 assign(k + 1)
         del partial[f][e]
 
@@ -740,11 +762,12 @@ def _work_exceeded(placed: int, visited: int, budget: int) -> BudgetError:
 
 def _value_dependent(side) -> bool:
     """True when a divisor, a negative-power base or a function argument
-    contains a function call, so which pairs are admissible, or which table
-    entries a pair reads, depends on table values, not only on (x, y)."""
+    contains a function call, so which tuples are admissible, or which
+    table entries a tuple reads, depends on table values, not only on the
+    variables."""
     inner = [n.right for n in nodes(side) if isinstance(n, Bin) and n.op == "/"]
     inner += [n.base for n in nodes(side) if isinstance(n, Pow) and n.exponent < 0]
-    inner += [n.arg for n in nodes(side) if isinstance(n, Apply)]
+    inner += [a for n in nodes(side) if isinstance(n, Apply) for a in n.args]
     return any(isinstance(n, Apply) for d in inner for n in nodes(d))
 
 

@@ -4,13 +4,13 @@
     term   := unary (("*" | "/") unary)*
     unary  := "-" unary | power
     power  := atom ("^" integer)?
-    atom   := integer | symbol | symbol "(" expr ")" | "(" expr ")"
+    atom   := integer | symbol | symbol "(" expr ["," expr] ")" | "(" expr ")"
 
 Precedence from tightest to loosest: ^, unary minus, * and /, + and -.
 Exponents are integer literals (optionally negative).  Errors carry
 1-based line and column positions.  The descent recurses once per group
-and per unary minus; beyond MAX_NESTING of them it raises NestingError, so
-parsing never runs out of interpreter stack.
+and argument list and per unary minus; beyond MAX_NESTING of them it raises
+NestingError, so parsing never runs out of interpreter stack.
 
 A tree is evaluated by folding it: `fold(node, algebra)` computes the
 nodes in post-order, left operand first, from an explicit stack, so no
@@ -22,9 +22,10 @@ value from its operands' values:
     neg(a)           -a
     pow(a, e)        a^e for the integer literal e
     bin(op, a, b)    a op b for op in "+", "-", "*", "/"
-    apply(func, a)   func(a)
+    apply(func, *a)  func(a) or func(a, b)
 
-An algebra rejects what it cannot evaluate by raising its own error.
+An algebra rejects what it cannot evaluate by raising its own error; an
+algebra whose functions take one argument refuses a call with more.
 `compiled(node, algebra, variables)` turns a tree once into a function of
 the named variables that folds it without visiting the tree again; a
 symbol that names a variable takes the argument's value.  `fold` is that
@@ -95,7 +96,7 @@ class Bin:
 @dataclass(frozen=True)
 class Apply:
     func: str
-    arg: "Expr"
+    args: Tuple["Expr", ...]
 
 
 Expr = Union[Num, Sym, Neg, Pow, Bin, Apply]
@@ -141,7 +142,7 @@ def _tokenize(source: str) -> List[_Token]:
                 col += 1
             tokens.append(_Token("name", source[start:i], line, start_col))
             continue
-        if ch in "+-*/^()":
+        if ch in "+-*/^(),":
             tokens.append(_Token(ch, ch, line, col))
             i += 1
             col += 1
@@ -198,8 +199,8 @@ class _Parser:
             node = Bin(op, node, self.unary())
         return node
 
-    def nested(self, parse: Callable[[], Expr], tok: _Token) -> Expr:
-        """parse() one level deeper inside the group or sign at tok."""
+    def nested(self, parse: Callable[[], object], tok: _Token):
+        """parse() one level deeper inside the bracket or sign at tok."""
         if self.depth == MAX_NESTING:
             raise NestingError(tok.line, tok.column)
         self.depth += 1
@@ -234,6 +235,14 @@ class _Parser:
         self.expect(")")
         return node
 
+    def arguments(self) -> Tuple[Expr, ...]:
+        args = [self.expr()]
+        if self.peek().kind == ",":
+            self.advance()
+            args.append(self.expr())
+        self.expect(")")
+        return tuple(args)
+
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "number":
@@ -242,8 +251,7 @@ class _Parser:
         if tok.kind == "name":
             self.advance()
             if self.peek().kind == "(":
-                arg = self.nested(self.group, self.advance())
-                return Apply(tok.text, arg)
+                return Apply(tok.text, self.nested(self.arguments, self.advance()))
             return Sym(tok.text)
         if tok.kind == "(":
             return self.nested(self.group, self.advance())
@@ -283,7 +291,7 @@ def nodes(node: Expr) -> Iterator[Expr]:
         elif isinstance(node, Pow):
             todo.append(node.base)
         elif isinstance(node, Apply):
-            todo.append(node.arg)
+            todo += node.args
 
 
 class Arithmetic:
@@ -316,7 +324,7 @@ class Arithmetic:
             raise self.error("division by zero in expression")
         return _ARITH[op](a, b)
 
-    def apply(self, func: str, a):
+    def apply(self, func: str, *args):
         raise self.error(f"function {func!r} is not allowed here")
 
 
@@ -352,6 +360,8 @@ def compiled(node: Expr, algebra, variables: Sequence[str] = ()) -> Callable:
         elif isinstance(node, Pow):
             fn, a = functools.partial(algebra.pow, e=node.exponent), stack.pop()
         elif isinstance(node, Apply):
+            if len(node.args) == 2:
+                b = stack.pop()
             fn, a = functools.partial(algebra.apply, node.func), stack.pop()
         else:
             raise TypeError(f"not an expression node: {node!r}")
@@ -399,7 +409,7 @@ def to_text(node: Expr) -> str:
     if isinstance(node, Sym):
         return node.name
     if isinstance(node, Apply):
-        return f"{node.func}({to_text(node.arg)})"
+        return f"{node.func}({', '.join(map(to_text, node.args))})"
     if isinstance(node, Neg):
         inner = to_text(node.operand)
         if _precedence(node.operand) < _PREC_NEG:

@@ -175,13 +175,13 @@ def fn_from_spec(spec: str, carrier: Carrier) -> FnTable:
     return FnTable.from_callable(carrier, _carrier_function(ast, carrier, ("x",), "f"))
 
 
-def fn2_from_expr(text: str, carrier: Carrier) -> Callable[[int, int], int]:
-    """Two-argument map from an expression in a and b."""
+def fn2_from_expr(text: str, carrier: Carrier, name: str = "F") -> Callable[[int, int], int]:
+    """Two-argument map from an expression in a and b, named `name` in errors."""
     try:
         ast = parse_expr(text)
     except DercalcSyntaxError as exc:
         raise SessionError(f"bad expression {text!r}: {exc}") from None
-    return _carrier_function(ast, carrier, ("a", "b"), "F")
+    return _carrier_function(ast, carrier, ("a", "b"), name)
 
 
 def adjoin_generator(tower: FieldTower, name: str, kind: str, poly: str) -> FieldTower:
@@ -215,11 +215,11 @@ def build_derivation(
         if not text:
             continue
         lhs, rhs = parse_equation(text)
-        if not (isinstance(lhs, Apply) and isinstance(lhs.arg, Sym)
+        if not (isinstance(lhs, Apply) and len(lhs.args) == 1 and isinstance(lhs.args[0], Sym)
                 and (name is None or lhs.func == name)):
             raise SessionError(f"expected '{name or 'name'}(generator) = expression', got {text!r}")
         name = lhs.func
-        values[lhs.arg.name] = element_eval(tower, rhs, derivations)
+        values[lhs.args[0].name] = element_eval(tower, rhs, derivations)
     if name is None:
         raise SessionError("empty derivation spec")
     return name, derivation_define(tower, values)

@@ -688,8 +688,10 @@ class _Elements(Arithmetic):
             raise DivisionByZeroElementError("division by an element that reduces to zero")
         return super().bin(op, a, b)
 
-    def apply(self, func: str, a: TowerElement) -> TowerElement:
+    def apply(self, func: str, *args: TowerElement) -> TowerElement:
         fn = self.derivations.get(func)
         if fn is None:
             raise UnknownSymbolError(f"unknown function {func!r}")
-        return fn(a)
+        if len(args) != 1:
+            raise TowerError(f"{func!r} takes one argument, got {len(args)}")
+        return fn(*args)

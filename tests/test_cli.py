@@ -343,6 +343,43 @@ def test_cocycle_ld_check(cli):
     ]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cocycle", "ld-check", "--D", "a/2", "--carrier", "zmod:4"],
+     "D(1,0): value 1/2 is not defined modulo 4"),
+    (["cocycle", "extend", "--F", "0", "--G", "a/2", "--window=-3:3"],
+     "G(1,1): value 1/2 is not an integer"),
+    (["cocycle", "extend", "--F", "a/2", "--window=-3:3"],
+     "F(1,1): value 1/2 is not an integer"),
+    (["cocycle", "verify", "--F", "a/2", "--carrier", "zmod:4"],
+     "F(1,0): value 1/2 is not defined modulo 4"),
+])
+def test_an_undefined_value_names_its_map(cli, argv, message):
+    code, out, err = cli(*argv)
+    assert code == 2
+    assert err == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["der", "eval", "--tower", QT, "--der", D1, "--expr", "d(t, t)"],
+     "'d' takes one argument, got 2"),
+    (["der", "eval", "--tower", QT, "--der", D1, "--expr", "d(t,)"],
+     "expected an expression, found ')' (line 1, column 5)"),
+    (["der", "eval", "--tower", QT, "--der", D1, "--expr", "(t, t)"],
+     "expected ')', found ',' (line 1, column 3)"),
+    (["feq", "check", "--eq", "cauchy-add", "--f", "f(x, x)", "--carrier", "gf:5"],
+     "function 'f' is not allowed here"),
+    (["cocycle", "verify", "--F", "F(a, b)", "--carrier", "gf:5"],
+     "function 'F' is not allowed here"),
+    (["hod", "residual", "--n", "2", "--binomial", "--vars", "x,y", "--k", "1",
+      "--p", "g(x, y)", "--q", "x"],
+     "function applications are not polynomials"),
+])
+def test_two_argument_applications_are_usage_errors(cli, argv, message):
+    code, out, err = cli(*argv)
+    assert (code, out) == (2, [])
+    assert err == [f"error: {message}"]
+
+
 # -- char ----------------------------------------------------------------
 
 
@@ -486,10 +523,10 @@ def test_feq_check_failure_with_witness(cli):
 
 
 def test_feq_check_even_modulus_divisor_is_usage_error(cli):
-    code, _, err = cli("feq", "check", "--eq", "jensen", "--f", "zero",
-                       "--carrier", "zmod:4")
-    assert code == 2
-    assert err == ["error: constant divisor 2 is not invertible modulo 4"]
+    for argv in (("check", "--f", "zero"), ("check", "--f", "x"), ("solve",)):
+        code, _, err = cli("feq", argv[0], "--eq", "jensen", *argv[1:], "--carrier", "zmod:4")
+        assert code == 2
+        assert err == ["error: constant divisor 2 is not invertible modulo 4"]
 
 
 @pytest.mark.parametrize("params, message", [

@@ -1,6 +1,8 @@
 """Brute-force functional equation checking and solving on finite carriers."""
 
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,7 @@ from dercalc.feq import (
     _sides,
 )
 from dercalc import feq
-from dercalc.parser import Apply, Bin, Neg, Num, Pow, Sym, compiled, nodes
+from dercalc.parser import Apply, Bin, DercalcSyntaxError, Neg, Num, Pow, Sym, compiled, nodes
 
 
 def window_parity(lo=-10, hi=10):
@@ -164,8 +166,78 @@ def test_jensen_rejected_on_even_carriers():
     assert "constant divisor 2 is not invertible modulo 4" in str(err.value)
     with pytest.raises(CarrierUnsupportedError):
         feq_solve_brute(eq, ["f"], gf(2))
-    with pytest.raises(CarrierUnsupportedError):
-        feq_check(eq, {"f": FnTable.zero(zmod(4))})
+    for _ in range(2):  # a refused carrier keeps no code, so it is refused again
+        with pytest.raises(CarrierUnsupportedError):
+            feq_check(eq, {"f": FnTable.zero(zmod(4))})
+
+
+def test_constant_divisors_are_examined_once_per_equation_and_carrier(monkeypatch):
+    calls = []
+    examine = feq._reject_constant_divisors
+    monkeypatch.setattr(feq, "_reject_constant_divisors",
+                        lambda side, carrier: calls.append(carrier) or examine(side, carrier))
+    eq = Equation.parse("jensen-twin", CORPUS["jensen"].source)
+    for _ in range(3):
+        assert feq_check(eq, {"f": FnTable.from_callable(gf(13), lambda x: 3 * x + 1)}).ok
+    assert feq_solve_brute(eq, ["f"], gf(13)).count == 169
+    assert calls == [gf(13)] * 2  # both sides, on the first check only
+    feq_check(eq, {"f": FnTable.zero(IntegerWindow(-3, 3))})
+    assert len(calls) == 4
+
+
+XYZ = ("x", "y", "z")
+
+
+def test_equations_declare_their_variables():
+    eq = Equation.parse("cauchy3", "f(x + y + z) = f(x) + f(y) + f(z)", variables=XYZ)
+    assert eq.variables == XYZ and CORPUS["cauchy-add"].variables == ("x", "y")
+    report = feq_check(eq, {"f": FnTable.from_callable(gf(5), lambda x: 2 * x)})
+    assert report.line() == "cauchy3: pass (125 pairs, 0 skipped)"
+    square = FnTable.from_callable(gf(5), lambda x: x * x)
+    report = feq_check(eq, {"f": square})
+    assert (report.witness, report.lhs, report.rhs) == ((0, 1, 1), 4, 2)
+    report = feq_check(eq, {"f": square}, mode="sampled", sample=7, seed=2)
+    assert (report.witness, report.checked) == ((2, 1, 2), 2)
+    rng = random.Random(2)
+    assert report.witness == tuple(rng.choice(range(5)) for _ in range(6))[3:]
+    # Elimination on GF(5) agrees with the search; on Z/4, where f(0) may
+    # be 2, the search lists the tables an exhaustive check passes.
+    assert (feq_solve_brute(eq, ["f"], gf(5)).solutions
+            == _backtrack(eq, ("f",), gf(5), {}, 10 ** 6)[0]
+            == feq_solve_brute(CORPUS["cauchy-add"], ["f"], gf(5)).solutions)
+    tables = [FnTable(zmod(4), dict(enumerate(v))) for v in itertools.product(range(4), repeat=4)]
+    assert (feq_solve_brute(eq, ["f"], zmod(4)).tables("f")
+            == [t for t in tables if feq_check(eq, {"f": t}).ok])
+    with pytest.raises(UnboundSymbolError, match=r"\['z'\]"):
+        Equation.parse("cauchy3", eq.source)
+
+
+def test_variable_and_function_names_stay_out_of_the_generated_source():
+    # Names that the generated code uses for its own globals and locals.
+    eq = Equation.parse("clash", "SKIP(pow + a1) = SKIP(pow) + SKIP(a1)",
+                        variables=("pow", "a1"))
+    for carrier in (gf(7), IntegerWindow(-3, 3)):
+        for fn in (lambda x: 3 * x, lambda x: x * x):
+            table = FnTable.from_callable(carrier, fn)
+            got = feq_check(eq, {"SKIP": table})
+            want = feq_check(CORPUS["cauchy-add"], {"f": table})
+            assert (got.status, got.witness, got.checked, got.skipped) == (
+                want.status, want.witness, want.checked, want.skipped)
+
+
+def test_two_argument_unknowns_are_check_only():
+    with pytest.raises(FeqError, match="applies a function to one and to two arguments"):
+        Equation.parse("mixed", "F(x) = F(x, y)")
+    with pytest.raises(DercalcSyntaxError, match="expected '\\)', found ','"):
+        Equation.parse("three", "g(x, y, x) = 0")
+    eq = Equation.parse("symmetric", "F(x, y) = F(y, x)")
+    with pytest.raises(FeqError, match="two-argument unknown"):
+        feq_check(eq, {"F": FnTable.zero(gf(3))})
+    with pytest.raises(FeqError, match="two-argument unknown"):
+        feq_solve_brute(eq, ["F"], gf(3))
+    # The sides themselves read pairs from any table they are given.
+    lhs, rhs = _sides(eq, gf(3), {"F": {(a, b): a for a in range(3) for b in range(3)}.get}, {})
+    assert (lhs(1, 2), rhs(1, 2)) == (1, 2)
 
 
 def test_jensen_full_solution_set_on_gf5():
@@ -499,7 +571,7 @@ side_trees = st.recursive(
     lambda children: st.one_of(
         children.map(Neg),
         st.tuples(children, st.integers(-2, 3)).map(lambda p: Pow(*p)),
-        st.tuples(st.sampled_from(["f", "g"]), children).map(lambda p: Apply(*p)),
+        st.tuples(st.sampled_from(["f", "g"]), children).map(lambda p: Apply(p[0], p[1:])),
         st.tuples(st.sampled_from("+-*/"), children, children).map(lambda p: Bin(*p)),
     ),
     max_leaves=14,
@@ -529,18 +601,22 @@ def test_generated_sides_match_the_interpreted_reference(lhs, rhs, carrier, data
         table = dict(zip(points, data.draw(st.lists(values, min_size=len(points),
                                                     max_size=len(points)))))
         partial[f] = {k: v for k, v in table.items() if k not in missing}.__getitem__
-    got = _sides(eq, carrier, partial, params)
+    bindings = {f: FnTable(carrier, {e: data.draw(values) for e in elems})
+                for f in eq.functions}
+    try:
+        got = _sides(eq, carrier, partial, params)
+    except CarrierUnsupportedError as exc:
+        # A carrier refused for a constant divisor gets no code, and every
+        # check refuses it with the same message.
+        with pytest.raises(CarrierUnsupportedError, match=re.escape(str(exc))):
+            feq_check(eq, bindings, params)
+        return
     want = interpreted_sides(eq, carrier, partial, params)
     for x, y in itertools.product(elems, repeat=2):
         for g, w in zip(got, want):
             assert outcome(g, x, y) == outcome(w, x, y)
 
-    bindings = {f: FnTable(carrier, {e: data.draw(values) for e in elems})
-                for f in eq.functions}
-    try:
-        report = feq_check(eq, bindings, params)
-    except CarrierUnsupportedError:
-        return
+    report = feq_check(eq, bindings, params)
     assert (report.witness, report.lhs, report.rhs, report.checked,
             report.skipped) == interpreted_report(eq, bindings, params)
 

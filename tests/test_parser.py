@@ -30,12 +30,13 @@ names = st.sampled_from(["x", "y", "t", "u", "f", "g", "phi", "a2"])
 numbers = st.integers(0, 99).map(lambda n: Num(Fraction(n)))
 
 
-def tree_strategy(names, exponents=st.integers(-4, 6), functions=True):
+def tree_strategy(names, exponents=st.integers(-4, 6), functions=True, max_args=2):
     def extend(children):
+        arguments = st.lists(children, min_size=1, max_size=max_args).map(tuple)
         shapes = [
             children.map(Neg),
             st.tuples(children, exponents).map(lambda p: Pow(*p)),
-            st.tuples(names, children).map(lambda p: Apply(*p)),
+            st.tuples(names, arguments).map(lambda p: Apply(*p)),
             st.tuples(st.sampled_from("+-*/"), children, children).map(
                 lambda p: Bin(*p)
             ),
@@ -48,6 +49,7 @@ def tree_strategy(names, exponents=st.integers(-4, 6), functions=True):
 
 
 trees = tree_strategy(names)
+unary_trees = tree_strategy(names, max_args=1)
 # Function-free trees in x and y, with exponents small enough that the exact
 # rational value of a nested power stays cheap.
 xy_trees = tree_strategy(st.sampled_from(["x", "y"]), st.integers(-2, 2), functions=False)
@@ -57,6 +59,36 @@ xy_trees = tree_strategy(st.sampled_from(["x", "y"]), st.integers(-2, 2), functi
 @settings(max_examples=500, deadline=None)
 def test_print_parse_round_trip(tree):
     assert parse_expr(to_text(tree)) == tree
+
+
+def old_text(node) -> str:
+    """A fully parenthesised rendering in the grammar before argument
+    lists, where a function took one argument and no comma existed."""
+    if isinstance(node, Apply):
+        (arg,) = node.args
+        return f"{node.func}({old_text(arg)})"
+    if isinstance(node, (Num, Sym)):
+        return to_text(node)
+    if isinstance(node, Neg):
+        inner = old_text(node.operand)
+        return f"-({inner})" if isinstance(node.operand, Bin) else f"-{inner}"
+    if isinstance(node, Pow):
+        base = old_text(node.base)
+        return f"{base}^{node.exponent}" if isinstance(node.base, (Num, Sym, Apply)) \
+            else f"({base})^{node.exponent}"
+    return f"({old_text(node.left)}) {node.op} ({old_text(node.right)})"
+
+
+@given(unary_trees)
+@settings(max_examples=300, deadline=None)
+def test_one_argument_trees_parse_as_before(tree):
+    # One-argument applications print without a comma, and both renderings
+    # parse back to one-argument applications.
+    text = to_text(tree)
+    assert "," not in text
+    assert parse_expr(text) == tree
+    assert parse_expr(old_text(tree)) == tree
+    assert all(len(n.args) == 1 for n in nodes(tree) if isinstance(n, Apply))
 
 
 @given(trees)
@@ -84,8 +116,29 @@ def test_negative_exponent_and_parenthesised_base():
 
 
 def test_function_application():
-    assert parse_expr("f(x + y)") == Apply("f", Bin("+", Sym("x"), Sym("y")))
-    assert parse_expr("f(g(x))") == Apply("f", Apply("g", Sym("x")))
+    assert parse_expr("f(x + y)") == Apply("f", (Bin("+", Sym("x"), Sym("y")),))
+    assert parse_expr("f(g(x))") == Apply("f", (Apply("g", (Sym("x"),)),))
+
+
+def test_argument_lists():
+    assert parse_expr("F(x + y, z)") == Apply(
+        "F", (Bin("+", Sym("x"), Sym("y")), Sym("z")))
+    assert to_text(parse_expr("F(x*y,  g(z))")) == "F(x * y, g(z))"
+
+
+@pytest.mark.parametrize("source, column, message", [
+    ("f()", 3, "expected an expression, found ')'"),
+    ("f(x,)", 5, "expected an expression, found ')'"),
+    ("f(x y)", 5, "expected ')', found 'y'"),
+    ("(x, y)", 3, "expected ')', found ','"),
+    ("f(x, y, z)", 7, "expected ')', found ','"),
+    ("x, y", 2, "unexpected trailing input ','"),
+])
+def test_malformed_argument_lists_report_a_position(source, column, message):
+    with pytest.raises(DercalcSyntaxError) as err:
+        parse_expr(source)
+    assert str(err.value) == f"{message} (line 1, column {column})"
+    assert (err.value.line, err.value.column) == (1, column)
 
 
 def test_double_negation():
@@ -94,7 +147,7 @@ def test_double_negation():
 
 def test_equation_split():
     lhs, rhs = parse_equation("f(x) = x^2")
-    assert lhs == Apply("f", Sym("x"))
+    assert lhs == Apply("f", (Sym("x"),))
     assert rhs == Pow(Sym("x"), 2)
 
 
@@ -209,7 +262,7 @@ class _Depth:
 def test_fold_and_nodes_take_trees_deeper_than_the_recursion_limit():
     tree = Sym("x")
     for i in range(20000):
-        tree = Neg(tree) if i % 2 else Apply("f", tree)
+        tree = Neg(tree) if i % 2 else Apply("f", (tree,))
     assert sum(1 for _ in nodes(tree)) == 20001
     depth = fold(tree, _Depth())
     assert depth == 20000
@@ -249,7 +302,8 @@ def test_compiled_carrier_side_agrees_with_exact_rationals(tree, p, data):
     assert got == exact.numerator * pow(exact.denominator, -1, p) % p
 
 
-@pytest.mark.parametrize("wrap", [lambda e: f"({e})", lambda e: f"-{e}", lambda e: f"d({e})"])
+@pytest.mark.parametrize("wrap", [lambda e: f"({e})", lambda e: f"-{e}", lambda e: f"d({e})",
+                                  lambda e: f"F(t, {e})"])
 def test_nesting_limit_is_exact_and_reports_position(wrap):
     source = "t"
     for _ in range(MAX_NESTING):

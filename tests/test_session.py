@@ -135,6 +135,18 @@ def test_errors_in_feq_and_cocycle_checks_carry_the_line_number(check, message):
         run_session_text(f"[check]\n{check}\n")
 
 
+@pytest.mark.parametrize("check, message", [
+    ("eval d(t, t)", "'d' takes one argument, got 2"),
+    ("feq cauchy-add f = f(x, x) on gf:5", "function 'f' is not allowed here"),
+    ("cocycle F = F(a, b) on gf:5", "function 'F' is not allowed here"),
+    ("cocycle F = a, b on gf:5", "unexpected trailing input ','"),
+])
+def test_two_argument_applications_in_checks_are_refused_with_the_line(check, message):
+    script = f"[tower]\nt : transcendental\n[derivation d]\nd(t) = 1\n[check]\n{check}\n"
+    with pytest.raises(SessionError, match=r"^line 6: .*" + re.escape(message)):
+        run_session_text(script)
+
+
 def test_feq_with_clause_binds_parameters():
     lines, code = run_session_text(
         "[check]\nfeq alien-c22 f = zero on gf:5 with lam=1 mu=1\n"
