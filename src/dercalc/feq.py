@@ -7,17 +7,18 @@ through every admissible tuple of variable values; a solve lists every
 table assignment that passes.  Two-argument unknowns are check-only: the
 cocycle module binds them, and no solve takes them.
 
-A solve takes one of two paths.  On a prime modulus with no unknown inside
-a divisor, both sides are compiled as affine forms in the table entries;
-if they stay affine (no product of two entries, no power of one above the
-first, no entry inside a function argument), each tuple gives one linear
-equation mod p and the solutions are the kernel of that system, found by
-elimination (Aczel & Dhombres, Functional Equations in Several Variables,
-ch. 1-2).  Everything else -- nonlinear equations, unknowns in divisors,
-composite moduli -- goes to a backtracking search that fills tables one
-entry at a time and prunes a partial assignment as soon as any fully
-determined tuple fails.  The search is also the oracle the elimination is
-tested against: both give the same solutions in the same order.  The budget
+A solve takes one of two paths, chosen by one walk of the trees
+(`_degree`).  On a prime modulus, when both sides have degree at most 1 in
+the table entries (no product of two reads, no power of one above the
+first, no read inside a divisor, a negative-power base or a function
+argument), each tuple gives one linear equation mod p and the solutions
+are the kernel of that system, found by elimination (Aczel & Dhombres,
+Functional Equations in Several Variables, ch. 1-2).  Everything else --
+nonlinear equations, unknowns in divisors, composite moduli -- goes to a
+backtracking search that fills tables one entry at a time and prunes a
+partial assignment as soon as any fully determined tuple fails.  The
+search is also the oracle the elimination is tested against: both give
+the same solutions in the same order.  The budget
 (`default_budget`) bounds the work either path would do: the number of
 solutions elimination is to list, or the table entries the search places.
 
@@ -38,12 +39,13 @@ divisor on a finite carrier becomes a product with its inverse; other
 divisions and negative powers call `_Carrier`, which alone decides when a
 tuple is skipped.  The code is compiled once per equation and carrier
 modulus or window (`Equation.code`), after its constant divisors are
-examined, and each check, search or probe binds it to its tables and
-parameters.  No user text reaches the source: variables, functions and
-constants are numbered slots.  Elimination runs `parser.compiled` sides.
+examined, and each check, search or elimination binds it to its tables
+and parameters.  No user text reaches the source: variables, functions and
+constants are numbered slots.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -54,7 +56,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import BudgetError, FiniteCarrier, IntegerWindow, _is_prime, gf
-from .parser import Apply, Arithmetic, Bin, Neg, Num, Pow, Sym, compiled, fold, nodes, parse_equation
+from .parser import Apply, Arithmetic, Bin, Neg, Num, Pow, Sym, fold, nodes, parse_equation
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
 
@@ -242,7 +244,7 @@ class _Carrier:
 
 
 def _arity(node) -> int:
-    return 2 if isinstance(node, Bin) else 1
+    return len(node.args) if isinstance(node, Apply) else 2 if isinstance(node, Bin) else 1
 
 
 def _always_skip(*args: int) -> int:
@@ -489,11 +491,10 @@ def feq_solve_brute(
     equation, in lexicographic order of the table values (slots ordered by
     carrier point, the unknowns interleaved at each point).
 
-    On a prime modulus with no unknown inside a divisor, both sides are
-    first compiled as affine forms in the table entries; when they stay
-    affine the solutions are the kernel of one linear system, solved by
-    elimination (`_eliminate`), and the budget bounds the number of
-    solutions to list.  Otherwise the backtracking search lists them
+    On a prime modulus, when both sides have degree at most 1 in the table
+    entries (`_degree`), the solutions are the kernel of one linear system,
+    solved by elimination (`_eliminate`), and the budget bounds the number
+    of solutions to list.  Otherwise the backtracking search lists them
     (`_backtrack`), and the budget bounds the table entries it places.
     Either way every solution is re-checked exhaustively before it is
     reported."""
@@ -515,13 +516,10 @@ def feq_solve_brute(
         return SolveReport(eq.name, carrier, unknowns, "skipped", (), 0, eq.note)
     _table_code(eq, carrier)
 
-    found = None
-    if _is_prime(carrier.modulus) and not any(_value_dependent(s) for s in (eq.lhs, eq.rhs)):
-        try:
-            found = _eliminate(eq, unknowns, carrier, params, budget)
-        except _Nonlinear:
-            pass
-    solutions, skipped_pairs = found or _backtrack(eq, unknowns, carrier, params, budget)
+    if _is_prime(carrier.modulus) and max(_degree(eq.lhs), _degree(eq.rhs)) <= 1:
+        solutions, skipped_pairs = _eliminate(eq, unknowns, carrier, params, budget)
+    else:
+        solutions, skipped_pairs = _backtrack(eq, unknowns, carrier, params, budget)
     for sol in solutions:
         check = feq_check(eq, dict(zip(unknowns, sol)), params)
         if not check.ok:
@@ -532,16 +530,12 @@ def feq_solve_brute(
 Solutions = Tuple[Tuple[FnTable, ...], ...]
 
 
-class _Nonlinear(Exception):
-    """Internal: a side is not affine in the unknown table entries."""
-
-
-_CONST = -1  # the key of an affine form's constant term; slots are >= 0
+_CONST = -1  # the key of a row's constant term; slots are >= 0
 
 
 def _normal(form: Dict[int, int]):
-    """An affine form without zero coefficients, or its constant when no
-    slot is left."""
+    """A row without zero coefficients, or its constant when no slot is
+    left."""
     if 0 in form.values():
         form = {s: c for s, c in form.items() if c}
     if len(form) > (_CONST in form):
@@ -549,94 +543,59 @@ def _normal(form: Dict[int, int]):
     return form.get(_CONST, 0)
 
 
-def _as_form(a) -> Dict[int, int]:
-    return a if type(a) is dict else {_CONST: a}
-
-
-class _Affine(_Carrier):
-    """Algebra of affine forms in the unknown table entries over a prime
-    field.  A value is an int constant or a dict {slot: coefficient} whose
-    key _CONST holds the constant term.  Constants compute as in _Carrier,
-    so a pair is skipped exactly where the search skips it; anything that
-    is not affine in the entries raises _Nonlinear."""
-
-    def __init__(self, carrier: FiniteCarrier, slot_index: Dict[Tuple[str, int], int],
-                 params: Dict[str, int]):
-        super().__init__(carrier, params)
-        self.slot_index = slot_index
-
-    def neg(self, a):
-        if type(a) is int:
-            return super().neg(a)
-        return {s: -c % self.modulus for s, c in a.items()}
-
-    def pow(self, a, e: int):
-        if type(a) is int:
-            return super().pow(a, e)
-        if e == 1:
-            return a
-        if e == 0:
-            return 1
-        raise _Nonlinear
-
-    def bin(self, op: str, a, b):
-        if type(a) is int and type(b) is int:
-            return super().bin(op, a, b)
-        m = self.modulus
-        if op == "/":
-            if type(b) is not int:
-                raise _Nonlinear
-            op, b = "*", super().bin("/", 1, b)
-        if op == "*":
-            if type(a) is not int:
-                if type(b) is not int:
-                    raise _Nonlinear
-                a, b = b, a
-            return {s: c * a % m for s, c in b.items()} if a else 0
-        form = dict(_as_form(a))
-        sign = 1 if op == "+" else -1
-        for s, c in _as_form(b).items():
-            form[s] = (form.get(s, 0) + sign * c) % m
-        return _normal(form)
-
-    def apply(self, func: str, *args):
-        if len(args) != 1:
-            raise FeqError(f"{func!r} takes {len(args)} arguments; the solver's take one")
-        if type(args[0]) is not int:
-            raise _Nonlinear
-        return {self.slot_index[(func, args[0])]: 1}
+def _probe(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
+           params: Dict[str, int]):
+    """(lhs, rhs, read): both sides of `eq` bound to zero tables that add
+    every entry (f, point) a call reads to the set `read`."""
+    read: set = set()
+    zeros = {f: (lambda x, f=f: read.add((f, x)) or 0) for f in unknowns}
+    return (*_sides(eq, carrier, zeros, params), read)
 
 
 def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
                params: Dict[str, int], budget: int) -> Tuple[Solutions, int]:
-    """Solutions and skipped pairs by elimination mod a prime; raises
-    _Nonlinear when a side is not affine in the table entries.
+    """Solutions and skipped pairs by elimination mod a prime, for sides of
+    degree at most 1 (`_degree`).
 
-    Each admissible pair adds the row lhs - rhs = 0.  The rows are kept in
-    reduced row-echelon form with the highest slot of a row as its pivot, so
-    a pivot entry is fixed by free entries at lower slots, and the first
+    Each admissible tuple adds the row lhs - rhs = 0, read off the sides'
+    code (`_probe`): its constant is lhs - rhs at the zero tables, and the
+    coefficient of each entry the tuple reads is the change in lhs - rhs
+    when that entry alone is set to 1.  The rows are kept in reduced
+    row-echelon form with the highest slot of a row as its pivot, so a
+    pivot entry is fixed by free entries at lower slots, and the first
     entry at which two solutions differ is free: listing the free entries
     in lexicographic order lists the solutions in lexicographic order."""
     m = carrier.modulus
     slots = [(f, e) for e in range(m) for f in unknowns]
-    algebra = _Affine(carrier, {fe: i for i, fe in enumerate(slots)}, params)
-    lhs_fn, rhs_fn = (compiled(side, algebra, eq.variables) for side in (eq.lhs, eq.rhs))
+    slot_index = {fe: i for i, fe in enumerate(slots)}
+    lhs_fn, rhs_fn, read = _probe(eq, unknowns, carrier, params)
+    # Tables that read 0 but at the one entry whose coefficient is taken.
+    tables = {f: collections.defaultdict(int) for f in unknowns}
+    lhs_one, rhs_one = _sides(eq, carrier, {f: t.__getitem__ for f, t in tables.items()}, params)
     pivots: Dict[int, Dict[int, int]] = {}  # pivot slot -> the rest of its row
     consistent = True
     skipped_pairs = 0
     for tup in itertools.product(range(m), repeat=len(eq.variables)):
+        read.clear()
         try:
-            row = algebra.bin("-", lhs_fn(*tup), rhs_fn(*tup))
+            const = lhs_fn(*tup) - rhs_fn(*tup)
         except _Skip:
             skipped_pairs += 1
             continue
-        if consistent:
-            consistent = _add_row(pivots, row, m)
+        if not consistent:
+            continue
+        row = {_CONST: const % m}
+        for f, x in read:
+            tables[f][x] = 1
+            row[slot_index[f, x]] = (lhs_one(*tup) - rhs_one(*tup) - const) % m
+            tables[f][x] = 0
+        consistent = _add_row(pivots, _normal(row), m)
     if not consistent:
         return (), skipped_pairs
     free = [s for s in range(len(slots)) if s not in pivots]
     if m ** len(free) > budget:
-        raise BudgetError(f"{m}^{len(free)} solutions exceed budget {budget}")
+        raise BudgetError(f"{m}^{len(free)} solutions exceed budget {budget}; "
+                          f"raise it with --budget or DERCALC_BUDGET")
     fixed = [(s, row.get(_CONST, 0), [(t, c) for t, c in row.items() if t != _CONST])
              for s, row in pivots.items()]
     values = [0] * len(slots)
@@ -696,19 +655,15 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     partial: Dict[str, Dict[int, int]] = {f: {} for f in unknowns}
     lhs_fn, rhs_fn = _sides(eq, carrier, {f: partial[f].__getitem__ for f in unknowns}, params)
 
-    # Static dependency analysis: with no unknown inside a divisor, an
-    # exponent base or a function argument, the table entries a pair reads
-    # are known up front.
-    dynamic = any(_value_dependent(side) for side in (eq.lhs, eq.rhs))
+    # Static dependency analysis: unless a side is value-dependent, the
+    # table entries a pair reads are known up front.
+    dynamic = _VALUE_DEPENDENT in (_degree(eq.lhs), _degree(eq.rhs))
     skipped_pairs = 0
     every = list(itertools.product(elems, repeat=len(eq.variables)))
     tuples_at: List[List[tuple]] = [[] for _ in range(len(slots))]
     pending: List[tuple] = every if dynamic else []
     if not dynamic:
-        # The probe's tables record every entry a tuple reads and return 0.
-        points: set = set()
-        recorders = {f: (lambda x, f=f: points.add((f, x)) or 0) for f in unknowns}
-        probe_lhs, probe_rhs = _sides(eq, carrier, recorders, params)
+        probe_lhs, probe_rhs, points = _probe(eq, unknowns, carrier, params)
         for tup in every:
             points.clear()
             try:
@@ -760,15 +715,39 @@ def _work_exceeded(placed: int, visited: int, budget: int) -> BudgetError:
     )
 
 
-def _value_dependent(side) -> bool:
-    """True when a divisor, a negative-power base or a function argument
-    contains a function call, so which tuples are admissible, or which
-    table entries a tuple reads, depends on table values, not only on the
-    variables."""
-    inner = [n.right for n in nodes(side) if isinstance(n, Bin) and n.op == "/"]
-    inner += [n.base for n in nodes(side) if isinstance(n, Pow) and n.exponent < 0]
-    inner += [a for n in nodes(side) if isinstance(n, Apply) for a in n.args]
-    return any(isinstance(n, Apply) for d in inner for n in nodes(d))
+_VALUE_DEPENDENT = 3  # above every degree, so it absorbs the nodes above it
+
+
+def _degree(side) -> int:
+    """The degree of a side in the table entries, read off the tree: 0 or 1
+    when the side is affine in the entries on every tuple, 2 when it may
+    not be, and _VALUE_DEPENDENT when which tuples are admissible, or
+    which entries a tuple reads, depends on table values, not only on the
+    variables.  Nothing is folded, so (x - x)*f(x)*f(y) has degree 2 and
+    (1/f(x))^0 is value-dependent.  Like `_Side` it walks the nodes in
+    post-order from an explicit stack, so no depth of tree recurses."""
+    stack: List[int] = []
+    for node in reversed(list(nodes(side))):
+        if isinstance(node, (Num, Sym)):
+            stack.append(0)
+            continue
+        operands = stack[-_arity(node):]
+        del stack[-len(operands):]
+        a = operands[0]
+        if _VALUE_DEPENDENT in operands:
+            degree = _VALUE_DEPENDENT
+        elif isinstance(node, Apply):
+            degree = _VALUE_DEPENDENT if max(operands) else 1
+        elif isinstance(node, Neg):
+            degree = a
+        elif isinstance(node, Pow):
+            degree = _VALUE_DEPENDENT if a and node.exponent < 0 else min(a * node.exponent, 2)
+        elif node.op == "/":
+            degree = _VALUE_DEPENDENT if operands[1] else a
+        else:
+            degree = min(sum(operands), 2) if node.op == "*" else max(operands)
+        stack.append(degree)
+    return stack.pop()
 
 
 # -- built-in corpus ----------------------------------------------------------

@@ -260,31 +260,41 @@ class HigherDerivation:
             return MultiPoly.var(self.variables, self.variables[index])
         return self.values[(k, self.variables[index])]
 
-    def _monomial(self, k: int, exps: Tuple[int, ...]) -> MultiPoly:
+    def _known(self, k: int, exps: Tuple[int, ...]) -> Optional[MultiPoly]:
+        """d_k of the monomial with exponent vector `exps` if it needs no
+        peeling or is memoized, else None."""
         if k == 0:
             return MultiPoly(self.variables, {exps: Fraction(1)})
         if all(e == 0 for e in exps):
             return MultiPoly.const(self.variables, 0)
-        key = (k, exps)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        idx = next(i for i, e in enumerate(exps) if e > 0)
-        rest = tuple(e - 1 if i == idx else e for i, e in enumerate(exps))
-        total = MultiPoly.const(self.variables, 0)
-        for i in range(k + 1):
-            weight = self.gamma(i, k - i)
-            if weight == 0:
+        return self._memo.get((k, exps))
+
+    def _monomial(self, k: int, exps: Tuple[int, ...]) -> MultiPoly:
+        """d_k of a monomial.  Peeling needs d_{k-i} of the rest for each i
+        whose weight and d_i value are nonzero; those are memoized first,
+        from an explicit stack, so a high degree does not recurse."""
+        todo = [(k, exps)]
+        while todo:
+            j, top = todo[-1]
+            if self._known(j, top) is not None:
+                todo.pop()
                 continue
-            left = self._gen_value(i, idx)
-            if left.is_zero():
-                continue
-            right = self._monomial(k - i, rest)
-            if right.is_zero():
-                continue
-            total = total + weight * left * right
-        self._memo[key] = total
-        return total
+            idx = next(i for i, e in enumerate(top) if e > 0)
+            rest = tuple(e - 1 if i == idx else e for i, e in enumerate(top))
+            parts = []  # (weight, d_i of the peeled variable, d_{j-i} of the rest)
+            for i in range(j + 1):
+                weight, left = self.gamma(i, j - i), self._gen_value(i, idx)
+                if weight != 0 and not left.is_zero():
+                    parts.append((weight, left, self._known(j - i, rest)))
+                    if parts[-1][2] is None:
+                        todo.append((j - i, rest))
+            if todo[-1] == (j, top):  # every part is known
+                total = MultiPoly.const(self.variables, 0)
+                for weight, left, right in parts:
+                    if not right.is_zero():
+                        total = total + weight * left * right
+                self._memo[todo.pop()] = total
+        return self._known(k, exps)
 
     def eval(self, k: int, p: MultiPoly) -> MultiPoly:
         """d_k(p) by Q-linear extension of the monomial recursion."""

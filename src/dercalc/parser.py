@@ -29,8 +29,12 @@ algebra whose functions take one argument refuses a call with more.
 `compiled(node, algebra, variables)` turns a tree once into a function of
 the named variables that folds it without visiting the tree again; a
 symbol that names a variable takes the argument's value.  `fold` is that
-function with no variables, called once.  `nodes` walks a tree for
-structural questions, such as which functions it calls.
+function with no variables, called once.  Its instructions take at most
+two operands, which is all a node has, so any algebra runs on it as it
+stands: tower elements, polynomials, carrier values for map specs, and the
+constants of functional equations.  Equation sides, run on every tuple of
+a carrier, are generated as Python by `feq` instead.  `nodes` walks a tree
+for structural questions, such as which functions it calls.
 """
 from __future__ import annotations
 

@@ -230,6 +230,12 @@ def test_hod_eval_matches_iterated_derivative(cli):
     assert out == ["d_2(t^5) = 20*t^3"]
 
 
+def test_hod_eval_of_a_high_power(cli):
+    code, out, err = cli("hod", "eval", "--n", "2", "--binomial", "--vars", "t",
+                         "--values", "1:t=1", "--expr", "t^2000", "--k", "2")
+    assert (code, out, err) == (0, ["d_2(t^2000) = 3998000*t^1998"], [])
+
+
 def test_hod_define_lists_system_values(cli):
     code, out, _ = cli("hod", "define", "--vars", "t,u",
                        "--values", "1:t=1;1:u=u", "--binomial", "--n", "2")
@@ -555,19 +561,22 @@ def test_feq_solve_budget_exceeded(cli):
     code, _, err = cli("feq", "solve", "--eq", "cauchy-add", "--carrier", "gf:3",
                        "--budget", "2")
     assert code == 2
-    assert err == ["error: 3^1 solutions exceed budget 2"]
+    assert err == [
+        "error: 3^1 solutions exceed budget 2; raise it with --budget or DERCALC_BUDGET"]
 
 
 def test_feq_solve_budget_zero_is_a_budget(cli):
     code, out, err = cli("feq", "solve", "--eq", "cauchy-add", "--carrier", "gf:3",
                          "--budget", "0")
-    assert (code, out, err) == (2, [], ["error: 3^1 solutions exceed budget 0"])
+    assert (code, out, err) == (2, [], [
+        "error: 3^1 solutions exceed budget 0; raise it with --budget or DERCALC_BUDGET"])
 
 
 def test_char_alien_budget_zero_is_a_budget(cli):
     code, out, err = cli("char", "alien", "--lam", "1", "--mu", "1", "--carrier", "gf:3",
                          "--budget", "0")
-    assert (code, out, err) == (2, [], ["error: 3^0 solutions exceed budget 0"])
+    assert (code, out, err) == (2, [], [
+        "error: 3^0 solutions exceed budget 0; raise it with --budget or DERCALC_BUDGET"])
 
 
 @pytest.mark.parametrize("command", [

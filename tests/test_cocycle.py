@@ -320,7 +320,8 @@ def test_alien_check_guards():
         alien_check(1, 1, zmod(6))
     # The budget is the solver's: it bounds the solutions to list, not p^p.
     assert alien_check(1, 1, gf(11)).solutions == ((0,) * 11,)
-    with pytest.raises(BudgetError, match=r"^11\^0 solutions exceed budget 0$"):
+    with pytest.raises(BudgetError, match=r"^11\^0 solutions exceed budget 0; "
+                       r"raise it with --budget or DERCALC_BUDGET$"):
         alien_check(1, 1, gf(11), budget=0)
 
 

@@ -24,10 +24,10 @@ from dercalc.feq import (
     t1431_check,
     _Carrier,
     _INADMISSIBLE,
-    _Nonlinear,
     _Skip,
     _backtrack,
     _check_tuples,
+    _degree,
     _eliminate,
     _sides,
 )
@@ -329,7 +329,8 @@ def test_solver_guards():
 
 def test_budget_bounds_solutions_listed_by_elimination():
     eq = equation_by_name("jensen")
-    with pytest.raises(BudgetError, match=r"^11\^2 solutions exceed budget 120$"):
+    with pytest.raises(BudgetError, match=r"^11\^2 solutions exceed budget 120; "
+                       r"raise it with --budget or DERCALC_BUDGET$"):
         feq_solve_brute(eq, ["f"], gf(11), budget=120)
     assert feq_solve_brute(eq, ["f"], gf(11), budget=121).count == 121
     assert feq_solve_brute(equation_by_name("leibniz"), ["f"], gf(23), budget=1).count == 1
@@ -432,6 +433,7 @@ LONG_SIDE = " + ".join(["f(x)"] * 3000)
 def test_equation_with_a_3000_term_side_parses():
     eq = Equation.parse("long", f"{LONG_SIDE} = 3000*f(x)")
     assert eq.functions == ("f",)
+    assert (_degree(eq.lhs), _degree(eq.rhs)) == (1, 1)  # without recursing
 
 
 def test_feq_check_with_a_3000_term_side():
@@ -497,22 +499,27 @@ def test_elimination_on_prime_zmod():
     assert_elimination_matches_backtracking(equation_by_name("cauchy-add"), ["f"], zmod(7))
 
 
-def test_nonlinear_equations_stay_on_backtracking():
-    for name in ("cauchy-exp", "cauchy-mult", "ger-hom"):
-        with pytest.raises(_Nonlinear):
-            _eliminate(equation_by_name(name), ("f",), gf(5), {}, 10 ** 30)
-    for src in ("f(f(x)) = x", "f(x)^2 = f(y)^2", "x*f(y) = f(x)*f(y)"):
-        with pytest.raises(_Nonlinear):
-            _eliminate(Equation.parse("q", src), ("f",), gf(3), {}, 10 ** 30)
-    assert feq_solve_brute(equation_by_name("cauchy-mult"), ["f"], gf(5)).count == 6
-    assert feq_solve_brute(equation_by_name("cauchy-mult"), ["f"], gf(7)).count == 8
+def no_elimination(*args):
+    raise AssertionError("elimination attempted")
+
+
+# Each with the number of its solutions on GF(p).
+NONLINEAR = [("cauchy-exp", 5, 2), ("cauchy-mult", 5, 6), ("cauchy-mult", 7, 8),
+             ("ger-hom", 5, 2), ("f(f(x)) = x", 3, 4), ("f(x)^2 = f(y)^2", 3, 9),
+             ("x*f(y) = f(x)*f(y)", 3, 2), ("x / f(y) = x", 3, 8),
+             ("(x - x)*f(x)*f(y) = 0", 3, 27)]
+
+
+def test_nonlinear_equations_stay_on_backtracking(monkeypatch):
+    monkeypatch.setattr(feq, "_eliminate", no_elimination)
+    for src, p, count in NONLINEAR:
+        eq = CORPUS[src] if src in CORPUS else Equation.parse("q", src)
+        assert max(_degree(eq.lhs), _degree(eq.rhs)) >= 2, src
+        assert feq_solve_brute(eq, ["f"], gf(p)).count == count, src
 
 
 def test_value_dependent_and_composite_carriers_skip_elimination(monkeypatch):
-    def unused(*args):
-        raise AssertionError("elimination attempted")
-
-    monkeypatch.setattr(feq, "_eliminate", unused)
+    monkeypatch.setattr(feq, "_eliminate", no_elimination)
     selfdiv = Equation.parse("selfdiv", "x / f(y) = x / f(y)")
     assert feq_solve_brute(selfdiv, ["f"], gf(3)).count == 27
     report = feq_solve_brute(equation_by_name("cauchy-add"), ["f"], zmod(6))
@@ -565,17 +572,33 @@ def outcome(fn, x, y):
 
 ORACLE_CARRIERS = [gf(2), gf(5), gf(7), zmod(6), zmod(8), IntegerWindow(-3, 3),
                    IntegerWindow(-2, 4)]
-side_trees = st.recursive(
-    st.one_of(st.integers(0, 12).map(lambda n: Num(Fraction(n))),
-              st.sampled_from(["x", "y", "lam", "mu"]).map(Sym)),
-    lambda children: st.one_of(
+
+
+def trees(leaves, *first):
+    """Trees over `leaves`; the node makers in `first` draw before, and so
+    more often than, the other kinds of node."""
+    return st.recursive(leaves, lambda children: st.one_of(
+        *(make(children) for make in first),
         children.map(Neg),
         st.tuples(children, st.integers(-2, 3)).map(lambda p: Pow(*p)),
         st.tuples(st.sampled_from(["f", "g"]), children).map(lambda p: Apply(p[0], p[1:])),
         st.tuples(st.sampled_from("+-*/"), children, children).map(lambda p: Bin(*p)),
-    ),
-    max_leaves=14,
-)
+    ), max_leaves=14)
+
+
+leaves = st.one_of(st.integers(0, 12).map(lambda n: Num(Fraction(n))),
+                   st.sampled_from(["x", "y", "lam", "mu"]).map(Sym))
+side_trees = trees(leaves)
+# Trees with table reads among the leaves and many products, so that the
+# degree walk often meets a product of reads to refuse.
+reads = st.tuples(st.sampled_from(["f", "g"]), st.sampled_from(["x", "y"]).map(Sym)).map(
+    lambda p: Apply(p[0], p[1:]))
+linear_trees = trees(
+    st.one_of(leaves, reads),
+    lambda children: st.tuples(st.sampled_from("+-*/"), children, children).map(
+        lambda p: Bin(*p)),
+    lambda children: st.tuples(children, children).map(lambda p: Bin("*", *p)),
+).filter(lambda t: _degree(t) <= 1)
 
 
 def oracle_equation(lhs, rhs):
@@ -619,6 +642,35 @@ def test_generated_sides_match_the_interpreted_reference(lhs, rhs, carrier, data
     report = feq_check(eq, bindings, params)
     assert (report.witness, report.lhs, report.rhs, report.checked,
             report.skipped) == interpreted_report(eq, bindings, params)
+
+
+@given(linear_trees, linear_trees, st.sampled_from([gf(5), gf(7)]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sides_of_degree_at_most_one_are_affine_in_the_tables(lhs, rhs, carrier, data):
+    # What elimination's rows rely on, checked with the interpreted
+    # reference: on every tuple, lhs - rhs at c*A + (1 - c)*B is the same
+    # combination of its values at A and at B, and whether a tuple is
+    # admissible does not depend on the tables.
+    eq = oracle_equation(lhs, rhs)
+    m = carrier.modulus
+    residues = st.integers(0, m - 1)
+    params = {"lam": data.draw(residues), "mu": data.draw(residues)}
+    a, b = ({f: data.draw(st.lists(residues, min_size=m, max_size=m)) for f in eq.functions}
+            for _ in range(2))
+    c = data.draw(residues)
+    mix = {f: [(c * u + (1 - c) * v) % m for u, v in zip(a[f], b[f])] for f in eq.functions}
+
+    def differences(tables):
+        sides = interpreted_sides(
+            eq, carrier, {f: t.__getitem__ for f, t in tables.items()}, params)
+        return [outcome(lambda x, y: (sides[0](x, y) - sides[1](x, y)) % m, x, y)
+                for x, y in itertools.product(range(m), repeat=2)]
+
+    for da, db, dmix in zip(differences(a), differences(b), differences(mix)):
+        if da == "inadmissible":
+            assert db == dmix == "inadmissible"
+        else:
+            assert dmix == (c * da + (1 - c) * db) % m
 
 
 @given(side_trees, side_trees, st.sampled_from([gf(2), gf(3), zmod(4)]))

@@ -11,6 +11,7 @@ from dercalc.higher import (
     CocycleConditionError,
     GammaError,
     GammaTable,
+    HigherDerivation,
     gamma_check,
     gamma_factor,
     gamma_from_factor,
@@ -130,6 +131,54 @@ def test_leibniz_residual_zero_on_random_polys(pa, qa, k):
     )
     p, q = MultiPoly(("t",), pa), MultiPoly(("t",), qa)
     assert hod_leibniz_residual(hd, k, p, q).is_zero()
+
+
+def recursive_monomial(hd, k, exps, memo):
+    """d_k of a monomial by the recursion that `_monomial` unrolls, filling
+    `memo` as it did: the reference for the entries and values it keeps."""
+    if k == 0:
+        return MultiPoly(hd.variables, {exps: Fraction(1)})
+    if all(e == 0 for e in exps):
+        return MultiPoly.const(hd.variables, 0)
+    if (k, exps) in memo:
+        return memo[(k, exps)]
+    idx = next(i for i, e in enumerate(exps) if e > 0)
+    rest = tuple(e - 1 if i == idx else e for i, e in enumerate(exps))
+    total = MultiPoly.const(hd.variables, 0)
+    for i in range(k + 1):
+        weight = hd.gamma(i, k - i)
+        left = hd._gen_value(i, idx)
+        if weight == 0 or left.is_zero():
+            continue
+        right = recursive_monomial(hd, k - i, rest, memo)
+        if not right.is_zero():
+            total = total + weight * left * right
+    memo[(k, exps)] = total
+    return total
+
+
+small_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              st.integers(-2, 2).map(Fraction), max_size=2)
+
+
+@given(st.lists(st.integers(0, 2), min_size=2, max_size=2),
+       st.lists(small_polys, min_size=6, max_size=6),
+       st.lists(st.tuples(st.integers(0, 3), st.tuples(st.integers(0, 6), st.integers(0, 6))),
+                min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_monomials_fill_the_memo_the_recursion_filled(weights, values, calls):
+    # Weights may be 0 and generator values may vanish, which prunes peelings.
+    entries = {(i, j): Fraction(1) for i in range(4) for j in range(4 - i) if i * j == 0}
+    entries[(1, 1)] = Fraction(weights[0])
+    entries[(1, 2)] = entries[(2, 1)] = Fraction(weights[1])
+    variables = ("t", "u")
+    gen = dict(zip([(k, v) for k in (1, 2, 3) for v in variables],
+                   (MultiPoly(variables, terms) for terms in values)))
+    hd = HigherDerivation(GammaTable(3, entries), variables, gen)
+    memo = {}
+    for k, exps in calls:
+        assert hd._monomial(k, exps) == recursive_monomial(hd, k, exps, memo)
+    assert hd._memo == memo
 
 
 def test_define_rejects_broken_table():
