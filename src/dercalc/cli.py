@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error.
 `--format records` prints one machine-readable record per line instead of
-the human text.  DERCALC_BUDGET overrides enumeration budgets.
+the human text.  DERCALC_BUDGET overrides enumeration and power-size budgets.
 """
 from __future__ import annotations
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -32,6 +33,32 @@ class ExactError(Exception):
 
 class BudgetError(ExactError):
     """An enumeration or table request exceeded the configured budget."""
+
+
+def default_budget() -> int:
+    """The work budget: solutions listed by elimination, table entries
+    placed by a backtracking search, or the size of a power's result.
+    DERCALC_BUDGET overrides the 10^7 default."""
+    return int(os.environ.get("DERCALC_BUDGET", 10_000_000))
+
+
+def bit_size(q: Fraction) -> int:
+    """The size of a rational as the base of a power: the bit length of its
+    numerator or denominator, whichever is longer, and 0 for 0 and +-1,
+    whose powers stay as small."""
+    if q == 0 or abs(q.numerator) == q.denominator:
+        return 0
+    return max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+
+
+def bound_power(size: int, e: int) -> None:
+    """Refuses, before it is built, a power base^e whose |e| times the
+    size of its base (a degree, or the `bit_size` of a constant) exceeds
+    the budget."""
+    budget = default_budget()
+    if abs(e) * size > budget:
+        raise BudgetError(f"power ^{e} of a base of size {size} exceeds budget {budget}; "
+                          f"raise it with DERCALC_BUDGET")
 
 
 class NotDivisibleError(ExactError):
@@ -148,6 +175,8 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
+        size = bit_size(self.constant_value()) if self.is_constant() else self.total_degree()
+        bound_power(size, k)
         result = MultiPoly.const(self.variables, 1)
         base = self
         while k:

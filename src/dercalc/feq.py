@@ -48,14 +48,13 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import os
 import random
 import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .exact import BudgetError, FiniteCarrier, IntegerWindow, _is_prime, gf
+from .exact import BudgetError, FiniteCarrier, IntegerWindow, _is_prime, default_budget, gf
 from .parser import Apply, Arithmetic, Bin, Neg, Num, Pow, Sym, fold, nodes, parse_equation
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
@@ -80,13 +79,6 @@ class _Skip(Exception):
 # A compiled side reads tables through bound dict lookups; a KeyError is a
 # table entry that is not there (yet), which makes the pair inadmissible.
 _INADMISSIBLE = (_Skip, KeyError)
-
-
-def default_budget() -> int:
-    """Solver budget: at most this many solutions listed by elimination, or
-    table entries placed by a backtracking search.  DERCALC_BUDGET
-    overrides the 10^7 default."""
-    return int(os.environ.get("DERCALC_BUDGET", 10_000_000))
 
 
 class FnTable:
@@ -496,8 +488,13 @@ def feq_solve_brute(
     solved by elimination (`_eliminate`), and the budget bounds the number
     of solutions to list.  Otherwise the backtracking search lists them
     (`_backtrack`), and the budget bounds the table entries it places.
-    Either way every solution is re-checked exhaustively before it is
-    reported."""
+    Before they are reported, the solutions are re-checked exhaustively.
+    The search's are checked one by one.  Elimination's are checked through
+    the dim + 1 solutions that span them (`_eliminate`): on sides of degree
+    at most 1, which tuples are admissible does not depend on the tables,
+    and on each admissible tuple lhs - rhs is an affine function of the
+    table entries, so where it vanishes at p0 and at every p0 + b_i it
+    vanishes at every p0 + sum of l_i * b_i, which is the whole listing."""
     if not isinstance(carrier, FiniteCarrier):
         raise FeqError("brute-force solving needs a finite carrier")
     unknowns = tuple(unknowns)
@@ -517,10 +514,11 @@ def feq_solve_brute(
     _table_code(eq, carrier)
 
     if _is_prime(carrier.modulus) and max(_degree(eq.lhs), _degree(eq.rhs)) <= 1:
-        solutions, skipped_pairs = _eliminate(eq, unknowns, carrier, params, budget)
+        solutions, skipped_pairs, checked = _eliminate(eq, unknowns, carrier, params, budget)
     else:
         solutions, skipped_pairs = _backtrack(eq, unknowns, carrier, params, budget)
-    for sol in solutions:
+        checked = solutions
+    for sol in checked:
         check = feq_check(eq, dict(zip(unknowns, sol)), params)
         if not check.ok:
             raise FeqError(f"internal: emitted solution fails re-check at {check.witness}")
@@ -553,9 +551,9 @@ def _probe(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
 
 
 def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
-               params: Dict[str, int], budget: int) -> Tuple[Solutions, int]:
-    """Solutions and skipped pairs by elimination mod a prime, for sides of
-    degree at most 1 (`_degree`).
+               params: Dict[str, int], budget: int) -> Tuple[Solutions, int, Solutions]:
+    """Solutions, skipped pairs and the solutions that span the rest, by
+    elimination mod a prime, for sides of degree at most 1 (`_degree`).
 
     Each admissible tuple adds the row lhs - rhs = 0, read off the sides'
     code (`_probe`): its constant is lhs - rhs at the zero tables, and the
@@ -563,8 +561,12 @@ def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     when that entry alone is set to 1.  The rows are kept in reduced
     row-echelon form with the highest slot of a row as its pivot, so a
     pivot entry is fixed by free entries at lower slots, and the first
-    entry at which two solutions differ is free: listing the free entries
-    in lexicographic order lists the solutions in lexicographic order."""
+    entry at which two solutions differ is free.  The solutions are
+    p0 + sum of l_i * b_i over every choice of the l_i (`_span`), where
+    p0 has every free entry 0 and the kernel vector b_i has free entry i
+    at 1 and the others at 0; listing the choices in lexicographic order
+    lists the solutions in lexicographic order.  The spanning solutions
+    are the listed p0 and p0 + b_i."""
     m = carrier.modulus
     slots = [(f, e) for e in range(m) for f in unknowns]
     slot_index = {fe: i for i, fe in enumerate(slots)}
@@ -591,25 +593,33 @@ def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
             tables[f][x] = 0
         consistent = _add_row(pivots, _normal(row), m)
     if not consistent:
-        return (), skipped_pairs
+        return (), skipped_pairs, ()
     free = [s for s in range(len(slots)) if s not in pivots]
     if m ** len(free) > budget:
         raise BudgetError(f"{m}^{len(free)} solutions exceed budget {budget}; "
                           f"raise it with --budget or DERCALC_BUDGET")
-    fixed = [(s, row.get(_CONST, 0), [(t, c) for t, c in row.items() if t != _CONST])
-             for s, row in pivots.items()]
-    values = [0] * len(slots)
+
+    def vector(t: int) -> List[int]:
+        # p0 (t = _CONST) or b_t: a pivot entry is -(its row's coefficient of t)
+        return [-pivots[s].get(t, 0) % m if s in pivots else int(s == t)
+                for s in range(len(slots))]
+
     k = len(unknowns)
-    solutions = []
-    for choice in itertools.product(range(m), repeat=len(free)):
-        for s, v in zip(free, choice):
-            values[s] = v
-        for s, const, terms in fixed:
-            values[s] = -(const + sum(c * values[t] for t, c in terms)) % m
-        # slot e * k + i holds the value of unknown i at e
-        solutions.append(tuple(FnTable(carrier, dict(enumerate(values[i::k])))
-                               for i in range(k)))
-    return tuple(solutions), skipped_pairs
+    # slot e * k + i holds the value of unknown i at e
+    solutions = tuple(tuple(FnTable(carrier, dict(enumerate(values[i::k]))) for i in range(k))
+                      for values in _span(vector(_CONST), [vector(t) for t in free], m))
+    # p0 sits at 0 in the listing, and p0 + b_i at m^(dim - 1 - i)
+    spanning = solutions[:1] + tuple(solutions[m ** j] for j in range(len(free)))
+    return solutions, skipped_pairs, spanning
+
+
+def _span(base: List[int], kernel: List[List[int]], m: int) -> List[List[int]]:
+    """Every base + sum of l_i * kernel[i] mod m, in lexicographic order of
+    (l_1, ..., l_d) with each l_i in range(m)."""
+    points = [base]
+    for b in kernel:
+        points = [[(x + l * y) % m for x, y in zip(p, b)] for p in points for l in range(m)]
+    return points
 
 
 def _add_row(pivots: Dict[int, Dict[int, int]], row, m: int) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import MultiPoly, rational
+from .exact import BudgetError, MultiPoly, default_budget, rational
 
 
 class GammaError(Exception):
@@ -302,6 +302,11 @@ class HigherDerivation:
             raise GammaError(f"order {k} outside 0..{self.order}")
         if p.variables != self.variables:
             raise GammaError("polynomial declared over different variables")
+        # Peeling a monomial of degree n memoizes up to k * n values.
+        degree, budget = p.total_degree(), default_budget()
+        if k * degree > budget:
+            raise BudgetError(f"d_{k} of a polynomial of degree {degree} exceeds "
+                              f"budget {budget}; raise it with DERCALC_BUDGET")
         total = MultiPoly.const(self.variables, 0)
         for exps, coeff in p.terms.items():
             total = total + coeff * self._monomial(k, exps)

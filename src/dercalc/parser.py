@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Sequence, Tuple, Type, Union
 
+from .exact import bit_size, bound_power
+
 
 class DercalcSyntaxError(Exception):
     """Parse failure with the offending position."""
@@ -318,6 +320,8 @@ class Arithmetic:
         return -a
 
     def pow(self, a, e: int):
+        if isinstance(a, Fraction):
+            bound_power(bit_size(a), e)
         try:
             return a ** e
         except ZeroDivisionError:

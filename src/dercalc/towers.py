@@ -65,6 +65,8 @@ from .exact import (
     _pscale,
     _pstrip,
     _pxgcd,
+    bit_size,
+    bound_power,
     dense_to_multipoly,
     poly_exquo,
     poly_gcd,
@@ -528,6 +530,9 @@ class TowerElement:
     def __pow__(self, k: int) -> "TowerElement":
         if not isinstance(k, int):
             raise ValueError("tower element powers take integer exponents")
+        index, rep = self.tower.lower_rep(len(self.tower.levels) - 1, self.rep)
+        size = bit_size(rep) if index == 0 else _degree_bound(self.tower.levels[index], rep)
+        bound_power(size, k)
         if k < 0:
             return self.inv() ** (-k)
         result = self.tower.one
@@ -569,6 +574,16 @@ class TowerElement:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.tower}>"
+
+
+def _degree_bound(level, rep) -> int:
+    """A bound on the total degree of a level rep in the generators: its
+    degree in the level's generator plus the largest of its coefficients'."""
+    if level is QQ or not rep:
+        return 0
+    coeffs = rep if level.kind == "algebraic" else rep[0] + rep[1]
+    top = len(rep) if level.kind == "algebraic" else max(map(len, rep))
+    return top - 1 + max(_degree_bound(level.below, c) for c in coeffs)
 
 
 def element_eq(a: TowerElement, b: TowerElement) -> bool:

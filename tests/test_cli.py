@@ -121,6 +121,32 @@ def test_der_eval_long_sum_evaluates():
     assert proc.stderr == ""
 
 
+# A power is refused before it is built when its exponent times the size
+# of its base (a degree, or a constant's bit length) exceeds the budget.
+HUGE_POWERS = {"d(t^99999999)": 1, "t^99999999*0": 1, "3^99999999*0": 2}
+
+
+@pytest.mark.parametrize("expr, size", HUGE_POWERS.items(), ids=HUGE_POWERS.keys())
+def test_der_eval_refuses_a_power_over_the_budget(cli, monkeypatch, expr, size):
+    monkeypatch.delenv("DERCALC_BUDGET", raising=False)
+    assert cli("der", "eval", "--tower", QT, "--der", D1, "--expr", expr) == (2, [], [
+        f"error: power ^99999999 of a base of size {size} exceeds budget 10000000; "
+        "raise it with DERCALC_BUDGET"])
+
+
+def test_der_eval_power_budget_follows_the_setting(cli, monkeypatch):
+    monkeypatch.setenv("DERCALC_BUDGET", "20")
+    assert cli("der", "eval", "--tower", QTS, "--der", D1, "--expr", "(s/t)^-10") == (
+        0, ["(s/t)^-10 = t^5"], [])
+    assert cli("der", "eval", "--tower", QT, "--der", D1, "--expr", "(t^2 + 1)^11") == (
+        2, [], ["error: power ^11 of a base of size 2 exceeds budget 20; "
+                "raise it with DERCALC_BUDGET"])
+    # 0 and +-1 stay as small under any power.
+    assert cli("der", "eval", "--tower", QT, "--der", D1,
+               "--expr", "0^99999999 + (-1)^99999999") == (
+        0, ["0^99999999 + (-1)^99999999 = -1"], [])
+
+
 RESIDUAL_CASES = [
     (("power", "--k", "3", "--x", "t", "--slope", "1"), "-2*t^3"),
     (("power", "--k", "3", "--x", "t"), "0"),
@@ -234,6 +260,19 @@ def test_hod_eval_of_a_high_power(cli):
     code, out, err = cli("hod", "eval", "--n", "2", "--binomial", "--vars", "t",
                          "--values", "1:t=1", "--expr", "t^2000", "--k", "2")
     assert (code, out, err) == (0, ["d_2(t^2000) = 3998000*t^1998"], [])
+
+
+def test_hod_eval_refuses_work_over_the_budget(cli, monkeypatch):
+    monkeypatch.delenv("DERCALC_BUDGET", raising=False)
+    hod = ("hod", "eval", "--n", "2", "--binomial", "--vars", "t", "--values", "1:t=1",
+           "--k", "2", "--expr")
+    assert cli(*hod, "t^99999999") == (2, [], [
+        "error: power ^99999999 of a base of size 1 exceeds budget 10000000; "
+        "raise it with DERCALC_BUDGET"])
+    # A product of powers under the budget still has too high a degree.
+    assert cli(*hod, "t^5000000*t^5000000") == (2, [], [
+        "error: d_2 of a polynomial of degree 10000000 exceeds budget 10000000; "
+        "raise it with DERCALC_BUDGET"])
 
 
 def test_hod_define_lists_system_values(cli):
@@ -623,6 +662,19 @@ def test_feq_check_huge_exponent_over_a_unit_divisor(cli):
     assert (code, out, err) == cli("feq", "check", "--eq", "cauchy-add", "--f", "x^3/2",
                                    "--carrier", "gf:5")
     assert out == ["cauchy-add: FAIL at (1, 1): lhs 4 != rhs 1 (7 pairs checked, 0 skipped)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("feq", "check", "--eq", "cauchy-add", "--f", "x^99999999", "--carrier", "window:-3:3"),
+    ("multi", "delta", "--dim", "1", "--f", "x^99999999", "--ys", "1", "--x", "3"),
+], ids=["feq-window", "multi-delta"])
+def test_exact_rational_powers_are_refused_over_the_budget(cli, monkeypatch, argv):
+    # On a window, and in multi, x^99999999 is evaluated exactly; 2^99999999
+    # is refused before it is built.
+    monkeypatch.delenv("DERCALC_BUDGET", raising=False)
+    assert cli(*argv) == (2, [], [
+        "error: power ^99999999 of a base of size 2 exceeds budget 10000000; "
+        "raise it with DERCALC_BUDGET"])
 
 
 def test_feq_list_is_sorted_and_complete(cli):

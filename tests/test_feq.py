@@ -462,7 +462,7 @@ def assert_elimination_matches_backtracking(eq, unknowns, carrier, params=None):
     """Identical solutions, in the same order, and identical skipped pairs."""
     params = {k: v % carrier.modulus for k, v in (params or {}).items()}
     want = _backtrack(eq, tuple(unknowns), carrier, params, 10 ** 30)
-    assert _eliminate(eq, tuple(unknowns), carrier, params, 10 ** 30) == want
+    assert _eliminate(eq, tuple(unknowns), carrier, params, 10 ** 30)[:2] == want
     report = feq_solve_brute(eq, unknowns, carrier, params)
     assert (report.solutions, report.skipped_pairs) == want
 
@@ -497,6 +497,59 @@ def test_elimination_matches_backtracking_with_skipped_pairs():
 
 def test_elimination_on_prime_zmod():
     assert_elimination_matches_backtracking(equation_by_name("cauchy-add"), ["f"], zmod(7))
+
+
+def count_checks(monkeypatch):
+    """The list of the tables every later `feq_check` call is given."""
+    calls = []
+
+    def counted(eq, bindings, *args, **kwargs):
+        calls.append(bindings)
+        return check(eq, bindings, *args, **kwargs)
+
+    check = feq.feq_check
+    monkeypatch.setattr(feq, "feq_check", counted)
+    return calls
+
+
+@pytest.mark.parametrize("src, unknowns, p, dim", [
+    ("jensen", ["f"], 11, 2),
+    ("f(x+y) = g(x) + g(y)", ["f", "g"], 5, 2),
+    ("f(x+y) = g(x) + g(y)", ["g", "f"], 7, 2),
+    ("f(x) = f(x)", ["f"], 3, 3),
+])
+def test_elimination_rechecks_the_dim_plus_one_spanning_solutions(monkeypatch, src, unknowns,
+                                                                  p, dim):
+    eq = CORPUS[src] if src in CORPUS else Equation.parse("q", src)
+    calls = count_checks(monkeypatch)
+    report = feq_solve_brute(eq, unknowns, gf(p))
+    assert report.count == p ** dim
+    # p0, then p0 + b_i for each kernel vector b_i, taken from the listing
+    spanning = [report.solutions[0]] + [report.solutions[p ** j] for j in range(dim)]
+    assert calls == [dict(zip(unknowns, sol)) for sol in spanning]
+
+
+def test_backtracking_rechecks_every_solution(monkeypatch):
+    calls = count_checks(monkeypatch)
+    report = feq_solve_brute(equation_by_name("cauchy-mult"), ["f"], gf(5))
+    assert report.count == len(calls) == 6
+    assert calls == [{"f": sol[0]} for sol in report.solutions]
+
+
+@pytest.mark.parametrize("vector", [0, 1, 2], ids=["p0", "b1", "b2"])
+def test_a_perturbed_spanning_vector_fails_the_recheck(monkeypatch, vector):
+    # jensen on GF(11): f(x) = a*x + b, so the free entries are f(0) and
+    # f(1), and every other entry of p0 and of each b_i is fixed by them.
+    span = feq._span
+
+    def perturbed(base, kernel, m):
+        target = [base, *kernel][vector]
+        target[5] = (target[5] + 1) % m
+        return span(base, kernel, m)
+
+    monkeypatch.setattr(feq, "_span", perturbed)
+    with pytest.raises(FeqError, match="internal: emitted solution fails re-check"):
+        feq_solve_brute(equation_by_name("jensen"), ["f"], gf(11))
 
 
 def no_elimination(*args):
@@ -588,17 +641,17 @@ def trees(leaves, *first):
 
 leaves = st.one_of(st.integers(0, 12).map(lambda n: Num(Fraction(n))),
                    st.sampled_from(["x", "y", "lam", "mu"]).map(Sym))
-side_trees = trees(leaves)
-# Trees with table reads among the leaves and many products, so that the
-# degree walk often meets a product of reads to refuse.
+# Trees with table reads among the leaves and many products, so that sides
+# of degree 1, of degree 2 and value-dependent ones are all common.
 reads = st.tuples(st.sampled_from(["f", "g"]), st.sampled_from(["x", "y"]).map(Sym)).map(
     lambda p: Apply(p[0], p[1:]))
-linear_trees = trees(
+read_trees = trees(
     st.one_of(leaves, reads),
     lambda children: st.tuples(st.sampled_from("+-*/"), children, children).map(
         lambda p: Bin(*p)),
     lambda children: st.tuples(children, children).map(lambda p: Bin("*", *p)),
-).filter(lambda t: _degree(t) <= 1)
+)
+linear_trees = read_trees.filter(lambda t: _degree(t) <= 1)
 
 
 def oracle_equation(lhs, rhs):
@@ -607,7 +660,7 @@ def oracle_equation(lhs, rhs):
     return Equation("oracle", "", lhs, rhs, functions, ("lam", "mu"))
 
 
-@given(side_trees, side_trees, st.sampled_from(ORACLE_CARRIERS), st.data())
+@given(read_trees, read_trees, st.sampled_from(ORACLE_CARRIERS), st.data())
 @settings(max_examples=300, deadline=None)
 def test_generated_sides_match_the_interpreted_reference(lhs, rhs, carrier, data):
     eq = oracle_equation(lhs, rhs)
@@ -673,7 +726,7 @@ def test_sides_of_degree_at_most_one_are_affine_in_the_tables(lhs, rhs, carrier,
             assert dmix == (c * da + (1 - c) * db) % m
 
 
-@given(side_trees, side_trees, st.sampled_from([gf(2), gf(3), zmod(4)]))
+@given(read_trees, read_trees, st.sampled_from([gf(2), gf(3), zmod(4)]))
 @settings(max_examples=40, deadline=None)
 def test_solver_lists_every_table_the_interpreted_check_passes(lhs, rhs, carrier):
     eq = oracle_equation(lhs, rhs)
