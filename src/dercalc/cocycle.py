@@ -14,26 +14,27 @@ G take two arguments, and a sum (zeta):
     (zeta)     F(1, 0) + F(1, 1) + ... + F(1, p - 1) = 0 in characteristic p
 
 `CONDITIONS` holds them, with the conditions for D to be the Leibniz
-difference of an additive map.  feq's generated sides and tuple loop check
-them, exhaustively, reading each map from a table made once per call
-(`Cocycle2.table`), or on a seeded sample, calling the map.  Values on a
-finite carrier are reduced modulo m as they are read.  On an
-IntegerWindow, tuples whose function arguments escape the window or miss
-a dict table's entry are skipped and counted.  The module also extends
-positive-domain cocycles to signed windows via sign tables, reconstructs
-a primitive from its Cauchy difference, and solves for the "alien"
-mixtures of both differences with feq.
+difference of an additive map.  feq's generated check loop runs them,
+exhaustively, reading each map by subscription from a dict made once per
+call (`Cocycle2.table`), or on a seeded sample, through `_Subscript`, whose
+`__getitem__` calls the map.  Values on a finite carrier are reduced
+modulo m as they are read.  On an IntegerWindow, tuples whose function
+arguments escape the window or miss a dict table's entry are skipped and
+counted.  The module also extends positive-domain cocycles to signed
+windows via sign tables, reconstructs a primitive from its Cauchy
+difference, and solves for the "alien" mixtures of both differences with
+feq.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .exact import FiniteCarrier, IntegerWindow
-from .feq import (CORPUS, Equation, FnTable, _INADMISSIBLE, _check_tuples, _sides,
-                  feq_check, feq_solve_brute)
+from .feq import (CORPUS, Equation, FnTable, _INADMISSIBLE, _loop, _sides, feq_check,
+                  feq_solve_brute)
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
 
@@ -66,8 +67,21 @@ FnLike = Union[Dict[int, int], Callable[[int], int]]
 Fn2Like = Union[Dict[Tuple[int, int], int], Callable[[int, int], int]]
 
 
-def _as_fn(f: FnLike) -> Callable[[int], int]:
-    return f if callable(f) else dict(f).__getitem__
+class _Subscript:
+    """A map read by subscription, as generated code reads its tables:
+    m[key] is fn(key)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __getitem__(self, key):
+        return self.fn(key)
+
+
+def _as_map(f: FnLike) -> Mapping[int, int]:
+    return _Subscript(f) if callable(f) else dict(f)
 
 
 def _as_fn2(f: Fn2Like) -> Callable[[int, int], int]:
@@ -109,10 +123,11 @@ _MIXED = Equation.parse("mixed", "f(x+y) - f(x) - f(y) = g(x*y) - x*g(y) - y*g(x
 
 
 class _Difference:
-    """The Cauchy (side 0) or Leibniz (side 1) difference of f: that side of
-    `_MIXED` with f as f and g, generated and bound on the first call."""
+    """The Cauchy (side 0) or Leibniz (side 1) difference of the map f:
+    that side of `_MIXED` with f as f and g, generated and bound on the
+    first call."""
 
-    def __init__(self, f: Callable[[int], int], carrier: Carrier, index: int):
+    def __init__(self, f: Mapping[int, int], carrier: Carrier, index: int):
         self.f, self.carrier, self.index, self.side = f, carrier, index, None
 
     def __call__(self, a: int, b: int) -> int:
@@ -123,12 +138,12 @@ class _Difference:
 
 def cauchy_difference(f: FnLike, carrier: Carrier, name: str = "F") -> Cocycle2:
     """F(a,b) = f(a+b) - f(a) - f(b) in the carrier's arithmetic."""
-    return Cocycle2(carrier, _Difference(_as_fn(f), carrier, 0), name)
+    return Cocycle2(carrier, _Difference(_as_map(f), carrier, 0), name)
 
 
 def leibniz_difference(f: FnLike, carrier: Carrier, name: str = "G") -> Cocycle2:
     """G(a,b) = f(ab) - a f(b) - b f(a) in the carrier's arithmetic."""
-    return Cocycle2(carrier, _Difference(_as_fn(f), carrier, 1), name)
+    return Cocycle2(carrier, _Difference(_as_map(f), carrier, 1), name)
 
 
 @dataclass(frozen=True)
@@ -197,14 +212,13 @@ CONDITIONS: Dict[str, Equation] = {
 }
 
 
-def _check(eq: Equation, carrier: Carrier, tables: Dict[str, Callable],
+def _check(eq: Equation, carrier: Carrier, tables: Dict[str, Mapping],
            tuples: Optional[Iterable[tuple]] = None) -> AxiomResult:
-    """feq's tuple loop on the generated sides of `eq`, reading `tables`, on
-    `tuples` or else on every tuple of the carrier's elements."""
+    """feq's generated check loop of `eq`, reading `tables`, on `tuples` or
+    else on every tuple of the carrier's elements."""
     if tuples is None:
         tuples = itertools.product(list(carrier.elements()), repeat=len(eq.variables))
-    lhs_fn, rhs_fn = _sides(eq, carrier, tables, {})
-    witness, lhs, rhs, checked, skipped = _check_tuples(lhs_fn, rhs_fn, tuples)
+    witness, lhs, rhs, checked, skipped = _loop(eq, carrier, tables, {})(tuples)
     return AxiomResult("pass" if witness is None else "fail", witness, lhs, rhs, checked, skipped)
 
 
@@ -233,7 +247,7 @@ def cocycle_verify(
     results: Dict[str, AxiomResult] = {}
     rng = random.Random(seed)
     maps = {"F": F, "G": G}
-    tables: Dict[str, Callable] = {}  # how each map is read, made on first use
+    tables: Dict[str, Mapping] = {}  # how each map is read, made on first use
     for axiom in axioms:
         if axiom == "zeta":
             results[axiom] = _check_zeta(F, carrier)
@@ -246,7 +260,7 @@ def cocycle_verify(
         tuples = (_sampled_tuples(elems, len(eq.variables), sample, rng)
                   if mode == "sampled" else None)
         for name in [f for f in eq.functions if f not in tables]:
-            tables[name] = maps[name].read if mode == "sampled" else maps[name].table().__getitem__
+            tables[name] = _Subscript(maps[name].read) if mode == "sampled" else maps[name].table()
         results[axiom] = _check(eq, carrier, tables, tuples)
     return CocycleReport(results)
 
@@ -359,7 +373,7 @@ def cocycle_primitive(F: Fn2Like, window: IntegerWindow, f1: int) -> Dict[int, i
     for k in range(0, window.lo, -1):
         f[k - 1] = f[k] - f[1] - F_fn(k - 1, 1)
     result = _check(CONDITIONS["primitive"], window,
-                    {"f": f.__getitem__, "F": F_fn.table().__getitem__})
+                    {"f": f, "F": F_fn.table()})
     if result.status == "fail":
         a, b = result.witness
         raise NotACoboundaryError(f"re-differencing disagrees with F at ({a},{b})")
@@ -373,7 +387,7 @@ def leibniz_coboundary_check(D: Fn2Like, carrier: Carrier) -> CocycleReport:
     """Necessary-and-sufficient conditions for D to be a Leibniz difference
     of some additive map: symmetry, the associator identity, and additivity
     in the first slot."""
-    tables = {"D": Cocycle2(carrier, _as_fn2(D), "D").table().__getitem__}
+    tables = {"D": Cocycle2(carrier, _as_fn2(D), "D").table()}
     return CocycleReport({name: _check(CONDITIONS[name], carrier, tables)
                           for name in ("symmetry", "associator", "additivity")})
 
@@ -417,8 +431,8 @@ def char_decompose(f: FnLike, g: FnLike, carrier: FiniteCarrier) -> Decompositio
     if carrier.kind != "gf" or carrier.modulus < 3:
         raise CocycleError("decomposition runs on odd prime fields")
     p = carrier.modulus
-    f_table = FnTable.from_callable(carrier, _as_fn(f))
-    g_table = FnTable.from_callable(carrier, _as_fn(g))
+    f_table = FnTable.from_callable(carrier, _as_map(f).__getitem__)
+    g_table = FnTable.from_callable(carrier, _as_map(g).__getitem__)
     check = feq_check(_MIXED, {"f": f_table, "g": g_table})
     if not check.ok:
         x, y = check.witness

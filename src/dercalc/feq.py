@@ -28,20 +28,21 @@ by a constant that is not invertible anywhere rejects the carrier up front.
 On a window, a tuple is admissible only while every function argument stays
 inside the window.
 
-Checks and the search run each side as generated Python (`_Side`): a flat
-function with one argument per variable and one assignment per node, in
+Each side is generated as Python (`_Side`): one assignment per node, in
 post-order with the left operand first, so nothing recurses.  Sums,
 differences, products, negations and non-negative powers are inlined,
-reduced modulo the carrier; a table read, T(a) or T((a, b)), calls the
-bound table, behind the window test on a window.  Constant subtrees,
-parameters included, are folded when a side is bound, and a constant
-divisor on a finite carrier becomes a product with its inverse; other
-divisions and negative powers call `_Carrier`, which alone decides when a
-tuple is skipped.  The code is compiled once per equation and carrier
-modulus or window (`Equation.code`), after its constant divisors are
-examined, and each check, search or elimination binds it to its tables
-and parameters.  No user text reaches the source: variables, functions and
-constants are numbered slots.
+reduced modulo the carrier; a table read is a subscription, T[a] or
+T[a, b], behind the window test on a window, so a table is any mapping.
+Constant subtrees, parameters included, are folded when the code is
+bound, and a constant divisor on a finite carrier becomes a product with
+its inverse; other divisions and negative powers call `_Carrier`, which
+alone decides when a tuple is skipped.  Per equation and carrier modulus
+or window (`Equation.code`), after its constant divisors are examined,
+both sides are compiled as functions of the variables and, with the
+lines of both inlined, as one check loop over a stream of tuples
+(`_Code`).  Checks, the cocycle conditions and the search run the loop;
+elimination calls the sides.  No user text reaches the source:
+variables, functions and constants are numbered slots.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ import random
 import types
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .exact import BudgetError, FiniteCarrier, IntegerWindow, _is_prime, default_budget, gf
 from .parser import Apply, Arithmetic, Bin, Neg, Num, Pow, Sym, fold, nodes, parse_equation
@@ -76,8 +77,8 @@ class _Skip(Exception):
     """Internal: this argument pair is inadmissible (division or escape)."""
 
 
-# A compiled side reads tables through bound dict lookups; a KeyError is a
-# table entry that is not there (yet), which makes the pair inadmissible.
+# Generated code reads tables by subscription; a KeyError is a table entry
+# that is not there (yet), which makes the tuple inadmissible.
 _INADMISSIBLE = (_Skip, KeyError)
 
 
@@ -138,10 +139,10 @@ class Equation:
     min_size: int = 0
     note: str = ""
     variables: Tuple[str, ...] = ("x", "y")
-    # The generated code of both sides, per carrier key (see `_code`).  It
+    # The generated sides and check loop, per carrier key (see `_code`).  It
     # is not part of the equation's value, and it is not keyed on the
     # trees: hashing a tree recurses once per level.
-    code: Dict[tuple, Tuple["_Side", "_Side"]] = field(
+    code: Dict[tuple, "_Code"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -243,22 +244,39 @@ def _always_skip(*args: int) -> int:
     raise _Skip
 
 
-class _Side:
-    """One side of an equation, generated as Python source for one carrier
-    and compiled once: `side(a0, a1, ...)` takes one argument per variable
-    and assigns one local per node, in post-order with the left operand
-    first.  No user text is named: variable i is a<i>, function i the table
-    T<i>, read as T<i>(a) or T<i>((a, b)), and each maximal subtree without
-    a variable or a function call the global k<i>, folded by `bind` (as the
-    inverse of its value where it divides on a finite carrier)."""
+def _skip_every(tuples: Iterable[tuple]):
+    """The check loop where a side's constant is inadmissible: every tuple
+    is skipped, and counted."""
+    return None, None, None, 0, sum(1 for _ in tuples)
 
-    __slots__ = ("code", "constants", "binary")
+
+def _globals(algebra: _Carrier, tables: Sequence[Mapping]) -> dict:
+    """The globals of generated code reading `tables` as T0, T1, ..."""
+    env = {"pow": pow, "POW": algebra.pow, "BIN": algebra.bin, "SKIP": _Skip,
+           "INADMISSIBLE": _INADMISSIBLE}
+    env.update((f"T{i}", t) for i, t in enumerate(tables))
+    return env
+
+
+class _Side:
+    """One side of an equation, generated as Python source for one carrier:
+    `lines` assign one local per node, in post-order with the left operand
+    first, and `result` names the side's value.  No user text is named:
+    variable i is a<i>, function i the table T<i>, read by subscription as
+    T<i>[a] or T<i>[a, b], node j the local <tag><j>, and each maximal
+    subtree without a variable or a function call the global <tag>k<j>,
+    folded by `fold` (as the inverse of its value where it divides on a
+    finite carrier).  The tag keeps two sides' names apart in one loop.
+    `code` is the side alone, `side(a0, a1, ...)`, compiled on the first
+    `bind`: most uses only run the sides inside a check loop."""
+
+    __slots__ = ("lines", "result", "slots", "code", "constants", "binary")
 
     def __init__(self, side, functions: Sequence[str], carrier: Carrier,
-                 variables: Sequence[str] = ("x", "y")):
+                 variables: Sequence[str] = ("x", "y"), tag: str = "v"):
         m = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
         window = None if m else carrier
-        self.constants: List[Tuple[object, bool]] = []  # (subtree, invert)
+        self.constants: List[Tuple[str, object, bool]] = []  # (name, subtree, invert)
         self.binary = False  # whether it reads a two-argument function
         lines: List[str] = []
         # A stack entry is the name of a value the code holds, or a
@@ -268,14 +286,14 @@ class _Side:
         def name(entry, invert: bool = False) -> str:
             if isinstance(entry, str):
                 return entry
-            self.constants.append((entry, invert))
-            return f"k{len(self.constants) - 1}"
+            self.constants.append((f"{tag}k{len(self.constants)}", entry, invert))
+            return self.constants[-1][0]
 
         slots = [f"a{i}" for i in range(len(variables))]
         registers = itertools.count()
 
         def assign(expr: str) -> None:
-            stack.append(f"v{next(registers)}")
+            stack.append(f"{tag}{next(registers)}")
             lines.append(f"{stack[-1]} = {expr}")
 
         # `nodes` yields a node, its right subtree, then its left subtree,
@@ -292,8 +310,7 @@ class _Side:
                     lines += [f"if not {window.lo} <= {a} <= {window.hi}: raise SKIP"
                               for a in args if a not in slots]
                 self.binary |= len(args) == 2
-                key = args[0] if len(args) == 1 else f"({', '.join(args)})"
-                assign(f"T{functions.index(node.func)}({key})")
+                assign(f"T{functions.index(node.func)}[{', '.join(args)}]")
             elif not any(isinstance(e, str) for e in stack[-_arity(node):]):
                 del stack[-_arity(node):]  # every operand is constant, so the node is too
                 stack.append(node)
@@ -316,29 +333,76 @@ class _Side:
                     assign(f'BIN("/", {a}, {name(right)})')
             else:
                 raise TypeError(f"not an expression node: {node!r}")
-        lines.append(f"return {name(stack.pop())}")
-        source = f"def side({', '.join(slots)}):\n" + "".join(f"    {line}\n" for line in lines)
-        module = compile(source, "<feq side>", "exec")
-        self.code = next(c for c in module.co_consts if isinstance(c, types.CodeType))
+        self.lines, self.slots, self.code = lines, slots, None
+        self.result = name(stack.pop())
 
-    def bind(self, algebra: _Carrier, tables: Sequence[Callable[[int], int]]):
-        """The side as a function of the variables reading `tables`; a side
-        with a constant that is inadmissible skips every tuple."""
-        env = {"pow": pow, "POW": algebra.pow, "BIN": algebra.bin, "SKIP": _Skip}
-        env.update((f"T{i}", t) for i, t in enumerate(tables))
+    def fold(self, algebra: _Carrier, env: dict) -> bool:
+        """Adds the side's constants to `env`; False when one is
+        inadmissible, and then the side skips every tuple."""
         try:
-            for i, (subtree, invert) in enumerate(self.constants):
+            for name, subtree, invert in self.constants:
                 c = fold(subtree, algebra)
-                env[f"k{i}"] = algebra.bin("/", 1, c) if invert else c
+                env[name] = algebra.bin("/", 1, c) if invert else c
         except _Skip:
-            return _always_skip
-        return types.FunctionType(self.code, env)
+            return False
+        return True
+
+    def bind(self, algebra: _Carrier, tables: Sequence[Mapping]):
+        """The side as a function of the variables reading `tables`."""
+        if self.code is None:
+            self.code = _compile(f"def side({', '.join(self.slots)}):",
+                                 self.lines + [f"return {self.result}"])
+        env = _globals(algebra, tables)
+        return types.FunctionType(self.code, env) if self.fold(algebra, env) else _always_skip
 
 
-def _code(eq: "Equation", carrier: Carrier) -> Tuple[_Side, _Side]:
-    """The code of both sides of `eq` on `carrier`, made on the first use of
-    a modulus or window and kept in `eq.code`.  A constant divisor never
-    invertible there refuses the carrier, on every use, as nothing is kept."""
+def _compile(header: str, lines: List[str]) -> types.CodeType:
+    """The code of the function `header` with body `lines`."""
+    source = header + "\n" + "".join(f"    {line}\n" for line in lines)
+    module = compile(source, "<feq>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+
+class _Code:
+    """The generated code of an equation on one carrier: both sides, and
+    the check loop that runs them over tuples.  `check(tuples)` returns
+    (witness, lhs, rhs, checked, skipped): the first tuple whose sides
+    differ, or None three times, after counting the tuples compared and
+    those skipped because a side raised _Skip or read a missing entry."""
+
+    __slots__ = ("lhs", "rhs", "loop")
+
+    def __init__(self, eq: "Equation", carrier: Carrier):
+        self.lhs, self.rhs = (_Side(side, eq.functions, carrier, eq.variables, tag)
+                              for side, tag in ((eq.lhs, "l"), (eq.rhs, "r")))
+        # The loop target and the witness; "a0, " and "" still make tuples.
+        slots = "".join(f"a{i}, " for i in range(len(eq.variables)))
+        lhs, rhs = self.lhs.result, self.rhs.result
+        self.loop = _compile("def check(tuples):", [
+            "checked = skipped = 0",
+            f"for ({slots}) in tuples:",
+            "    try:",
+            *(f"        {line}" for line in self.lhs.lines + self.rhs.lines or ["pass"]),
+            "    except INADMISSIBLE:",
+            "        skipped += 1",
+            "        continue",
+            "    checked += 1",
+            f"    if {lhs} != {rhs}:",
+            f"        return ({slots}), {lhs}, {rhs}, checked, skipped",
+            "return None, None, None, checked, skipped",
+        ])
+
+    def bind(self, algebra: _Carrier, tables: Sequence[Mapping]):
+        """The check loop reading `tables`."""
+        env = _globals(algebra, tables)
+        folded = [side.fold(algebra, env) for side in (self.lhs, self.rhs)]
+        return types.FunctionType(self.loop, env) if all(folded) else _skip_every
+
+
+def _code(eq: "Equation", carrier: Carrier) -> _Code:
+    """The code of `eq` on `carrier`, made on the first use of a modulus or
+    window and kept in `eq.code`.  A constant divisor never invertible
+    there refuses the carrier, on every use, as nothing is kept."""
     if isinstance(carrier, FiniteCarrier):
         key = ("mod", carrier.modulus)
     else:
@@ -346,26 +410,33 @@ def _code(eq: "Equation", carrier: Carrier) -> Tuple[_Side, _Side]:
     if key not in eq.code:
         for side in (eq.lhs, eq.rhs):
             _reject_constant_divisors(side, carrier)
-        eq.code[key] = tuple(_Side(side, eq.functions, carrier, eq.variables)
-                             for side in (eq.lhs, eq.rhs))
+        eq.code[key] = _Code(eq, carrier)
     return eq.code[key]
 
 
-def _table_code(eq: "Equation", carrier: Carrier) -> Tuple[_Side, _Side]:
+def _table_code(eq: "Equation", carrier: Carrier) -> _Code:
     """`_code` for the checks and solves that bind one-argument `FnTable`s."""
     code = _code(eq, carrier)
-    if any(side.binary for side in code):
+    if code.lhs.binary or code.rhs.binary:
         raise FeqError(f"equation {eq.name!r} has a two-argument unknown, which is check-only")
     return code
 
 
-def _sides(eq: "Equation", carrier: Carrier, tables: Dict[str, Callable[[int], int]],
+def _sides(eq: "Equation", carrier: Carrier, tables: Dict[str, Mapping],
            params: Dict[str, int]):
     """Both sides of `eq` as functions of its variables on `carrier`,
     reading the table bound to each function name (see `_code`)."""
     algebra = _Carrier(carrier, params)
     bound = [tables[f] for f in eq.functions]
-    return tuple(side.bind(algebra, bound) for side in _code(eq, carrier))
+    code = _code(eq, carrier)
+    return code.lhs.bind(algebra, bound), code.rhs.bind(algebra, bound)
+
+
+def _loop(eq: "Equation", carrier: Carrier, tables: Dict[str, Mapping],
+          params: Dict[str, int]):
+    """The check loop of `eq` on `carrier`, reading the table bound to each
+    function name (see `_Code`)."""
+    return _code(eq, carrier).bind(_Carrier(carrier, params), [tables[f] for f in eq.functions])
 
 
 @dataclass(frozen=True)
@@ -418,39 +489,25 @@ def feq_check(
     _table_code(eq, carrier)
     if isinstance(carrier, FiniteCarrier):
         params = {k: v % carrier.modulus for k, v in params.items()}
-    lhs_fn, rhs_fn = _sides(
-        eq, carrier, {name: t.values.__getitem__ for name, t in bindings.items()}, params)
+    check = _loop(eq, carrier, {name: t.values for name, t in bindings.items()}, params)
     elems = list(carrier.elements())
     arity = len(eq.variables)
     tuples: Iterable[tuple] = itertools.product(elems, repeat=arity)
     if mode == "sampled":
         if sample <= 0:
             raise FeqError("sampled mode needs a positive sample size")
+        budget = default_budget()
+        if sample > budget:
+            raise BudgetError(f"sample of {sample} tuples exceeds budget {budget}; "
+                              f"raise it with DERCALC_BUDGET")
         rng = random.Random(seed)
-        tuples = [tuple(rng.choice(elems) for _ in range(arity)) for _ in range(sample)]
+        # Drawn as the loop asks for them, so no sample is held in memory.
+        tuples = (tuple([rng.choice(elems) for _ in range(arity)]) for _ in range(sample))
     elif mode != "exhaustive":
         raise FeqError(f"unknown mode {mode!r}")
-    witness, lhs, rhs, checked, skipped = _check_tuples(lhs_fn, rhs_fn, tuples)
+    witness, lhs, rhs, checked, skipped = check(tuples)
     return CheckReport(eq.name, "pass" if witness is None else "fail",
                        witness, lhs, rhs, checked, skipped)
-
-
-def _check_tuples(lhs_fn, rhs_fn, tuples: Iterable[tuple]):
-    """(witness, lhs, rhs, checked, skipped): the first tuple whose sides
-    differ, or None three times.  A tuple on which a side raises _Skip or
-    KeyError is skipped and counted."""
-    checked = skipped = 0
-    for tup in tuples:
-        try:
-            lhs = lhs_fn(*tup)
-            rhs = rhs_fn(*tup)
-        except _INADMISSIBLE:
-            skipped += 1
-            continue
-        checked += 1
-        if lhs != rhs:
-            return tup, lhs, rhs, checked, skipped
-    return None, None, None, checked, skipped
 
 
 @dataclass(frozen=True)
@@ -541,13 +598,26 @@ def _normal(form: Dict[int, int]):
     return form.get(_CONST, 0)
 
 
-def _probe(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
-           params: Dict[str, int]):
-    """(lhs, rhs, read): both sides of `eq` bound to zero tables that add
-    every entry (f, point) a call reads to the set `read`."""
+class _Reads(dict):
+    """A table of zeros that adds each entry (f, point) read to `read`; it
+    holds no entry, so every read reaches `__missing__`."""
+
+    __slots__ = ("f", "read")
+
+    def __init__(self, f: str, read: set):
+        super().__init__()
+        self.f, self.read = f, read
+
+    def __missing__(self, x: int) -> int:
+        self.read.add((self.f, x))
+        return 0
+
+
+def _probe(unknowns: Tuple[str, ...]) -> Tuple[Dict[str, _Reads], set]:
+    """(tables, read): zero tables for `unknowns` that add every entry
+    (f, point) the code bound to them reads to the set `read`."""
     read: set = set()
-    zeros = {f: (lambda x, f=f: read.add((f, x)) or 0) for f in unknowns}
-    return (*_sides(eq, carrier, zeros, params), read)
+    return {f: _Reads(f, read) for f in unknowns}, read
 
 
 def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
@@ -570,10 +640,11 @@ def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     m = carrier.modulus
     slots = [(f, e) for e in range(m) for f in unknowns]
     slot_index = {fe: i for i, fe in enumerate(slots)}
-    lhs_fn, rhs_fn, read = _probe(eq, unknowns, carrier, params)
+    zeros, read = _probe(unknowns)
+    lhs_fn, rhs_fn = _sides(eq, carrier, zeros, params)
     # Tables that read 0 but at the one entry whose coefficient is taken.
     tables = {f: collections.defaultdict(int) for f in unknowns}
-    lhs_one, rhs_one = _sides(eq, carrier, {f: t.__getitem__ for f, t in tables.items()}, params)
+    lhs_one, rhs_one = _sides(eq, carrier, tables, params)
     pivots: Dict[int, Dict[int, int]] = {}  # pivot slot -> the rest of its row
     consistent = True
     skipped_pairs = 0
@@ -663,7 +734,7 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     slots = [(f, e) for e in elems for f in unknowns]
     slot_index = {fe: i for i, fe in enumerate(slots)}
     partial: Dict[str, Dict[int, int]] = {f: {} for f in unknowns}
-    lhs_fn, rhs_fn = _sides(eq, carrier, {f: partial[f].__getitem__ for f in unknowns}, params)
+    check = _loop(eq, carrier, partial, params)
 
     # Static dependency analysis: unless a side is value-dependent, the
     # table entries a pair reads are known up front.
@@ -673,20 +744,17 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     tuples_at: List[List[tuple]] = [[] for _ in range(len(slots))]
     pending: List[tuple] = every if dynamic else []
     if not dynamic:
-        probe_lhs, probe_rhs, points = _probe(eq, unknowns, carrier, params)
+        zeros, points = _probe(unknowns)
+        probe = _loop(eq, carrier, zeros, params)
         for tup in every:
             points.clear()
-            try:
-                probe_lhs(*tup)
-                probe_rhs(*tup)
-            except _Skip:
+            if probe((tup,))[4]:  # skipped, whatever the tables hold
                 skipped_pairs += 1
-                continue
-            if points:
+            elif points:
                 tuples_at[max(slot_index[pt] for pt in points)].append(tup)
             else:
                 pending.append(tup)
-        if _check_tuples(lhs_fn, rhs_fn, pending)[0] is not None:
+        if check(pending)[0] is not None:
             return (), skipped_pairs
 
     solutions: List[Tuple[FnTable, ...]] = []
@@ -704,13 +772,7 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
             if placed > budget:
                 raise _work_exceeded(placed, visited, budget)
             partial[f][e] = v
-            for tup in pending if dynamic else tuples_at[k]:
-                try:
-                    if lhs_fn(*tup) != rhs_fn(*tup):
-                        break
-                except _INADMISSIBLE:
-                    pass
-            else:
+            if check(pending if dynamic else tuples_at[k])[0] is None:
                 assign(k + 1)
         del partial[f][e]
 

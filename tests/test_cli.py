@@ -574,6 +574,18 @@ def test_feq_check_even_modulus_divisor_is_usage_error(cli):
         assert err == ["error: constant divisor 2 is not invertible modulo 4"]
 
 
+def test_feq_check_refuses_a_sample_over_the_budget(cli, monkeypatch):
+    monkeypatch.delenv("DERCALC_BUDGET", raising=False)
+    argv = ("feq", "check", "--eq", "cauchy-add", "--f", "5*x", "--carrier", "window:-60:60",
+            "--mode", "sampled", "--sample")
+    # Refused before a tuple is drawn, so neither time nor memory is spent.
+    assert cli(*argv, "100000000") == (2, [], [
+        "error: sample of 100000000 tuples exceeds budget 10000000; "
+        "raise it with DERCALC_BUDGET"])
+    monkeypatch.setenv("DERCALC_BUDGET", "100000000")
+    assert cli(*argv, "1000") == (0, ["cauchy-add: pass (764 pairs, 236 skipped)"], [])
+
+
 @pytest.mark.parametrize("params, message", [
     ("lam=1,mu", "bad parameter 'mu': expected name=value"),
     ("lam=1,mu=x", "bad parameter 'mu=x': expected an integer value"),

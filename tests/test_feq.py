@@ -1,8 +1,10 @@
 """Brute-force functional equation checking and solving on finite carriers."""
 
+import hashlib
 import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,9 +28,10 @@ from dercalc.feq import (
     _INADMISSIBLE,
     _Skip,
     _backtrack,
-    _check_tuples,
+    _code,
     _degree,
     _eliminate,
+    _loop,
     _sides,
 )
 from dercalc import feq
@@ -236,7 +239,7 @@ def test_two_argument_unknowns_are_check_only():
     with pytest.raises(FeqError, match="two-argument unknown"):
         feq_solve_brute(eq, ["F"], gf(3))
     # The sides themselves read pairs from any table they are given.
-    lhs, rhs = _sides(eq, gf(3), {"F": {(a, b): a for a in range(3) for b in range(3)}.get}, {})
+    lhs, rhs = _sides(eq, gf(3), {"F": {(a, b): a for a in range(3) for b in range(3)}}, {})
     assert (lhs(1, 2), rhs(1, 2)) == (1, 2)
 
 
@@ -372,6 +375,56 @@ def test_sampled_check_mode():
         feq_check(eq, {"f": t}, mode="sampled", sample=0)
     with pytest.raises(FeqError):
         feq_check(eq, {"f": t}, mode="almost")
+
+
+def sampled_report(eq, table, sample, seed):
+    """(witness, lhs, rhs, checked, skipped) of a sampled check run on the
+    whole sample drawn into a list first: the reference for lazy draws."""
+    carrier = table.carrier
+    elems = list(carrier.elements())
+    rng = random.Random(seed)
+    tuples = [tuple(rng.choice(elems) for _ in range(len(eq.variables))) for _ in range(sample)]
+    sides = interpreted_sides(eq, carrier, {"f": table.values}, {})
+    return check_tuples(*sides, tuples)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 11, 2024])
+@pytest.mark.parametrize("eq, table", [
+    (CORPUS["cauchy-add"], FnTable.from_callable(gf(7), lambda x: 3 * x)),
+    (CORPUS["cauchy-add"], FnTable.from_callable(gf(7), lambda x: x * x)),
+    (CORPUS["jensen"], FnTable.from_callable(IntegerWindow(-9, 9), lambda x: 2 * x + 1)),
+    (CORPUS["hosszu"], FnTable.from_callable(IntegerWindow(-5, 5), lambda x: x * x)),
+    (Equation.parse("cauchy3", "f(x + y + z) = f(x) + f(y) + f(z)", variables=("x", "y", "z")),
+     FnTable.from_callable(zmod(6), lambda x: x * x)),
+], ids=["pass", "fail", "jensen-window", "hosszu-window", "cauchy3"])
+def test_sampled_check_draws_the_tuples_the_list_held(eq, table, seed):
+    report = feq_check(eq, {"f": table}, mode="sampled", sample=60, seed=seed)
+    assert (report.witness, report.lhs, report.rhs, report.checked,
+            report.skipped) == sampled_report(eq, table, 60, seed)
+
+
+def test_sampled_check_on_a_wide_window_builds_no_tuple_list():
+    w = IntegerWindow(-60, 60)
+    table = FnTable.from_callable(w, lambda x: 5 * x)
+    tracemalloc.start()
+    try:
+        report = feq_check(CORPUS["cauchy-add"], {"f": table}, mode="sampled",
+                           sample=20_000, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checked + report.skipped == 20_000
+    # Drawn into a list first, the 20 000 pairs would take 1.3 MB.
+    assert peak < 200_000
+
+
+def test_sampled_check_refuses_a_sample_over_the_budget(monkeypatch):
+    t = FnTable.zero(gf(5))
+    monkeypatch.setenv("DERCALC_BUDGET", "50")
+    assert feq_check(CORPUS["cauchy-add"], {"f": t}, mode="sampled", sample=50).ok
+    with pytest.raises(BudgetError, match=r"^sample of 51 tuples exceeds budget 50; "
+                       r"raise it with DERCALC_BUDGET$"):
+        feq_check(CORPUS["cauchy-add"], {"f": t}, mode="sampled", sample=51)
 
 
 def test_log_zero_on_full_carrier():
@@ -592,15 +645,33 @@ class Interpreted(_Carrier):
         self.window = carrier if isinstance(carrier, IntegerWindow) else None
         self.tables = tables
 
-    def apply(self, func, a):
-        if self.window is not None and not self.window.contains(a):
+    def apply(self, func, *args):
+        if self.window is not None and not all(map(self.window.contains, args)):
             raise _Skip
-        return self.tables[func](a)
+        return self.tables[func][args if len(args) == 2 else args[0]]
 
 
 def interpreted_sides(eq, carrier, tables, params):
     algebra = Interpreted(carrier, tables, params)
-    return tuple(compiled(side, algebra, ("x", "y")) for side in (eq.lhs, eq.rhs))
+    return tuple(compiled(side, algebra, eq.variables) for side in (eq.lhs, eq.rhs))
+
+
+def check_tuples(lhs_fn, rhs_fn, tuples):
+    """The reference check loop: (witness, lhs, rhs, checked, skipped), the
+    first tuple whose sides differ, or None three times.  A tuple on which
+    a side raises _Skip or KeyError is skipped and counted."""
+    checked = skipped = 0
+    for tup in tuples:
+        try:
+            lhs = lhs_fn(*tup)
+            rhs = rhs_fn(*tup)
+        except _INADMISSIBLE:
+            skipped += 1
+            continue
+        checked += 1
+        if lhs != rhs:
+            return tup, lhs, rhs, checked, skipped
+    return None, None, None, checked, skipped
 
 
 def interpreted_report(eq, bindings, params):
@@ -608,9 +679,9 @@ def interpreted_report(eq, bindings, params):
     carrier = next(iter(bindings.values())).carrier
     if isinstance(carrier, FiniteCarrier):
         params = {k: v % carrier.modulus for k, v in params.items()}
-    sides = interpreted_sides(
-        eq, carrier, {f: t.values.__getitem__ for f, t in bindings.items()}, params)
-    return _check_tuples(*sides, itertools.product(list(carrier.elements()), repeat=2))
+    sides = interpreted_sides(eq, carrier, {f: t.values for f, t in bindings.items()}, params)
+    return check_tuples(*sides, itertools.product(list(carrier.elements()),
+                                                  repeat=len(eq.variables)))
 
 
 def outcome(fn, x, y):
@@ -676,7 +747,7 @@ def test_generated_sides_match_the_interpreted_reference(lhs, rhs, carrier, data
         missing = data.draw(st.sets(st.sampled_from(points), max_size=3))
         table = dict(zip(points, data.draw(st.lists(values, min_size=len(points),
                                                     max_size=len(points)))))
-        partial[f] = {k: v for k, v in table.items() if k not in missing}.__getitem__
+        partial[f] = {k: v for k, v in table.items() if k not in missing}
     bindings = {f: FnTable(carrier, {e: data.draw(values) for e in elems})
                 for f in eq.functions}
     try:
@@ -714,8 +785,7 @@ def test_sides_of_degree_at_most_one_are_affine_in_the_tables(lhs, rhs, carrier,
     mix = {f: [(c * u + (1 - c) * v) % m for u, v in zip(a[f], b[f])] for f in eq.functions}
 
     def differences(tables):
-        sides = interpreted_sides(
-            eq, carrier, {f: t.__getitem__ for f, t in tables.items()}, params)
+        sides = interpreted_sides(eq, carrier, tables, params)
         return [outcome(lambda x, y: (sides[0](x, y) - sides[1](x, y)) % m, x, y)
                 for x, y in itertools.product(range(m), repeat=2)]
 
@@ -744,6 +814,124 @@ def test_solver_lists_every_table_the_interpreted_check_passes(lhs, rhs, carrier
         if interpreted_report(eq, dict(zip(eq.functions, sol)), params)[0] is None:
             want.append(sol)
     assert report.solutions == tuple(want)
+
+
+# -- the generated check loop against the reference loop -----------------------
+
+
+def loop_trees(variables):
+    """Trees in `variables` and the parameter lam that read the table f at
+    one argument and the table F at two."""
+    symbols = st.sampled_from(variables + ("lam",)).map(Sym)
+    leaves = st.one_of(st.integers(0, 12).map(lambda n: Num(Fraction(n))), symbols,
+                       symbols.map(lambda a: Apply("f", (a,))),
+                       st.tuples(symbols, symbols).map(lambda p: Apply("F", p)))
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda p: Bin(*p)),
+        children.map(lambda a: Apply("f", (a,))),
+        st.tuples(children, children).map(lambda p: Apply("F", p)),
+        children.map(Neg),
+        st.tuples(children, st.integers(-2, 3)).map(lambda p: Pow(*p)),
+    ), max_leaves=10)
+
+
+LOOP_CARRIERS = [gf(2), gf(5), gf(7), zmod(6), IntegerWindow(-3, 3), IntegerWindow(-2, 4)]
+
+
+def loop_tables(carrier, rng, missing):
+    """Random tables f and F on the carrier, and on a window six points
+    beyond it, each without `missing` of its entries."""
+    elems = list(carrier.elements())
+    points = elems if isinstance(carrier, FiniteCarrier) else range(elems[0] - 6, elems[-1] + 7)
+    tables = {"f": {x: rng.randint(-9, 9) for x in points},
+              "F": {ab: rng.randint(-9, 9) for ab in itertools.product(points, repeat=2)}}
+    for table in tables.values():
+        for key in rng.sample(sorted(table), min(missing, len(table))):
+            del table[key]
+    return tables
+
+
+def assert_loops_agree(eq, carrier, tables, params, tuples):
+    """The generated loop and the reference loop over the interpreted sides
+    give the same (witness, lhs, rhs, checked, skipped)."""
+    if isinstance(carrier, FiniteCarrier):
+        params = {k: v % carrier.modulus for k, v in params.items()}
+    tuples = list(tuples)
+    got = _loop(eq, carrier, tables, params)(tuples)
+    assert got == check_tuples(*interpreted_sides(eq, carrier, tables, params), tuples)
+    return got
+
+
+@given(st.sampled_from([("x",), ("x", "y"), ("x", "y", "z")]).flatmap(
+           lambda v: st.tuples(st.just(v), loop_trees(v), loop_trees(v))),
+       st.sampled_from(LOOP_CARRIERS), st.integers(0, 3), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_generated_loop_matches_the_reference_loop(equation, carrier, missing, sampled, data):
+    variables, lhs, rhs = equation
+    eq = Equation("loop", "", lhs, rhs, ("F", "f"), ("lam",), variables=variables)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    tables = loop_tables(carrier, rng, missing)
+    elems = list(carrier.elements())
+    tuples = ([tuple(rng.choice(elems) for _ in variables) for _ in range(40)] if sampled
+              else itertools.product(elems, repeat=len(variables)))
+    try:
+        _code(eq, carrier)
+    except CarrierUnsupportedError:
+        return  # refused for a constant divisor, before any tuple is run
+    assert_loops_agree(eq, carrier, tables, {"lam": rng.randint(-9, 9)}, tuples)
+
+
+@pytest.mark.parametrize("source, carrier, lam, skipped", [
+    ("(1/2)*f(x) = f(y)", IntegerWindow(-3, 3), 1, 49),
+    ("F(x, y) = f(x) / lam", zmod(6), 4, 36),
+    ("f(x + z) * (2/4) = F(x, y)", IntegerWindow(-2, 2), 1, 125),
+])
+def test_generated_loop_counts_every_tuple_an_inadmissible_constant_skips(
+        source, carrier, lam, skipped):
+    eq = Equation.parse("const", source, params=("lam",),
+                        variables=("x", "y", "z") if "z" in source else ("x", "y"))
+    tables = loop_tables(carrier, random.Random(0), 0)
+    elems = list(carrier.elements())
+    every = itertools.product(elems, repeat=len(eq.variables))
+    assert assert_loops_agree(eq, carrier, tables, {"lam": lam}, every) == (
+        None, None, None, 0, skipped)
+    sample = [tuple(random.Random(1).choices(elems, k=len(eq.variables))) for _ in range(9)]
+    assert assert_loops_agree(eq, carrier, tables, {"lam": lam}, sample)[3:] == (0, 9)
+
+
+# -- the search is pinned ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, p, budget, work", [
+    ("cauchy-mult", 7, 250, "251 table entries placed, 48 nodes visited"),
+    ("ger-hom", 11, 500, "501 table entries placed, 49 nodes visited"),
+])
+def test_search_prunes_at_the_same_nodes(name, p, budget, work):
+    # The nodes visited before the budget runs out count the placements
+    # that per-slot pruning let through.
+    with pytest.raises(BudgetError, match=f"^search over budget {budget}: {work}; "):
+        feq_solve_brute(equation_by_name(name), ["f"], gf(p), budget=budget)
+
+
+def test_corpus_solutions_are_pinned():
+    # Every corpus equation on GF(p), p <= 13, and on Z/4, Z/6, Z/8 and Z/9:
+    # each report's status, counts and tables, or the refusal, as text.
+    digest = hashlib.sha256()
+    for carrier in [gf(p) for p in (2, 3, 5, 7, 11, 13)] + [zmod(n) for n in (4, 6, 8, 9)]:
+        for name in sorted(CORPUS):
+            eq = CORPUS[name]
+            try:
+                r = feq_solve_brute(eq, list(eq.functions), carrier,
+                                    {"lam": 1, "mu": 1} if eq.params else None)
+            except CarrierUnsupportedError as exc:
+                digest.update(f"{name} {carrier}: {exc}\n".encode())
+                continue
+            tables = " | ".join(" ".join(" ".join(t.serialize()) for t in sol)
+                                for sol in r.solutions)
+            text = f"{name} {carrier}: {r.status} {r.count} {r.skipped_pairs} {tables}\n"
+            digest.update(text.encode())
+    assert digest.hexdigest() == (
+        "31bf9a40f1d894a2e1867e067d9dbf20f2f669cf477f3e60ebab7663b1caff2c")
 
 
 def test_one_equation_gives_each_carrier_table_and_binding_its_own_answer():
