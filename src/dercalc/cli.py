@@ -458,7 +458,8 @@ def _cmd_cocycle(args, out: Out) -> int:
         if not (args.F or args.f):
             raise SessionError("need --f (pair from one function) or --F (raw cocycle)")
         pair = not args.F
-        header, report = check_cocycle(args.f if pair else args.F, args.carrier, pair)
+        header, report = check_cocycle(args.f if pair else args.F, args.carrier, pair,
+                                       args.mode, args.sample, args.seed)
         out.emit("verify", header, **({"f": args.f} if pair else {"F": args.F}))
         return _report_exit(out, report, "axiom")
     if args.cmd2 == "extend":
@@ -730,6 +731,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--f", help="one-argument function; checks the (F,G) pair")
     cp.add_argument("--F", help="raw two-argument cocycle in a, b")
     cp.add_argument("--carrier", required=True)
+    cp.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
+    cp.add_argument("--sample", type=int, default=0)
+    cp.add_argument("--seed", type=int, default=0)
     cp = coc_sub.add_parser("extend")
     cp.add_argument("--F", required=True, help="cocycle on positive a, b")
     cp.add_argument("--G")

@@ -27,12 +27,14 @@ feq.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
-from .exact import FiniteCarrier, IntegerWindow
+from .exact import FiniteCarrier, IntegerWindow, bound_sample
 from .feq import (CORPUS, Equation, FnTable, _INADMISSIBLE, _loop, _sides, feq_check,
                   feq_solve_brute)
 
@@ -184,13 +186,17 @@ F_AXIOMS = ("alpha", "beta", "zeta")
 
 
 def _sampled_tuples(elems: Sequence[int], arity: int, sample: int,
-                    rng: random.Random) -> List[tuple]:
+                    rng: random.Random) -> Iterator[tuple]:
     """`sample` tuples drawn as rng.choice would draw them from the list of
     every tuple in product order, without building that list: a draw's
-    base-n digits, most significant first, index the entries."""
+    base-n digits, most significant first, index the entries.  Each is
+    drawn as it is asked for, so no sample is held in memory."""
     n = len(elems)
-    draws = [rng.randrange(n ** arity) for _ in range(sample)]
-    return [tuple(elems[i // n ** k % n] for k in reversed(range(arity))) for i in draws]
+    size = n ** arity
+    places = [n ** k for k in reversed(range(arity))]
+    for _ in range(sample):
+        i = rng.randrange(size)
+        yield tuple(elems[i // place % n] for place in places)
 
 
 # The axioms, the Leibniz-coboundary conditions and the primitive's re-difference,
@@ -238,8 +244,10 @@ def cocycle_verify(
     """
     if mode not in ("exhaustive", "sampled"):
         raise CocycleError(f"unknown mode {mode!r}")
-    if mode == "sampled" and sample <= 0:
-        raise CocycleError("sampled mode needs a positive sample size")
+    if mode == "sampled":
+        if sample <= 0:
+            raise CocycleError("sampled mode needs a positive sample size")
+        bound_sample(sample)
     carrier = F.carrier
     if axioms is None:
         axioms = PAIR_AXIOMS if G is not None else F_AXIOMS
@@ -262,6 +270,10 @@ def cocycle_verify(
         for name in [f for f in eq.functions if f not in tables]:
             tables[name] = _Subscript(maps[name].read) if mode == "sampled" else maps[name].table()
         results[axiom] = _check(eq, carrier, tables, tuples)
+        if tuples is not None:
+            # After a witness, make the draws left, so that the next axiom
+            # draws the sample it would have drawn without one.
+            collections.deque(tuples, maxlen=0)
     return CocycleReport(results)
 
 

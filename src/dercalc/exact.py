@@ -6,8 +6,9 @@ Every quantity in this package is exact.  Rationals are ``fractions.Fraction``
 One polynomial kernel serves the tower levels, the derivations and the
 printer: coefficient tuples over a coefficient domain.  Over a field (Q,
 GF(p) or a tower level) it has Euclid: division with remainder, gcd, extended
-gcd.  Over Q[x1..xn], nested as Q[x1][x2]...[xn], gcds come from a primitive
-pseudo-remainder sequence with rational contents at the bottom.
+gcd.  Over Q[x1..xn], nested as Q[x1][x2]...[xn], and over Z[x], gcds come
+from a primitive pseudo-remainder sequence with rational or integer
+contents at the bottom.
 
 ``MultiPoly`` is the sparse display format: an explicit variable tuple and
 graded-lexicographic term order.  ``RatFunc`` is the printed normal form of a
@@ -58,6 +59,15 @@ def bound_power(size: int, e: int) -> None:
     budget = default_budget()
     if abs(e) * size > budget:
         raise BudgetError(f"power ^{e} of a base of size {size} exceeds budget {budget}; "
+                          f"raise it with DERCALC_BUDGET")
+
+
+def bound_sample(sample: int) -> None:
+    """Refuses a sampled check of more tuples than the budget, before a
+    tuple is drawn."""
+    budget = default_budget()
+    if sample > budget:
+        raise BudgetError(f"sample of {sample} tuples exceeds budget {budget}; "
                           f"raise it with DERCALC_BUDGET")
 
 
@@ -386,7 +396,8 @@ def _pderiv(level, a) -> tuple:
 # -- Q[x1][x2]...[xn] ---------------------------------------------------------
 #
 # Multivariate polynomials nest coefficient tuples: an element of
-# Q[x1..xk] is a tuple over Q[x1..x(k-1)], with Fractions at the bottom.
+# Q[x1..xk] is a tuple over Q[x1..x(k-1)], with Fractions at the bottom
+# (ints at the bottom of Z[x]).
 # Gcds use the primitive pseudo-remainder sequence (Collins 1967, Brown and
 # Traub 1971): contents come off through gcds one ring down, and each
 # pseudo-remainder is cut to its primitive part, so the coefficients stay
@@ -433,8 +444,9 @@ GF_SHADOW = PrimeField(2**61 - 1)
 
 
 class RationalField:
-    """Q as a coefficient domain; elements are Fractions.  Its shadow is
-    GF(2^61 - 1); see ``towers`` for what the shadows certify."""
+    """Q as a coefficient domain; elements are Fractions (an int is read
+    as one).  Its shadow is GF(2^61 - 1); see ``towers`` for what the
+    shadows certify."""
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -449,15 +461,39 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero")
-        return 1 / a
+        return Fraction(1, a)
 
 
 QQ = RationalField()
 
 
+class IntegerRing:
+    """Z as a coefficient domain; elements are ints.  Its shadow is
+    GF(2^61 - 1) too, where an integer's image is its residue and needs
+    no inverse.  It has no inv, so it runs the gcd-free helpers and the
+    primitive PRS of ``poly_gcd``, not Euclid."""
+
+    zero = 0
+    one = 1
+    add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+    is_zero = operator.not_
+    shadow = GF_SHADOW
+
+    def image(self, c: int) -> int:
+        return c % GF_SHADOW.p
+
+    def from_rational(self, q: Fraction) -> int:
+        if q.denominator != 1:
+            raise ValueError(f"{q} is not an integer")
+        return q.numerator
+
+
+ZZ = IntegerRing()
+
+
 class PolyRing:
-    """The ring below[x] of coefficient tuples: Q[x1] over QQ, and
-    Q[x1..xn] over Q[x1..x(n-1)]."""
+    """The ring below[x] of coefficient tuples: Q[x1] over QQ, Z[x1] over
+    ZZ, and Q[x1..xn] over Q[x1..x(n-1)]."""
 
     def __init__(self, below):
         self.below = below
@@ -484,14 +520,24 @@ class PolyRing:
 
 
 def _exquo(K, a, b):
-    return poly_exquo(K, a, b) if isinstance(K, PolyRing) else a / b
+    """a / b in K; raises NotDivisibleError when b does not divide a."""
+    if isinstance(K, PolyRing):
+        return poly_exquo(K, a, b)
+    if K is ZZ:
+        q, r = divmod(a, b)
+        if r:
+            raise NotDivisibleError(f"{b} does not divide {a}")
+        return q
+    return Fraction(a, b)
 
 
 def _gcd(K, a, b):
-    """gcd in K; over Q, the positive rational c making a/c and b/c
-    coprime integers."""
+    """gcd in K; over Z, the nonnegative integer gcd; over Q, the positive
+    rational c making a/c and b/c coprime integers."""
     if isinstance(K, PolyRing):
         return poly_gcd(K, a, b)
+    if K is ZZ:
+        return math.gcd(a, b)
     num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
     return Fraction(num, a.denominator * b.denominator)
 
@@ -539,13 +585,13 @@ def _pprem(K, a: tuple, b: tuple) -> tuple:
 
 
 def poly_gcd(ring: PolyRing, a: tuple, b: tuple) -> tuple:
-    """gcd of a and b in Q[x1..xn], found by a primitive PRS in xn.
+    """gcd of a and b in Q[x1..xn] or Z[x], found by a primitive PRS in xn.
 
     The gcd is the gcd of the two contents (taken one ring down) times the
     primitive part of the last nonzero pseudo-remainder.  It comes out
     normalised: that primitive part has a positive leading rational
-    coefficient (leading in xn, then in x(n-1), ...), and at Q[x1] the
-    content is the positive rational gcd of the coefficients.
+    coefficient (leading in xn, then in x(n-1), ...), and at Q[x1] (Z[x])
+    the content is the positive rational (integer) gcd of the coefficients.
     """
     K = ring.below
     (ca, a), (cb, b) = _primitive(K, a), _primitive(K, b)

@@ -55,7 +55,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .exact import BudgetError, FiniteCarrier, IntegerWindow, _is_prime, default_budget, gf
+from .exact import (BudgetError, FiniteCarrier, IntegerWindow, _is_prime, bound_sample,
+                    default_budget, gf)
 from .parser import Apply, Arithmetic, Bin, Neg, Num, Pow, Sym, fold, nodes, parse_equation
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
@@ -496,10 +497,7 @@ def feq_check(
     if mode == "sampled":
         if sample <= 0:
             raise FeqError("sampled mode needs a positive sample size")
-        budget = default_budget()
-        if sample > budget:
-            raise BudgetError(f"sample of {sample} tuples exceeds budget {budget}; "
-                              f"raise it with DERCALC_BUDGET")
+        bound_sample(sample)
         rng = random.Random(seed)
         # Drawn as the loop asks for them, so no sample is held in memory.
         tuples = (tuple([rng.choice(elems) for _ in range(arity)]) for _ in range(sample))

@@ -225,19 +225,22 @@ def build_derivation(
     return name, derivation_define(tower, values)
 
 
-def check_cocycle(expr: str, carrier_spec: str, pair: bool) -> Tuple[str, CocycleReport]:
+def check_cocycle(expr: str, carrier_spec: str, pair: bool, mode: str = "exhaustive",
+                  sample: int = 0, seed: int = 0) -> Tuple[str, CocycleReport]:
     """The header line and the axioms' report for the Cauchy and Leibniz
     differences of f = `expr` in x (`pair`), or for the raw cocycle
-    F = `expr` in a and b, on the carrier `carrier_spec`."""
+    F = `expr` in a and b, on the carrier `carrier_spec`, checked as
+    `cocycle_verify` checks in `mode`."""
     carrier = parse_carrier(carrier_spec)
+    how = dict(mode=mode, sample=sample, seed=seed)
     if pair:
         values = dict(fn_from_spec(expr, carrier).values)
         F = cauchy_difference(values, carrier)
         G = leibniz_difference(values, carrier)
         return (f"cocycle pair f = {expr} on {carrier_spec}",
-                cocycle_verify(F, G, axioms=PAIR_AXIOMS))
+                cocycle_verify(F, G, axioms=PAIR_AXIOMS, **how))
     F = Cocycle2(carrier, fn2_from_expr(expr, carrier), "F")
-    return f"cocycle F = {expr} on {carrier_spec}", cocycle_verify(F, axioms=F_AXIOMS)
+    return f"cocycle F = {expr} on {carrier_spec}", cocycle_verify(F, axioms=F_AXIOMS, **how)
 
 
 _SECTION_RE = re.compile(r"^\[(tower|check|derivation\s+(\w+))\]$")

@@ -4,8 +4,12 @@ A tower is a chain of levels.  Level 0 is Q; each later level adjoins one
 generator, either transcendental (elements are reduced fractions of
 univariate polynomials over the level below, denominator monic) or algebraic
 with a monic square-free minimal polynomial (elements are coefficient vectors
-of length below the degree).  Each level's canonical form is unique, so
-element equality is plain structural equality: sound and complete.
+of length below the degree).  A transcendental level directly over Q is the
+exception: its fractions are of integer polynomials, with joint integer
+content 1 and a positive leading denominator coefficient, so Q(t) and every
+level above it compute on ints, not Fractions.  Each level's canonical form
+is unique, so element equality is plain structural equality: sound and
+complete.
 
 Level arithmetic runs on the coefficient-tuple kernel of ``exact``.
 Inverses at algebraic levels come from the extended Euclidean algorithm in
@@ -14,7 +18,8 @@ polynomial is not irreducible the Euclid run can surface a zero divisor;
 that raises ZeroDivisorError instead of silently producing garbage.
 
 A transcendental level normalises num/den by dividing out their gcd over
-the level below, but first asks for a certificate that the gcd is 1
+the level below (over Q, their integer primitive gcd, then the joint
+content), but first asks for a certificate that the gcd is 1
 (Brown, JACM 1971).  Every level maps into a small "shadow": Q into
 GF(2^61 - 1), a transcendental generator to a constant fixed by its level
 index, an algebraic level to the shadow below with the image of its
@@ -26,11 +31,13 @@ unit, every leading coefficient it inverted being a unit too, then the
 resultant of the images is a unit.  It is the image of Res(num, den), so
 that resultant is not 0, and num and den are coprime.  In every other case
 (an undefined image, a vanished leading coefficient, a non-unit, a common
-factor) Euclid runs as it always did, so the canonical form never depends
-on the certificate.  What stays uncertified is the field property: over a
-reducible minimal polynomial the argument still shows Res(num, den) != 0,
-but a zero divisor that Euclid would have met along the way no longer
-surfaces in a normalisation whose operands are certified coprime.
+factor) the gcd is computed, so the canonical form never depends on the
+certificate.  An inverse needs neither: the swapped pair is still coprime,
+and only its unit changes.  What stays uncertified is the field property:
+over a reducible minimal polynomial the argument still shows
+Res(num, den) != 0, but a zero divisor that Euclid would have met along
+the way no longer surfaces in a normalisation whose operands are
+certified coprime.
 
 Irreducibility is certified only in part.  A minimal polynomial whose
 coefficients are all rational is rejected when adjoined if it has a rational
@@ -54,6 +61,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import (
     QQ,
+    ZZ,
     PolyRing,
     RatFunc,
     _padd,
@@ -153,11 +161,17 @@ def _rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
 
 
 _UNLUCKY = (ZeroDivisionError, ZeroDivisorError)  # what a shadow raises on a non-unit
+_ZX = PolyRing(ZZ)
 
 
 class _LevelTrans:
     """Fraction field of below[name]; reps are (num, den) coefficient tuples
-    with gcd(num, den) = 1 and den monic.
+    with gcd(num, den) = 1.
+
+    Over Q the level computes in Z[name]: ``below`` is ZZ, num and den are
+    tuples of ints with joint integer content 1, and den's leading
+    coefficient is positive.  That is the printed form, and no coefficient
+    is a Fraction.  Over a tower level, den is monic.
 
     Its shadow is the shadow of the level below: ``image`` sends the
     generator to ``point``, a constant fixed by the level index."""
@@ -165,6 +179,8 @@ class _LevelTrans:
     kind = "transcendental"
 
     def __init__(self, below, name: str, index: int):
+        if below is QQ:
+            below = ZZ
         self.below = below
         self.name = name
         self.zero = ((), (below.one,))
@@ -212,24 +228,57 @@ class _LevelTrans:
         if not den:
             raise DivisionByZeroElementError("division by zero element")
         if not num:
-            return ((), (K.one,))
+            return self.zero
         if not self._coprime(num, den):
-            g = _pgcd(K, num, den)
-            if len(g) > 1:
-                num = _pdivmod(K, num, g)[0]
-                den = _pdivmod(K, den, g)[0]
+            if K is ZZ:
+                g = poly_gcd(_ZX, num, den)
+                if len(g) > 1:
+                    num, den = poly_exquo(_ZX, num, g), poly_exquo(_ZX, den, g)
+            else:
+                g = _pgcd(K, num, den)
+                if len(g) > 1:
+                    num = _pdivmod(K, num, g)[0]
+                    den = _pdivmod(K, den, g)[0]
+        return self._unit_normal(num, den)
+
+    def _unit_normal(self, num: tuple, den: tuple):
+        """The coprime pair num/den scaled by the unit that puts it in
+        normal form: over Z, the joint content with den's leading sign;
+        over a field, den's leading coefficient."""
+        K = self.below
+        if K is ZZ:
+            c = math.gcd(*num, *den)
+            if den[-1] < 0:
+                c = -c
+            if c == 1:
+                return (num, den)
+            if c == -1:
+                return (tuple(-x for x in num), tuple(-x for x in den))
+            return (tuple(x // c for x in num), tuple(x // c for x in den))
         if den[-1] == K.one:
             return (num, den)
         c = K.inv(den[-1])
         return (_pscale(K, num, c), _pscale(K, den, c))
 
     def from_rational(self, q: Fraction):
-        return self.from_below(self.below.from_rational(q))
+        return self.from_below(q if self.below is ZZ else self.below.from_rational(q))
 
     def from_below(self, c):
+        """A constant: an element of the level below, or over Z a rational
+        (or an int) split into its numerator and denominator."""
         if self.below.is_zero(c):
             return self.zero
+        if self.below is ZZ:
+            return ((c.numerator,), (c.denominator,))
         return ((c,), (self.below.one,))
+
+    def to_below(self, a):
+        """The constant rep a as an element of the level below (a Fraction
+        over Z); the inverse of ``from_below``."""
+        num, den = a
+        if self.below is ZZ:
+            return Fraction(num[0], den[0]) if num else Fraction(0)
+        return num[0] if num else self.below.zero
 
     def generator(self):
         return ((self.below.zero, self.below.one), (self.below.one,))
@@ -253,9 +302,10 @@ class _LevelTrans:
         return self._normalize(_pmul(K, a[0], b[0]), _pmul(K, a[1], b[1]))
 
     def inv(self, a):
+        """The swapped pair, still coprime, so only the unit changes."""
         if not a[0]:
             raise DivisionByZeroElementError("division by zero element")
-        return self._normalize(a[1], a[0])
+        return self._unit_normal(a[1], a[0])
 
 
 class _LevelAlg(PolyRing):
@@ -417,11 +467,11 @@ class FieldTower:
     def _minpoly_coeffs(self, name: str, minpoly: Union[str, Sequence]) -> tuple:
         if isinstance(minpoly, str):
             # The polynomial is an element of self(name), name transcendental;
-            # its denominator is monic, so it is 1 unless it involves name.
+            # its denominator is a constant unless it involves name.
             num, den = element_eval(self.adjoin_transcendental(name), minpoly).rep
             if len(den) > 1:
                 raise TowerError("minimal polynomial must be polynomial in the new generator")
-            return num
+            return _pscale(self.top, num, self.top.inv(den[0]))
         coeffs = []
         for c in minpoly:
             elem = c if isinstance(c, TowerElement) else self.rational(rational(c))
@@ -465,10 +515,9 @@ class FieldTower:
                     break
                 rep = rep[0] if rep else level.below.zero
             else:
-                num, den = rep
-                if len(num) > 1 or len(den) > 1:
+                if len(rep[0]) > 1 or len(rep[1]) > 1:
                     break
-                rep = num[0] if num else level.below.zero
+                rep = level.to_below(rep)
             level_index -= 1
         return level_index, rep
 
@@ -579,7 +628,7 @@ class TowerElement:
 def _degree_bound(level, rep) -> int:
     """A bound on the total degree of a level rep in the generators: its
     degree in the level's generator plus the largest of its coefficients'."""
-    if level is QQ or not rep:
+    if level is QQ or level is ZZ or not rep:
         return 0
     coeffs = rep if level.kind == "algebraic" else rep[0] + rep[1]
     top = len(rep) if level.kind == "algebraic" else max(map(len, rep))
@@ -607,13 +656,19 @@ def _dense_pair(tower: FieldTower, index: int, rep) -> tuple:
     shares no factor with P, nor L_den with Q, as above.  P and Q share
     none either: num and den are coprime over the level below, so a common
     factor would have to lose its leading coefficient there; but that
-    coefficient divides L_den, the leading coefficient of Q (den is monic),
-    and L_den does not vanish in the tower (Gauss's lemma).
+    coefficient divides L_den, the leading coefficient of Q (den is monic
+    over a level above Q, so its leading coefficient is 1 and clears to
+    L_den), and L_den does not vanish in the tower (Gauss's lemma).  A
+    transcendental level over Q needs none of this: its rep is already a
+    coprime pair of integer polynomials, and is returned as it is.
     """
     if index == 0:
         return rep, Fraction(1)
+    level = tower.levels[index]
+    if level.below is ZZ:
+        return rep
     ring = tower.rings[index - 1]
-    if tower.levels[index].kind == "algebraic":
+    if level.kind == "algebraic":
         num, den = _cleared(tower, index - 1, ring, rep)
         return num, (den,)
     num, l_num = _cleared(tower, index - 1, ring, rep[0])

@@ -586,6 +586,19 @@ def test_feq_check_refuses_a_sample_over_the_budget(cli, monkeypatch):
     assert cli(*argv, "1000") == (0, ["cauchy-add: pass (764 pairs, 236 skipped)"], [])
 
 
+def test_cocycle_verify_refuses_a_sample_over_the_budget(cli, monkeypatch):
+    monkeypatch.delenv("DERCALC_BUDGET", raising=False)
+    argv = ("cocycle", "verify", "--f", "x^2", "--carrier", "window:-60:60",
+            "--mode", "sampled", "--seed", "3", "--sample")
+    assert cli(*argv, "100000000") == (2, [], [
+        "error: sample of 100000000 tuples exceeds budget 10000000; "
+        "raise it with DERCALC_BUDGET"])
+    assert cli(*argv, "0") == (2, [], ["error: sampled mode needs a positive sample size"])
+    code, out, err = cli(*argv, "1000")
+    assert (code, out[0], out[2], err) == (
+        0, "cocycle pair f = x^2 on window:-60:60", "  (beta) pass: 517 tuples, 483 skipped", [])
+
+
 @pytest.mark.parametrize("params, message", [
     ("lam=1,mu", "bad parameter 'mu': expected name=value"),
     ("lam=1,mu=x", "bad parameter 'mu=x': expected an integer value"),

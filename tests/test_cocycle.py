@@ -115,7 +115,25 @@ def test_sampled_tuples_match_choice_from_the_full_list(arity, seed):
     every = list(itertools.product(elems, repeat=arity))
     old = random.Random(seed)
     expected = [old.choice(every) for _ in range(40)]
-    assert _sampled_tuples(elems, arity, 40, random.Random(seed)) == expected
+    assert list(_sampled_tuples(elems, arity, 40, random.Random(seed))) == expected
+
+
+def test_sampled_axioms_after_an_early_witness_draw_their_sample_as_before():
+    # F(a, b) = a fails (alpha) on its first tuple or so; (beta) must still
+    # see the triples it would draw after all of (alpha)'s pairs were drawn.
+    k = gf(7)
+    F = Cocycle2(k, lambda a, b: a, "F")
+    report = cocycle_verify(F, axioms=("alpha", "beta"), mode="sampled", sample=50, seed=1)
+    assert report.axioms["alpha"].checked < 50
+    rng = random.Random(1)
+    elems = list(k.elements())
+    pairs, triples = (list(_sampled_tuples(elems, arity, 50, rng)) for arity in (2, 3))
+    # (beta) reads 2x + y = x + y: it fails exactly where x != 0.
+    witness = next(t for t in triples if t[0] != 0)
+    beta = report.axioms["beta"]
+    assert beta.witness == witness
+    assert beta.checked == triples.index(witness) + 1
+    assert report.axioms["alpha"].witness == next(t for t in pairs if t[0] != t[1])
 
 
 def test_sampled_mode_on_a_wide_window_builds_no_tuple_list():
@@ -133,6 +151,31 @@ def test_sampled_mode_on_a_wide_window_builds_no_tuple_list():
     assert all(r.checked + r.skipped == 10 for r in report.axioms.values())
     # The 121^3 triples of the window would take well over 100 MB.
     assert peak < 1_000_000
+
+
+def test_a_large_sample_is_drawn_lazily():
+    w = IntegerWindow(-60, 60)
+    F = cauchy_difference({x: x * x for x in range(-60, 61)}, w)
+    tracemalloc.start()
+    try:
+        report = cocycle_verify(F, axioms=("beta",), mode="sampled", sample=30_000, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    r = report.axioms["beta"]
+    assert r.status == "pass" and r.checked + r.skipped == 30_000
+    # Drawn into lists first, the sample took 3 MB.
+    assert peak < 1_000_000
+
+
+def test_a_sample_over_the_budget_is_refused(monkeypatch):
+    F = cauchy_difference(lambda x: x * x % 7, gf(7))
+    monkeypatch.setenv("DERCALC_BUDGET", "100")
+    with pytest.raises(BudgetError, match=r"^sample of 101 tuples exceeds budget 100; "
+                                          r"raise it with DERCALC_BUDGET$"):
+        cocycle_verify(F, axioms=("beta",), mode="sampled", sample=101)
+    report = cocycle_verify(F, axioms=("beta",), mode="sampled", sample=100)
+    assert report.axioms["beta"].checked == 100
 
 
 def test_sampled_mode_bounds_work():

@@ -116,7 +116,7 @@ def reference_verify(carrier, F, G, axioms, mode, sample, seed):
     out = {}
     for axiom in axioms:
         arity = 2 if axiom in ("alpha", "gamma") else 3
-        tuples = (_sampled_tuples(elems, arity, sample, rng) if mode == "sampled"
+        tuples = (list(_sampled_tuples(elems, arity, sample, rng)) if mode == "sampled"
                   else itertools.product(elems, repeat=arity))
         out[axiom] = reference_result(*axiom_sides(axiom, F, G, add, mul), tuples, carrier)
     return out

@@ -22,3 +22,10 @@ def test_open_problems_past_gf23(capsys):
     for p in primes:
         assert out.count(f"GF({p}): 1 solution(s), status complete") == 2, p
     assert "Only zero tables found.  Evidence, not proof: the question stays open" in out
+
+
+def test_tower_walkthrough_prints_its_tour(capsys):
+    script = load_script("tower_walkthrough")
+    assert script.main() == 0
+    expected = (pathlib.Path(__file__).parent / "data" / "tower_walkthrough.expected").read_text()
+    assert capsys.readouterr().out == expected
