@@ -13,17 +13,19 @@ G take two arguments, and a sum (zeta):
     (eta)      F(x*z, y*z) = z*F(x, y), for differences of additive maps
     (zeta)     F(1, 0) + F(1, 1) + ... + F(1, p - 1) = 0 in characteristic p
 
-`CONDITIONS` holds them, with the conditions for D to be the Leibniz
-difference of an additive map.  feq's generated check loop runs them,
-exhaustively, reading each map by subscription from a dict made once per
-call (`Cocycle2.table`), or on a seeded sample, through `_Subscript`, whose
-`__getitem__` calls the map.  Values on a finite carrier are reduced
-modulo m as they are read.  On an IntegerWindow, tuples whose function
-arguments escape the window or miss a dict table's entry are skipped and
-counted.  The module also extends positive-domain cocycles to signed
-windows via sign tables, reconstructs a primitive from its Cauchy
-difference, and solves for the "alien" mixtures of both differences with
-feq.
+The two differences are the residuals lhs - rhs of feq's corpus
+equations `cauchy-add` and `leibniz`.  `CONDITIONS` holds the axioms,
+with the conditions for D to be the Leibniz difference of an additive
+map.  feq's generated check loop runs them, exhaustively, reading each
+map by subscription from a dict made once per call (`Cocycle2.table`),
+or on a seeded sample, through `_Subscript`, whose `__getitem__` calls
+the map; each check is an feq `CheckReport`.  Values on a finite carrier
+are reduced modulo m as they are read.  On an IntegerWindow, tuples whose
+function arguments escape the window or miss a dict table's entry are
+skipped and counted.  The module also extends positive-domain cocycles
+to signed windows via sign tables, reconstructs a primitive from its
+Cauchy difference, and solves for the "alien" mixtures of both
+differences with feq.
 """
 from __future__ import annotations
 
@@ -31,12 +33,11 @@ import collections
 import itertools
 import random
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .exact import FiniteCarrier, IntegerWindow, bound_sample
-from .feq import (CORPUS, Equation, FnTable, _INADMISSIBLE, _loop, _sides, feq_check,
-                  feq_solve_brute)
+from .feq import (CORPUS, CheckReport, Equation, FnTable, _INADMISSIBLE, _check, _residual,
+                  feq_check, feq_solve_brute)
 
 Carrier = Union[FiniteCarrier, IntegerWindow]
 
@@ -120,47 +121,23 @@ class Cocycle2:
         return out
 
 
-# Its sides are f's Cauchy and g's Leibniz difference; `feq list` leaves it out.
-_MIXED = Equation.parse("mixed", "f(x+y) - f(x) - f(y) = g(x*y) - x*g(y) - y*g(x)")
-
-
-class _Difference:
-    """The Cauchy (side 0) or Leibniz (side 1) difference of the map f:
-    that side of `_MIXED` with f as f and g, generated and bound on the
-    first call."""
-
-    def __init__(self, f: Mapping[int, int], carrier: Carrier, index: int):
-        self.f, self.carrier, self.index, self.side = f, carrier, index, None
-
-    def __call__(self, a: int, b: int) -> int:
-        if self.side is None:
-            self.side = _sides(_MIXED, self.carrier, {"f": self.f, "g": self.f}, {})[self.index]
-        return self.side(a, b)
-
-
 def cauchy_difference(f: FnLike, carrier: Carrier, name: str = "F") -> Cocycle2:
-    """F(a,b) = f(a+b) - f(a) - f(b) in the carrier's arithmetic."""
-    return Cocycle2(carrier, _Difference(_as_map(f), carrier, 0), name)
+    """F(a,b) = f(a+b) - f(a) - f(b) in the carrier's arithmetic: the
+    residual of `cauchy-add`."""
+    return Cocycle2(carrier, _residual(CORPUS["cauchy-add"], carrier, {"f": _as_map(f)}, {}),
+                    name)
 
 
 def leibniz_difference(f: FnLike, carrier: Carrier, name: str = "G") -> Cocycle2:
-    """G(a,b) = f(ab) - a f(b) - b f(a) in the carrier's arithmetic."""
-    return Cocycle2(carrier, _Difference(_as_map(f), carrier, 1), name)
-
-
-@dataclass(frozen=True)
-class AxiomResult:
-    status: str  # 'pass', 'fail', or 'void'
-    witness: Optional[tuple]
-    lhs: Optional[int]
-    rhs: Optional[int]
-    checked: int
-    skipped: int
+    """G(a,b) = f(ab) - a f(b) - b f(a) in the carrier's arithmetic: the
+    residual of `leibniz`."""
+    return Cocycle2(carrier, _residual(CORPUS["leibniz"], carrier, {"f": _as_map(f)}, {}),
+                    name)
 
 
 @dataclass(frozen=True)
 class CocycleReport:
-    axioms: Dict[str, AxiomResult]
+    axioms: Dict[str, CheckReport]
 
     @property
     def ok(self) -> bool:
@@ -218,16 +195,6 @@ CONDITIONS: Dict[str, Equation] = {
 }
 
 
-def _check(eq: Equation, carrier: Carrier, tables: Dict[str, Mapping],
-           tuples: Optional[Iterable[tuple]] = None) -> AxiomResult:
-    """feq's generated check loop of `eq`, reading `tables`, on `tuples` or
-    else on every tuple of the carrier's elements."""
-    if tuples is None:
-        tuples = itertools.product(list(carrier.elements()), repeat=len(eq.variables))
-    witness, lhs, rhs, checked, skipped = _loop(eq, carrier, tables, {})(tuples)
-    return AxiomResult("pass" if witness is None else "fail", witness, lhs, rhs, checked, skipped)
-
-
 def cocycle_verify(
     F: Cocycle2,
     G: Optional[Cocycle2] = None,
@@ -252,7 +219,7 @@ def cocycle_verify(
     if axioms is None:
         axioms = PAIR_AXIOMS if G is not None else F_AXIOMS
     elems = list(carrier.elements())
-    results: Dict[str, AxiomResult] = {}
+    results: Dict[str, CheckReport] = {}
     rng = random.Random(seed)
     maps = {"F": F, "G": G}
     tables: Dict[str, Mapping] = {}  # how each map is read, made on first use
@@ -269,7 +236,7 @@ def cocycle_verify(
                   if mode == "sampled" else None)
         for name in [f for f in eq.functions if f not in tables]:
             tables[name] = _Subscript(maps[name].read) if mode == "sampled" else maps[name].table()
-        results[axiom] = _check(eq, carrier, tables, tuples)
+        results[axiom] = _check(eq, carrier, tables, {}, tuples)
         if tuples is not None:
             # After a witness, make the draws left, so that the next axiom
             # draws the sample it would have drawn without one.
@@ -277,14 +244,14 @@ def cocycle_verify(
     return CocycleReport(results)
 
 
-def _check_zeta(F: Cocycle2, carrier: Carrier) -> AxiomResult:
+def _check_zeta(F: Cocycle2, carrier: Carrier) -> CheckReport:
     p = carrier.characteristic
     if p == 0:
-        return AxiomResult("void", None, None, None, 0, 0)
+        return CheckReport("zeta", "void", None, None, None, 0, 0)
     total = sum(F(1, i % p) for i in range(1, p + 1)) % p
     if total == 0:
-        return AxiomResult("pass", None, None, None, 1, 0)
-    return AxiomResult("fail", ("sum",), total, 0, 1, 0)
+        return CheckReport("zeta", "pass", None, None, None, 1, 0)
+    return CheckReport("zeta", "fail", ("sum",), total, 0, 1, 0)
 
 
 # -- extension from the positive half ---------------------------------------
@@ -384,8 +351,7 @@ def cocycle_primitive(F: Fn2Like, window: IntegerWindow, f1: int) -> Dict[int, i
         f[k + 1] = f[k] + f[1] + F_fn(k, 1)
     for k in range(0, window.lo, -1):
         f[k - 1] = f[k] - f[1] - F_fn(k - 1, 1)
-    result = _check(CONDITIONS["primitive"], window,
-                    {"f": f, "F": F_fn.table()})
+    result = _check(CONDITIONS["primitive"], window, {"f": f, "F": F_fn.table()}, {})
     if result.status == "fail":
         a, b = result.witness
         raise NotACoboundaryError(f"re-differencing disagrees with F at ({a},{b})")
@@ -400,7 +366,7 @@ def leibniz_coboundary_check(D: Fn2Like, carrier: Carrier) -> CocycleReport:
     of some additive map: symmetry, the associator identity, and additivity
     in the first slot."""
     tables = {"D": Cocycle2(carrier, _as_fn2(D), "D").table()}
-    return CocycleReport({name: _check(CONDITIONS[name], carrier, tables)
+    return CocycleReport({name: _check(CONDITIONS[name], carrier, tables, {})
                           for name in ("symmetry", "associator", "additivity")})
 
 
@@ -414,6 +380,10 @@ def leibniz_maps(carrier: FiniteCarrier) -> List[Dict[int, int]]:
         raise CocycleError("Leibniz map enumeration runs on prime fields")
     report = feq_solve_brute(CORPUS["leibniz"], ["f"], carrier)
     return [dict(f.values) for f in report.tables("f")]
+
+
+# The equation char_decompose splits the solutions of; `feq list` leaves it out.
+_MIXED = Equation.parse("mixed", "f(x+y) - f(x) - f(y) = g(x*y) - x*g(y) - y*g(x)")
 
 
 @dataclass(frozen=True)
@@ -437,9 +407,10 @@ def char_decompose(f: FnLike, g: FnLike, carrier: FiniteCarrier) -> Decompositio
         f(x+y) - f(x) - f(y) = g(xy) - x g(y) - y g(x)
 
     over an odd prime field into the structured form above.  The pair is
-    first checked against the mixed equation with feq_check.  The search
-    space is small because additive maps on a prime field are x -> c x and
-    Leibniz maps are the solutions of `leibniz` (only the zero map)."""
+    first checked against the mixed equation with feq_check.  Each Leibniz
+    map phi, a solution of `leibniz` (only the zero map), forces alpha =
+    g(1) - phi(1) and then beta = f(1) - alpha*(1/2 - 1), as additive maps
+    on a prime field are x -> c x; both tables are then verified."""
     if carrier.kind != "gf" or carrier.modulus < 3:
         raise CocycleError("decomposition runs on odd prime fields")
     p = carrier.modulus
@@ -450,16 +421,13 @@ def char_decompose(f: FnLike, g: FnLike, carrier: FiniteCarrier) -> Decompositio
         x, y = check.witness
         raise CocycleError(f"pair does not solve the mixed equation; witness ({x},{y})")
     f_tab, g_tab = f_table.values, g_table.values
-    inv2 = pow(2, -1, p)
-    phis = leibniz_maps(carrier)
-    for a in range(p):
-        f_target = {x: (a * x * x % p * (inv2 - 1) % p) for x in range(p)}
-        for b in range(p):
-            if any((b * x + f_target[x]) % p != f_tab[x] for x in range(p)):
-                continue
-            for phi in phis:
-                if all((phi[x] + a * x) % p == g_tab[x] for x in range(p)):
-                    return Decomposition(a, b, phi)
+    half_less_one = (pow(2, -1, p) - 1) % p
+    for phi in leibniz_maps(carrier):
+        a = (g_tab[1] - phi[1]) % p
+        b = (f_tab[1] - a * half_less_one) % p
+        if (all((b * x + a * x * x * half_less_one) % p == f_tab[x] for x in range(p))
+                and all((phi[x] + a * x) % p == g_tab[x] for x in range(p))):
+            return Decomposition(a, b, phi)
     raise DecompositionDefectError(
         "no (alpha, beta, phi) decomposition found; this contradicts the "
         "structure theorem for the mixed equation"

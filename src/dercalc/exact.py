@@ -644,12 +644,6 @@ class RatFunc:
     def variables(self) -> Tuple[str, ...]:
         return self.num.variables
 
-    def substitute(self, assignment: Dict[str, Fraction]) -> Fraction:
-        den = self.den.substitute(assignment)
-        if den == 0:
-            raise ZeroDivisionError("substitution hits a pole")
-        return self.num.substitute(assignment) / den
-
     def __str__(self) -> str:
         if self.den == MultiPoly.const(self.variables, 1):
             return str(self.num)

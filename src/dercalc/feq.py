@@ -38,11 +38,13 @@ bound, and a constant divisor on a finite carrier becomes a product with
 its inverse; other divisions and negative powers call `_Carrier`, which
 alone decides when a tuple is skipped.  Per equation and carrier modulus
 or window (`Equation.code`), after its constant divisors are examined,
-both sides are compiled as functions of the variables and, with the
-lines of both inlined, as one check loop over a stream of tuples
-(`_Code`).  Checks, the cocycle conditions and the search run the loop;
-elimination calls the sides.  No user text reaches the source:
-variables, functions and constants are numbered slots.
+the lines of both sides are inlined into two functions (`_Code`): one
+check loop over a stream of tuples, and the residual lhs - rhs at one
+tuple.  Checks, the cocycle conditions and the search run the loop;
+elimination reads its rows, the search its dependencies and the cocycle
+module its Cauchy and Leibniz differences off the residual.  No user
+text reaches the source: variables, functions and constants are
+numbered slots.
 """
 from __future__ import annotations
 
@@ -140,7 +142,7 @@ class Equation:
     min_size: int = 0
     note: str = ""
     variables: Tuple[str, ...] = ("x", "y")
-    # The generated sides and check loop, per carrier key (see `_code`).  It
+    # The generated check loop and residual, per carrier key (see `_code`).  It
     # is not part of the equation's value, and it is not keyed on the
     # trees: hashing a tree recurses once per level.
     code: Dict[tuple, "_Code"] = field(
@@ -242,6 +244,7 @@ def _arity(node) -> int:
 
 
 def _always_skip(*args: int) -> int:
+    """The residual where a side's constant is inadmissible."""
     raise _Skip
 
 
@@ -249,14 +252,6 @@ def _skip_every(tuples: Iterable[tuple]):
     """The check loop where a side's constant is inadmissible: every tuple
     is skipped, and counted."""
     return None, None, None, 0, sum(1 for _ in tuples)
-
-
-def _globals(algebra: _Carrier, tables: Sequence[Mapping]) -> dict:
-    """The globals of generated code reading `tables` as T0, T1, ..."""
-    env = {"pow": pow, "POW": algebra.pow, "BIN": algebra.bin, "SKIP": _Skip,
-           "INADMISSIBLE": _INADMISSIBLE}
-    env.update((f"T{i}", t) for i, t in enumerate(tables))
-    return env
 
 
 class _Side:
@@ -267,11 +262,10 @@ class _Side:
     T<i>[a] or T<i>[a, b], node j the local <tag><j>, and each maximal
     subtree without a variable or a function call the global <tag>k<j>,
     folded by `fold` (as the inverse of its value where it divides on a
-    finite carrier).  The tag keeps two sides' names apart in one loop.
-    `code` is the side alone, `side(a0, a1, ...)`, compiled on the first
-    `bind`: most uses only run the sides inside a check loop."""
+    finite carrier).  The tag keeps two sides' names apart in one
+    function."""
 
-    __slots__ = ("lines", "result", "slots", "code", "constants", "binary")
+    __slots__ = ("lines", "result", "constants", "binary")
 
     def __init__(self, side, functions: Sequence[str], carrier: Carrier,
                  variables: Sequence[str] = ("x", "y"), tag: str = "v"):
@@ -334,7 +328,7 @@ class _Side:
                     assign(f'BIN("/", {a}, {name(right)})')
             else:
                 raise TypeError(f"not an expression node: {node!r}")
-        self.lines, self.slots, self.code = lines, slots, None
+        self.lines = lines
         self.result = name(stack.pop())
 
     def fold(self, algebra: _Carrier, env: dict) -> bool:
@@ -348,14 +342,6 @@ class _Side:
             return False
         return True
 
-    def bind(self, algebra: _Carrier, tables: Sequence[Mapping]):
-        """The side as a function of the variables reading `tables`."""
-        if self.code is None:
-            self.code = _compile(f"def side({', '.join(self.slots)}):",
-                                 self.lines + [f"return {self.result}"])
-        env = _globals(algebra, tables)
-        return types.FunctionType(self.code, env) if self.fold(algebra, env) else _always_skip
-
 
 def _compile(header: str, lines: List[str]) -> types.CodeType:
     """The code of the function `header` with body `lines`."""
@@ -365,19 +351,26 @@ def _compile(header: str, lines: List[str]) -> types.CodeType:
 
 
 class _Code:
-    """The generated code of an equation on one carrier: both sides, and
-    the check loop that runs them over tuples.  `check(tuples)` returns
-    (witness, lhs, rhs, checked, skipped): the first tuple whose sides
-    differ, or None three times, after counting the tuples compared and
-    those skipped because a side raised _Skip or read a missing entry."""
+    """The generated code of an equation on one carrier: both sides, with
+    the lines of both inlined into two functions.  The check loop
+    `check(tuples)` returns (witness, lhs, rhs, checked, skipped): the
+    first tuple whose sides differ, or None three times, after counting
+    the tuples compared and those skipped because a side raised _Skip or
+    read a missing entry.  The residual `residual(a0, a1, ...)` is lhs -
+    rhs at one tuple, reduced modulo a finite carrier, and raises where the
+    tuple is inadmissible; it is compiled on its first use, as most
+    equations only run the loop."""
 
-    __slots__ = ("lhs", "rhs", "loop")
+    __slots__ = ("lhs", "rhs", "arity", "modulus", "loop", "difference")
 
     def __init__(self, eq: "Equation", carrier: Carrier):
         self.lhs, self.rhs = (_Side(side, eq.functions, carrier, eq.variables, tag)
                               for side, tag in ((eq.lhs, "l"), (eq.rhs, "r")))
+        self.arity = len(eq.variables)
+        self.modulus = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
+        self.difference: Optional[types.CodeType] = None
         # The loop target and the witness; "a0, " and "" still make tuples.
-        slots = "".join(f"a{i}, " for i in range(len(eq.variables)))
+        slots = "".join(f"a{i}, " for i in range(self.arity))
         lhs, rhs = self.lhs.result, self.rhs.result
         self.loop = _compile("def check(tuples):", [
             "checked = skipped = 0",
@@ -393,11 +386,30 @@ class _Code:
             "return None, None, None, checked, skipped",
         ])
 
+    def _globals(self, algebra: _Carrier, tables: Sequence[Mapping]) -> Optional[dict]:
+        """The globals of the code reading `tables` as T0, T1, ..., with the
+        constants of both sides folded; None when one is inadmissible, and
+        then every tuple is skipped."""
+        env = {"pow": pow, "POW": algebra.pow, "BIN": algebra.bin, "SKIP": _Skip,
+               "INADMISSIBLE": _INADMISSIBLE}
+        env.update((f"T{i}", t) for i, t in enumerate(tables))
+        return env if self.lhs.fold(algebra, env) and self.rhs.fold(algebra, env) else None
+
     def bind(self, algebra: _Carrier, tables: Sequence[Mapping]):
         """The check loop reading `tables`."""
-        env = _globals(algebra, tables)
-        folded = [side.fold(algebra, env) for side in (self.lhs, self.rhs)]
-        return types.FunctionType(self.loop, env) if all(folded) else _skip_every
+        env = self._globals(algebra, tables)
+        return _skip_every if env is None else types.FunctionType(self.loop, env)
+
+    def residual(self, algebra: _Carrier, tables: Sequence[Mapping]):
+        """The residual reading `tables`."""
+        if self.difference is None:
+            lhs, rhs, m = self.lhs.result, self.rhs.result, self.modulus
+            self.difference = _compile(
+                f"def residual({', '.join(f'a{i}' for i in range(self.arity))}):",
+                self.lhs.lines + self.rhs.lines
+                + [f"return ({lhs} - {rhs}) % {m}" if m else f"return {lhs} - {rhs}"])
+        env = self._globals(algebra, tables)
+        return _always_skip if env is None else types.FunctionType(self.difference, env)
 
 
 def _code(eq: "Equation", carrier: Carrier) -> _Code:
@@ -423,16 +435,6 @@ def _table_code(eq: "Equation", carrier: Carrier) -> _Code:
     return code
 
 
-def _sides(eq: "Equation", carrier: Carrier, tables: Dict[str, Mapping],
-           params: Dict[str, int]):
-    """Both sides of `eq` as functions of its variables on `carrier`,
-    reading the table bound to each function name (see `_code`)."""
-    algebra = _Carrier(carrier, params)
-    bound = [tables[f] for f in eq.functions]
-    code = _code(eq, carrier)
-    return code.lhs.bind(algebra, bound), code.rhs.bind(algebra, bound)
-
-
 def _loop(eq: "Equation", carrier: Carrier, tables: Dict[str, Mapping],
           params: Dict[str, int]):
     """The check loop of `eq` on `carrier`, reading the table bound to each
@@ -440,10 +442,20 @@ def _loop(eq: "Equation", carrier: Carrier, tables: Dict[str, Mapping],
     return _code(eq, carrier).bind(_Carrier(carrier, params), [tables[f] for f in eq.functions])
 
 
+def _residual(eq: "Equation", carrier: Carrier, tables: Dict[str, Mapping],
+              params: Dict[str, int]):
+    """lhs - rhs of `eq` on `carrier` as a function of its variables,
+    reading the table bound to each function name (see `_Code`)."""
+    return _code(eq, carrier).residual(_Carrier(carrier, params),
+                                       [tables[f] for f in eq.functions])
+
+
 @dataclass(frozen=True)
 class CheckReport:
     equation: str
-    status: str  # 'pass' or 'fail'
+    # 'pass' or 'fail'; 'void' for a condition that says nothing on the
+    # carrier, such as the cocycle sum (zeta) in characteristic 0
+    status: str
     witness: Optional[Tuple[int, ...]]
     lhs: Optional[int]
     rhs: Optional[int]
@@ -461,6 +473,17 @@ class CheckReport:
         return (f"{self.equation}: FAIL at {self.witness}: "
                 f"lhs {self.lhs} != rhs {self.rhs} "
                 f"({self.checked} pairs checked, {self.skipped} skipped)")
+
+
+def _check(eq: Equation, carrier: Carrier, tables: Dict[str, Mapping], params: Dict[str, int],
+           tuples: Optional[Iterable[tuple]] = None) -> CheckReport:
+    """The check loop of `eq` on `carrier`, reading `tables`, run on
+    `tuples` or else on every tuple of the carrier's elements."""
+    if tuples is None:
+        tuples = itertools.product(list(carrier.elements()), repeat=len(eq.variables))
+    witness, lhs, rhs, checked, skipped = _loop(eq, carrier, tables, params)(tuples)
+    return CheckReport(eq.name, "pass" if witness is None else "fail",
+                       witness, lhs, rhs, checked, skipped)
 
 
 def feq_check(
@@ -490,22 +513,18 @@ def feq_check(
     _table_code(eq, carrier)
     if isinstance(carrier, FiniteCarrier):
         params = {k: v % carrier.modulus for k, v in params.items()}
-    check = _loop(eq, carrier, {name: t.values for name, t in bindings.items()}, params)
-    elems = list(carrier.elements())
-    arity = len(eq.variables)
-    tuples: Iterable[tuple] = itertools.product(elems, repeat=arity)
+    tuples: Optional[Iterable[tuple]] = None
     if mode == "sampled":
         if sample <= 0:
             raise FeqError("sampled mode needs a positive sample size")
         bound_sample(sample)
         rng = random.Random(seed)
+        elems = list(carrier.elements())
         # Drawn as the loop asks for them, so no sample is held in memory.
-        tuples = (tuple([rng.choice(elems) for _ in range(arity)]) for _ in range(sample))
+        tuples = (tuple([rng.choice(elems) for _ in eq.variables]) for _ in range(sample))
     elif mode != "exhaustive":
         raise FeqError(f"unknown mode {mode!r}")
-    witness, lhs, rhs, checked, skipped = check(tuples)
-    return CheckReport(eq.name, "pass" if witness is None else "fail",
-                       witness, lhs, rhs, checked, skipped)
+    return _check(eq, carrier, {name: t.values for name, t in bindings.items()}, params, tuples)
 
 
 @dataclass(frozen=True)
@@ -623,10 +642,10 @@ def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     """Solutions, skipped pairs and the solutions that span the rest, by
     elimination mod a prime, for sides of degree at most 1 (`_degree`).
 
-    Each admissible tuple adds the row lhs - rhs = 0, read off the sides'
-    code (`_probe`): its constant is lhs - rhs at the zero tables, and the
-    coefficient of each entry the tuple reads is the change in lhs - rhs
-    when that entry alone is set to 1.  The rows are kept in reduced
+    Each admissible tuple adds the row lhs - rhs = 0, read off the
+    residual (`_probe`): its constant is the residual at the zero tables,
+    and the coefficient of each entry the tuple reads is the change in the
+    residual when that entry alone is set to 1.  The rows are kept in reduced
     row-echelon form with the highest slot of a row as its pivot, so a
     pivot entry is fixed by free entries at lower slots, and the first
     entry at which two solutions differ is free.  The solutions are
@@ -639,26 +658,26 @@ def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     slots = [(f, e) for e in range(m) for f in unknowns]
     slot_index = {fe: i for i, fe in enumerate(slots)}
     zeros, read = _probe(unknowns)
-    lhs_fn, rhs_fn = _sides(eq, carrier, zeros, params)
+    residual = _residual(eq, carrier, zeros, params)
     # Tables that read 0 but at the one entry whose coefficient is taken.
     tables = {f: collections.defaultdict(int) for f in unknowns}
-    lhs_one, rhs_one = _sides(eq, carrier, tables, params)
+    residual_one = _residual(eq, carrier, tables, params)
     pivots: Dict[int, Dict[int, int]] = {}  # pivot slot -> the rest of its row
     consistent = True
     skipped_pairs = 0
     for tup in itertools.product(range(m), repeat=len(eq.variables)):
         read.clear()
         try:
-            const = lhs_fn(*tup) - rhs_fn(*tup)
+            const = residual(*tup)
         except _Skip:
             skipped_pairs += 1
             continue
         if not consistent:
             continue
-        row = {_CONST: const % m}
+        row = {_CONST: const}
         for f, x in read:
             tables[f][x] = 1
-            row[slot_index[f, x]] = (lhs_one(*tup) - rhs_one(*tup) - const) % m
+            row[slot_index[f, x]] = (residual_one(*tup) - const) % m
             tables[f][x] = 0
         consistent = _add_row(pivots, _normal(row), m)
     if not consistent:
@@ -743,12 +762,15 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     pending: List[tuple] = every if dynamic else []
     if not dynamic:
         zeros, points = _probe(unknowns)
-        probe = _loop(eq, carrier, zeros, params)
+        probe = _residual(eq, carrier, zeros, params)
         for tup in every:
             points.clear()
-            if probe((tup,))[4]:  # skipped, whatever the tables hold
+            try:
+                probe(*tup)
+            except _Skip:  # skipped, whatever the tables hold
                 skipped_pairs += 1
-            elif points:
+                continue
+            if points:
                 tuples_at[max(slot_index[pt] for pt in points)].append(tup)
             else:
                 pending.append(tup)

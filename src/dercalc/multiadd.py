@@ -248,21 +248,28 @@ def _basis(dim: int) -> List[Vector]:
     ]
 
 
-def recover_components(
-    p: Callable[[Vector], Fraction], n: int, dim: int, grid_radius: int = 2
-) -> PolyFunction:
+def recover_components(p: Callable[[Vector], Fraction], n: int, dim: int) -> PolyFunction:
     """Split a black-box polynomial function of degree <= n into components.
 
+    p is tabulated once on the simplex {x in N^dim : |x| <= n}, as the
+    differences of degree n first read its points; they read every one.
     The top tensor is read off at the base point 0 by the polarization
     formula, A_n(e_{i_1},...,e_{i_n}) = Delta_{e_{i_1}..e_{i_n}} p(0) / n!,
-    its diagonal is subtracted, and the process recurses.  The recovered sum
-    is re-evaluated against p on the integer grid [-grid_radius, grid_radius]^dim
-    and any mismatch raises."""
+    its diagonal is subtracted from the table, and the process repeats a
+    degree lower; what is left at 0 is the constant.  The recovered sum is
+    re-evaluated against p on the integer grid [-2, 2]^dim and any mismatch
+    raises."""
     if n < 0:
         raise MultiAddError("degree bound must be nonnegative")
     basis = _basis(dim)
     zero = tuple(Fraction(0) for _ in range(dim))
-    rem: Callable[[Vector], Fraction] = p
+    table: Dict[Vector, Fraction] = {}
+
+    def rem(point: Vector) -> Fraction:
+        if point not in table:
+            table[point] = rational(p(point))
+        return table[point]
+
     parts: List[SymMultiMap] = []
     for k in range(n, 0, -1):
         coeffs: Dict[Tuple[int, ...], Fraction] = {}
@@ -271,10 +278,11 @@ def recover_components(
             coeffs[idx] = value / math.factorial(k)
         A = SymMultiMap(k, dim, coeffs)
         parts.append(A)
-        rem = (lambda x, rem=rem, A=A: rational(rem(x)) - trace(A, x))
+        for point in table:
+            table[point] -= trace(A, point)
     parts.append(SymMultiMap.constant(dim, rem(zero)))
     pf = PolyFunction(list(reversed(parts)))
-    for coords in product(range(-grid_radius, grid_radius + 1), repeat=dim):
+    for coords in product(range(-2, 3), repeat=dim):
         point = tuple(Fraction(c) for c in coords)
         expected = rational(p(point))
         got = pf(point)

@@ -433,7 +433,7 @@ class FieldTower:
         spec = GeneratorSpec(name, "transcendental")
         return FieldTower(self._levels + [level], self.gens + (spec,))
 
-    def adjoin_algebraic(self, name: str, minpoly: Union[str, Sequence]) -> "FieldTower":
+    def adjoin_algebraic(self, name: str, minpoly: str) -> "FieldTower":
         self._check_name(name)
         coeffs = self._minpoly_coeffs(name, minpoly)
         degree = len(coeffs) - 1
@@ -464,21 +464,13 @@ class FieldTower:
         spec = GeneratorSpec(name, "algebraic", degree, _render_minpoly(self, name, monic))
         return FieldTower(self._levels + [level], self.gens + (spec,))
 
-    def _minpoly_coeffs(self, name: str, minpoly: Union[str, Sequence]) -> tuple:
-        if isinstance(minpoly, str):
-            # The polynomial is an element of self(name), name transcendental;
-            # its denominator is a constant unless it involves name.
-            num, den = element_eval(self.adjoin_transcendental(name), minpoly).rep
-            if len(den) > 1:
-                raise TowerError("minimal polynomial must be polynomial in the new generator")
-            return _pscale(self.top, num, self.top.inv(den[0]))
-        coeffs = []
-        for c in minpoly:
-            elem = c if isinstance(c, TowerElement) else self.rational(rational(c))
-            if elem.tower is not self:
-                raise TowerMismatchError("minimal polynomial coefficient from another tower")
-            coeffs.append(elem.rep)
-        return _pstrip(self.top, tuple(coeffs))
+    def _minpoly_coeffs(self, name: str, minpoly: str) -> tuple:
+        # The polynomial is an element of self(name), name transcendental;
+        # its denominator is a constant unless it involves name.
+        num, den = element_eval(self.adjoin_transcendental(name), minpoly).rep
+        if len(den) > 1:
+            raise TowerError("minimal polynomial must be polynomial in the new generator")
+        return _pscale(self.top, num, self.top.inv(den[0]))
 
     def rational(self, q: Union[int, Fraction, str]) -> "TowerElement":
         return TowerElement(self, self.top.from_rational(rational(q)))

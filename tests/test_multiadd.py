@@ -1,11 +1,13 @@
 """Symmetric multiadditive maps: polarization, diagonals, recovery."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dercalc.exact import rational
 from dercalc.multiadd import (
     MultiAddError,
     NotPolynomialError,
@@ -188,6 +190,41 @@ def poly_functions(draw, max_degree=4, max_dim=2):
 def test_recover_round_trip(pf):
     got = recover_components(pf, pf.degree, pf.dim)
     assert got == pf
+
+
+def chained_recovery(p, n, dim):
+    """The recovery by one closure per degree, each re-evaluating p and the
+    traces above it: (components, None) or (None, the NotPolynomialError
+    point, expected and got)."""
+    basis = [tuple(Fraction(int(j == i)) for j in range(dim)) for i in range(dim)]
+    zero = (Fraction(0),) * dim
+    rem, parts = p, []
+    for k in range(n, 0, -1):
+        A = SymMultiMap(k, dim, {
+            idx: delta(rem, [basis[i] for i in idx], zero) / factorial(k)
+            for idx in combinations_with_replacement(range(dim), k)})
+        parts.append(A)
+        rem = (lambda x, rem=rem, A=A: rational(rem(x)) - trace(A, x))
+    pf = PolyFunction([SymMultiMap.constant(dim, rem(zero))] + parts[::-1])
+    for coords in product(range(-2, 3), repeat=dim):
+        point = tuple(map(Fraction, coords))
+        if rational(p(point)) != pf(point):
+            return None, (point, rational(p(point)), pf(point))
+    return pf.components, None
+
+
+@given(poly_functions(max_degree=3), st.integers(0, 4), frac, st.data())
+@settings(max_examples=40, deadline=None)
+def test_recover_matches_the_chained_recovery(pf, n, bump, data):
+    # A degree bound below the degree, or a bump at one point, makes the
+    # input fail the grid re-check.
+    where = data.draw(st.tuples(*[st.integers(-2, 2)] * pf.dim))
+    p = lambda v: pf(v) + (bump if v == where else 0)
+    components, failure = chained_recovery(p, n, pf.dim)
+    try:
+        assert recover_components(p, n, pf.dim).components == components
+    except NotPolynomialError as err:
+        assert (err.point, err.expected, err.got) == failure
 
 
 def test_recover_flags_non_polynomial():

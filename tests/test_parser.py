@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dercalc.exact import gf
-from dercalc.feq import _Carrier, _Side, _Skip
+from dercalc.feq import Equation, _Carrier, _Code, _Skip
 from dercalc.parser import (
     Apply,
     Arithmetic,
@@ -292,8 +292,10 @@ def test_arithmetic_raises_the_given_error():
 def test_compiled_carrier_side_agrees_with_exact_rationals(tree, p, data):
     x = data.draw(st.integers(0, p - 1))
     y = data.draw(st.integers(0, p - 1))
+    # The tree as the side of tree = 0, whose residual is the side's value.
+    eq = Equation("side", "", tree, Num(Fraction(0)), ())
     try:
-        got = _Side(tree, (), gf(p)).bind(_Carrier(gf(p), {}), ())(x, y)
+        got = _Code(eq, gf(p)).residual(_Carrier(gf(p), {}), ())(x, y)
     except _Skip:
         return
     # Every divisor is a unit mod p where the carrier does not skip, so the
