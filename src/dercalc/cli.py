@@ -10,7 +10,7 @@ import argparse
 import shlex
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .cocycle import (
     CocycleError,
@@ -129,12 +129,28 @@ def _vecs(text: str) -> List[Tuple[Fraction, ...]]:
     return [_vec(p) for p in text.split("|")]
 
 
+def _key_values(spec: str, sep: str, what: str, form: str,
+                read_key: Callable[[str], object] = str) -> List[Tuple[object, str]]:
+    """(read_key(key), value) for each "key=value" piece of `spec` split at
+    `sep`, blank pieces skipped.  A piece without "=", with a blank key or
+    with a key that read_key refuses by ValueError raises SessionError
+    naming it, as `parse_params` does."""
+    pairs = []
+    for piece in map(str.strip, spec.split(sep)):
+        if not piece:
+            continue
+        key, eq, value = (part.strip() for part in piece.partition("="))
+        try:
+            if not (eq and key):
+                raise ValueError
+            pairs.append((read_key(key), value))
+        except ValueError:
+            raise SessionError(f"bad {what} {piece!r}: expected {form}") from None
+    return pairs
+
+
 def _subst(text: str) -> Dict[str, Fraction]:
-    out: Dict[str, Fraction] = {}
-    for part in text.split(","):
-        k, v = part.split("=", 1)
-        out[k.strip()] = rational(v.strip())
-    return out
+    return {k: rational(v) for k, v in _key_values(text, ",", "substitution", "VAR=VALUE")}
 
 
 def _tensor(arity: int, dim: int, spec: str) -> SymMultiMap:
@@ -159,12 +175,8 @@ def _tensor(arity: int, dim: int, spec: str) -> SymMultiMap:
                 key, value = line.rsplit(" ", 1)
                 coeffs[parse_key(key)] = rational(value)
     else:
-        for part in spec.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            key, value = part.split("=", 1)
-            coeffs[parse_key(key)] = rational(value)
+        for key, value in _key_values(spec, ";", "tensor entry", "(I,...)=VALUE", parse_key):
+            coeffs[key] = rational(value)
     return SymMultiMap(arity, dim, coeffs)
 
 
@@ -231,32 +243,22 @@ def _gamma_table(args) -> GammaTable:
     return GammaTable(args.n, entries)
 
 
+def _order_and_variable(head: str) -> Tuple[int, str]:
+    k, colon, var = head.partition(":")
+    if not (colon and var.strip()):
+        raise ValueError
+    return int(k), var.strip()
+
+
 def _hod_values(variables: Tuple[str, ...], spec: Optional[str]):
     """"1:t=1;2:t=t^2" assigns d_k(var) = polynomial."""
-    values = {}
-    if not spec:
-        return values
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        head, expr = part.split("=", 1)
-        k_str, var = head.split(":", 1)
-        values[(int(k_str), var.strip())] = _polynomial(variables, expr)
-    return values
+    pairs = _key_values(spec or "", ";", "value", "K:VAR=EXPR", _order_and_variable)
+    return {head: _polynomial(variables, expr) for head, expr in pairs}
 
 
 def _choice(variables: Tuple[str, ...], spec: Optional[str]):
-    choice = {}
-    if not spec:
-        return choice
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        var, expr = part.split("=", 1)
-        choice[var.strip()] = _polynomial(variables, expr)
-    return choice
+    pairs = _key_values(spec or "", ";", "choice", "VAR=EXPR")
+    return {var: _polynomial(variables, expr) for var, expr in pairs}
 
 
 def _param_values(spec: Optional[str]):
@@ -268,8 +270,11 @@ def _param_values(spec: Optional[str]):
 
 
 def _window(spec: str) -> IntegerWindow:
-    lo, hi = spec.split(":", 1)
-    return IntegerWindow(int(lo), int(hi))
+    try:
+        lo, hi = map(int, spec.split(":"))
+    except ValueError:
+        raise SessionError(f"bad window {spec!r}: expected LO:HI") from None
+    return IntegerWindow(lo, hi)
 
 
 def _budget(args) -> Optional[int]:

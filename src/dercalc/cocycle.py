@@ -35,11 +35,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .exact import FiniteCarrier, IntegerWindow, bound_sample
+from .exact import Carrier, FiniteCarrier, IntegerWindow, bound_sample
 from .feq import (CORPUS, CheckReport, Equation, FnTable, _INADMISSIBLE, _check, _residual,
                   feq_check, feq_solve_brute)
-
-Carrier = Union[FiniteCarrier, IntegerWindow]
 
 
 class CocycleError(Exception):
@@ -107,8 +105,7 @@ class Cocycle2:
 
     def read(self, ab: Tuple[int, int]) -> int:
         """The value at the pair ab, reduced modulo a finite carrier."""
-        v = self.fn(*ab)
-        return v % self.carrier.modulus if isinstance(self.carrier, FiniteCarrier) else v
+        return self.carrier.reduce(self.fn(*ab))
 
     def table(self) -> Dict[Tuple[int, int], int]:
         """`read` at every pair in product order; inadmissible pairs are left out."""

@@ -23,7 +23,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -692,9 +692,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class Inadmissible(Exception):
+    """The carrier does not define this value: a divisor that is not a unit
+    of a finite carrier, a zero divisor or an inexact quotient on a window,
+    or a function argument outside a window."""
+
+
+_RING_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 @dataclass(frozen=True)
 class FiniteCarrier:
-    """Modular carrier: the ring Z/n ('zmod') or the prime field GF(p) ('gf')."""
+    """Modular carrier: the ring Z/n ('zmod') or the prime field GF(p) ('gf').
+
+    It is also the algebra of its values, as `parser.compiled` drives one
+    and feq's generated code calls it: results are reduced modulo n, and a
+    division by a non-unit raises Inadmissible."""
 
     kind: str
     modulus: int
@@ -717,15 +730,25 @@ class FiniteCarrier:
     def units(self) -> List[int]:
         return [a for a in range(self.modulus) if math.gcd(a, self.modulus) == 1]
 
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
+    def reduce(self, v: int) -> int:
+        return v % self.modulus
 
-    def inv(self, a: int) -> Optional[int]:
-        """Multiplicative inverse, or None when a is not a unit."""
+    def num(self, q: Fraction) -> int:
+        return self.bin("/", q.numerator, q.denominator)
+
+    def neg(self, a: int) -> int:
+        return -a % self.modulus
+
+    def pow(self, a: int, e: int) -> int:
         try:
-            return pow(a, -1, self.modulus)
-        except ValueError:
-            return None
+            return pow(a, e, self.modulus)
+        except ValueError:  # a negative power of a non-unit
+            raise Inadmissible from None
+
+    def bin(self, op: str, a: int, b: int) -> int:
+        if op == "/":
+            op, b = "*", self.pow(b, -1)
+        return _RING_OPS[op](a, b) % self.modulus
 
     def __str__(self) -> str:
         return f"GF({self.modulus})" if self.kind == "gf" else f"Z/{self.modulus}"
@@ -747,7 +770,10 @@ class IntegerWindow:
     whose function arguments stay inside the window; escaping tuples are
     skipped and counted by the checkers.  Enumeration runs 0, 1, -1, 2, -2,
     ... clipped to [lo, hi], so reported witnesses are small.
-    """
+
+    Its algebra is exact integer arithmetic: a division by zero or one that
+    leaves a remainder raises Inadmissible, and a power is bounded as
+    `bound_power` bounds an exact one."""
 
     lo: int
     hi: int
@@ -772,5 +798,28 @@ class IntegerWindow:
             if self.contains(-mag):
                 yield -mag
 
+    def reduce(self, v: int) -> int:
+        return v
+
+    def num(self, q: Fraction) -> int:
+        return self.bin("/", q.numerator, q.denominator)
+
+    def neg(self, a: int) -> int:
+        return -a
+
+    def pow(self, a: int, e: int) -> int:
+        bound_power(bit_size(a), e)
+        return a ** e if e >= 0 else self.bin("/", 1, a ** -e)
+
+    def bin(self, op: str, a: int, b: int) -> int:
+        if op != "/":
+            return _RING_OPS[op](a, b)
+        if b == 0 or a % b:
+            raise Inadmissible
+        return a // b
+
     def __str__(self) -> str:
         return f"Z[{self.lo},{self.hi}]"
+
+
+Carrier = Union[FiniteCarrier, IntegerWindow]

@@ -33,18 +33,19 @@ post-order with the left operand first, so nothing recurses.  Sums,
 differences, products, negations and non-negative powers are inlined,
 reduced modulo the carrier; a table read is a subscription, T[a] or
 T[a, b], behind the window test on a window, so a table is any mapping.
-Constant subtrees, parameters included, are folded when the code is
-bound, and a constant divisor on a finite carrier becomes a product with
-its inverse; other divisions and negative powers call `_Carrier`, which
-alone decides when a tuple is skipped.  Per equation and carrier modulus
-or window (`Equation.code`), after its constant divisors are examined,
-the lines of both sides are inlined into two functions (`_Code`): one
-check loop over a stream of tuples, and the residual lhs - rhs at one
-tuple.  Checks, the cocycle conditions and the search run the loop;
-elimination reads its rows, the search its dependencies and the cocycle
-module its Cauchy and Leibniz differences off the residual.  No user
-text reaches the source: variables, functions and constants are
-numbered slots.
+Constant subtrees, parameters included, are folded in the carrier's
+arithmetic when the code is bound, and a constant divisor on a finite
+carrier becomes a product with its inverse; other divisions and negative
+powers call the carrier's own `bin` and `pow` (`FiniteCarrier`,
+`IntegerWindow`), which alone decide, by raising `Inadmissible`, when a
+tuple is skipped.  Per equation and carrier modulus or window
+(`Equation.code`), after its constant divisors are examined, the lines of
+both sides are inlined into two functions (`_Code`): one check loop over
+a stream of tuples, and the residual lhs - rhs at one tuple.  Checks, the
+cocycle conditions and the search run the loop; elimination reads its
+rows, the search its dependencies and the cocycle module its Cauchy and
+Leibniz differences off the residual.  No user text reaches the source:
+variables, functions and constants are numbered slots.
 """
 from __future__ import annotations
 
@@ -54,14 +55,12 @@ import math
 import random
 import types
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .exact import (BudgetError, FiniteCarrier, IntegerWindow, _is_prime, bound_sample,
-                    default_budget, gf)
-from .parser import Apply, Arithmetic, Bin, Neg, Num, Pow, Sym, fold, nodes, parse_equation
-
-Carrier = Union[FiniteCarrier, IntegerWindow]
+from .exact import (BudgetError, Carrier, FiniteCarrier, Inadmissible, _is_prime,
+                    bound_sample, default_budget, gf)
+from .parser import (Apply, Arithmetic, Bin, Neg, Num, Pow, Sym, compiled, fold, nodes,
+                     parse_equation)
 
 
 class FeqError(Exception):
@@ -76,13 +75,9 @@ class CarrierUnsupportedError(FeqError):
     """A constant divisor is not invertible on the carrier."""
 
 
-class _Skip(Exception):
-    """Internal: this argument pair is inadmissible (division or escape)."""
-
-
 # Generated code reads tables by subscription; a KeyError is a table entry
 # that is not there (yet), which makes the tuple inadmissible.
-_INADMISSIBLE = (_Skip, KeyError)
+_INADMISSIBLE = (Inadmissible, KeyError)
 
 
 class FnTable:
@@ -96,10 +91,7 @@ class FnTable:
         for x in carrier.elements():
             if x not in values:
                 raise FeqError(f"table is missing a value at {x}")
-            v = values[x]
-            if isinstance(carrier, FiniteCarrier):
-                v %= carrier.modulus
-            table[x] = v
+            table[x] = carrier.reduce(values[x])
         self.values = table
 
     @classmethod
@@ -188,55 +180,9 @@ def _reject_constant_divisors(side, carrier: Carrier) -> None:
         c = fold(divisor, Arithmetic(CarrierUnsupportedError))
         if c == 0:
             raise CarrierUnsupportedError("division by constant zero")
-        if isinstance(carrier, FiniteCarrier):
-            m = carrier.modulus
-            if math.gcd(c.numerator * c.denominator, m) != 1:
-                raise CarrierUnsupportedError(
-                    f"constant divisor {c} is not invertible modulo {m}"
-                )
-
-
-class _Carrier:
-    """Algebra of carrier values: the rules every evaluation of a side
-    follows.  A generated side inlines the total operations and calls
-    `bin("/")` and `pow` for the rest; an inadmissible pair raises _Skip."""
-
-    def __init__(self, carrier: Carrier, params: Dict[str, int]):
-        self.modulus = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
-        self.params = params
-
-    def num(self, value: Fraction) -> int:
-        return self.bin("/", value.numerator, value.denominator)
-
-    def sym(self, name: str) -> int:
-        if name not in self.params:
-            raise UnboundSymbolError(f"symbol {name!r} has no binding")
-        return self.params[name]
-
-    def neg(self, a: int) -> int:
-        return -a % self.modulus if self.modulus else -a
-
-    def pow(self, a: int, e: int) -> int:
-        if not self.modulus:
-            return a ** e if e >= 0 else self.bin("/", 1, a ** -e)
-        try:
-            return pow(a, e, self.modulus)
-        except ValueError:  # a negative power of a non-unit
-            raise _Skip from None
-
-    def bin(self, op: str, a: int, b: int) -> int:
-        m = self.modulus
-        if op != "/":
-            r = a + b if op == "+" else a - b if op == "-" else a * b
-            return r % m if m else r
-        if not m:
-            if b == 0 or a % b != 0:
-                raise _Skip
-            return a // b
-        try:
-            return a * pow(b, -1, m) % m
-        except ValueError:
-            raise _Skip from None
+        m = carrier.characteristic
+        if m and math.gcd(c.numerator * c.denominator, m) != 1:
+            raise CarrierUnsupportedError(f"constant divisor {c} is not invertible modulo {m}")
 
 
 def _arity(node) -> int:
@@ -245,7 +191,7 @@ def _arity(node) -> int:
 
 def _always_skip(*args: int) -> int:
     """The residual where a side's constant is inadmissible."""
-    raise _Skip
+    raise Inadmissible
 
 
 def _skip_every(tuples: Iterable[tuple]):
@@ -261,15 +207,15 @@ class _Side:
     variable i is a<i>, function i the table T<i>, read by subscription as
     T<i>[a] or T<i>[a, b], node j the local <tag><j>, and each maximal
     subtree without a variable or a function call the global <tag>k<j>,
-    folded by `fold` (as the inverse of its value where it divides on a
-    finite carrier).  The tag keeps two sides' names apart in one
+    folded by `_Side.fold` (as the inverse of its value where it divides
+    on a finite carrier).  The tag keeps two sides' names apart in one
     function."""
 
     __slots__ = ("lines", "result", "constants", "binary")
 
     def __init__(self, side, functions: Sequence[str], carrier: Carrier,
                  variables: Sequence[str] = ("x", "y"), tag: str = "v"):
-        m = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
+        m = carrier.characteristic
         window = None if m else carrier
         self.constants: List[Tuple[str, object, bool]] = []  # (name, subtree, invert)
         self.binary = False  # whether it reads a two-argument function
@@ -302,7 +248,7 @@ class _Side:
                 args = [name(entry) for entry in stack[-len(node.args):]]
                 del stack[-len(node.args):]
                 if window is not None:  # a variable's value lies in the window
-                    lines += [f"if not {window.lo} <= {a} <= {window.hi}: raise SKIP"
+                    lines += [f"if not {window.lo} <= {a} <= {window.hi}: raise Inadmissible"
                               for a in args if a not in slots]
                 self.binary |= len(args) == 2
                 assign(f"T{functions.index(node.func)}[{', '.join(args)}]")
@@ -331,14 +277,15 @@ class _Side:
         self.lines = lines
         self.result = name(stack.pop())
 
-    def fold(self, algebra: _Carrier, env: dict) -> bool:
-        """Adds the side's constants to `env`; False when one is
-        inadmissible, and then the side skips every tuple."""
+    def fold(self, carrier: Carrier, params: Dict[str, int], env: dict) -> bool:
+        """Adds the side's constants, in the carrier's arithmetic with the
+        parameters' values, to `env`; False when one is inadmissible, and
+        then the side skips every tuple."""
         try:
             for name, subtree, invert in self.constants:
-                c = fold(subtree, algebra)
-                env[name] = algebra.bin("/", 1, c) if invert else c
-        except _Skip:
+                c = compiled(subtree, carrier, tuple(params))(*params.values())
+                env[name] = carrier.bin("/", 1, c) if invert else c
+        except Inadmissible:
             return False
         return True
 
@@ -355,11 +302,11 @@ class _Code:
     the lines of both inlined into two functions.  The check loop
     `check(tuples)` returns (witness, lhs, rhs, checked, skipped): the
     first tuple whose sides differ, or None three times, after counting
-    the tuples compared and those skipped because a side raised _Skip or
-    read a missing entry.  The residual `residual(a0, a1, ...)` is lhs -
-    rhs at one tuple, reduced modulo a finite carrier, and raises where the
-    tuple is inadmissible; it is compiled on its first use, as most
-    equations only run the loop."""
+    the tuples compared and those skipped because a side raised
+    Inadmissible or read a missing entry.  The residual `residual(a0, a1,
+    ...)` is lhs - rhs at one tuple, reduced modulo a finite carrier, and
+    raises where the tuple is inadmissible; it is compiled on its first
+    use, as most equations only run the loop."""
 
     __slots__ = ("lhs", "rhs", "arity", "modulus", "loop", "difference")
 
@@ -367,7 +314,7 @@ class _Code:
         self.lhs, self.rhs = (_Side(side, eq.functions, carrier, eq.variables, tag)
                               for side, tag in ((eq.lhs, "l"), (eq.rhs, "r")))
         self.arity = len(eq.variables)
-        self.modulus = carrier.modulus if isinstance(carrier, FiniteCarrier) else 0
+        self.modulus = carrier.characteristic
         self.difference: Optional[types.CodeType] = None
         # The loop target and the witness; "a0, " and "" still make tuples.
         slots = "".join(f"a{i}, " for i in range(self.arity))
@@ -386,21 +333,23 @@ class _Code:
             "return None, None, None, checked, skipped",
         ])
 
-    def _globals(self, algebra: _Carrier, tables: Sequence[Mapping]) -> Optional[dict]:
+    def _globals(self, carrier: Carrier, params: Dict[str, int],
+                 tables: Sequence[Mapping]) -> Optional[dict]:
         """The globals of the code reading `tables` as T0, T1, ..., with the
         constants of both sides folded; None when one is inadmissible, and
         then every tuple is skipped."""
-        env = {"pow": pow, "POW": algebra.pow, "BIN": algebra.bin, "SKIP": _Skip,
-               "INADMISSIBLE": _INADMISSIBLE}
+        env = {"pow": pow, "POW": carrier.pow, "BIN": carrier.bin,
+               "Inadmissible": Inadmissible, "INADMISSIBLE": _INADMISSIBLE}
         env.update((f"T{i}", t) for i, t in enumerate(tables))
-        return env if self.lhs.fold(algebra, env) and self.rhs.fold(algebra, env) else None
+        folded = self.lhs.fold(carrier, params, env) and self.rhs.fold(carrier, params, env)
+        return env if folded else None
 
-    def bind(self, algebra: _Carrier, tables: Sequence[Mapping]):
+    def bind(self, carrier: Carrier, params: Dict[str, int], tables: Sequence[Mapping]):
         """The check loop reading `tables`."""
-        env = self._globals(algebra, tables)
+        env = self._globals(carrier, params, tables)
         return _skip_every if env is None else types.FunctionType(self.loop, env)
 
-    def residual(self, algebra: _Carrier, tables: Sequence[Mapping]):
+    def residual(self, carrier: Carrier, params: Dict[str, int], tables: Sequence[Mapping]):
         """The residual reading `tables`."""
         if self.difference is None:
             lhs, rhs, m = self.lhs.result, self.rhs.result, self.modulus
@@ -408,7 +357,7 @@ class _Code:
                 f"def residual({', '.join(f'a{i}' for i in range(self.arity))}):",
                 self.lhs.lines + self.rhs.lines
                 + [f"return ({lhs} - {rhs}) % {m}" if m else f"return {lhs} - {rhs}"])
-        env = self._globals(algebra, tables)
+        env = self._globals(carrier, params, tables)
         return _always_skip if env is None else types.FunctionType(self.difference, env)
 
 
@@ -439,15 +388,14 @@ def _loop(eq: "Equation", carrier: Carrier, tables: Dict[str, Mapping],
           params: Dict[str, int]):
     """The check loop of `eq` on `carrier`, reading the table bound to each
     function name (see `_Code`)."""
-    return _code(eq, carrier).bind(_Carrier(carrier, params), [tables[f] for f in eq.functions])
+    return _code(eq, carrier).bind(carrier, params, [tables[f] for f in eq.functions])
 
 
 def _residual(eq: "Equation", carrier: Carrier, tables: Dict[str, Mapping],
               params: Dict[str, int]):
     """lhs - rhs of `eq` on `carrier` as a function of its variables,
     reading the table bound to each function name (see `_Code`)."""
-    return _code(eq, carrier).residual(_Carrier(carrier, params),
-                                       [tables[f] for f in eq.functions])
+    return _code(eq, carrier).residual(carrier, params, [tables[f] for f in eq.functions])
 
 
 @dataclass(frozen=True)
@@ -511,8 +459,7 @@ def feq_check(
         raise FeqError("all bound tables must share one carrier")
     carrier = next(iter(carriers))
     _table_code(eq, carrier)
-    if isinstance(carrier, FiniteCarrier):
-        params = {k: v % carrier.modulus for k, v in params.items()}
+    params = {k: carrier.reduce(v) for k, v in params.items()}
     tuples: Optional[Iterable[tuple]] = None
     if mode == "sampled":
         if sample <= 0:
@@ -577,7 +524,7 @@ def feq_solve_brute(
             f"unknowns {sorted(unknowns)} must match the equation's "
             f"function symbols {sorted(eq.functions)}"
         )
-    params = {k: v % carrier.modulus for k, v in (params or {}).items()}
+    params = {k: carrier.reduce(v) for k, v in (params or {}).items()}
     missing_params = [p for p in eq.params if p not in params]
     if missing_params:
         raise UnboundSymbolError(f"no value bound for parameters {missing_params}")
@@ -669,7 +616,7 @@ def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
         read.clear()
         try:
             const = residual(*tup)
-        except _Skip:
+        except Inadmissible:
             skipped_pairs += 1
             continue
         if not consistent:
@@ -767,7 +714,7 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
             points.clear()
             try:
                 probe(*tup)
-            except _Skip:  # skipped, whatever the tables hold
+            except Inadmissible:  # skipped, whatever the tables hold
                 skipped_pairs += 1
                 continue
             if points:
@@ -934,7 +881,8 @@ def logarithmic_zero_check(
         return LogZeroReport(carrier, False, tuple(s[0].values for s in report.solutions))
     units = carrier.units()
     n = len(units)
-    inverse = {u: pow(u, -1, carrier.modulus) for u in units}
+    m = carrier.modulus
+    inverse = {u: pow(u, -1, m) for u in units}
     solutions = []
     table: Dict[int, int] = {}
     placed = visited = 0
@@ -944,10 +892,10 @@ def logarithmic_zero_check(
     def ok_with(a: int) -> bool:
         va = table[a]
         for b, vb in table.items():
-            prod = carrier.mul(a, b)
+            prod = a * b % m
             if prod in table and table[prod] != (va + vb) % n:
                 return False
-            quot = carrier.mul(a, inverse[b])
+            quot = a * inverse[b] % m
             if quot in table and va != (vb + table[quot]) % n:
                 return False
         return True

@@ -261,6 +261,8 @@ def recover_components(p: Callable[[Vector], Fraction], n: int, dim: int) -> Pol
     raises."""
     if n < 0:
         raise MultiAddError("degree bound must be nonnegative")
+    if dim < 1:  # refused before p is called, whatever the degree
+        raise MultiAddError("dimension must be positive")
     basis = _basis(dim)
     zero = tuple(Fraction(0) for _ in range(dim))
     table: Dict[Vector, Fraction] = {}

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .cocycle import (
     Cocycle2,
@@ -41,14 +41,12 @@ from .cocycle import (
     leibniz_difference,
 )
 from .derivations import Derivation, derivation_define
-from .exact import FiniteCarrier, IntegerWindow, gf, zmod
+from .exact import Carrier, Inadmissible, IntegerWindow, gf, zmod
 from .feq import FnTable, equation_by_name, feq_check
 from .parser import (
-    Apply, Arithmetic, DercalcSyntaxError, Sym, compiled, parse_equation, parse_expr,
+    Apply, Arithmetic, DercalcSyntaxError, Sym, compiled, nodes, parse_equation, parse_expr,
 )
 from .towers import FieldTower, TowerElement, element_eval, tower_new
-
-Carrier = Union[FiniteCarrier, IntegerWindow]
 
 
 class SessionError(Exception):
@@ -92,71 +90,39 @@ def parse_params(pieces: Iterable[str]) -> Dict[str, int]:
 
 
 def _to_carrier_value(v: Fraction, carrier: Carrier, where: str) -> int:
-    if isinstance(carrier, FiniteCarrier):
-        m = carrier.modulus
-        try:
-            inv = pow(v.denominator, -1, m)
-        except ValueError:
-            raise SessionError(f"{where}: value {v} is not defined modulo {m}") from None
-        return v.numerator * inv % m
-    if v.denominator != 1:
-        raise SessionError(f"{where}: value {v} is not an integer")
-    return v.numerator
-
-
-class _NonUnit(Exception):
-    """Internal: a divisor is not a unit modulo m."""
-
-
-class _Residues(Arithmetic):
-    """The localisation Z_(m), rationals with denominators prime to m, kept
-    modulo m.  Reduction is a ring homomorphism from it, so a tree whose
-    divisors are units mod m has here its exact value reduced mod m, and
-    x^99999999/2 costs a modular power.  A non-unit divisor raises _NonUnit."""
-
-    def __init__(self, modulus: int):
-        super().__init__(SessionError)
-        self.modulus = modulus
-
-    def num(self, value: Fraction) -> int:
-        return value.numerator % self.modulus
-
-    def neg(self, a: int) -> int:
-        return -a % self.modulus
-
-    def pow(self, a: int, e: int) -> int:
-        try:
-            return pow(a, e, self.modulus)
-        except ValueError:
-            raise _NonUnit from None
-
-    def bin(self, op: str, a: int, b: int) -> int:
-        if op == "/":
-            op, b = "*", self.pow(b, -1)
-        return super().bin(op, a, b) % self.modulus
+    try:
+        return carrier.num(v)
+    except Inadmissible:
+        m = carrier.characteristic
+        what = f"not defined modulo {m}" if m else "not an integer"
+        raise SessionError(f"{where}: value {v} is {what}") from None
 
 
 def _carrier_function(ast, carrier: Carrier, variables: Tuple[str, ...],
                       name: str) -> Callable[..., int]:
-    """A tree as a function of carrier values, named `name` in errors.  On
-    a finite carrier it is evaluated modulo m, and exactly, then reduced,
-    only at arguments where a divisor is not a unit mod m (as in (5*x)/5
-    on gf:5); on a window, exactly."""
+    """A tree as a function of carrier values, named `name` in errors.  It
+    runs in the carrier's own arithmetic.  Only at arguments where the
+    carrier refuses a value -- a divisor that is not a unit mod m, as in
+    (5*x)/5 on gf:5, or an inexact quotient on a window, as in (x/2)*2 --
+    is it evaluated exactly, in Fractions, and the value read into the
+    carrier.  Where both are defined they agree, as reduction mod m is a
+    ring homomorphism from the rationals with denominators prime to m, and
+    x^99999999/2 costs a modular power.  Unknown symbols and function
+    calls are refused before any evaluation."""
+    for node in reversed(list(nodes(ast))):  # the order evaluation meets them
+        if isinstance(node, Apply):
+            raise SessionError(f"function {node.func!r} is not allowed here")
+        if isinstance(node, Sym) and node.name not in variables:
+            raise SessionError(f"unknown symbol {node.name!r}")
+    in_carrier = compiled(ast, carrier, variables)
     exact = compiled(ast, Arithmetic(SessionError), variables)
-
-    def exact_value(*args: int) -> int:
-        return _to_carrier_value(exact(*map(Fraction, args)), carrier,
-                                 f"{name}({','.join(map(str, args))})")
-
-    if not isinstance(carrier, FiniteCarrier):
-        return exact_value
-    modular = compiled(ast, _Residues(carrier.modulus), variables)
 
     def value(*args: int) -> int:
         try:
-            return modular(*args)
-        except _NonUnit:
-            return exact_value(*args)
+            return in_carrier(*args)
+        except Inadmissible:
+            return _to_carrier_value(exact(*map(Fraction, args)), carrier,
+                                     f"{name}({','.join(map(str, args))})")
 
     return value
 

@@ -552,6 +552,32 @@ def test_multi_recover_degree_mismatch_is_check_failure(cli):
     assert err[0].startswith("check failed: nonzero residual at ('-2',):")
 
 
+@pytest.mark.parametrize("n", ["0", "2"])
+def test_multi_recover_refuses_a_nonpositive_dimension_whatever_the_degree(cli, n):
+    assert cli("multi", "recover", "--f", "x0", "--n", n, "--dim", "0") == (
+        2, [], ["error: dimension must be positive"])
+
+
+# -- spec strings --------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, piece", [
+    (("hod", "define", "--vars", "t", "--binomial", "--n", "2", "--values", "1:t"), "'1:t'"),
+    (("hod", "construct", "--vars", "t", "--binomial", "--n", "2", "--values", "1:t=1",
+      "--choice", "t"), "'t'"),
+    (("der", "rank", "--tower", "t:trans", "--der", "d(t) = 1", "--k", "2", "--points", "t",
+      "--subst", "t"), "'t'"),
+    (("cocycle", "extend", "--F", "a*b", "--window", "5"), "'5': expected LO:HI"),
+    (("multi", "trace", "--arity", "1", "--dim", "1", "--tensor", "(0)1", "--x", "1"),
+     "'(0)1'"),
+])
+def test_malformed_spec_pieces_are_named(cli, argv, piece):
+    code, out, err = cli(*argv)
+    assert (code, out) == (2, [])
+    assert len(err) == 1 and err[0].startswith("error: bad ") and piece in err[0]
+    assert "unpack" not in err[0]
+
+
 # -- feq -----------------------------------------------------------------
 
 

@@ -24,8 +24,8 @@ from dercalc.cocycle import (
     cocycle_verify,
     leibniz_coboundary_check,
 )
-from dercalc.exact import FiniteCarrier, IntegerWindow, gf, zmod
-from dercalc.feq import _INADMISSIBLE, _Skip
+from dercalc.exact import FiniteCarrier, Inadmissible, IntegerWindow, gf, zmod
+from dercalc.feq import _INADMISSIBLE
 
 # -- the reference ----------------------------------------------------------
 
@@ -43,7 +43,7 @@ def checked_map(carrier, table):
     def call(a, b):
         if isinstance(carrier, IntegerWindow):
             if not (carrier.contains(a) and carrier.contains(b)):
-                raise _Skip
+                raise Inadmissible
         return table[(a, b)]
 
     return call

@@ -1,11 +1,13 @@
 """Exact arithmetic layer: polynomials, their gcds, carriers."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dercalc.exact import (
+    Inadmissible,
     IntegerWindow,
     MultiPoly,
     NotDivisibleError,
@@ -217,16 +219,64 @@ def test_gf_units_and_inverses():
     k = gf(5)
     assert k.units() == [1, 2, 3, 4]
     for a in k.units():
-        assert k.mul(a, k.inv(a)) == 1
-    assert k.inv(0) is None
+        assert k.bin("*", a, k.bin("/", 1, a)) == 1
+    with pytest.raises(Inadmissible):
+        k.bin("/", 1, 0)
     assert k.characteristic == 5
 
 
 def test_zmod_units():
     r = zmod(6)
     assert r.units() == [1, 5]
-    assert r.inv(2) is None
+    with pytest.raises(Inadmissible):
+        r.bin("/", 1, 2)
     assert r.characteristic == 6
+
+
+ARITHMETIC_CARRIERS = [gf(2), gf(5), gf(7), gf(97), zmod(4), zmod(6), zmod(8), zmod(9),
+                       IntegerWindow(-3, 3), IntegerWindow(-2, 5)]
+
+
+def carrier_image(carrier, value, divisor=1):
+    """What the carrier must make of the rational `value()`, or
+    Inadmissible.  A finite carrier defines it when `divisor` is a unit mod
+    m, as the v in range(m) with v * den = num mod m, found by search; a
+    window when it is an integer (a division by zero is not)."""
+    m = carrier.characteristic
+    if m:
+        if math.gcd(divisor, m) != 1:
+            return Inadmissible
+        q = value()
+        return next(v for v in range(m) if (v * q.denominator - q.numerator) % m == 0)
+    try:
+        q = value()
+    except ZeroDivisionError:
+        return Inadmissible
+    return q.numerator if q.denominator == 1 else Inadmissible
+
+
+def carrier_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Inadmissible:
+        return Inadmissible
+
+
+@given(st.sampled_from(ARITHMETIC_CARRIERS), st.integers(-30, 30), st.integers(-30, 30),
+       st.integers(-3, 5))
+@settings(max_examples=500, deadline=None)
+def test_carrier_arithmetic_matches_fractions(carrier, a, b, e):
+    """`bin`, `pow`, `neg` and `num`, as feq's generated code and the
+    session's map specs call them, against Fraction arithmetic."""
+    x, y = Fraction(a), Fraction(b)
+    for op, exact in (("+", lambda: x + y), ("-", lambda: x - y), ("*", lambda: x * y)):
+        assert carrier_outcome(carrier.bin, op, a, b) == carrier_image(carrier, exact)
+    assert carrier_outcome(carrier.bin, "/", a, b) == carrier_image(carrier, lambda: x / y, b)
+    assert carrier_outcome(carrier.pow, a, e) == carrier_image(
+        carrier, lambda: x ** e, a if e < 0 else 1)
+    assert carrier_outcome(carrier.neg, a) == carrier_image(carrier, lambda: -x)
+    q = Fraction(a, b) if b else x
+    assert carrier_outcome(carrier.num, q) == carrier_image(carrier, lambda: q, q.denominator)
 
 
 def test_gf_requires_prime():

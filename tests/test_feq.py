@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dercalc.exact import BudgetError, FiniteCarrier, IntegerWindow, gf, zmod
+from dercalc.exact import BudgetError, FiniteCarrier, Inadmissible, IntegerWindow, gf, zmod
 from dercalc.feq import (
     CORPUS,
     CarrierUnsupportedError,
@@ -24,9 +24,7 @@ from dercalc.feq import (
     feq_solve_brute,
     logarithmic_zero_check,
     t1431_check,
-    _Carrier,
     _INADMISSIBLE,
-    _Skip,
     _backtrack,
     _code,
     _degree,
@@ -635,19 +633,24 @@ def test_value_dependent_and_composite_carriers_skip_elimination(monkeypatch):
 # -- generated sides against the interpreted reference ------------------------
 
 
-class Interpreted(_Carrier):
+class Interpreted:
     """The reference evaluation of a side, which the generated sides must
     agree with: `parser.compiled` drives the carrier's algebra node by
-    node, with table reads through `apply`."""
+    node, with parameters through `sym` and table reads through `apply`."""
 
     def __init__(self, carrier, tables, params):
-        super().__init__(carrier, params)
+        self.num, self.neg, self.pow, self.bin = carrier.num, carrier.neg, carrier.pow, carrier.bin
         self.window = carrier if isinstance(carrier, IntegerWindow) else None
-        self.tables = tables
+        self.tables, self.params = tables, params
+
+    def sym(self, name):
+        if name not in self.params:
+            raise UnboundSymbolError(f"symbol {name!r} has no binding")
+        return self.params[name]
 
     def apply(self, func, *args):
         if self.window is not None and not all(map(self.window.contains, args)):
-            raise _Skip
+            raise Inadmissible
         return self.tables[func][args if len(args) == 2 else args[0]]
 
 
@@ -666,7 +669,7 @@ def interpreted_residual(eq, carrier, tables, params):
 def check_tuples(lhs_fn, rhs_fn, tuples):
     """The reference check loop: (witness, lhs, rhs, checked, skipped), the
     first tuple whose sides differ, or None three times.  A tuple on which
-    a side raises _Skip or KeyError is skipped and counted."""
+    a side raises Inadmissible or KeyError is skipped and counted."""
     checked = skipped = 0
     for tup in tuples:
         try:

@@ -174,6 +174,14 @@ def test_recover_bivariate_quadratic():
     assert pf.components[0].coefficient(()) == 1
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_recover_refuses_a_nonpositive_dimension_before_calling_p(n):
+    calls = []
+    with pytest.raises(MultiAddError, match="dimension must be positive"):
+        recover_components(calls.append, n, 0)
+    assert calls == []
+
+
 @st.composite
 def poly_functions(draw, max_degree=4, max_dim=2):
     degree = draw(st.integers(0, max_degree))
