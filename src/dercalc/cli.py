@@ -10,7 +10,7 @@ import argparse
 import shlex
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .cocycle import (
     CocycleError,
@@ -116,17 +116,45 @@ def _tower_from_spec(spec: str) -> FieldTower:
     return tower
 
 
-def _affine(tower: FieldTower, der_spec: str, slope: str) -> Tuple[str, AffineDerivation]:
+def _rational(piece: str, where: str) -> Fraction:
+    """The rational number `piece` written in `where`, an option or a file
+    line; SessionError naming both when it is not one."""
+    try:
+        return rational(piece)
+    except (ValueError, ZeroDivisionError):
+        raise SessionError(f"bad rational {piece.strip()!r} in {where}: "
+                           "expected N or N/D with D nonzero") from None
+
+
+def _data_lines(path: str, form: str, read: Callable[[str, str], object]) -> Iterator:
+    """read(line, where) for each line of the file at `path` that is not
+    blank or a # comment, `where` naming the file and the line number.  A
+    line that `read` refuses by ValueError raises SessionError naming it
+    and the expected `form`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            where = f"{path} line {number}"
+            try:
+                yield read(line, where)
+            except ValueError:
+                raise SessionError(f"bad line {line!r} in {where}: expected {form}") from None
+
+
+def _affine(tower: FieldTower, der_spec: str, slope: str,
+            where: str) -> Tuple[str, AffineDerivation]:
     name, der = build_derivation(tower, der_spec.split(";"))
-    return name, AffineDerivation(der, rational(slope))
+    return name, AffineDerivation(der, _rational(slope, where))
 
 
-def _vec(text: str) -> Tuple[Fraction, ...]:
-    return tuple(rational(p.strip()) for p in text.split(","))
+def _vec(text: str, where: str) -> Tuple[Fraction, ...]:
+    return tuple(_rational(p, where) for p in text.split(","))
 
 
-def _vecs(text: str) -> List[Tuple[Fraction, ...]]:
-    return [_vec(p) for p in text.split("|")]
+def _vecs(text: str, where: str) -> List[Tuple[Fraction, ...]]:
+    return [_vec(p, where) for p in text.split("|")]
 
 
 def _key_values(spec: str, sep: str, what: str, form: str,
@@ -150,33 +178,31 @@ def _key_values(spec: str, sep: str, what: str, form: str,
 
 
 def _subst(text: str) -> Dict[str, Fraction]:
-    return {k: rational(v) for k, v in _key_values(text, ",", "substitution", "VAR=VALUE")}
+    return {k: _rational(v, "--subst")
+            for k, v in _key_values(text, ",", "substitution", "VAR=VALUE")}
 
 
 def _tensor(arity: int, dim: int, spec: str) -> SymMultiMap:
     """Inline "(0,0)=1;(0,1)=2" or @file with "(0,0) 1" lines."""
-    coeffs: Dict[Tuple[int, ...], Fraction] = {}
 
     def parse_key(key: str) -> Tuple[int, ...]:
         key = key.strip()
         if not (key.startswith("(") and key.endswith(")")):
-            raise SessionError(f"bad tensor index {key!r}")
+            raise ValueError
         inner = key[1:-1].strip()
         if not inner:
             return ()
         return tuple(int(p) for p in inner.split(","))
 
+    def entry(line: str, where: str) -> Tuple[Tuple[int, ...], Fraction]:
+        key, value = line.rsplit(None, 1)
+        return parse_key(key), _rational(value, where)
+
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, value = line.rsplit(" ", 1)
-                coeffs[parse_key(key)] = rational(value)
+        coeffs = dict(_data_lines(spec[1:], "(I,...) VALUE", entry))
     else:
-        for key, value in _key_values(spec, ";", "tensor entry", "(I,...)=VALUE", parse_key):
-            coeffs[key] = rational(value)
+        coeffs = {key: _rational(value, "--tensor") for key, value in
+                  _key_values(spec, ";", "tensor entry", "(I,...)=VALUE", parse_key)}
     return SymMultiMap(arity, dim, coeffs)
 
 
@@ -230,17 +256,12 @@ def _gamma_table(args) -> GammaTable:
         return GammaTable.binomial(args.n)
     if args.ones:
         return GammaTable.ones(args.n)
-    entries: Dict[Tuple[int, int], Fraction] = {}
-    with open(args.table, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise SessionError(f"bad gamma table line {line!r}")
-            entries[(int(parts[0]), int(parts[1]))] = rational(parts[2])
-    return GammaTable(args.n, entries)
+
+    def entry(line: str, where: str) -> Tuple[Tuple[int, int], Fraction]:
+        i, j, value = line.split()
+        return (int(i), int(j)), _rational(value, where)
+
+    return GammaTable(args.n, dict(_data_lines(args.table, "I J VALUE", entry)))
 
 
 def _order_and_variable(head: str) -> Tuple[int, str]:
@@ -355,15 +376,24 @@ def _cmd_der(args, out: Out) -> int:
     raise SessionError(f"unknown der subcommand {args.cmd2!r}")
 
 
+# The options each kind of `der residual` reads.
+_RESIDUAL_OPTIONS = {"leibniz": ("u", "v"), "power": ("k", "x"), "monomial": ("n", "m", "x"),
+                     "mobius": ("a", "b", "c", "dd", "n", "x"), "reflect": ("x",),
+                     "square": ("x",), "nhom": ("n", "x")}
+
+
 def _cmd_der_residual(args, out: Out, tower: FieldTower) -> int:
     kind = args.kind
+    missing = [f"--{o}" for o in _RESIDUAL_OPTIONS[kind] if getattr(args, o) is None]
+    if missing:
+        raise SessionError(f"der residual {kind} needs {' '.join(missing)}")
     if kind == "leibniz":
         name, der = build_derivation(tower, args.der.split(";"))
         u = element_eval(tower, args.u, {name: der})
         v = element_eval(tower, args.v, {name: der})
         value = leibniz_residual(der, u, v)
     else:
-        name, f = _affine(tower, args.der, args.slope)
+        name, f = _affine(tower, args.der, args.slope, "--slope")
         x = element_eval(tower, args.x)
         if kind == "power":
             value = power_rule_residual(f, args.k, x)
@@ -371,21 +401,17 @@ def _cmd_der_residual(args, out: Out, tower: FieldTower) -> int:
             if args.der2 is None:
                 g = f
             else:
-                _, g = _affine(tower, args.der2, args.slope2)
+                _, g = _affine(tower, args.der2, args.slope2, "--slope2")
             value = monomial_residual(f, g, args.n, args.m, x)
         elif kind == "mobius":
-            value = mobius_residual(
-                f, rational(args.a), rational(args.b), rational(args.c),
-                rational(args.dd), args.n, x,
-            )
+            a, b, c, d = (_rational(getattr(args, o), f"--{o}") for o in ("a", "b", "c", "dd"))
+            value = mobius_residual(f, a, b, c, d, args.n, x)
         elif kind == "reflect":
             value = reflection_residual(f, x)
         elif kind == "square":
             value = square_rule_residual(f, x)
-        elif kind == "nhom":
-            value = nth_power_hom_residual(f, args.n, x)
         else:
-            raise SessionError(f"unknown residual kind {kind!r}")
+            value = nth_power_hom_residual(f, args.n, x)
     out.emit("residual", f"residual = {value}", rule=kind, value=value)
     return 0
 
@@ -522,17 +548,17 @@ def _cmd_char(args, out: Out) -> int:
 def _cmd_multi(args, out: Out) -> int:
     if args.cmd2 == "trace":
         A = _tensor(args.arity, args.dim, args.tensor)
-        value = trace(A, _vec(args.x))
+        value = trace(A, _vec(args.x, "--x"))
         out.emit("trace", f"A*({args.x}) = {value}", x=args.x, value=value)
         return 0
     if args.cmd2 == "delta":
         fn = _vector_fn(args.dim, args.f)
-        value = multi_delta(fn, _vecs(args.ys), _vec(args.x))
+        value = multi_delta(fn, _vecs(args.ys, "--ys"), _vec(args.x, "--x"))
         out.emit("delta", f"delta = {value}", value=value)
         return 0
     if args.cmd2 == "polarize":
         A = _tensor(args.arity, args.dim, args.tensor)
-        rep = polarization_check(A, _vecs(args.ys), _vec(args.x))
+        rep = polarization_check(A, _vecs(args.ys, "--ys"), _vec(args.x, "--x"))
         status = "pass" if rep.ok else "FAIL"
         out.emit(
             "polarize",
@@ -542,7 +568,7 @@ def _cmd_multi(args, out: Out) -> int:
         return 0 if rep.ok else 1
     if args.cmd2 == "binomial":
         A = _tensor(args.arity, args.dim, args.tensor)
-        rep = binomial_check(A, _vec(args.x), _vec(args.y))
+        rep = binomial_check(A, _vec(args.x, "--x"), _vec(args.y, "--y"))
         status = "pass" if rep.ok else "FAIL"
         out.emit("binomial", f"A*(x+y) = {rep.lhs}, expansion = {rep.rhs}: {status}",
                  lhs=rep.lhs, rhs=rep.rhs, status=status)
@@ -662,8 +688,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--expr", required=True)
     dp = der_sub.add_parser("residual")
     der_common(dp)
-    dp.add_argument("kind", choices=("leibniz", "power", "monomial", "mobius",
-                                     "reflect", "square", "nhom"))
+    dp.add_argument("kind", choices=tuple(_RESIDUAL_OPTIONS))
     dp.add_argument("--u")
     dp.add_argument("--v")
     dp.add_argument("--x")

@@ -7,20 +7,20 @@ through every admissible tuple of variable values; a solve lists every
 table assignment that passes.  Two-argument unknowns are check-only: the
 cocycle module binds them, and no solve takes them.
 
-A solve takes one of two paths, chosen by one walk of the trees
-(`_degree`).  On a prime modulus, when both sides have degree at most 1 in
-the table entries (no product of two reads, no power of one above the
-first, no read inside a divisor, a negative-power base or a function
-argument), each tuple gives one linear equation mod p and the solutions
-are the kernel of that system, found by elimination (Aczel & Dhombres,
-Functional Equations in Several Variables, ch. 1-2).  Everything else --
-nonlinear equations, unknowns in divisors, composite moduli -- goes to a
-backtracking search that fills tables one entry at a time and prunes a
-partial assignment as soon as any fully determined tuple fails.  The
-search is also the oracle the elimination is tested against: both give
-the same solutions in the same order.  The budget
-(`default_budget`) bounds the work either path would do: the number of
-solutions elimination is to list, or the table entries the search places.
+A solve takes one of two paths, chosen by the sides' degree, a fold found
+once per equation and carrier (`_degree`).  On a prime modulus, when both
+sides have degree at most 1 in the table entries (no product of two reads,
+no power of one above the first, no read inside a divisor, a negative-power
+base or a function argument), each tuple gives one linear equation mod p and
+the solutions are the kernel of that system, found by elimination (Aczel &
+Dhombres, Functional Equations in Several Variables, ch. 1-2).  Everything
+else -- nonlinear equations, unknowns in divisors, composite moduli -- goes
+to a backtracking search that fills tables one entry at a time and prunes a
+partial assignment as soon as any fully determined tuple fails.  The search
+is also the oracle the elimination is tested against: both give the same
+solutions in the same order.  The budget (`default_budget`) bounds the work
+either path would do: the number of solutions elimination is to list, or the
+table entries the search places.
 
 Division is pointwise: a tuple whose divisor is not invertible (or, on an
 integer window, does not divide exactly) is skipped and counted.  A division
@@ -28,7 +28,8 @@ by a constant that is not invertible anywhere rejects the carrier up front.
 On a window, a tuple is admissible only while every function argument stays
 inside the window.
 
-Each side is generated as Python (`_Side`): one assignment per node, in
+Each side is generated as Python by a fold (`parser.compiled`) whose
+values are generated names (`_Side`): one assignment per node, in
 post-order with the left operand first, so nothing recurses.  Sums,
 differences, products, negations and non-negative powers are inlined,
 reduced modulo the carrier; a table read is a subscription, T[a] or
@@ -185,10 +186,6 @@ def _reject_constant_divisors(side, carrier: Carrier) -> None:
             raise CarrierUnsupportedError(f"constant divisor {c} is not invertible modulo {m}")
 
 
-def _arity(node) -> int:
-    return len(node.args) if isinstance(node, Apply) else 2 if isinstance(node, Bin) else 1
-
-
 def _always_skip(*args: int) -> int:
     """The residual where a side's constant is inadmissible."""
     raise Inadmissible
@@ -200,82 +197,77 @@ def _skip_every(tuples: Iterable[tuple]):
     return None, None, None, 0, sum(1 for _ in tuples)
 
 
-class _Side:
-    """One side of an equation, generated as Python source for one carrier:
-    `lines` assign one local per node, in post-order with the left operand
-    first, and `result` names the side's value.  No user text is named:
-    variable i is a<i>, function i the table T<i>, read by subscription as
-    T<i>[a] or T<i>[a, b], node j the local <tag><j>, and each maximal
-    subtree without a variable or a function call the global <tag>k<j>,
+class _Side(Arithmetic):
+    """One side of an equation, generated as Python source for one carrier
+    by folding the side (`compiled`) in this algebra: `lines` assign one
+    local per node, in post-order with the left operand first, and
+    `result` names the side's value.  A value of the fold is the name of a
+    local, or a subtree without a variable or a function call, which is
+    constant and is not named until an operator that is not constant takes
+    it.  No user text is named: variable i is a<i>, function i the table
+    T<i>, read by subscription as T<i>[a] or T<i>[a, b], node j the local
+    <tag><j>, and each maximal constant subtree the global <tag>k<j>,
     folded by `_Side.fold` (as the inverse of its value where it divides
     on a finite carrier).  The tag keeps two sides' names apart in one
     function."""
 
-    __slots__ = ("lines", "result", "constants", "binary")
-
     def __init__(self, side, functions: Sequence[str], carrier: Carrier,
                  variables: Sequence[str] = ("x", "y"), tag: str = "v"):
-        m = carrier.characteristic
-        window = None if m else carrier
+        self.functions, self.tag = functions, tag
+        self.modulus = carrier.characteristic
+        self.carrier = carrier
+        self.slots = [f"a{i}" for i in range(len(variables))]
+        self.registers = itertools.count()
+        self.lines: List[str] = []
         self.constants: List[Tuple[str, object, bool]] = []  # (name, subtree, invert)
         self.binary = False  # whether it reads a two-argument function
-        lines: List[str] = []
-        # A stack entry is the name of a value the code holds, or a
-        # constant subtree not yet given a name.
-        stack: List[object] = []
+        self.result = self.name(compiled(side, self, variables)(*self.slots))
 
-        def name(entry, invert: bool = False) -> str:
-            if isinstance(entry, str):
-                return entry
-            self.constants.append((f"{tag}k{len(self.constants)}", entry, invert))
-            return self.constants[-1][0]
+    def name(self, value, invert: bool = False) -> str:
+        if isinstance(value, str):
+            return value
+        self.constants.append((f"{self.tag}k{len(self.constants)}", value, invert))
+        return self.constants[-1][0]
 
-        slots = [f"a{i}" for i in range(len(variables))]
-        registers = itertools.count()
+    def assign(self, expr: str) -> str:
+        local = f"{self.tag}{next(self.registers)}"
+        self.lines.append(f"{local} = {expr}")
+        return local
 
-        def assign(expr: str) -> None:
-            stack.append(f"{tag}{next(registers)}")
-            lines.append(f"{stack[-1]} = {expr}")
+    # Literals and parameters are constant subtrees; variables are the slots.
+    num, sym = Num, Sym
 
-        # `nodes` yields a node, its right subtree, then its left subtree,
-        # so the reverse is a post-order that takes the left operand first.
-        for node in reversed(list(nodes(side))):
-            if isinstance(node, Num) or (isinstance(node, Sym) and node.name not in variables):
-                stack.append(node)
-            elif isinstance(node, Sym):
-                stack.append(f"a{variables.index(node.name)}")
-            elif isinstance(node, Apply):
-                args = [name(entry) for entry in stack[-len(node.args):]]
-                del stack[-len(node.args):]
-                if window is not None:  # a variable's value lies in the window
-                    lines += [f"if not {window.lo} <= {a} <= {window.hi}: raise Inadmissible"
-                              for a in args if a not in slots]
-                self.binary |= len(args) == 2
-                assign(f"T{functions.index(node.func)}[{', '.join(args)}]")
-            elif not any(isinstance(e, str) for e in stack[-_arity(node):]):
-                del stack[-_arity(node):]  # every operand is constant, so the node is too
-                stack.append(node)
-            elif isinstance(node, Neg):
-                a = name(stack.pop())
-                assign(f"-{a} % {m}" if m else f"-{a}")
-            elif isinstance(node, Pow):
-                a, e = name(stack.pop()), node.exponent
-                assign(f"POW({a}, {e})" if e < 0 else f"pow({a}, {e}, {m})" if m
-                       else f"{a} ** {e}")
-            elif isinstance(node, Bin):
-                right = stack.pop()
-                a = name(stack.pop())
-                if node.op != "/":
-                    b = name(right)
-                    assign(f"({a} {node.op} {b}) % {m}" if m else f"{a} {node.op} {b}")
-                elif m and not isinstance(right, str):
-                    assign(f"{a} * {name(right, invert=True)} % {m}")
-                else:
-                    assign(f'BIN("/", {a}, {name(right)})')
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
-        self.lines = lines
-        self.result = name(stack.pop())
+    def neg(self, a):
+        if not isinstance(a, str):
+            return Neg(a)
+        m = self.modulus
+        return self.assign(f"-{a} % {m}" if m else f"-{a}")
+
+    def pow(self, a, e: int):
+        if not isinstance(a, str):
+            return Pow(a, e)
+        m = self.modulus
+        return self.assign(f"POW({a}, {e})" if e < 0 else f"pow({a}, {e}, {m})" if m
+                           else f"{a} ** {e}")
+
+    def bin(self, op: str, a, b):
+        if not isinstance(a, str) and not isinstance(b, str):
+            return Bin(op, a, b)
+        a, m = self.name(a), self.modulus
+        if op != "/":
+            b = self.name(b)
+            return self.assign(f"({a} {op} {b}) % {m}" if m else f"{a} {op} {b}")
+        if m and not isinstance(b, str):
+            return self.assign(f"{a} * {self.name(b, invert=True)} % {m}")
+        return self.assign(f'BIN("/", {a}, {self.name(b)})')
+
+    def apply(self, func: str, *args):
+        args = tuple(self.name(a) for a in args)
+        if not self.modulus:  # on a window; a variable's value lies in it
+            self.lines += [f"if not {self.carrier.lo} <= {a} <= {self.carrier.hi}: "
+                           "raise Inadmissible" for a in args if a not in self.slots]
+        self.binary |= len(args) == 2
+        return self.assign(f"T{self.functions.index(func)}[{', '.join(args)}]")
 
     def fold(self, carrier: Carrier, params: Dict[str, int], env: dict) -> bool:
         """Adds the side's constants, in the carrier's arithmetic with the
@@ -306,13 +298,15 @@ class _Code:
     Inadmissible or read a missing entry.  The residual `residual(a0, a1,
     ...)` is lhs - rhs at one tuple, reduced modulo a finite carrier, and
     raises where the tuple is inadmissible; it is compiled on its first
-    use, as most equations only run the loop."""
+    use, as most equations only run the loop.  `degree` is the larger
+    `_degree` of the two sides, which picks the solver's path."""
 
-    __slots__ = ("lhs", "rhs", "arity", "modulus", "loop", "difference")
+    __slots__ = ("lhs", "rhs", "degree", "arity", "modulus", "loop", "difference")
 
     def __init__(self, eq: "Equation", carrier: Carrier):
         self.lhs, self.rhs = (_Side(side, eq.functions, carrier, eq.variables, tag)
                               for side, tag in ((eq.lhs, "l"), (eq.rhs, "r")))
+        self.degree = max(_degree(eq.lhs), _degree(eq.rhs))
         self.arity = len(eq.variables)
         self.modulus = carrier.characteristic
         self.difference: Optional[types.CodeType] = None
@@ -532,9 +526,9 @@ def feq_solve_brute(
         budget = default_budget()
     if eq.min_size and carrier.modulus < eq.min_size:
         return SolveReport(eq.name, carrier, unknowns, "skipped", (), 0, eq.note)
-    _table_code(eq, carrier)
+    code = _table_code(eq, carrier)
 
-    if _is_prime(carrier.modulus) and max(_degree(eq.lhs), _degree(eq.rhs)) <= 1:
+    if _is_prime(carrier.modulus) and code.degree <= 1:
         solutions, skipped_pairs, checked = _eliminate(eq, unknowns, carrier, params, budget)
     else:
         solutions, skipped_pairs = _backtrack(eq, unknowns, carrier, params, budget)
@@ -702,7 +696,7 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
 
     # Static dependency analysis: unless a side is value-dependent, the
     # table entries a pair reads are known up front.
-    dynamic = _VALUE_DEPENDENT in (_degree(eq.lhs), _degree(eq.rhs))
+    dynamic = _code(eq, carrier).degree == _VALUE_DEPENDENT
     skipped_pairs = 0
     every = list(itertools.product(elems, repeat=len(eq.variables)))
     tuples_at: List[List[tuple]] = [[] for _ in range(len(slots))]
@@ -757,36 +751,40 @@ def _work_exceeded(placed: int, visited: int, budget: int) -> BudgetError:
 _VALUE_DEPENDENT = 3  # above every degree, so it absorbs the nodes above it
 
 
+class _Degree(Arithmetic):
+    """The algebra of `_degree`: a value is a degree."""
+
+    def sym(self, name: str):
+        return 0
+
+    num = sym
+
+    def neg(self, a):
+        return a
+
+    def pow(self, a, e: int):
+        if a == _VALUE_DEPENDENT or a and e < 0:
+            return _VALUE_DEPENDENT
+        return min(a * e, 2)
+
+    def bin(self, op: str, a, b):
+        if _VALUE_DEPENDENT in (a, b) or op == "/" and b:
+            return _VALUE_DEPENDENT
+        return min(a + b, 2) if op == "*" else a if op == "/" else max(a, b)
+
+    def apply(self, func: str, *args):
+        return _VALUE_DEPENDENT if any(args) else 1
+
+
 def _degree(side) -> int:
     """The degree of a side in the table entries, read off the tree: 0 or 1
     when the side is affine in the entries on every tuple, 2 when it may
     not be, and _VALUE_DEPENDENT when which tuples are admissible, or
     which entries a tuple reads, depends on table values, not only on the
-    variables.  Nothing is folded, so (x - x)*f(x)*f(y) has degree 2 and
-    (1/f(x))^0 is value-dependent.  Like `_Side` it walks the nodes in
-    post-order from an explicit stack, so no depth of tree recurses."""
-    stack: List[int] = []
-    for node in reversed(list(nodes(side))):
-        if isinstance(node, (Num, Sym)):
-            stack.append(0)
-            continue
-        operands = stack[-_arity(node):]
-        del stack[-len(operands):]
-        a = operands[0]
-        if _VALUE_DEPENDENT in operands:
-            degree = _VALUE_DEPENDENT
-        elif isinstance(node, Apply):
-            degree = _VALUE_DEPENDENT if max(operands) else 1
-        elif isinstance(node, Neg):
-            degree = a
-        elif isinstance(node, Pow):
-            degree = _VALUE_DEPENDENT if a and node.exponent < 0 else min(a * node.exponent, 2)
-        elif node.op == "/":
-            degree = _VALUE_DEPENDENT if operands[1] else a
-        else:
-            degree = min(sum(operands), 2) if node.op == "*" else max(operands)
-        stack.append(degree)
-    return stack.pop()
+    variables.  Nothing is folded into constants, so (x - x)*f(x)*f(y) has
+    degree 2 and (1/f(x))^0 is value-dependent.  It is computed once per
+    equation and carrier, as `_Code.degree`."""
+    return fold(side, _Degree())
 
 
 # -- built-in corpus ----------------------------------------------------------

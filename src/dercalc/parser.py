@@ -32,9 +32,13 @@ symbol that names a variable takes the argument's value.  `fold` is that
 function with no variables, called once.  Its instructions take at most
 two operands, which is all a node has, so any algebra runs on it as it
 stands: tower elements, polynomials, carrier values for map specs, and the
-constants of functional equations.  Equation sides, run on every tuple of
-a carrier, are generated as Python by `feq` instead.  `nodes` walks a tree
-for structural questions, such as which functions it calls.
+constants of functional equations.  The other walks are folds too: the
+printer `to_text` folds into (text, precedence) pairs, so it round-trips a
+tree of any depth; `feq` generates the Python of an equation side by
+folding with its own algebra, whose values are the names of generated
+locals, and reads a side's degree in the table entries off another fold.
+`nodes` walks a tree for structural questions, such as which functions it
+calls.  Only `nodes` and `compiled` ask which kind a node is.
 """
 from __future__ import annotations
 
@@ -398,43 +402,39 @@ _PREC_POW = 4
 _PREC_ATOM = 5
 
 
-def _precedence(node: Expr) -> int:
-    if isinstance(node, Bin):
-        return _PREC_ADD if node.op in "+-" else _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+def _wrapped(value: Tuple[str, int], least: int) -> str:
+    """The text of a printed operand, in parentheses when it binds looser
+    than `least`."""
+    text, precedence = value
+    return text if precedence >= least else f"({text})"
+
+
+class _Text(Arithmetic):
+    """The algebra of printing: a value is (text, precedence), the text
+    having minimal parentheses."""
+
+    def num(self, value: Fraction):
+        if value.denominator != 1 or value < 0:
+            raise ValueError("only nonnegative integer literals are printable")
+        return str(value), _PREC_ATOM
+
+    def sym(self, name: str):
+        return name, _PREC_ATOM
+
+    def neg(self, a):
+        return f"-{_wrapped(a, _PREC_NEG)}", _PREC_NEG
+
+    def pow(self, a, e: int):
+        return f"{_wrapped(a, _PREC_ATOM)}^{e}", _PREC_POW
+
+    def bin(self, op: str, a, b):
+        precedence = _PREC_ADD if op in "+-" else _PREC_MUL
+        return f"{_wrapped(a, precedence)} {op} {_wrapped(b, precedence + 1)}", precedence
+
+    def apply(self, func: str, *args):
+        return f"{func}({', '.join(text for text, _ in args)})", _PREC_ATOM
 
 
 def to_text(node: Expr) -> str:
     """Render a tree with minimal parentheses; parse(to_text(e)) == e."""
-    if isinstance(node, Num):
-        if node.value.denominator != 1 or node.value < 0:
-            raise ValueError("only nonnegative integer literals are printable")
-        return str(node.value)
-    if isinstance(node, Sym):
-        return node.name
-    if isinstance(node, Apply):
-        return f"{node.func}({', '.join(map(to_text, node.args))})"
-    if isinstance(node, Neg):
-        inner = to_text(node.operand)
-        if _precedence(node.operand) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Pow):
-        base = to_text(node.base)
-        if _precedence(node.base) < _PREC_ATOM:
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, Bin):
-        prec = _precedence(node)
-        left = to_text(node.left)
-        if _precedence(node.left) < prec:
-            left = f"({left})"
-        right = to_text(node.right)
-        if _precedence(node.right) <= prec:
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
-    raise TypeError(f"not an expression node: {node!r}")
+    return fold(node, _Text())[0]

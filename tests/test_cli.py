@@ -578,6 +578,76 @@ def test_malformed_spec_pieces_are_named(cli, argv, piece):
     assert "unpack" not in err[0]
 
 
+@pytest.mark.parametrize("kind, given, missing", [
+    ("leibniz", ("--u", "t"), "--v"),
+    ("power", ("--k", "2"), "--x"),
+    ("monomial", (), "--n --m --x"),
+    ("mobius", (), "--a --b --c --dd --n --x"),
+    ("reflect", (), "--x"),
+    ("square", ("--k", "2"), "--x"),
+    ("nhom", ("--x", "t"), "--n"),
+])
+def test_der_residual_names_the_options_its_kind_needs(cli, kind, given, missing):
+    assert cli("der", "residual", kind, "--tower", QT, "--der", D1, *given) == (
+        2, [], [f"error: der residual {kind} needs {missing}"])
+
+
+TRACE = ("multi", "trace", "--arity", "1", "--dim", "1")
+RESIDUAL = ("der", "residual", "--tower", QT, "--der", D1, "--x", "t")
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0"])
+@pytest.mark.parametrize("argv, where", [
+    (TRACE + ("--tensor", "(0)=1", "--x", "1,{}"), "--x"),
+    (TRACE + ("--tensor", "(0)={}", "--x", "1"), "--tensor"),
+    (("multi", "delta", "--f", "x0", "--dim", "1", "--ys", "1|{}", "--x", "1"), "--ys"),
+    (("multi", "binomial", "--arity", "1", "--dim", "1", "--tensor", "(0)=1", "--x", "1",
+      "--y", "{}"), "--y"),
+    (("der", "rank", "--tower", QT, "--der", D1, "--k", "2", "--points", "t",
+      "--subst", "t={}"), "--subst"),
+    (RESIDUAL + ("power", "--k", "2", "--slope", "{}"), "--slope"),
+    (RESIDUAL + ("monomial", "--n", "2", "--m", "1", "--der2", "e(t)=1", "--slope2", "{}"),
+     "--slope2"),
+    (RESIDUAL + ("mobius", "--a", "1", "--b", "1", "--c", "{}", "--dd", "1", "--n", "2"),
+     "--c"),
+])
+def test_a_bad_rational_names_its_option(cli, argv, where, bad):
+    argv = [a.replace("{}", bad) for a in argv]
+    assert cli(*argv) == (
+        2, [], [f"error: bad rational {bad!r} in {where}: expected N or N/D with D nonzero"])
+
+
+@pytest.mark.parametrize("lines, error", [
+    ("(0) 2\n", None),
+    ("# a comment\n\n(0)1\n", "bad line '(0)1' in {} line 3: expected (I,...) VALUE"),
+    ("(x) 1\n", "bad line '(x) 1' in {} line 1: expected (I,...) VALUE"),
+    ("(0) abc  # value\n", "bad rational 'abc' in {} line 1: expected N or N/D with D nonzero"),
+    ("\n(0) 1/0\n", "bad rational '1/0' in {} line 2: expected N or N/D with D nonzero"),
+])
+def test_tensor_file_lines_are_named(cli, tmp_path, lines, error):
+    path = tmp_path / "tensor.txt"
+    path.write_text(lines)
+    code, out, err = cli(*TRACE, "--tensor", f"@{path}", "--x", "3")
+    if error is None:
+        assert (code, out, err) == (0, ["A*(3) = 6"], [])
+    else:
+        assert (code, out, err) == (2, [], ["error: " + error.format(path)])
+
+
+@pytest.mark.parametrize("lines, error", [
+    ("# G(1,1)\n1 1 2\n\n1 2\n", "bad line '1 2' in {} line 4: expected I J VALUE"),
+    ("x 1 2\n", "bad line 'x 1 2' in {} line 1: expected I J VALUE"),
+    ("1 1 abc\n", "bad rational 'abc' in {} line 1: expected N or N/D with D nonzero"),
+    ("1 1 2 # G(1,1)\n1 2 1/0\n",
+     "bad rational '1/0' in {} line 2: expected N or N/D with D nonzero"),
+])
+def test_gamma_table_lines_are_named(cli, tmp_path, lines, error):
+    path = tmp_path / "gamma.txt"
+    path.write_text(lines)
+    assert cli("hod", "gamma-check", "--n", "2", "--table", str(path)) == (
+        2, [], ["error: " + error.format(path)])
+
+
 # -- feq -----------------------------------------------------------------
 
 

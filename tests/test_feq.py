@@ -33,7 +33,8 @@ from dercalc.feq import (
     _residual,
 )
 from dercalc import feq
-from dercalc.parser import Apply, Bin, DercalcSyntaxError, Neg, Num, Pow, Sym, compiled, nodes
+from dercalc.parser import (Apply, Bin, DercalcSyntaxError, Neg, Num, Pow, Sym, compiled, nodes,
+                            parse_expr, to_text)
 
 
 def window_parity(lo=-10, hi=10):
@@ -494,6 +495,21 @@ def test_feq_check_with_a_3000_term_side():
     wrong = Equation.parse("wrong", f"{LONG_SIDE} = 2999*f(x)")
     report = feq_check(wrong, {"f": FnTable.from_callable(gf(7), lambda x: x)})
     assert report.witness == (1, 0)
+
+
+def test_to_text_round_trips_a_3000_term_side():
+    assert to_text(parse_expr(LONG_SIDE)) == LONG_SIDE  # without recursing
+
+
+@pytest.mark.parametrize("name", ["jensen", "cauchy-exp"])  # elimination, search
+def test_the_degree_is_found_once_per_equation_and_carrier(monkeypatch, name):
+    count = feq_solve_brute(CORPUS[name], ["f"], gf(5)).count
+    sides = []
+    degree = feq._degree
+    monkeypatch.setattr(feq, "_degree", lambda side: sides.append(side) or degree(side))
+    eq = Equation.parse(f"{name}-twin", CORPUS[name].source)
+    assert [feq_solve_brute(eq, ["f"], gf(5)).count for _ in range(3)] == [count] * 3
+    assert sides == [eq.lhs, eq.rhs]
 
 
 # -- elimination against the backtracking oracle ------------------------------

@@ -304,6 +304,13 @@ def test_compiled_carrier_side_agrees_with_exact_rationals(tree, p, data):
     assert got == exact.numerator * pow(exact.denominator, -1, p) % p
 
 
+def test_to_text_prints_a_tree_of_any_depth():
+    tree = Sym("x")
+    for _ in range(5000):
+        tree = Pow(Neg(tree), 2)
+    assert to_text(tree) == "(-" * 5000 + "x" + ")^2" * 5000
+
+
 @pytest.mark.parametrize("wrap", [lambda e: f"({e})", lambda e: f"-{e}", lambda e: f"d({e})",
                                   lambda e: f"F(t, {e})"])
 def test_nesting_limit_is_exact_and_reports_position(wrap):
