@@ -71,6 +71,24 @@ def bound_sample(sample: int) -> None:
                           f"raise it with DERCALC_BUDGET")
 
 
+def bound_recovery(n: int, dim: int) -> None:
+    """Refuses, before the function is called, a recovery of degree n on
+    Q^dim (`multiadd.recover_components`) whose work exceeds the budget:
+    its C(n + dim, dim) monomials evaluated at the C(n + dim, dim) points
+    of the simplex and the 5^dim points of the grid [-2, 2]^dim."""
+    budget = default_budget()
+    # 5^dim > 2^dim > budget once dim reaches the budget's bit length.
+    if dim >= budget.bit_length():
+        work = f"5^{dim} grid points"
+    else:
+        monomials = math.comb(n + dim, dim)
+        if (monomials + 5 ** dim) * monomials <= budget:
+            return
+        work = f"{monomials} monomials at {monomials} + 5^{dim} points"
+    raise BudgetError(f"recovery of degree {n} in dimension {dim} evaluates {work}, "
+                      f"over budget {budget}; raise it with DERCALC_BUDGET")
+
+
 class NotDivisibleError(ExactError):
     """Exact polynomial division was requested but leaves a remainder."""
 

@@ -1,20 +1,25 @@
 """Symmetric multiadditive maps over Q^dim as coefficient tensors.
 
 A k-additive symmetric map is stored by its values on sorted basis index
-tuples; the diagonal A*(x) = A(x, ..., x) is a degree-k form, iterated
-forward differences polarize the diagonal back to the full map, and a
-black-box polynomial function splits into its homogeneous components by
-top-down difference extraction.
+tuples; the diagonal A*(x) = A(x, ..., x) is a degree-k form, and iterated
+forward differences polarize the diagonal back to the full map.  A
+black-box polynomial function of degree <= n splits into its homogeneous
+components from one table of its values on the simplex |x| <= n: mixed
+Newton differences give its coefficients in the binomial basis, Stirling
+numbers of the first kind turn them into monomials, and the monomials into
+symmetric tensors.  The result is re-checked against the function on the
+grid [-2, 2]^dim in integer arithmetic, and a degree and dimension whose
+work exceeds DERCALC_BUDGET are refused before the function is called.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .exact import rational
+from .exact import bound_recovery, rational
 
 Vector = Tuple[Fraction, ...]
 
@@ -242,52 +247,99 @@ class PolyFunction:
         return "PolyFunction[" + "; ".join(str(A) for A in self.components) + "]"
 
 
-def _basis(dim: int) -> List[Vector]:
-    return [
-        tuple(Fraction(1 if j == i else 0) for j in range(dim)) for i in range(dim)
-    ]
+def _simplex(n: int, dim: int) -> List[Tuple[int, ...]]:
+    """The points of {x in N^dim : |x| <= n} in lexicographic order."""
+    if dim == 0:
+        return [()]
+    return [(a,) + rest for a in range(n + 1) for rest in _simplex(n - a, dim - 1)]
+
+
+def _differences(v: List[int]) -> List[int]:
+    """Newton's forward differences Delta^a v(0) of values at 0, 1, ...:
+    the coefficients of their interpolant in the basis C(x, a)."""
+    v = list(v)
+    for level in range(1, len(v)):
+        for a in range(len(v) - 1, level - 1, -1):
+            v[a] -= v[a - 1]
+    return v
+
+
+def _expand(v: List[int], scale: int) -> List[int]:
+    """The monomial coefficients, times `scale`, of sum_a v[a] C(x, a):
+    Horner's rule on the falling factorials x(x-1)...(x-a+1) = a! C(x, a),
+    which runs the Stirling numbers of the first kind.  `scale` is a
+    multiple of (len(v) - 1)!, so the results are integers."""
+    coeffs: List[int] = []
+    weight = scale // math.factorial(len(v) - 1)  # scale / a!
+    for a in range(len(v) - 1, -1, -1):
+        # coeffs <- coeffs * (x - a) + v[a] * scale / a!
+        coeffs = [0] + coeffs
+        for j in range(len(coeffs) - 1):
+            coeffs[j] -= a * coeffs[j + 1]
+        coeffs[0] += v[a] * weight
+        weight *= a
+    return coeffs
 
 
 def recover_components(p: Callable[[Vector], Fraction], n: int, dim: int) -> PolyFunction:
     """Split a black-box polynomial function of degree <= n into components.
 
-    p is tabulated once on the simplex {x in N^dim : |x| <= n}, as the
-    differences of degree n first read its points; they read every one.
-    The top tensor is read off at the base point 0 by the polarization
-    formula, A_n(e_{i_1},...,e_{i_n}) = Delta_{e_{i_1}..e_{i_n}} p(0) / n!,
-    its diagonal is subtracted from the table, and the process repeats a
-    degree lower; what is left at 0 is the constant.  The recovered sum is
-    re-evaluated against p on the integer grid [-2, 2]^dim and any mismatch
-    raises."""
+    Before p is called, `exact.bound_recovery` refuses a degree and
+    dimension whose evaluations times monomials exceed the budget.  p is
+    called once on each point of the simplex {x in N^dim : |x| <= n}, and
+    the table's denominators are cleared once, so the rest runs on
+    integers.  Newton's forward differences, taken along every line of
+    every axis in turn, leave the mixed differences Delta^a p(0) at each
+    a in the simplex: the coefficients of the one polynomial of degree
+    <= n through the table in the basis prod_i C(x_i, a_i).  Expanding the
+    binomials along every axis in turn (Stirling numbers of the first
+    kind) leaves its monomial coefficients.  A degree-k coefficient c_b of
+    x^b becomes the symmetric tensor entry c_b * b!/k! on b's sorted index.
+    The recovered sum is evaluated on the grid [-2, 2]^dim from the
+    monomials and compared with p there in `product` order, the table's
+    values standing in for p where the two meet; the first mismatch raises
+    `NotPolynomialError`."""
     if n < 0:
         raise MultiAddError("degree bound must be nonnegative")
     if dim < 1:  # refused before p is called, whatever the degree
         raise MultiAddError("dimension must be positive")
-    basis = _basis(dim)
-    zero = tuple(Fraction(0) for _ in range(dim))
-    table: Dict[Vector, Fraction] = {}
+    bound_recovery(n, dim)
+    values = {x: rational(p(tuple(map(Fraction, x)))) for x in _simplex(n, dim)}
+    clear = math.lcm(*(v.denominator for v in values.values()))
+    table = {x: v.numerator * (clear // v.denominator) for x, v in values.items()}
+    scale = math.factorial(n)
+    for transform in (_differences, lambda v: _expand(v, scale)):
+        for axis in range(dim):
+            for x in list(table):
+                if x[axis] == 0:
+                    line = [x[:axis] + (a,) + x[axis + 1:] for a in range(n - sum(x) + 1)]
+                    table.update(zip(line, transform([table[y] for y in line])))
+    denominator = clear * scale ** dim  # a monomial coefficient is table[b] / denominator
 
-    def rem(point: Vector) -> Fraction:
-        if point not in table:
-            table[point] = rational(p(point))
-        return table[point]
+    parts = [{} for _ in range(n + 1)]
+    for b, c in table.items():
+        if c:
+            k = sum(b)
+            index = tuple(i for i, e in enumerate(b) for _ in range(e))
+            weight = math.prod(map(math.factorial, b))
+            parts[k][index] = Fraction(c * weight, denominator * math.factorial(k))
+    pf = PolyFunction([SymMultiMap(k, dim, coeffs) for k, coeffs in enumerate(parts)])
 
-    parts: List[SymMultiMap] = []
-    for k in range(n, 0, -1):
-        coeffs: Dict[Tuple[int, ...], Fraction] = {}
-        for idx in combinations_with_replacement(range(dim), k):
-            value = delta(rem, [basis[i] for i in idx], zero)
-            coeffs[idx] = value / math.factorial(k)
-        A = SymMultiMap(k, dim, coeffs)
-        parts.append(A)
-        for point in table:
-            table[point] -= trace(A, point)
-    parts.append(SymMultiMap.constant(dim, rem(zero)))
-    pf = PolyFunction(list(reversed(parts)))
+    # The values on the grid, times `denominator`, axis by axis: each
+    # exponent of the axis gives way to a coordinate in -2..2.
+    powers = {x: [x ** e for e in range(n + 1)] for x in range(-2, 3)}
+    grid = {b: c for b, c in table.items() if c}
+    for axis in range(dim):
+        collapsed: Dict[Tuple[int, ...], int] = {}
+        for b, c in grid.items():
+            for x, power in powers.items():
+                key = b[:axis] + (x,) + b[axis + 1:]
+                collapsed[key] = collapsed.get(key, 0) + c * power[b[axis]]
+        grid = collapsed
     for coords in product(range(-2, 3), repeat=dim):
-        point = tuple(Fraction(c) for c in coords)
-        expected = rational(p(point))
-        got = pf(point)
-        if expected != got:
-            raise NotPolynomialError(point, expected, got)
+        point = tuple(map(Fraction, coords))
+        expected = values[coords] if coords in values else rational(p(point))
+        got = grid.get(coords, 0)
+        if expected.numerator * denominator != got * expected.denominator:
+            raise NotPolynomialError(point, expected, Fraction(got, denominator))
     return pf

@@ -549,7 +549,25 @@ def test_multi_recover_degree_mismatch_is_check_failure(cli):
                          "--dim", "1")
     assert code == 1
     assert out == []
-    assert err[0].startswith("check failed: nonzero residual at ('-2',):")
+    assert err == [
+        "check failed: nonzero residual at ('-2',): function value 16 but recovered "
+        "components give -104; the input is not a polynomial function of the claimed degree"]
+
+
+def test_multi_recover_golden_in_three_variables(cli):
+    assert cli("multi", "recover", "--f", "x0*x1*x2 + 2*x0^2 - x2 + 3",
+               "--n", "3", "--dim", "3") == (
+        0, ["A_0: () 3", "A_1: (2) -1", "A_2: (0,0) 2", "A_3: (0,1,2) 1/6"], [])
+
+
+def test_multi_recover_refuses_work_over_the_budget(cli, monkeypatch):
+    monkeypatch.delenv("DERCALC_BUDGET", raising=False)
+    assert cli("multi", "recover", "--f", "x0", "--n", "3", "--dim", "11") == (2, [], [
+        "error: recovery of degree 3 in dimension 11 evaluates 364 monomials at "
+        "364 + 5^11 points, over budget 10000000; raise it with DERCALC_BUDGET"])
+    # A high degree in one variable is 31 monomials at 36 points.
+    code, out, err = cli("multi", "recover", "--f", "x0", "--n", "30", "--dim", "1")
+    assert (code, out[:3], len(out), err) == (0, ["A_0: 0", "A_1: (0) 1", "A_2: 0"], 31, [])
 
 
 @pytest.mark.parametrize("n", ["0", "2"])

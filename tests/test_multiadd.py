@@ -1,5 +1,6 @@
 """Symmetric multiadditive maps: polarization, diagonals, recovery."""
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
@@ -7,7 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dercalc.exact import rational
+from dercalc.exact import BudgetError, rational
 from dercalc.multiadd import (
     MultiAddError,
     NotPolynomialError,
@@ -183,9 +184,9 @@ def test_recover_refuses_a_nonpositive_dimension_before_calling_p(n):
 
 
 @st.composite
-def poly_functions(draw, max_degree=4, max_dim=2):
-    degree = draw(st.integers(0, max_degree))
-    dim = draw(st.integers(1, max_dim))
+def poly_functions(draw, max_degree=4, max_dim=2, min_dim=1, min_degree=0):
+    degree = draw(st.integers(min_degree, max_degree))
+    dim = draw(st.integers(min_dim, max_dim))
     comps = [SymMultiMap.constant(dim, draw(frac))]
     for k in range(1, degree + 1):
         coeffs = draw(st.dictionaries(sorted_indices(k, dim), frac, max_size=3))
@@ -233,6 +234,111 @@ def test_recover_matches_the_chained_recovery(pf, n, bump, data):
         assert recover_components(p, n, pf.dim).components == components
     except NotPolynomialError as err:
         assert (err.point, err.expected, err.got) == failure
+
+
+def table_recovery(p, n, dim):
+    """The recovery by one table of p on the simplex, read top-down: each
+    degree's tensor by the polarization formula at 0, its diagonal then
+    subtracted from the table.  Same protocol as `chained_recovery`."""
+    basis = [tuple(Fraction(int(j == i)) for j in range(dim)) for i in range(dim)]
+    zero = (Fraction(0),) * dim
+    table = {}
+
+    def rem(point):
+        if point not in table:
+            table[point] = rational(p(point))
+        return table[point]
+
+    parts = []
+    for k in range(n, 0, -1):
+        A = SymMultiMap(k, dim, {
+            idx: delta(rem, [basis[i] for i in idx], zero) / factorial(k)
+            for idx in combinations_with_replacement(range(dim), k)})
+        parts.append(A)
+        for point in table:
+            table[point] -= trace(A, point)
+    pf = PolyFunction([SymMultiMap.constant(dim, rem(zero))] + parts[::-1])
+    for coords in product(range(-2, 3), repeat=dim):
+        point = tuple(map(Fraction, coords))
+        if rational(p(point)) != pf(point):
+            return None, (point, rational(p(point)), pf(point))
+    return pf.components, None
+
+
+@st.composite
+def recovery_inputs(draw, dim, top):
+    """A function of components up to degree top (the top ones may be
+    zero), a degree bound and a bump at one grid point."""
+    pf = draw(poly_functions(max_degree=top, max_dim=dim, min_dim=dim, min_degree=top))
+    n = draw(st.integers(0, top))
+    bump = draw(st.sampled_from([0, 0, 1, Fraction(-1, 3)]))
+    where = draw(st.tuples(*[st.integers(-2, 2)] * dim))
+    return pf, n, bump, where
+
+
+@pytest.mark.parametrize("dim, top", [(1, 5), (2, 5), (3, 3)])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_recover_matches_the_table_recovery(dim, top, data):
+    # A degree bound below the degree, or a bump at one point, makes the
+    # input fail the grid re-check.
+    pf, n, bump, where = data.draw(recovery_inputs(dim, top))
+    p = lambda v: pf(v) + (bump if v == where else 0)
+    components, failure = table_recovery(p, n, dim)
+    try:
+        assert recover_components(p, n, dim).components == components
+    except NotPolynomialError as err:
+        assert (err.point, err.expected, err.got) == failure
+
+
+def recording(p):
+    calls = []
+
+    def black_box(v):
+        calls.append(v)
+        return p(v)
+
+    return black_box, calls
+
+
+@pytest.mark.parametrize("n, dim", [(0, 1), (3, 1), (7, 1), (5, 2), (3, 3), (4, 3), (2, 4)])
+def test_recover_calls_p_once_per_point(n, dim):
+    black_box, calls = recording(lambda v: sum(v) ** n / 2 - 3)
+    recover_components(black_box, n, dim)
+    simplex = {c for c in product(range(n + 1), repeat=dim) if sum(c) <= n}
+    grid = set(product(range(-2, 3), repeat=dim))
+    assert all(isinstance(c, Fraction) for v in calls for c in v)
+    assert len(set(calls)) == len(calls)
+    assert len(calls) == len(simplex | grid)
+
+
+@pytest.mark.parametrize("n, dim", [(3, 11), (2000, 2), (3, 10 ** 9), (10 ** 9, 10 ** 9)])
+def test_recover_refuses_work_over_the_budget_before_calling_p(monkeypatch, n, dim):
+    monkeypatch.delenv("DERCALC_BUDGET", raising=False)
+    black_box, calls = recording(lambda v: 0)
+    with pytest.raises(BudgetError, match="over budget 10000000; raise it with DERCALC_BUDGET"):
+        recover_components(black_box, n, dim)
+    assert calls == []
+
+
+def test_recover_budget_counts_evaluations_times_monomials(monkeypatch):
+    # Degree 3 in dimension 3: 20 monomials at 20 + 125 points.
+    p = lambda v: v[0] * v[1] * v[2]
+    monkeypatch.setenv("DERCALC_BUDGET", "2900")
+    assert recover_components(p, 3, 3).components[3].coeffs == {(0, 1, 2): Fraction(1, 6)}
+    monkeypatch.setenv("DERCALC_BUDGET", "2899")
+    black_box, calls = recording(p)
+    with pytest.raises(BudgetError, match=re.escape(
+            "recovery of degree 3 in dimension 3 evaluates 20 monomials at 20 + 5^3 points, "
+            "over budget 2899; raise it with DERCALC_BUDGET")):
+        recover_components(black_box, 3, 3)
+    assert calls == []
+
+
+def test_recover_a_high_degree_bound_in_one_variable():
+    pf = recover_components(lambda v: 3 * v[0] ** 30 - v[0], 30, 1)
+    assert [A.coeffs for A in pf.components if A.coeffs] == [
+        {(0,): -1}, {(0,) * 30: 3}]
 
 
 def test_recover_flags_non_polynomial():
