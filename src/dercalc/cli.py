@@ -63,12 +63,13 @@ from .multiadd import (
     NotPolynomialError,
     SymMultiMap,
     binomial_check,
+    check_recovery,
     polarization_check,
     recover_components,
     trace,
 )
 from .multiadd import delta as multi_delta
-from .parser import Arithmetic, DercalcSyntaxError, compiled, fold, parse_expr
+from .parser import Arithmetic, DercalcSyntaxError, Sym, compiled, fold, nodes, parse_expr
 from .session import (
     SessionError,
     adjoin_generator,
@@ -207,10 +208,24 @@ def _tensor(arity: int, dim: int, spec: str) -> SymMultiMap:
 
 
 def _vector_fn(dim: int, source: str):
-    """Expression in x0..x{dim-1} (plain x works when dim is 1)."""
-    names = [f"x{i}" for i in range(dim)] + (["x"] if dim == 1 else [])
-    f = compiled(parse_expr(source), Arithmetic(SessionError), names)
-    return lambda vec: f(*(Fraction(vec[i % dim]) for i in range(len(names))))
+    """Expression in x0..x{dim-1} (plain x works when dim is 1).  Only the
+    variables the expression names are compiled, so the work does not grow
+    with dim; x<i> with i >= dim is refused."""
+    tree = parse_expr(source)
+    names, indices = [], []
+    for name in sorted({node.name for node in nodes(tree) if isinstance(node, Sym)}):
+        if name == "x" and dim == 1:
+            index = 0
+        elif name[1:].isdigit() and name == f"x{int(name[1:])}":
+            index = int(name[1:])
+            if index >= dim:
+                raise SessionError(f"variable {name} is outside dimension {dim}")
+        else:
+            continue  # an unknown symbol, refused when the function is called
+        names.append(name)
+        indices.append(index)
+    f = compiled(tree, Arithmetic(SessionError), names)
+    return lambda vec: f(*(Fraction(vec[i]) for i in indices))
 
 
 class _Polynomials(Arithmetic):
@@ -552,8 +567,12 @@ def _cmd_multi(args, out: Out) -> int:
         out.emit("trace", f"A*({args.x}) = {value}", x=args.x, value=value)
         return 0
     if args.cmd2 == "delta":
-        fn = _vector_fn(args.dim, args.f)
-        value = multi_delta(fn, _vecs(args.ys, "--ys"), _vec(args.x, "--x"))
+        ys, x = _vecs(args.ys, "--ys"), _vec(args.x, "--x")
+        for where, vec in [("--ys", y) for y in ys] + [("--x", x)]:
+            if len(vec) != args.dim:
+                raise SessionError(f"a vector in {where} has length {len(vec)}, "
+                                   f"but --dim is {args.dim}")
+        value = multi_delta(_vector_fn(args.dim, args.f), ys, x)
         out.emit("delta", f"delta = {value}", value=value)
         return 0
     if args.cmd2 == "polarize":
@@ -574,6 +593,7 @@ def _cmd_multi(args, out: Out) -> int:
                  lhs=rep.lhs, rhs=rep.rhs, status=status)
         return 0 if rep.ok else 1
     if args.cmd2 == "recover":
+        check_recovery(args.n, args.dim)
         fn = _vector_fn(args.dim, args.f)
         pf = recover_components(fn, args.n, args.dim)
         for k, comp in enumerate(pf.components):

@@ -5,8 +5,8 @@ Every quantity in this package is exact.  Rationals are ``fractions.Fraction``
 
 One polynomial kernel serves the tower levels, the derivations and the
 printer: coefficient tuples over a coefficient domain.  Over a field (Q,
-GF(p) or a tower level) it has Euclid: division with remainder, gcd, extended
-gcd.  Over Q[x1..xn], nested as Q[x1][x2]...[xn], and over Z[x], gcds come
+GF(p) or a tower level) it has Euclid: division with remainder and gcd.
+Over Q[x1..xn], nested as Q[x1][x2]...[xn], and over Z[x], gcds come
 from a primitive pseudo-remainder sequence with rational or integer
 contents at the bottom.
 
@@ -388,20 +388,6 @@ def _pgcd(level, a, b) -> tuple:
     while b:
         a, b = b, _pdivmod(level, a, b)[1]
     return _pmonic(level, a)
-
-
-def _pxgcd(level, a, m) -> Tuple[tuple, tuple]:
-    """Half-extended Euclid: returns monic g and s with s*a = g modulo m."""
-    r0, r1 = _pstrip(level, a), _pstrip(level, m)
-    s0, s1 = (level.one,), ()
-    while r1:
-        q, r = _pdivmod(level, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(level, s0, _pmul(level, q, s1))
-    if r0:
-        c = level.inv(r0[-1])
-        r0, s0 = _pscale(level, r0, c), _pscale(level, s0, c)
-    return r0, s0
 
 
 def _pderiv(level, a) -> tuple:

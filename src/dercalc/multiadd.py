@@ -281,11 +281,22 @@ def _expand(v: List[int], scale: int) -> List[int]:
     return coeffs
 
 
+def check_recovery(n: int, dim: int) -> None:
+    """Refuses a degree and dimension that `recover_components` would
+    refuse before calling its function: a negative degree, a dimension
+    below 1, or work over the budget (`exact.bound_recovery`)."""
+    if n < 0:
+        raise MultiAddError("degree bound must be nonnegative")
+    if dim < 1:  # refused whatever the degree
+        raise MultiAddError("dimension must be positive")
+    bound_recovery(n, dim)
+
+
 def recover_components(p: Callable[[Vector], Fraction], n: int, dim: int) -> PolyFunction:
     """Split a black-box polynomial function of degree <= n into components.
 
-    Before p is called, `exact.bound_recovery` refuses a degree and
-    dimension whose evaluations times monomials exceed the budget.  p is
+    Before p is called, `check_recovery` refuses a degree and dimension
+    whose evaluations times monomials exceed the budget.  p is
     called once on each point of the simplex {x in N^dim : |x| <= n}, and
     the table's denominators are cleared once, so the rest runs on
     integers.  Newton's forward differences, taken along every line of
@@ -299,11 +310,7 @@ def recover_components(p: Callable[[Vector], Fraction], n: int, dim: int) -> Pol
     monomials and compared with p there in `product` order, the table's
     values standing in for p where the two meet; the first mismatch raises
     `NotPolynomialError`."""
-    if n < 0:
-        raise MultiAddError("degree bound must be nonnegative")
-    if dim < 1:  # refused before p is called, whatever the degree
-        raise MultiAddError("dimension must be positive")
-    bound_recovery(n, dim)
+    check_recovery(n, dim)
     values = {x: rational(p(tuple(map(Fraction, x)))) for x in _simplex(n, dim)}
     clear = math.lcm(*(v.denominator for v in values.values()))
     table = {x: v.numerator * (clear // v.denominator) for x, v in values.items()}

@@ -11,11 +11,18 @@ level above it compute on ints, not Fractions.  Each level's canonical form
 is unique, so element equality is plain structural equality: sound and
 complete.
 
-Level arithmetic runs on the coefficient-tuple kernel of ``exact``.
-Inverses at algebraic levels come from the extended Euclidean algorithm in
-the top generator, recursing downward through the chain.  When a minimal
-polynomial is not irreducible the Euclid run can surface a zero divisor;
-that raises ZeroDivisorError instead of silently producing garbage.
+Level arithmetic runs on the coefficient-tuple kernel of ``exact``.  An
+algebraic level over Q or over the integer Q(t) level multiplies in Z[s]
+or Z[t][s]: the operands' coefficients are lifted over one common
+denominator, the product is pseudo-reduced by the minimal polynomial
+cleared of denominators, and each coefficient drops back with one
+normalisation.  Inverses come from fraction-free elimination (Bareiss,
+Math. Comp. 1968) on the multiplication matrix of the element in the
+basis 1, s, ..., s^(n-1), so a^-1 = D*adj(A)*e0/N(a) with N(a) its norm.
+Any other level below lifts to itself.  N(a) is 0 exactly when a shares
+a factor with the minimal polynomial, so when that polynomial is not
+irreducible the inverse of a zero divisor raises ZeroDivisorError instead
+of silently producing garbage.
 
 A transcendental level normalises num/den by dividing out their gcd over
 the level below (over Q, their integer primitive gcd, then the joint
@@ -72,7 +79,6 @@ from .exact import (
     _pneg,
     _pscale,
     _pstrip,
-    _pxgcd,
     bit_size,
     bound_power,
     dense_to_multipoly,
@@ -308,9 +314,98 @@ class _LevelTrans:
         return self._unit_normal(a[1], a[0])
 
 
+class _SelfLift:
+    """A coefficient domain that is its own lift ring, with D = 1: a GF(p)
+    shadow, an algebraic level, a transcendental level above one."""
+
+    def __init__(self, below):
+        self.ring = below
+
+    def common(self, coeffs):
+        return coeffs, self.ring.one
+
+    def divider(self, b):
+        K = self.ring
+        c = K.inv(b)
+        return lambda x: K.mul(x, c)
+
+    def drop(self, coeffs, den):
+        K = self.ring
+        if den == K.one:
+            return coeffs
+        c = K.inv(den)
+        return tuple(K.mul(x, c) for x in coeffs)
+
+
+class _RationalLift:
+    """Q lifts to Z: D is the lcm of the coefficients' denominators."""
+
+    ring = ZZ
+
+    def common(self, coeffs):
+        d = math.lcm(*(c.denominator for c in coeffs))
+        return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
+
+    def divider(self, b):
+        return lambda x: x // b
+
+    def drop(self, coeffs, den):
+        return tuple(Fraction(c, den) for c in coeffs)
+
+
+class _RationalFunctionLift:
+    """The integer Q(t) level lifts to Z[t]: D is the lcm of the
+    coefficients' denominators, and a result drops back with one
+    ``_normalize`` per coefficient."""
+
+    ring = _ZX
+
+    def __init__(self, below: _LevelTrans):
+        self.level = below
+
+    def common(self, coeffs):
+        one = (1,)
+        d = one
+        for _, den in coeffs:
+            if den != d and den != one:
+                d = den if d == one else self._lcm(d, den)
+        return tuple(num if den == d else _pmul(ZZ, num, poly_exquo(_ZX, d, den))
+                     for num, den in coeffs), d
+
+    def _lcm(self, a: tuple, b: tuple) -> tuple:
+        """lcm in Z[t]: a*b over the gcd of the contents when a and b are
+        certified coprime over Q, else a*b over their gcd."""
+        if not self.level._coprime(a, b):
+            return poly_lcm(_ZX, a, b)
+        g = math.gcd(*a, *b)
+        return tuple(c // g for c in _pmul(ZZ, a, b))
+
+    def divider(self, b):
+        return lambda x: poly_exquo(_ZX, x, b)
+
+    def drop(self, coeffs, den):
+        return tuple(self.level._normalize(c, den) for c in coeffs)
+
+
+def _lift_of(below):
+    """The lift of an algebraic level's coefficient domain."""
+    if below is QQ:
+        return _RationalLift()
+    if isinstance(below, _LevelTrans) and below.below is ZZ:
+        return _RationalFunctionLift(below)
+    return _SelfLift(below)
+
+
 class _LevelAlg(PolyRing):
     """Quotient below[name]/(minpoly); reps are coefficient tuples of length
-    under the degree.  minpoly is monic with coefficients from below."""
+    under the degree.  minpoly is monic with coefficients from below.
+
+    Products, reductions and inverses run in R[name], R the lift ring of
+    the level below (``_lift_of``): Z over Q, Z[t] over the integer Q(t)
+    level, the level below itself elsewhere.  An operand's coefficients
+    lift to R over one common denominator D, ``lifted`` is minpoly cleared
+    of its denominators once, and a result drops back through one
+    normalisation per coefficient."""
 
     kind = "algebraic"
 
@@ -319,6 +414,8 @@ class _LevelAlg(PolyRing):
         self.name = name
         self.minpoly = minpoly
         self.degree = len(minpoly) - 1
+        self.lift = _lift_of(below)
+        self.lifted = self.lift.common(minpoly)[0]
         self.shadow = self._shadow_level()
 
     def _shadow_level(self):
@@ -343,24 +440,90 @@ class _LevelAlg(PolyRing):
     def generator(self):
         return (self.below.zero, self.below.one)
 
+    def _remainder(self, a: tuple, den):
+        """a/den reduced modulo minpoly, for a and den over R: the pair
+        (r, den*c^k) with c the leading coefficient of ``lifted``, r the
+        pseudo-remainder of a by it."""
+        R, m, n = self.lift.ring, self.lifted, self.degree
+        c = m[-1]
+        a = list(a)
+        while len(a) > n:
+            top = a.pop()
+            if R.is_zero(top):
+                continue
+            if c != R.one:
+                a = [R.mul(c, x) for x in a]
+                den = R.mul(den, c)
+            shift = len(a) - n
+            for i, y in enumerate(m[:-1]):
+                if not R.is_zero(y):
+                    a[shift + i] = R.sub(a[shift + i], R.mul(top, y))
+        return _pstrip(R, a), den
+
     def _reduce(self, a):
         if len(a) <= self.degree:
             return _pstrip(self.below, a)
-        return _pdivmod(self.below, a, self.minpoly)[1]
+        return self.lift.drop(*self._remainder(*self.lift.common(a)))
 
     def mul(self, a, b):
-        return self._reduce(_pmul(self.below, a, b))
+        if not a or not b:
+            return ()
+        L, R = self.lift, self.lift.ring
+        (x, dx), (y, dy) = L.common(a), L.common(b)
+        den = dx if dy == R.one else dy if dx == R.one else R.mul(dx, dy)
+        return L.drop(*self._remainder(_pmul(R, x, y), den))
 
     def inv(self, a):
+        """a^-1 = D*E*w/delta, by fraction-free Gauss-Jordan elimination
+        (Bareiss, Math. Comp. 1968) over R.  The columns of the matrix are
+        x*name^j reduced modulo ``lifted``, x the lifted a = x/D, all over
+        one denominator E, a power of lifted's leading coefficient.  The
+        elimination turns [matrix | e0] into [delta*I | w], delta its
+        determinant up to sign, every division exact.  delta is 0 exactly
+        when the norm of a is, that is when a shares a factor with
+        minpoly."""
         if not a:
             raise DivisionByZeroElementError("division by zero element")
-        g, s = _pxgcd(self.below, a, self.minpoly)
-        if len(g) != 1:
-            raise ZeroDivisorError(
-                f"zero divisor while inverting modulo the minimal polynomial of "
-                f"{self.name!r}; the minimal polynomial is likely reducible"
-            )
-        return self._reduce(s)
+        L, m, n = self.lift, self.lifted, self.degree
+        R = L.ring
+        zero, one, c = R.zero, R.one, m[-1]
+        x, den = L.common(a)
+        col = list(x) + [zero] * (n - len(x))
+        cols = [col]
+        for _ in range(1, n):
+            top, col = col[-1], [zero] + col[:-1]
+            if not R.is_zero(top):
+                if c != one:
+                    cols = [[R.mul(c, y) for y in v] for v in cols]
+                    col = [R.mul(c, y) for y in col]
+                    den = R.mul(den, c)
+                col = [R.sub(y, R.mul(top, z)) for y, z in zip(col, m)]
+            cols.append(col)
+        rows = [[v[i] for v in cols] + [one if i == 0 else zero] for i in range(n)]
+        prev = one
+        for k in range(n):
+            p = next((i for i in range(k, n) if not R.is_zero(rows[i][k])), None)
+            if p is None:
+                raise ZeroDivisorError(
+                    f"zero divisor while inverting modulo the minimal polynomial of "
+                    f"{self.name!r}; the minimal polynomial is likely reducible"
+                )
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot = rows[k]
+            lead = pivot[k]
+            exact = None if prev == one else L.divider(prev)
+            for i, row in enumerate(rows):
+                if i == k:
+                    continue
+                f = row[k]
+                new = [R.mul(lead, y) if R.is_zero(f) else R.sub(R.mul(lead, y), R.mul(f, z))
+                       for y, z in zip(row[k + 1:], pivot[k + 1:])]
+                rows[i] = row[:k + 1] + (new if exact is None else [exact(y) for y in new])
+            prev = lead
+        w = _pstrip(R, [row[n] for row in rows])
+        if den != one:
+            w = tuple(R.mul(den, y) for y in w)
+        return L.drop(w, prev)
 
 
 @dataclass(frozen=True)
@@ -384,10 +547,12 @@ class FieldTower:
     def __init__(self, levels: List, gens: Tuple[GeneratorSpec, ...]):
         self._levels = levels
         self.gens = gens
-        # rings[k] is Q[x1..xk], where printing clears level k's denominators.
+        # rings[k] is Q[x1..xk], where printing clears level k's denominators;
+        # Z[x1..xk] above the integer Q(t) level, whose reps are on ints.
         self.rings = [QQ]
         for _ in levels[2:]:
-            self.rings.append(PolyRing(self.rings[-1]))
+            below = ZZ if len(self.rings) == 1 and levels[1].below is ZZ else self.rings[-1]
+            self.rings.append(PolyRing(below))
 
     @property
     def levels(self) -> List:
@@ -637,8 +802,11 @@ def element_eq(a: TowerElement, b: TowerElement) -> bool:
 
 
 def _dense_pair(tower: FieldTower, index: int, rep) -> tuple:
-    """Coprime (N, D) in Q[x1..x_index] with N/D the level rep, the
-    generators read as free variables.
+    """(N, D) in Q[x1..x_index], coprime, with N/D the level rep, the
+    generators read as free variables.  Above the integer Q(t) level the
+    ring is Z[x1..x_index] (``FieldTower.rings``), its lcms and gcds are
+    taken there, and N and D are coprime up to an integer, which the
+    printed form's joint integer scale removes.
 
     At an algebraic level D is the lcm L of the coefficients' denominators.
     A prime factor of L divides some denominator as often as it divides L,

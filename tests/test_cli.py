@@ -84,6 +84,16 @@ def test_der_eval_text_and_records(cli):
     assert out == ["eval expr='d(1/t)' value='-1/t^2'"]
 
 
+def test_der_eval_inverse_of_a_zero_divisor_is_a_usage_error(cli):
+    # i and r = +-i: (r - s)(r + s) = 0, so r - s has no inverse.
+    tower = "s:alg:s^2 + 1;r:alg:r^2 + 1;t:trans"
+    assert cli("der", "eval", "--tower", tower, "--der", D1, "--expr", "1/(r-s)") == (2, [], [
+        "error: zero divisor while inverting modulo the minimal polynomial of 'r'; "
+        "the minimal polynomial is likely reducible"])
+    code, _, err = cli("der", "eval", "--tower", tower, "--der", D1, "--expr", "1/(r-r)")
+    assert (code, err) == (2, ["error: division by an element that reduces to zero"])
+
+
 def test_der_eval_parse_error_position(cli):
     code, _, err = cli("der", "eval", "--tower", QT, "--der", D1, "--expr", "d(t^)")
     assert code == 2
@@ -574,6 +584,41 @@ def test_multi_recover_refuses_work_over_the_budget(cli, monkeypatch):
 def test_multi_recover_refuses_a_nonpositive_dimension_whatever_the_degree(cli, n):
     assert cli("multi", "recover", "--f", "x0", "--n", n, "--dim", "0") == (
         2, [], ["error: dimension must be positive"])
+
+
+BIG = str(10**9)
+
+
+def test_multi_recover_refuses_a_huge_dimension_before_compiling(cli, monkeypatch):
+    monkeypatch.delenv("DERCALC_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = cli("multi", "recover", "--f", "x0", "--n", "3", "--dim", BIG)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, [], [
+        f"error: recovery of degree 3 in dimension {BIG} evaluates 5^{BIG} grid points, "
+        "over budget 10000000; raise it with DERCALC_BUDGET"])
+
+
+def test_multi_delta_refuses_vectors_shorter_than_the_dimension(cli):
+    start = time.perf_counter()
+    code, out, err = cli("multi", "delta", "--f", "x0", "--dim", BIG, "--ys", "1,2",
+                         "--x", "1,1")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (
+        2, [], [f"error: a vector in --ys has length 2, but --dim is {BIG}"])
+    assert cli("multi", "delta", "--f", "x0", "--dim", "2", "--ys", "1,2", "--x", "1") == (
+        2, [], ["error: a vector in --x has length 1, but --dim is 2"])
+
+
+def test_multi_functions_compile_only_the_variables_they_name(cli):
+    assert cli("multi", "delta", "--f", "x0*x1", "--dim", "2", "--ys", "1,2|0,1",
+               "--x", "1,1") == (0, ["delta = 1"], [])
+    assert cli("multi", "delta", "--f", "x1", "--dim", "1", "--ys", "1", "--x", "1") == (
+        2, [], ["error: variable x1 is outside dimension 1"])
+    assert cli("multi", "recover", "--f", f"x{10**9}", "--n", "1", "--dim", "3") == (
+        2, [], [f"error: variable x{10**9} is outside dimension 3"])
+    assert cli("multi", "recover", "--f", "x0 + y", "--n", "1", "--dim", "1") == (
+        2, [], ["error: unknown symbol 'y'"])
 
 
 # -- spec strings --------------------------------------------------------
