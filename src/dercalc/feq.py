@@ -18,9 +18,11 @@ else -- nonlinear equations, unknowns in divisors, composite moduli -- goes
 to a backtracking search that fills tables one entry at a time and prunes a
 partial assignment as soon as any fully determined tuple fails.  The search
 is also the oracle the elimination is tested against: both give the same
-solutions in the same order.  The budget (`default_budget`) bounds the work
-either path would do: the number of solutions elimination is to list, or the
-table entries the search places.
+solutions in the same order.  The same search (`_search`) fills the one
+table of the units-only check of `logarithmic_zero_check`, which maps the
+units into Z/|U|, a codomain no carrier expresses.  The budget
+(`default_budget`) bounds the work either path would do: the number of
+solutions elimination is to list, or the table entries the search places.
 
 Division is pointwise: a tuple whose divisor is not invertible (or, on an
 integer window, does not divide exactly) is skipped and counted.  A division
@@ -678,30 +680,29 @@ def _add_row(pivots: Dict[int, Dict[int, int]], row, m: int) -> bool:
 
 def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
                params: Dict[str, int], budget: int) -> Tuple[Solutions, int]:
-    """Solutions and skipped pairs by backtracking search.
+    """Solutions and skipped pairs by backtracking search (`_search`).
 
     Tables are filled one slot at a time, and each argument tuple is
     checked the moment the last entry it reads is placed; a violated tuple
     prunes the whole subtree.  With an unknown inside a divisor,
     admissibility depends on table values, and with one inside a function
     argument, so do the entries a tuple reads; then every tuple is
-    rechecked at every node.
-    BudgetError once more than `budget` table entries have been placed."""
-    m = carrier.modulus
+    rechecked at every node.  The budget bounds the entries placed."""
     elems = list(carrier.elements())
     slots = [(f, e) for e in elems for f in unknowns]
-    slot_index = {fe: i for i, fe in enumerate(slots)}
     partial: Dict[str, Dict[int, int]] = {f: {} for f in unknowns}
     check = _loop(eq, carrier, partial, params)
 
     # Static dependency analysis: unless a side is value-dependent, the
     # table entries a pair reads are known up front.
-    dynamic = _code(eq, carrier).degree == _VALUE_DEPENDENT
     skipped_pairs = 0
     every = list(itertools.product(elems, repeat=len(eq.variables)))
-    tuples_at: List[List[tuple]] = [[] for _ in range(len(slots))]
-    pending: List[tuple] = every if dynamic else []
-    if not dynamic:
+    if _code(eq, carrier).degree == _VALUE_DEPENDENT:
+        tuples_at = [every] * len(slots)
+    else:
+        slot_index = {fe: i for i, fe in enumerate(slots)}
+        tuples_at = [[] for _ in slots]
+        pending = []
         zeros, points = _probe(unknowns)
         probe = _residual(eq, carrier, zeros, params)
         for tup in every:
@@ -718,34 +719,44 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
         if check(pending)[0] is not None:
             return (), skipped_pairs
 
-    solutions: List[Tuple[FnTable, ...]] = []
+    solutions = _search([(partial[f], e) for f, e in slots], carrier.modulus,
+                        lambda k: check(tuples_at[k])[0] is None,
+                        lambda: tuple(FnTable(carrier, dict(partial[f])) for f in unknowns),
+                        budget)
+    return solutions, skipped_pairs
+
+
+def _search(slots: Sequence[Tuple[Dict[int, int], int]], values: int,
+            holds: Callable[[int], bool], record: Callable[[], object], budget: int) -> tuple:
+    """The one table search: every filling of `slots`, each a (table, key)
+    pair, with values in range(values), in lexicographic order, as
+    `record()` returns it at the leaf.  Placing slot k is pruned unless
+    `holds(k)`, the check of everything slot k completes.
+    BudgetError once more than `budget` entries have been placed; its
+    message counts the entries placed and the nodes visited."""
+    solutions: List[object] = []
     placed = visited = 0
 
     def assign(k: int) -> None:
         nonlocal placed, visited
         visited += 1
-        if k == len(slots):  # the last placement checked every tuple that reads it
-            solutions.append(tuple(FnTable(carrier, dict(partial[f])) for f in unknowns))
+        if k == len(slots):  # the last placement checked everything that reads it
+            solutions.append(record())
             return
-        f, e = slots[k]
-        for v in range(m):
+        table, key = slots[k]
+        for v in range(values):
             placed += 1
             if placed > budget:
-                raise _work_exceeded(placed, visited, budget)
-            partial[f][e] = v
-            if check(pending if dynamic else tuples_at[k])[0] is None:
+                raise BudgetError(
+                    f"search over budget {budget}: {placed} table entries placed, "
+                    f"{visited} nodes visited; raise it with --budget or DERCALC_BUDGET")
+            table[key] = v
+            if holds(k):
                 assign(k + 1)
-        del partial[f][e]
+        del table[key]
 
     assign(0)
-    return tuple(solutions), skipped_pairs
-
-
-def _work_exceeded(placed: int, visited: int, budget: int) -> BudgetError:
-    return BudgetError(
-        f"search over budget {budget}: {placed} table entries placed, {visited} "
-        f"nodes visited; raise it with --budget or DERCALC_BUDGET"
-    )
+    return tuple(solutions)
 
 
 _VALUE_DEPENDENT = 3  # above every degree, so it absorbs the nodes above it
@@ -870,51 +881,33 @@ def logarithmic_zero_check(
     On a carrier containing 0 the pair (0,0) forces f(0) = 2 f(0) and
     additivity collapses everything to the zero table.  With units_only the
     domain shrinks to the unit group and the codomain to integers modulo the
-    group order, where nonzero homomorphisms exist.  That search fills the
-    table by backtracking, and the budget bounds the entries it places."""
+    group order, where nonzero homomorphisms exist.  That search is the
+    solver's own (`_search`), one unit per slot, and the budget bounds the
+    entries it places."""
     if budget is None:
         budget = default_budget()
     if not units_only:
         report = feq_solve_brute(equation_by_name("cauchy-log"), ["f"], carrier, budget=budget)
         return LogZeroReport(carrier, False, tuple(s[0].values for s in report.solutions))
     units = carrier.units()
-    n = len(units)
-    m = carrier.modulus
-    inverse = {u: pow(u, -1, m) for u in units}
-    solutions = []
+    n, m = len(units), carrier.modulus
+    slot = {u: k for k, u in enumerate(units)}
+    # Each pair x <= y, with x*y (a unit), is checked once, when the last of
+    # x, y, x*y is placed; (y, x) is the same pair in a commutative group.
+    pairs_at: List[List[Tuple[int, int, int]]] = [[] for _ in units]
+    for x, y in itertools.combinations_with_replacement(units, 2):
+        xy = x * y % m
+        pairs_at[max(slot[x], slot[y], slot[xy])].append((x, y, xy))
     table: Dict[int, int] = {}
-    placed = visited = 0
 
-    # Only the pairs entry a completes are new: (a, b) and (b, a/b) for each
-    # placed b; (b, a) is (a, b) in a commutative group.
-    def ok_with(a: int) -> bool:
-        va = table[a]
-        for b, vb in table.items():
-            prod = a * b % m
-            if prod in table and table[prod] != (va + vb) % n:
-                return False
-            quot = a * inverse[b] % m
-            if quot in table and va != (vb + table[quot]) % n:
+    def holds(k: int) -> bool:
+        for x, y, xy in pairs_at[k]:
+            if table[xy] != (table[x] + table[y]) % n:
                 return False
         return True
 
-    def assign(i: int) -> None:
-        nonlocal placed, visited
-        visited += 1
-        if i == len(units):
-            solutions.append(dict(table))
-            return
-        for v in range(n):
-            placed += 1
-            if placed > budget:
-                raise _work_exceeded(placed, visited, budget)
-            table[units[i]] = v
-            if ok_with(units[i]):
-                assign(i + 1)
-        del table[units[i]]
-
-    assign(0)
-    return LogZeroReport(carrier, True, tuple(solutions))
+    solutions = _search([(table, u) for u in units], n, holds, lambda: dict(table), budget)
+    return LogZeroReport(carrier, True, solutions)
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,11 @@ class HigherDerivation:
     ):
         self.gamma = gamma
         self.variables = tuple(variables)
+        for i, v in enumerate(self.variables):
+            if not v.isidentifier():
+                raise GammaError(f"variable name {v!r} is not an identifier")
+            if v in self.variables[:i]:
+                raise GammaError(f"duplicate variable name {v!r}")
         self.values: Dict[Tuple[int, str], MultiPoly] = {}
         zero = MultiPoly.const(self.variables, 0)
         for k in range(1, gamma.order + 1):

@@ -175,7 +175,9 @@ def build_derivation(
     per transcendental generator; blank equations are skipped.  A
     [derivation NAME] section passes its NAME, which every equation must
     use, and the derivations defined before it, which right-hand sides may
-    apply; without them the first equation names the derivation."""
+    apply; without them the first equation names the derivation, and on a
+    tower with no transcendental generator, where every value is forced,
+    an empty spec names it d."""
     values: Dict[str, TowerElement] = {}
     for text in map(str.strip, equations):
         if not text:
@@ -187,7 +189,9 @@ def build_derivation(
         name = lhs.func
         values[lhs.args[0].name] = element_eval(tower, rhs, derivations)
     if name is None:
-        raise SessionError("empty derivation spec")
+        if tower.transcendental_names():
+            raise SessionError("empty derivation spec")
+        name = "d"
     return name, derivation_define(tower, values)
 
 

@@ -746,8 +746,9 @@ class TowerElement:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # no squaring after the last bit
+                base = base * base
         return result
 
     def is_zero(self) -> bool:

@@ -94,6 +94,14 @@ def test_der_eval_inverse_of_a_zero_divisor_is_a_usage_error(cli):
     assert (code, err) == (2, ["error: division by an element that reduces to zero"])
 
 
+def test_der_eval_on_a_tower_with_no_transcendental_generator(cli):
+    # Every value of d is forced there, so an empty spec names it d.
+    assert cli("der", "eval", "--tower", "s:alg:s^2 - 2", "--der", "",
+               "--expr", "d(s^3 + 1/s) + s") == (0, ["d(s^3 + 1/s) + s = s"], [])
+    assert cli("der", "eval", "--tower", QTS, "--der", "", "--expr", "s") == (
+        2, [], ["error: empty derivation spec"])
+
+
 def test_der_eval_parse_error_position(cli):
     code, _, err = cli("der", "eval", "--tower", QT, "--der", D1, "--expr", "d(t^)")
     assert code == 2
@@ -283,6 +291,16 @@ def test_hod_eval_refuses_work_over_the_budget(cli, monkeypatch):
     assert cli(*hod, "t^5000000*t^5000000") == (2, [], [
         "error: d_2 of a polynomial of degree 10000000 exceeds budget 10000000; "
         "raise it with DERCALC_BUDGET"])
+
+
+@pytest.mark.parametrize("variables, message", [
+    ("t,t", "duplicate variable name 't'"),
+    ("t, ", "variable name '' is not an identifier"),
+    ("t,2u", "variable name '2u' is not an identifier"),
+])
+def test_hod_refuses_a_duplicate_or_non_identifier_variable(cli, variables, message):
+    assert cli("hod", "eval", "--n", "2", "--binomial", "--vars", variables,
+               "--values", "1:t=1", "--k", "1", "--expr", "t^2") == (2, [], [f"error: {message}"])
 
 
 def test_hod_define_lists_system_values(cli):

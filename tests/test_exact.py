@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +104,16 @@ def test_pow_matches_repeated_mul(p, k):
     for _ in range(k):
         expected = expected * p
     assert p**k == expected
+
+
+def test_pow_skips_the_squaring_after_the_last_bit():
+    # 5 = 101 in binary: two products into the result and two squarings.
+    p = MultiPoly(VARS, {(1, 0): Fraction(2), (0, 1): Fraction(3)})
+    with mock.patch.object(MultiPoly, "__mul__", autospec=True,
+                           side_effect=MultiPoly.__mul__) as mul:
+        power = p ** 5
+    assert mul.call_count == 4
+    assert power == p * p * p * p * p
 
 
 # -- gcds in Q[t][u] ---------------------------------------------------------

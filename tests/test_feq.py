@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -453,6 +454,19 @@ def test_log_zero_units_only_search_tree_is_pinned():
         homs = [{pow(g, k, p): k * v % (p - 1) for k in range(p - 1)} for v in range(p - 1)]
         homs.sort(key=lambda h: [h[u] for u in range(1, p)])
         assert list(logarithmic_zero_check(gf(p), units_only=True).solutions) == homs
+
+
+@pytest.mark.parametrize("m", [8, 9, 10, 12])
+def test_log_zero_units_only_on_zmod_matches_every_map(m):
+    # The unit groups of Z/8 and Z/12 are not cyclic.  The oracle walks
+    # every map U -> Z/|U| in lexicographic order and keeps the
+    # homomorphisms.
+    units = [u for u in range(m) if math.gcd(u, m) == 1]
+    n = len(units)
+    homs = [dict(zip(units, values)) for values in itertools.product(range(n), repeat=n)]
+    homs = [h for h in homs
+            if all(h[x * y % m] == (h[x] + h[y]) % n for x in units for y in units)]
+    assert list(logarithmic_zero_check(zmod(m), units_only=True).solutions) == homs
 
 
 def test_log_zero_units_only():

@@ -187,6 +187,17 @@ def test_cross_tower_arithmetic_rejected():
         a.gen("t") + b.gen("t")
 
 
+def test_power_skips_the_squaring_after_the_last_bit(qt):
+    # 5 = 101 in binary: two products into the result and two squarings of
+    # the base; a third squaring would be thrown away.
+    base = element_eval(qt, "2*t + 3")
+    with mock.patch.object(_LevelTrans, "mul", autospec=True,
+                           side_effect=_LevelTrans.mul) as mul:
+        power = base ** 5
+    assert mul.call_count == 4
+    assert power == base * base * base * base * base
+
+
 def test_negative_powers(qt):
     t = qt.gen("t")
     assert str(t ** (-2)) == "1/t^2"
