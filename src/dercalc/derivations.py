@@ -350,12 +350,16 @@ def nth_power_hom_residual(f: AffineLike, n: int, x: ElementLike) -> TowerElemen
     return f(xe ** n) - f(xe) ** n
 
 
-def iterate(d: Derivation, k: int, budget: int = 64) -> List[Callable[[ElementLike], TowerElement]]:
+# d^k calls the map of d^(k-1), so k bounds the nesting of the maps.
+MAX_ITERATION_ORDER = 64
+
+
+def iterate(d: Derivation, k: int) -> List[Callable[[ElementLike], TowerElement]]:
     """Evaluation maps for d^0, d^1, ..., d^k (d^0 is the identity)."""
     if not isinstance(k, int) or k < 0:
         raise DerivationError("iteration order must be a nonnegative integer")
-    if k > budget:
-        raise BudgetError(f"iteration order {k} exceeds budget {budget}")
+    if k > MAX_ITERATION_ORDER:
+        raise BudgetError(f"iteration order {k} exceeds the fixed limit {MAX_ITERATION_ORDER}")
 
     def identity(x: ElementLike) -> TowerElement:
         return _coerce_element(d.tower, x)

@@ -4,11 +4,13 @@ Every quantity in this package is exact.  Rationals are ``fractions.Fraction``
 (already normalized: coprime numerator/denominator, positive denominator).
 
 One polynomial kernel serves the tower levels, the derivations and the
-printer: coefficient tuples over a coefficient domain.  Over a field (Q,
-GF(p) or a tower level) it has Euclid: division with remainder and gcd.
-Over Q[x1..xn], nested as Q[x1][x2]...[xn], and over Z[x], gcds come
-from a primitive pseudo-remainder sequence with rational or integer
-contents at the bottom.
+printer: coefficient tuples over a coefficient domain.  It has one long
+division and one pseudo-remainder for every domain; a coefficient divides
+by multiplying with an inverse over a field (Q, GF(p) or a tower level)
+and by exact quotients over Z and polynomial rings.  Over a field, gcds
+come from Euclid.  Over Q[x1..xn], nested as Q[x1][x2]...[xn], and over
+Z[x], they come from a primitive pseudo-remainder sequence with rational
+or integer contents at the bottom.
 
 ``MultiPoly`` is the sparse display format: an explicit variable tuple and
 graded-lexicographic term order.  It is also the sparse kernel the
@@ -318,8 +320,12 @@ def poly_formal_derivative(p: MultiPoly, name: str) -> MultiPoly:
 # A polynomial over a coefficient domain is a tuple of domain elements,
 # lowest degree first, with no trailing zeros; () is the zero polynomial.
 # A domain is any object with zero, one, is_zero, add, sub, neg, mul and
-# from_rational: the rationals, GF(p), a tower level, or a PolyRing.  The Euclid
-# helpers (_pdivmod and after) also need inv, so they run over fields only.
+# from_rational: the rationals, GF(p), a tower level, or a PolyRing.  A domain
+# with inv is a field.  Division is decided once, in `_divider`: over a field
+# it multiplies by the divisor's inverse, taken once, and elsewhere (Z, a
+# PolyRing) it takes exact quotients.  `_pdivmod` is the one long division
+# and `_pprem` the one pseudo-remainder, for every domain; Euclid (`_pgcd`)
+# and `_pmonic` need a field.
 
 
 def _pstrip(level, coeffs) -> tuple:
@@ -363,29 +369,40 @@ def _pscale(level, a, c) -> tuple:
     return _pstrip(level, tuple(level.mul(x, c) for x in a))
 
 
+def _divider(K, b):
+    """x -> x / b in K, b nonzero: the identity when b is one, over a field
+    the product with b's inverse, taken once, elsewhere `_exquo`."""
+    if b == K.one:
+        return lambda x: x
+    inv = getattr(K, "inv", None)
+    if inv is None:
+        return lambda x: _exquo(K, x, b)
+    c = inv(b)
+    return lambda x: K.mul(x, c)
+
+
 def _pdivmod(level, a, b) -> Tuple[tuple, tuple]:
+    """(q, r) with a = q*b + r and r shorter than b.  Outside a field,
+    raises NotDivisibleError when b's leading coefficient does not divide
+    a step's top coefficient."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    lc_inv = None if b[-1] == level.one else level.inv(b[-1])
+    div = _divider(level, b[-1])
     rem = list(a)
     quo = [level.zero] * max(0, len(a) - len(b) + 1)
     while len(rem) >= len(b):
-        if level.is_zero(rem[-1]):
-            rem.pop()
+        top = rem.pop()
+        if level.is_zero(top):
             continue
-        shift = len(rem) - len(b)
-        q = rem[-1] if lc_inv is None else level.mul(rem[-1], lc_inv)
-        quo[shift] = q
-        for i in range(len(b)):
+        shift = len(rem) - len(b) + 1
+        quo[shift] = q = div(top)
+        for i in range(len(b) - 1):
             rem[shift + i] = level.sub(rem[shift + i], level.mul(q, b[i]))
-        rem.pop()
     return _pstrip(level, quo), _pstrip(level, rem)
 
 
 def _pmonic(level, a) -> tuple:
-    if not a:
-        return a
-    return _pscale(level, a, level.inv(a[-1]))
+    return tuple(map(_divider(level, a[-1]), a)) if a else a
 
 
 def _pgcd(level, a, b) -> tuple:
@@ -479,8 +496,8 @@ QQ = RationalField()
 class IntegerRing:
     """Z as a coefficient domain; elements are ints.  Its shadow is
     GF(2^61 - 1) too, where an integer's image is its residue and needs
-    no inverse.  It has no inv, so it runs the gcd-free helpers and the
-    primitive PRS of ``poly_gcd``, not Euclid."""
+    no inverse.  It has no inv, so it divides by exact quotients and runs
+    the primitive PRS of ``poly_gcd``, not Euclid."""
 
     zero = 0
     one = 1
@@ -553,22 +570,10 @@ def _gcd(K, a, b):
 
 def poly_exquo(ring: PolyRing, a: tuple, b: tuple) -> tuple:
     """a / b in ring; raises NotDivisibleError when b does not divide a."""
-    K = ring.below
-    if not b:
-        raise ZeroDivisionError("exact division by the zero polynomial")
-    rem = list(a)
-    quo = [K.zero] * max(0, len(a) - len(b) + 1)
-    while len(rem) >= len(b):
-        if K.is_zero(rem[-1]):
-            rem.pop()
-            continue
-        shift = len(rem) - len(b)
-        quo[shift] = q = _exquo(K, rem.pop(), b[-1])
-        for i in range(len(b) - 1):
-            rem[shift + i] = K.sub(rem[shift + i], K.mul(q, b[i]))
-    if _pstrip(K, rem):
+    q, r = _pdivmod(ring.below, a, b)
+    if r:
         raise NotDivisibleError("polynomial division leaves a remainder")
-    return _pstrip(K, quo)
+    return q
 
 
 def _primitive(K, a: tuple) -> Tuple[object, tuple]:
@@ -581,16 +586,25 @@ def _primitive(K, a: tuple) -> Tuple[object, tuple]:
     return c, tuple(_exquo(K, x, c) for x in a)
 
 
-def _pprem(K, a: tuple, b: tuple) -> tuple:
-    """The pseudo-remainder of a by b, up to a nonzero factor from K."""
-    lc = b[-1]
-    r = a
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        top = r[-1]
-        r = _psub(K, tuple(K.mul(lc, x) for x in r[:-1]),
-                  (K.zero,) * shift + tuple(K.mul(top, y) for y in b[:-1]))
-    return r
+def _pprem(K, a: tuple, b: tuple) -> Tuple[tuple, object]:
+    """(r, s): the pseudo-remainder r of a by b, with s*a = q*b + r for s
+    the power of b's leading coefficient taken, one factor per nonzero
+    step (none when that coefficient is one)."""
+    lc, n = b[-1], len(b) - 1
+    s = K.one
+    r = list(a)
+    while len(r) > n:
+        top = r.pop()
+        if K.is_zero(top):
+            continue
+        if lc != K.one:
+            r = [K.mul(lc, x) for x in r]
+            s = K.mul(s, lc)
+        shift = len(r) - n
+        for i, y in enumerate(b[:-1]):
+            if not K.is_zero(y):
+                r[shift + i] = K.sub(r[shift + i], K.mul(top, y))
+    return _pstrip(K, r), s
 
 
 def poly_gcd(ring: PolyRing, a: tuple, b: tuple) -> tuple:
@@ -610,7 +624,7 @@ def poly_gcd(ring: PolyRing, a: tuple, b: tuple) -> tuple:
         if len(b) == 1:
             a = (K.one,)
             break
-        a, b = b, _primitive(K, _pprem(K, a, b))[1]
+        a, b = b, _primitive(K, _pprem(K, a, b)[0])[1]
     if not a:
         return a
     lead = a[-1]

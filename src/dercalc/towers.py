@@ -14,11 +14,13 @@ complete.
 Level arithmetic runs on the coefficient-tuple kernel of ``exact``.  An
 algebraic level over Q or over the integer Q(t) level multiplies in Z[s]
 or Z[t][s]: the operands' coefficients are lifted over one common
-denominator, the product is pseudo-reduced by the minimal polynomial
-cleared of denominators, and each coefficient drops back with one
-normalisation.  Inverses come from fraction-free elimination (Bareiss,
-Math. Comp. 1968) on the multiplication matrix of the element in the
-basis 1, s, ..., s^(n-1), so a^-1 = D*adj(A)*e0/N(a) with N(a) its norm.
+denominator, the product is reduced by the kernel's one pseudo-remainder
+(``exact._pprem``) by the minimal polynomial cleared of denominators, and
+each coefficient drops back with one normalisation.  Inverses come from
+fraction-free elimination (Bareiss, Math. Comp. 1968), its exact
+divisions by ``exact._divider``, on the multiplication matrix of the
+element in the basis 1, s, ..., s^(n-1), so a^-1 = D*adj(A)*e0/N(a)
+with N(a) its norm.
 Any other level below lifts to itself.  N(a) is 0 exactly when a shares
 a factor with the minimal polynomial, so when that polynomial is not
 irreducible the inverse of a zero divisor raises ZeroDivisorError instead
@@ -71,12 +73,15 @@ from .exact import (
     ZZ,
     PolyRing,
     RatFunc,
+    _divider,
     _padd,
     _pderiv,
     _pdivmod,
     _pgcd,
+    _pmonic,
     _pmul,
     _pneg,
+    _pprem,
     _pscale,
     _pstrip,
     bit_size,
@@ -236,15 +241,9 @@ class _LevelTrans:
         if not num:
             return self.zero
         if not self._coprime(num, den):
-            if K is ZZ:
-                g = poly_gcd(_ZX, num, den)
-                if len(g) > 1:
-                    num, den = poly_exquo(_ZX, num, g), poly_exquo(_ZX, den, g)
-            else:
-                g = _pgcd(K, num, den)
-                if len(g) > 1:
-                    num = _pdivmod(K, num, g)[0]
-                    den = _pdivmod(K, den, g)[0]
+            g = poly_gcd(_ZX, num, den) if K is ZZ else _pgcd(K, num, den)
+            if len(g) > 1:
+                num, den = _pdivmod(K, num, g)[0], _pdivmod(K, den, g)[0]
         return self._unit_normal(num, den)
 
     def _unit_normal(self, num: tuple, den: tuple):
@@ -261,10 +260,8 @@ class _LevelTrans:
             if c == -1:
                 return (tuple(-x for x in num), tuple(-x for x in den))
             return (tuple(x // c for x in num), tuple(x // c for x in den))
-        if den[-1] == K.one:
-            return (num, den)
-        c = K.inv(den[-1])
-        return (_pscale(K, num, c), _pscale(K, den, c))
+        div = _divider(K, den[-1])
+        return (tuple(map(div, num)), tuple(map(div, den)))
 
     def from_rational(self, q: Fraction):
         return self.from_below(q if self.below is ZZ else self.below.from_rational(q))
@@ -324,17 +321,8 @@ class _SelfLift:
     def common(self, coeffs):
         return coeffs, self.ring.one
 
-    def divider(self, b):
-        K = self.ring
-        c = K.inv(b)
-        return lambda x: K.mul(x, c)
-
     def drop(self, coeffs, den):
-        K = self.ring
-        if den == K.one:
-            return coeffs
-        c = K.inv(den)
-        return tuple(K.mul(x, c) for x in coeffs)
+        return tuple(map(_divider(self.ring, den), coeffs))
 
 
 class _RationalLift:
@@ -345,9 +333,6 @@ class _RationalLift:
     def common(self, coeffs):
         d = math.lcm(*(c.denominator for c in coeffs))
         return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
-
-    def divider(self, b):
-        return lambda x: x // b
 
     def drop(self, coeffs, den):
         return tuple(Fraction(c, den) for c in coeffs)
@@ -379,9 +364,6 @@ class _RationalFunctionLift:
             return poly_lcm(_ZX, a, b)
         g = math.gcd(*a, *b)
         return tuple(c // g for c in _pmul(ZZ, a, b))
-
-    def divider(self, b):
-        return lambda x: poly_exquo(_ZX, x, b)
 
     def drop(self, coeffs, den):
         return tuple(self.level._normalize(c, den) for c in coeffs)
@@ -442,23 +424,11 @@ class _LevelAlg(PolyRing):
 
     def _remainder(self, a: tuple, den):
         """a/den reduced modulo minpoly, for a and den over R: the pair
-        (r, den*c^k) with c the leading coefficient of ``lifted``, r the
-        pseudo-remainder of a by it."""
-        R, m, n = self.lift.ring, self.lifted, self.degree
-        c = m[-1]
-        a = list(a)
-        while len(a) > n:
-            top = a.pop()
-            if R.is_zero(top):
-                continue
-            if c != R.one:
-                a = [R.mul(c, x) for x in a]
-                den = R.mul(den, c)
-            shift = len(a) - n
-            for i, y in enumerate(m[:-1]):
-                if not R.is_zero(y):
-                    a[shift + i] = R.sub(a[shift + i], R.mul(top, y))
-        return _pstrip(R, a), den
+        (r, den*s) with r the pseudo-remainder of a by ``lifted`` and s
+        the power of its leading coefficient that r took."""
+        R = self.lift.ring
+        r, s = _pprem(R, a, self.lifted)
+        return r, den if s == R.one else R.mul(den, s)
 
     def _reduce(self, a):
         if len(a) <= self.degree:
@@ -511,14 +481,14 @@ class _LevelAlg(PolyRing):
             rows[k], rows[p] = rows[p], rows[k]
             pivot = rows[k]
             lead = pivot[k]
-            exact = None if prev == one else L.divider(prev)
+            exact = _divider(R, prev)
             for i, row in enumerate(rows):
                 if i == k:
                     continue
                 f = row[k]
-                new = [R.mul(lead, y) if R.is_zero(f) else R.sub(R.mul(lead, y), R.mul(f, z))
-                       for y, z in zip(row[k + 1:], pivot[k + 1:])]
-                rows[i] = row[:k + 1] + (new if exact is None else [exact(y) for y in new])
+                rows[i] = row[:k + 1] + [
+                    exact(R.mul(lead, y) if R.is_zero(f) else R.sub(R.mul(lead, y), R.mul(f, z)))
+                    for y, z in zip(row[k + 1:], pivot[k + 1:])]
             prev = lead
         w = _pstrip(R, [row[n] for row in rows])
         if den != one:
@@ -605,11 +575,9 @@ class FieldTower:
         if degree < 2:
             raise TowerError("algebraic generator needs a minimal polynomial of degree >= 2")
         top = self.top
-        lc = coeffs[-1]
-        if top.is_zero(lc):
+        if top.is_zero(coeffs[-1]):
             raise TowerError("minimal polynomial has zero leading coefficient")
-        lc_inv = top.inv(lc)
-        monic = tuple(top.mul(c, lc_inv) for c in coeffs)
+        monic = _pmonic(top, coeffs)
         deriv = _pderiv(top, monic)
         g = _pgcd(top, monic, deriv)
         if len(g) != 1:

@@ -207,6 +207,14 @@ def test_der_iterate_prints_all_orders(cli):
     ]
 
 
+def test_der_iterate_refuses_an_order_over_the_fixed_limit(cli, monkeypatch):
+    # The limit bounds the nesting of the maps; the work budget does not raise it.
+    monkeypatch.setenv("DERCALC_BUDGET", "1000000000")
+    code, out, err = cli("der", "iterate", "--tower", QT, "--der", D1,
+                         "--k", "65", "--expr", "t")
+    assert (code, out, err) == (2, [], ["error: iteration order 65 exceeds the fixed limit 64"])
+
+
 def test_der_rank(cli):
     code, out, _ = cli("der", "rank", "--tower", QT, "--der", D1, "--k", "4",
                        "--points", "t^3,t^4,t^5,t^6", "--subst", "t=2")
@@ -785,6 +793,37 @@ def test_feq_bad_params_name_the_bad_piece(cli, cmd, params, message):
     code, out, err = cli("feq", *cmd, "--eq", "alien-c22", "--carrier", "gf:5",
                          "--params", params)
     assert (code, out, err) == (2, [], [f"error: {message}"])
+
+
+def test_feq_check_all_units_runs_every_unit_pair(cli):
+    argv = ("feq", "check", "--eq", "alien-c22", "--carrier", "gf:3", "--params", "all-units")
+    code, out, err = cli(*argv, "--f", "x")
+    assert (code, err) == (1, [])
+    assert out == [
+        f"lam={lam} mu={mu}: alien-c22: FAIL at (1, 1): lhs {lhs} != rhs 0 "
+        f"(5 pairs checked, 0 skipped)"
+        for lam, mu, lhs in ((1, 1, 2), (1, 2, 1), (2, 1, 2), (2, 2, 1))
+    ]
+    code, out, err = cli(*argv, "--f", "zero")
+    assert (code, err) == (0, [])
+    assert out == [f"lam={lam} mu={mu}: alien-c22: pass (9 pairs, 0 skipped)"
+                   for lam in (1, 2) for mu in (1, 2)]
+    assert cli("feq", "check", "--eq", "alien-c22", "--f", "x", "--carrier", "window:-2:2",
+               "--params", "all-units") == (2, [], ["error: all-units needs a finite carrier"])
+
+
+def test_feq_solve_all_units_runs_every_unit_pair(cli):
+    assert cli("feq", "solve", "--eq", "alien-c22", "--carrier", "gf:3",
+               "--params", "all-units") == (0, [
+                   f"lam={lam} mu={mu}: 1 solutions" for lam in (1, 2) for mu in (1, 2)], [])
+
+
+def test_feq_solve_hosszu_is_skipped_below_five_elements(cli):
+    argv = ("feq", "solve", "--eq", "hosszu", "--carrier", "gf:3")
+    note = "solution structure is only classified over fields with at least five elements"
+    assert cli(*argv) == (0, [f"hosszu on gf:3: skipped ({note})"], [])
+    assert cli("--format", "records", *argv) == (
+        0, [f"solve equation=hosszu status=skipped note='{note}'"], [])
 
 
 def test_feq_solve_additive_maps(cli):

@@ -231,7 +231,7 @@ def test_iterate_powers(qt, ddt):
 
 def test_iterate_budget(ddt):
     with pytest.raises(BudgetError):
-        iterate(ddt, 100, budget=64)
+        iterate(ddt, 100)
 
 
 def test_rank_of_iterates(qt, ddt):

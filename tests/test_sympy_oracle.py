@@ -2,9 +2,10 @@
 
 sympy is a test-only oracle: these tests are skipped when it is missing.
 
-A tower Q(t)(s) with s^n = t is the field Q(s) with t = s^n, so two
-expressions agree in it exactly when they cancel to the same function of s
-after substituting t = s^n.  sympy computes d(x) by the chain rule,
+A tower Q(t)(s) whose minimal polynomial reads t = p(s), such as s^n = t
+or s^3 - s = t, is the field Q(s) with t = p(s), so two expressions agree
+in it exactly when they cancel to the same function of s after
+substituting t = p(s).  sympy computes d(x) by the chain rule,
 d(x) = sum over generators g of (dx/dg) d(g), with d(s) on an algebraic s
 found by implicit differentiation of its minimal polynomial.
 """
@@ -66,6 +67,10 @@ TOWERS = {
                          {"s": s**2 - t}, s**2, "ts"),
     "Q(t)(s), s^3 = t": ("t:trans;s:alg:s^3 - t", {"t": "t"}, {"t": t},
                          {"s": s**3 - t}, s**3, "ts"),
+    # Not a radical: d(s) = (9ts - 6s^2 + 4)/(27t^2 - 4) has degree 2 in s, so
+    # d of an element runs the long reduction modulo the minimal polynomial.
+    "Q(t)(s), s^3 - s = t": ("t:trans;s:alg:s^3 - s - t", {"t": "1"}, {"t": 1},
+                             {"s": s**3 - s - t}, s**3 - s, "ts"),
     "Q(t)(s)(u), d(u) = u": ("t:trans;s:alg:s^2 - t;u:trans", {"t": "1", "u": "u"},
                              {"t": 1, "u": u}, {"s": s**2 - t}, s**2, "tsu"),
     "Q(t)(s)(u), d(u) = u*s + t": ("t:trans;s:alg:s^2 - t;u:trans", {"t": "1", "u": "u*s + t"},
