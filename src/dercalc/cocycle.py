@@ -16,10 +16,11 @@ G take two arguments, and a sum (zeta):
 The two differences are the residuals lhs - rhs of feq's corpus
 equations `cauchy-add` and `leibniz`.  `CONDITIONS` holds the axioms,
 with the conditions for D to be the Leibniz difference of an additive
-map.  feq's generated check loop runs them, exhaustively, reading each
-map by subscription from a dict made once per call (`Cocycle2.table`),
-or on a seeded sample, through `_Subscript`, whose `__getitem__` calls
-the map; each check is an feq `CheckReport`.  Values on a finite carrier
+map.  feq's generated checks run them, each an feq `CheckReport`:
+exhaustively, on a dict keyed by pairs made once per call
+(`Cocycle2.table`), which feq regroups into rows, after the budget has
+bounded the tuples; or on a seeded sample, through `_Subscript`, whose
+`__getitem__` calls the map.  Values on a finite carrier
 are reduced modulo m as they are read.  On an IntegerWindow, tuples whose
 function arguments escape the window or miss a dict table's entry are
 skipped and counted.  The module also extends positive-domain cocycles
@@ -35,9 +36,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .exact import Carrier, FiniteCarrier, IntegerWindow, bound_sample
-from .feq import (CORPUS, CheckReport, Equation, FnTable, _INADMISSIBLE, _check, _residual,
-                  feq_check, feq_solve_brute)
+from .exact import Carrier, FiniteCarrier, IntegerWindow, bound_exhaustive, bound_sample
+from .feq import (CORPUS, CheckReport, Equation, FnTable, _INADMISSIBLE, _Subscript, _check,
+                  _residual, feq_check, feq_solve_brute)
 
 
 class CocycleError(Exception):
@@ -66,19 +67,6 @@ class DecompositionDefectError(CocycleError):
 
 FnLike = Union[Dict[int, int], Callable[[int], int]]
 Fn2Like = Union[Dict[Tuple[int, int], int], Callable[[int, int], int]]
-
-
-class _Subscript:
-    """A map read by subscription, as generated code reads its tables:
-    m[key] is fn(key)."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def __getitem__(self, key):
-        return self.fn(key)
 
 
 def _as_map(f: FnLike) -> Mapping[int, int]:
@@ -204,7 +192,9 @@ def cocycle_verify(
 
     Values are compared modulo the carrier where it has a modulus; the
     first offending tuple in canonical enumeration order is the witness.
-    The sum axiom (zeta) is void on characteristic-zero carriers.
+    The sum axiom (zeta) is void on characteristic-zero carriers.  An
+    exhaustive check of more tuples than the budget is refused before a
+    map is tabulated.
     """
     if mode not in ("exhaustive", "sampled"):
         raise CocycleError(f"unknown mode {mode!r}")
@@ -215,6 +205,14 @@ def cocycle_verify(
     carrier = F.carrier
     if axioms is None:
         axioms = PAIR_AXIOMS if G is not None else F_AXIOMS
+    for axiom in axioms:
+        if axiom not in PAIR_AXIOMS + ("eta",):
+            raise CocycleError(f"unknown axiom {axiom!r}")
+        if axiom != "zeta" and "G" in CONDITIONS[axiom].functions and G is None:
+            raise CocycleError(f"axiom ({axiom}) needs the multiplicative cocycle G")
+    if mode == "exhaustive":
+        bound_exhaustive(carrier.size ** max([len(CONDITIONS[a].variables)
+                                              for a in axioms if a != "zeta"], default=0))
     elems = list(carrier.elements())
     results: Dict[str, CheckReport] = {}
     rng = random.Random(seed)
@@ -224,11 +222,7 @@ def cocycle_verify(
         if axiom == "zeta":
             results[axiom] = _check_zeta(F, carrier)
             continue
-        if axiom not in PAIR_AXIOMS + ("eta",):
-            raise CocycleError(f"unknown axiom {axiom!r}")
         eq = CONDITIONS[axiom]
-        if "G" in eq.functions and G is None:
-            raise CocycleError(f"axiom ({axiom}) needs the multiplicative cocycle G")
         tuples = (_sampled_tuples(elems, len(eq.variables), sample, rng)
                   if mode == "sampled" else None)
         for name in [f for f in eq.functions if f not in tables]:
@@ -361,7 +355,9 @@ def cocycle_primitive(F: Fn2Like, window: IntegerWindow, f1: int) -> Dict[int, i
 def leibniz_coboundary_check(D: Fn2Like, carrier: Carrier) -> CocycleReport:
     """Necessary-and-sufficient conditions for D to be a Leibniz difference
     of some additive map: symmetry, the associator identity, and additivity
-    in the first slot."""
+    in the first slot.  More tuples than the budget are refused before D
+    is tabulated."""
+    bound_exhaustive(carrier.size ** 3)
     tables = {"D": Cocycle2(carrier, _as_fn2(D), "D").table()}
     return CocycleReport({name: _check(CONDITIONS[name], carrier, tables, {})
                           for name in ("symmetry", "associator", "additivity")})

@@ -44,8 +44,8 @@ class BudgetError(ExactError):
 
 def default_budget() -> int:
     """The work budget: solutions listed by elimination, table entries
-    placed by a backtracking search, or the size of a power's result.
-    DERCALC_BUDGET overrides the 10^7 default."""
+    placed by a backtracking search, tuples run by a check, or the size of
+    a power's result.  DERCALC_BUDGET overrides the 10^7 default."""
     return int(os.environ.get("DERCALC_BUDGET", 10_000_000))
 
 
@@ -74,6 +74,15 @@ def bound_sample(sample: int) -> None:
     budget = default_budget()
     if sample > budget:
         raise BudgetError(f"sample of {sample} tuples exceeds budget {budget}; "
+                          f"raise it with DERCALC_BUDGET")
+
+
+def bound_exhaustive(tuples: int) -> None:
+    """Refuses an exhaustive check of more tuples than the budget, before
+    a table is built."""
+    budget = default_budget()
+    if tuples > budget:
+        raise BudgetError(f"exhaustive check of {tuples} tuples exceeds budget {budget}; "
                           f"raise it with DERCALC_BUDGET")
 
 
@@ -747,6 +756,10 @@ class FiniteCarrier:
     def characteristic(self) -> int:
         return self.modulus
 
+    @property
+    def size(self) -> int:
+        return self.modulus
+
     def elements(self) -> Iterator[int]:
         return iter(range(self.modulus))
 
@@ -808,6 +821,10 @@ class IntegerWindow:
     @property
     def characteristic(self) -> int:
         return 0
+
+    @property
+    def size(self) -> int:
+        return self.hi - self.lo + 1
 
     def contains(self, a: int) -> bool:
         return self.lo <= a <= self.hi

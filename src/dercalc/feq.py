@@ -30,25 +30,33 @@ by a constant that is not invertible anywhere rejects the carrier up front.
 On a window, a tuple is admissible only while every function argument stays
 inside the window.
 
-Each side is generated as Python by a fold (`parser.compiled`) whose
-values are generated names (`_Side`): one assignment per node, in
-post-order with the left operand first, so nothing recurses.  Sums,
-differences, products, negations and non-negative powers are inlined,
-reduced modulo the carrier; a table read is a subscription, T[a] or
-T[a, b], behind the window test on a window, so a table is any mapping.
-Constant subtrees, parameters included, are folded in the carrier's
-arithmetic when the code is bound, and a constant divisor on a finite
-carrier becomes a product with its inverse; other divisions and negative
-powers call the carrier's own `bin` and `pow` (`FiniteCarrier`,
-`IntegerWindow`), which alone decide, by raising `Inadmissible`, when a
-tuple is skipped.  Per equation and carrier modulus or window
-(`Equation.code`), after its constant divisors are examined, the lines of
-both sides are inlined into two functions (`_Code`): one check loop over
-a stream of tuples, and the residual lhs - rhs at one tuple.  Checks, the
-cocycle conditions and the search run the loop; elimination reads its
-rows, the search its dependencies and the cocycle module its Cauchy and
-Leibniz differences off the residual.  No user text reaches the source:
-variables, functions and constants are numbered slots.
+Each side is generated as Python by a fold (`parser.compiled`) whose values
+are generated expressions (`_Side`), in post-order with the left operand
+first, so nothing recurses.  Sums, differences, products, negations and
+non-negative powers are inlined, reduced modulo the carrier where a value
+is read; a table read is a subscription, T[a], or T[a][b] by rows for a
+table keyed by pairs, behind the window test on a window, so a table is any
+mapping.  Constant subtrees, parameters included, are folded in the
+carrier's arithmetic when the code is bound, and a constant divisor on a
+finite carrier becomes a product with its inverse.  Other divisions on a
+finite carrier and negative powers call the carrier's own `bin` and `pow`
+(`FiniteCarrier`, `IntegerWindow`), which raise `Inadmissible` where a
+tuple is skipped; a division on a window is inlined behind the test of
+`IntegerWindow.bin`, a nonzero divisor that divides exactly, and a window
+test or a division test that fails skips the tuple without raising.  Each
+value has a depth, that of the last variable it reads, and becomes a line
+of its own where an operator at a greater depth takes it.  Per equation and
+carrier modulus or window (`Equation.code`), after its constant divisors
+are examined, one emitter (`_check_loop`) makes two check loops from the
+lines of both sides (`_Code`): the nest, one loop per variable, each line
+in the loop of its depth, which an exhaustive check runs on every tuple;
+and the stream loop, one loop over the tuples it is given, which sampled
+checks and the search run.  The third function is the residual lhs - rhs at
+one tuple.  Elimination reads its rows, the search its dependencies and the
+cocycle module its Cauchy and Leibniz differences off the residual.  No
+user text reaches the source: variables, functions and constants are
+numbered slots.  An exhaustive check of more tuples than the budget is
+refused before it runs (`bound_exhaustive`).
 """
 from __future__ import annotations
 
@@ -58,10 +66,11 @@ import math
 import random
 import types
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .exact import (BudgetError, Carrier, FiniteCarrier, Inadmissible, _is_prime,
-                    bound_sample, default_budget, gf)
+                    bound_exhaustive, bound_sample, default_budget, gf)
 from .parser import (Apply, Arithmetic, Bin, Neg, Num, Pow, Sym, compiled, fold, nodes,
                      parse_equation)
 
@@ -137,7 +146,7 @@ class Equation:
     min_size: int = 0
     note: str = ""
     variables: Tuple[str, ...] = ("x", "y")
-    # The generated check loop and residual, per carrier key (see `_code`).  It
+    # The generated check loops and residual, per carrier key (see `_code`).  It
     # is not part of the equation's value, and it is not keyed on the
     # trees: hashing a tree recurses once per level.
     code: Dict[tuple, "_Code"] = field(
@@ -193,83 +202,163 @@ def _always_skip(*args: int) -> int:
     raise Inadmissible
 
 
-def _skip_every(tuples: Iterable[tuple]):
+def _skip_every(arity: Optional[int]):
     """The check loop where a side's constant is inadmissible: every tuple
-    is skipped, and counted."""
-    return None, None, None, 0, sum(1 for _ in tuples)
+    is skipped, and counted; the len(E)^arity tuples of a nest, or with no
+    arity those of a stream."""
+    def check(items):
+        skipped = sum(1 for _ in items) if arity is None else len(items) ** arity
+        return None, None, None, 0, skipped
+    return check
+
+
+class _Subscript:
+    """A map read by subscription, as generated code reads its tables:
+    m[key] is fn(key)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __getitem__(self, key):
+        return self.fn(key)
+
+
+def _rows(table: Mapping) -> Mapping:
+    """A table keyed by pairs, read by rows as generated code reads it:
+    rows[a][b] is table[a, b], and a missing pair still raises KeyError.  A
+    dict is regrouped once; any other mapping is read through."""
+    if type(table) is not dict:
+        return _Subscript(lambda a: _Subscript(lambda b: table[a, b]))
+    rows: Dict[int, Dict[int, int]] = {}
+    for (a, b), v in table.items():
+        rows.setdefault(a, {})[b] = v
+    return rows
+
+
+class _Expr(NamedTuple):
+    """A value of `_Side`'s fold that is not constant: Python source at a
+    depth (see `_Side`).  It is not `exact` where it is a sum, difference,
+    product or negation of exact values left unreduced modulo the carrier:
+    it is then congruent to the node's value, and what takes it reduces
+    it.  `nest` counts the operators inlined in `text`; a name has none."""
+    text: str
+    depth: int
+    exact: bool = True
+    nest: int = 0
+
+
+_INLINE = 8  # the most operators nested in one generated expression
 
 
 class _Side(Arithmetic):
     """One side of an equation, generated as Python source for one carrier
-    by folding the side (`compiled`) in this algebra: `lines` assign one
-    local per node, in post-order with the left operand first, and
-    `result` names the side's value.  A value of the fold is the name of a
-    local, or a subtree without a variable or a function call, which is
-    constant and is not named until an operator that is not constant takes
-    it.  No user text is named: variable i is a<i>, function i the table
-    T<i>, read by subscription as T<i>[a] or T<i>[a, b], node j the local
-    <tag><j>, and each maximal constant subtree the global <tag>k<j>,
-    folded by `_Side.fold` (as the inverse of its value where it divides
-    on a finite carrier).  The tag keeps two sides' names apart in one
-    function."""
+    by folding the side (`compiled`) in this algebra into `lines`, (depth,
+    line) pairs, and the name `result` of its value.  A value of the fold
+    is an `_Expr`, or a subtree without a variable or a function call,
+    which is constant and is not named until an operator that is not
+    constant takes it.  No user text is named: variable i is a<i>, function
+    i the table T<i>, read by subscription as T<i>[a] or by rows as
+    T<i>[a][b], a node made a local <tag><j>, and each maximal constant
+    subtree the global <tag>k<j>, folded by `_Side.fold` (as the inverse
+    of its value where it divides on a finite carrier).  The tag keeps two
+    sides' names apart in one function.
+
+    A value's depth is the largest i + 1 over the variables a<i> it reads;
+    constants and tables have depth 0.  An operator's expression inlines
+    its operands at its own depth and names each one at a lower depth: it
+    becomes a local, assigned on a line at that depth, in post-order with
+    the left operand first, so a loop nest can run the line in the loop of
+    a<depth - 1>, outside the loops it does not read (`_check_loop`).  On
+    a finite carrier, a sum, difference, product or negation of exact
+    values is left unreduced for the operator that takes it, and every
+    other value is reduced as it is read: a table key, a local, the
+    result.  On a window, a function argument and a division's operands
+    are locals, and a test line, "if not ...:", keeps the tuples where the
+    argument lies in the window, or the division is exact, before the
+    line that reads them."""
 
     def __init__(self, side, functions: Sequence[str], carrier: Carrier,
                  variables: Sequence[str] = ("x", "y"), tag: str = "v"):
         self.functions, self.tag = functions, tag
         self.modulus = carrier.characteristic
         self.carrier = carrier
-        self.slots = [f"a{i}" for i in range(len(variables))]
+        self.slots = [_Expr(f"a{i}", i + 1) for i in range(len(variables))]
         self.registers = itertools.count()
-        self.lines: List[str] = []
+        self.lines: List[Tuple[int, str]] = []
         self.constants: List[Tuple[str, object, bool]] = []  # (name, subtree, invert)
-        self.binary = False  # whether it reads a two-argument function
-        self.result = self.name(compiled(side, self, variables)(*self.slots))
+        self.pairs: set = set()  # the indices of the tables it reads at two arguments
+        self.result = self.local(compiled(side, self, variables)(*self.slots)).text
 
-    def name(self, value, invert: bool = False) -> str:
-        if isinstance(value, str):
+    def name(self, value, invert: bool = False) -> _Expr:
+        if isinstance(value, _Expr):
             return value
         self.constants.append((f"{self.tag}k{len(self.constants)}", value, invert))
-        return self.constants[-1][0]
+        return _Expr(self.constants[-1][0], 0)
 
-    def assign(self, expr: str) -> str:
+    def reduced(self, a: _Expr) -> _Expr:
+        return a if a.exact else _Expr(f"({a.text}) % {self.modulus}", a.depth, True, a.nest)
+
+    def local(self, value) -> _Expr:
+        """The value, reduced, as a name: itself if it is one, or else a
+        local assigned on a line at its depth."""
+        a = self.reduced(self.name(value))
+        if not a.nest:
+            return a
         local = f"{self.tag}{next(self.registers)}"
-        self.lines.append(f"{local} = {expr}")
-        return local
+        self.lines.append((a.depth, f"{local} = {a.text}"))
+        return _Expr(local, a.depth)
+
+    def expr(self, template: str, *operands, ring: bool = False) -> _Expr:
+        """`template` with the operands in place, at the depth of the
+        deepest; an operand at a lower depth, or nested too deep, is made a
+        local first.  A `ring` operation on a finite carrier is reduced only
+        where an operand is not exact."""
+        args = [self.name(a) for a in operands]
+        depth = max(a.depth for a in args)
+        args = [a if a.depth == depth and a.nest < _INLINE else self.local(a) for a in args]
+        text = template.format(*(f"({a.text})" if a.nest else a.text for a in args))
+        value = _Expr(text, depth, not (ring and self.modulus), 1 + max(a.nest for a in args))
+        return value if all(a.exact for a in args) else self.reduced(value)
 
     # Literals and parameters are constant subtrees; variables are the slots.
     num, sym = Num, Sym
 
     def neg(self, a):
-        if not isinstance(a, str):
-            return Neg(a)
-        m = self.modulus
-        return self.assign(f"-{a} % {m}" if m else f"-{a}")
+        return self.expr("-{0}", a, ring=True) if isinstance(a, _Expr) else Neg(a)
 
     def pow(self, a, e: int):
-        if not isinstance(a, str):
+        if not isinstance(a, _Expr):
             return Pow(a, e)
         m = self.modulus
-        return self.assign(f"POW({a}, {e})" if e < 0 else f"pow({a}, {e}, {m})" if m
-                           else f"{a} ** {e}")
+        return self.expr(f"POW({{0}}, {e})" if e < 0 else f"pow({{0}}, {e}, {m})" if m
+                         else f"{{0}} ** {e}", a)
 
     def bin(self, op: str, a, b):
-        if not isinstance(a, str) and not isinstance(b, str):
+        if not isinstance(a, _Expr) and not isinstance(b, _Expr):
             return Bin(op, a, b)
-        a, m = self.name(a), self.modulus
         if op != "/":
-            b = self.name(b)
-            return self.assign(f"({a} {op} {b}) % {m}" if m else f"{a} {op} {b}")
-        if m and not isinstance(b, str):
-            return self.assign(f"{a} * {self.name(b, invert=True)} % {m}")
-        return self.assign(f'BIN("/", {a}, {self.name(b)})')
+            return self.expr(f"{{0}} {op} {{1}}", a, b, ring=True)
+        if not self.modulus:  # exact division, tested as `IntegerWindow.bin` tests it
+            a, b = self.local(a), self.local(b)
+            self.lines.append((max(a.depth, b.depth), f"if not {b.text} or {a.text} % {b.text}:"))
+            return self.expr("{0} // {1}", a, b)
+        if not isinstance(b, _Expr):
+            return self.expr("{0} * {1}", a, self.name(b, invert=True), ring=True)
+        return self.expr('BIN("/", {0}, {1})', a, b)
 
     def apply(self, func: str, *args):
-        args = tuple(self.name(a) for a in args)
+        args = [self.reduced(self.name(a)) for a in args]
         if not self.modulus:  # on a window; a variable's value lies in it
-            self.lines += [f"if not {self.carrier.lo} <= {a} <= {self.carrier.hi}: "
-                           "raise Inadmissible" for a in args if a not in self.slots]
-        self.binary |= len(args) == 2
-        return self.assign(f"T{self.functions.index(func)}[{', '.join(args)}]")
+            args = [a if a in self.slots else self.local(a) for a in args]
+            self.lines += [(a.depth, f"if not {self.carrier.lo} <= {a.text} <= "
+                            f"{self.carrier.hi}:") for a in args if a not in self.slots]
+        i = self.functions.index(func)
+        if len(args) == 2:  # the row, then the entry
+            self.pairs.add(i)
+            return self.expr("{0}[{1}]", self.expr(f"T{i}[{{0}}]", args[0]), args[1])
+        return self.expr(f"T{i}[{{0}}]", args[0])
 
     def fold(self, carrier: Carrier, params: Dict[str, int], env: dict) -> bool:
         """Adds the side's constants, in the carrier's arithmetic with the
@@ -291,19 +380,63 @@ def _compile(header: str, lines: List[str]) -> types.CodeType:
     return next(c for c in module.co_consts if isinstance(c, types.CodeType))
 
 
+def _statement(line: str, skip: str) -> str:
+    """A generated line as a statement: a window test, "if not ...:",
+    ends in `skip`, what the code does with a tuple that fails it."""
+    return f"{line} {skip}" if line.endswith(":") else line
+
+
+def _check_loop(loops: Sequence[str], skips: Sequence[str], lines: Sequence[Tuple[int, str]],
+                slots: str, lhs: str, rhs: str) -> List[str]:
+    """The body of a check loop over the nested `loops`, outermost first.
+    Each of `lines` runs in the loop of its depth, or in the innermost one
+    when it is deeper, and a depth-0 line before the loops.  The lines are
+    pure, so where one raises or fails its test, every tuple under it would
+    be skipped: a line in loop d adds `skips[d]` to the tuples skipped and
+    goes on with that loop, and one before the loops skips `skips[0]`,
+    every tuple.  In the innermost loop the tuple (`slots`) is counted as
+    checked, and is the witness if `lhs` differs from `rhs`."""
+    body = ["checked = skipped = 0"]
+    for level in range(len(loops) + 1):
+        pad = "    " * level
+        if level:
+            body.append(pad[4:] + loops[level - 1])
+        skip = (f"skipped += {skips[level]}; continue" if level
+                else f"return None, None, None, 0, {skips[0]}")
+        here = [_statement(line, skip) for depth, line in lines
+                if min(depth, len(loops)) == level]
+        if here:
+            body += [f"{pad}try:", *(f"{pad}    {line}" for line in here),
+                     f"{pad}except INADMISSIBLE: {skip}"]
+    return body + [f"{pad}checked += 1",
+                   f"{pad}if {lhs} != {rhs}:",
+                   f"{pad}    return ({slots}), {lhs}, {rhs}, checked, skipped",
+                   "return None, None, None, checked, skipped"]
+
+
 class _Code:
     """The generated code of an equation on one carrier: both sides, with
-    the lines of both inlined into two functions.  The check loop
-    `check(tuples)` returns (witness, lhs, rhs, checked, skipped): the
-    first tuple whose sides differ, or None three times, after counting
-    the tuples compared and those skipped because a side raised
-    Inadmissible or read a missing entry.  The residual `residual(a0, a1,
-    ...)` is lhs - rhs at one tuple, reduced modulo a finite carrier, and
-    raises where the tuple is inadmissible; it is compiled on its first
-    use, as most equations only run the loop.  `degree` is the larger
-    `_degree` of the two sides, which picks the solver's path."""
+    the lines of both inlined into three functions, each compiled on its
+    first use (`function`), as most equations run only one or two.
 
-    __slots__ = ("lhs", "rhs", "degree", "arity", "modulus", "loop", "difference")
+    A check loop returns (witness, lhs, rhs, checked, skipped): the first
+    tuple whose sides differ, or None three times, after counting the
+    tuples compared and those skipped because a side raised Inadmissible,
+    read a missing entry or failed a window or division test.  One emitter
+    (`_check_loop`) makes both loop shapes.  The stream loop "loop",
+    `check(tuples)`, runs the tuples it is given in one loop.  The nest
+    "nest", `check(E)`, runs every tuple of the elements E in product
+    order, one loop per variable, each line in the loop of the last
+    variable it reads (`_Side`): a line runs once per value of the
+    variables it reads, and where it fails, the tuples under it are
+    counted as skipped at once.  The "residual", `residual(a0, a1, ...)`,
+    is lhs - rhs at one tuple, reduced modulo a finite carrier, and raises
+    where the tuple is inadmissible.  `pairs` holds the indices of the
+    tables read at two arguments, which the code reads by rows (`_rows`).
+    `degree` is the larger `_degree` of the two sides, which picks the
+    solver's path."""
+
+    __slots__ = ("lhs", "rhs", "degree", "arity", "modulus", "pairs", "codes")
 
     def __init__(self, eq: "Equation", carrier: Carrier):
         self.lhs, self.rhs = (_Side(side, eq.functions, carrier, eq.variables, tag)
@@ -311,23 +444,32 @@ class _Code:
         self.degree = max(_degree(eq.lhs), _degree(eq.rhs))
         self.arity = len(eq.variables)
         self.modulus = carrier.characteristic
-        self.difference: Optional[types.CodeType] = None
-        # The loop target and the witness; "a0, " and "" still make tuples.
-        slots = "".join(f"a{i}, " for i in range(self.arity))
-        lhs, rhs = self.lhs.result, self.rhs.result
-        self.loop = _compile("def check(tuples):", [
-            "checked = skipped = 0",
-            f"for ({slots}) in tuples:",
-            "    try:",
-            *(f"        {line}" for line in self.lhs.lines + self.rhs.lines or ["pass"]),
-            "    except INADMISSIBLE:",
-            "        skipped += 1",
-            "        continue",
-            "    checked += 1",
-            f"    if {lhs} != {rhs}:",
-            f"        return ({slots}), {lhs}, {rhs}, checked, skipped",
-            "return None, None, None, checked, skipped",
-        ])
+        self.pairs = self.lhs.pairs | self.rhs.pairs
+        self.codes: Dict[str, types.CodeType] = {}
+
+    def function(self, name: str) -> types.CodeType:
+        """The code of the function `name`, "loop", "nest" or "residual",
+        compiled on its first use."""
+        if name not in self.codes:
+            k, lines = self.arity, self.lhs.lines + self.rhs.lines
+            lhs, rhs, m = self.lhs.result, self.rhs.result, self.modulus
+            # The loop target and the witness; "a0, " and "" still make tuples.
+            slots = "".join(f"a{i}, " for i in range(k))
+            if name == "loop":
+                source = "def check(tuples):", _check_loop(
+                    [f"for ({slots}) in tuples:"], ["sum(1 for _ in tuples)", "1"],
+                    lines, slots, lhs, rhs)
+            elif name == "nest":
+                source = "def check(E):", _check_loop(
+                    [f"for a{i} in E:" for i in range(k)],
+                    [f"len(E) ** {k - level}" if level < k else "1" for level in range(k + 1)],
+                    lines, slots, lhs, rhs)
+            else:
+                source = f"def residual({slots}):", (
+                    [_statement(line, "raise Inadmissible") for _, line in lines]
+                    + [f"return ({lhs} - {rhs}) % {m}" if m else f"return {lhs} - {rhs}"])
+            self.codes[name] = _compile(*source)
+        return self.codes[name]
 
     def _globals(self, carrier: Carrier, params: Dict[str, int],
                  tables: Sequence[Mapping]) -> Optional[dict]:
@@ -336,25 +478,22 @@ class _Code:
         then every tuple is skipped."""
         env = {"pow": pow, "POW": carrier.pow, "BIN": carrier.bin,
                "Inadmissible": Inadmissible, "INADMISSIBLE": _INADMISSIBLE}
-        env.update((f"T{i}", t) for i, t in enumerate(tables))
+        env.update((f"T{i}", _rows(t) if i in self.pairs else t) for i, t in enumerate(tables))
         folded = self.lhs.fold(carrier, params, env) and self.rhs.fold(carrier, params, env)
         return env if folded else None
 
-    def bind(self, carrier: Carrier, params: Dict[str, int], tables: Sequence[Mapping]):
-        """The check loop reading `tables`."""
+    def bind(self, carrier: Carrier, params: Dict[str, int], tables: Sequence[Mapping],
+             nest: bool = False):
+        """The check loop reading `tables`: the nest, or else the stream loop."""
         env = self._globals(carrier, params, tables)
-        return _skip_every if env is None else types.FunctionType(self.loop, env)
+        if env is None:
+            return _skip_every(self.arity if nest else None)
+        return types.FunctionType(self.function("nest" if nest else "loop"), env)
 
     def residual(self, carrier: Carrier, params: Dict[str, int], tables: Sequence[Mapping]):
         """The residual reading `tables`."""
-        if self.difference is None:
-            lhs, rhs, m = self.lhs.result, self.rhs.result, self.modulus
-            self.difference = _compile(
-                f"def residual({', '.join(f'a{i}' for i in range(self.arity))}):",
-                self.lhs.lines + self.rhs.lines
-                + [f"return ({lhs} - {rhs}) % {m}" if m else f"return {lhs} - {rhs}"])
         env = self._globals(carrier, params, tables)
-        return _always_skip if env is None else types.FunctionType(self.difference, env)
+        return _always_skip if env is None else types.FunctionType(self.function("residual"), env)
 
 
 def _code(eq: "Equation", carrier: Carrier) -> _Code:
@@ -375,16 +514,16 @@ def _code(eq: "Equation", carrier: Carrier) -> _Code:
 def _table_code(eq: "Equation", carrier: Carrier) -> _Code:
     """`_code` for the checks and solves that bind one-argument `FnTable`s."""
     code = _code(eq, carrier)
-    if code.lhs.binary or code.rhs.binary:
+    if code.pairs:
         raise FeqError(f"equation {eq.name!r} has a two-argument unknown, which is check-only")
     return code
 
 
 def _loop(eq: "Equation", carrier: Carrier, tables: Dict[str, Mapping],
-          params: Dict[str, int]):
+          params: Dict[str, int], nest: bool = False):
     """The check loop of `eq` on `carrier`, reading the table bound to each
-    function name (see `_Code`)."""
-    return _code(eq, carrier).bind(carrier, params, [tables[f] for f in eq.functions])
+    function name: the stream loop, or the nest (see `_Code`)."""
+    return _code(eq, carrier).bind(carrier, params, [tables[f] for f in eq.functions], nest)
 
 
 def _residual(eq: "Equation", carrier: Carrier, tables: Dict[str, Mapping],
@@ -421,11 +560,12 @@ class CheckReport:
 
 def _check(eq: Equation, carrier: Carrier, tables: Dict[str, Mapping], params: Dict[str, int],
            tuples: Optional[Iterable[tuple]] = None) -> CheckReport:
-    """The check loop of `eq` on `carrier`, reading `tables`, run on
-    `tuples` or else on every tuple of the carrier's elements."""
-    if tuples is None:
-        tuples = itertools.product(list(carrier.elements()), repeat=len(eq.variables))
-    witness, lhs, rhs, checked, skipped = _loop(eq, carrier, tables, params)(tuples)
+    """The check of `eq` on `carrier`, reading `tables`: the stream loop
+    on `tuples`, or else the nest on every tuple of the carrier's
+    elements."""
+    loop = _loop(eq, carrier, tables, params, nest=tuples is None)
+    witness, lhs, rhs, checked, skipped = loop(
+        list(carrier.elements()) if tuples is None else tuples)
     return CheckReport(eq.name, "pass" if witness is None else "fail",
                        witness, lhs, rhs, checked, skipped)
 
@@ -442,7 +582,8 @@ def feq_check(
     of its variables' values.
 
     The witness of a failure is the first offending tuple in the carrier's
-    canonical enumeration order."""
+    canonical enumeration order.  An exhaustive check of more tuples than
+    the budget (`default_budget`) is refused before it runs."""
     params = dict(params or {})
     missing = [f for f in eq.functions if f not in bindings]
     if missing:
@@ -465,7 +606,9 @@ def feq_check(
         elems = list(carrier.elements())
         # Drawn as the loop asks for them, so no sample is held in memory.
         tuples = (tuple([rng.choice(elems) for _ in eq.variables]) for _ in range(sample))
-    elif mode != "exhaustive":
+    elif mode == "exhaustive":
+        bound_exhaustive(carrier.size ** len(eq.variables))
+    else:
         raise FeqError(f"unknown mode {mode!r}")
     return _check(eq, carrier, {name: t.values for name, t in bindings.items()}, params, tuples)
 
@@ -511,7 +654,9 @@ def feq_solve_brute(
     at most 1, which tuples are admissible does not depend on the tables,
     and on each admissible tuple lhs - rhs is an affine function of the
     table entries, so where it vanishes at p0 and at every p0 + b_i it
-    vanishes at every p0 + sum of l_i * b_i, which is the whole listing."""
+    vanishes at every p0 + sum of l_i * b_i, which is the whole listing.
+    A solve whose exhaustive re-check the default budget refuses
+    (`feq_check`) is refused before it starts."""
     if not isinstance(carrier, FiniteCarrier):
         raise FeqError("brute-force solving needs a finite carrier")
     unknowns = tuple(unknowns)
@@ -529,6 +674,7 @@ def feq_solve_brute(
     if eq.min_size and carrier.modulus < eq.min_size:
         return SolveReport(eq.name, carrier, unknowns, "skipped", (), 0, eq.note)
     code = _table_code(eq, carrier)
+    bound_exhaustive(carrier.size ** len(eq.variables))  # the re-check's, before any work
 
     if _is_prime(carrier.modulus) and code.degree <= 1:
         solutions, skipped_pairs, checked = _eliminate(eq, unknowns, carrier, params, budget)

@@ -784,6 +784,38 @@ def test_cocycle_verify_refuses_a_sample_over_the_budget(cli, monkeypatch):
         0, "cocycle pair f = x^2 on window:-60:60", "  (beta) pass: 517 tuples, 483 skipped", [])
 
 
+@pytest.mark.parametrize("argv, tuples", [
+    (("feq", "check", "--eq", "cauchy-add", "--f", "x"), 10007 ** 2),
+    (("feq", "solve", "--eq", "cauchy-add"), 10007 ** 2),
+    (("cocycle", "verify", "--f", "x^2"), 10007 ** 3),
+    (("cocycle", "verify", "--F", "a*b"), 10007 ** 3),
+    (("cocycle", "ld-check", "--D", "a*b"), 10007 ** 3),
+], ids=["feq-check", "feq-solve", "cocycle-pair", "cocycle-raw", "ld-check"])
+def test_exhaustive_checks_refuse_tuples_over_the_budget(cli, monkeypatch, argv, tuples):
+    # Refused before a two-argument table is made or a tuple is run; a solve
+    # is refused before it starts, as its re-check would be.
+    monkeypatch.delenv("DERCALC_BUDGET", raising=False)
+    assert cli(*argv, "--carrier", "gf:10007") == (2, [], [
+        f"error: exhaustive check of {tuples} tuples exceeds budget 10000000; "
+        "raise it with DERCALC_BUDGET"])
+
+
+def test_exhaustive_check_runs_once_the_budget_is_raised(cli, monkeypatch):
+    monkeypatch.setenv("DERCALC_BUDGET", "120")
+    argv = ("feq", "check", "--eq", "cauchy-add", "--f", "3*x", "--carrier", "gf:11")
+    assert cli(*argv) == (2, [], ["error: exhaustive check of 121 tuples exceeds budget 120; "
+                                  "raise it with DERCALC_BUDGET"])
+    monkeypatch.setenv("DERCALC_BUDGET", "121")
+    assert cli(*argv) == (0, ["cauchy-add: pass (121 pairs, 0 skipped)"], [])
+    argv = ("cocycle", "verify", "--f", "x^2", "--carrier", "gf:5")
+    assert cli(*argv)[0] == 2
+    monkeypatch.setenv("DERCALC_BUDGET", "125")
+    code, out, err = cli(*argv)
+    assert (code, out[:3], err) == (0, ["cocycle pair f = x^2 on gf:5",
+                                        "  (alpha) pass: 25 tuples, 0 skipped",
+                                        "  (beta) pass: 125 tuples, 0 skipped"], [])
+
+
 @pytest.mark.parametrize("params, message", [
     ("lam=1,mu", "bad parameter 'mu': expected name=value"),
     ("lam=1,mu=x", "bad parameter 'mu=x': expected an integer value"),

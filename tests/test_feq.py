@@ -27,6 +27,7 @@ from dercalc.feq import (
     t1431_check,
     _INADMISSIBLE,
     _backtrack,
+    _check,
     _code,
     _degree,
     _eliminate,
@@ -919,6 +920,33 @@ def test_generated_loop_matches_the_reference_loop(equation, carrier, missing, s
     assert_loops_agree(eq, carrier, tables, {"lam": rng.randint(-9, 9)}, tuples)
 
 
+@given(st.sampled_from([("x",), ("x", "y"), ("x", "y", "z")]).flatmap(
+           lambda v: st.tuples(st.just(v), loop_trees(v), loop_trees(v))),
+       st.sampled_from(LOOP_CARRIERS), st.integers(0, 3), st.integers(0, 2), st.data())
+@settings(max_examples=200, deadline=None)
+def test_loop_nest_matches_the_reference_loop(equation, carrier, missing, rows, data):
+    # The nest runs each line in the loop of the last variable it reads, so
+    # a missing entry, a missing row of F or an argument escaping a window
+    # in an outer loop skips the whole subtree under it at once.
+    variables, lhs, rhs = equation
+    eq = Equation("nest", "", lhs, rhs, ("F", "f"), ("lam",), variables=variables)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    tables = loop_tables(carrier, rng, missing)
+    firsts = sorted({a for a, _ in tables["F"]})
+    for a in rng.sample(firsts, min(rows, len(firsts))):
+        tables["F"] = {ab: v for ab, v in tables["F"].items() if ab[0] != a}
+    params = {"lam": rng.randint(-9, 9)}
+    if isinstance(carrier, FiniteCarrier):
+        params = {k: v % carrier.modulus for k, v in params.items()}
+    try:
+        report = _check(eq, carrier, tables, params)
+    except CarrierUnsupportedError:
+        return  # refused for a constant divisor, before any tuple is run
+    every = itertools.product(list(carrier.elements()), repeat=len(variables))
+    assert (report.witness, report.lhs, report.rhs, report.checked, report.skipped) == (
+        check_tuples(*interpreted_sides(eq, carrier, tables, params), every))
+
+
 @pytest.mark.parametrize("source, carrier, lam, skipped", [
     ("(1/2)*f(x) = f(y)", IntegerWindow(-3, 3), 1, 49),
     ("F(x, y) = f(x) / lam", zmod(6), 4, 36),
@@ -933,6 +961,8 @@ def test_generated_loop_counts_every_tuple_an_inadmissible_constant_skips(
     every = itertools.product(elems, repeat=len(eq.variables))
     assert assert_loops_agree(eq, carrier, tables, {"lam": lam}, every) == (
         None, None, None, 0, skipped)
+    report = _check(eq, carrier, tables, {"lam": lam})  # the nest
+    assert (report.status, report.checked, report.skipped) == ("pass", 0, skipped)
     sample = [tuple(random.Random(1).choices(elems, k=len(eq.variables))) for _ in range(9)]
     assert assert_loops_agree(eq, carrier, tables, {"lam": lam}, sample)[3:] == (0, 9)
 
