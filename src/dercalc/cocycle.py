@@ -18,10 +18,10 @@ equations `cauchy-add` and `leibniz`.  `CONDITIONS` holds the axioms,
 with the conditions for D to be the Leibniz difference of an additive
 map.  feq's generated checks run them, each an feq `CheckReport`:
 exhaustively, on a dict keyed by pairs made once per call
-(`Cocycle2.table`), which feq regroups into rows, after the budget has
-bounded the tuples; or on a seeded sample, through `_Subscript`, whose
-`__getitem__` calls the map.  Values on a finite carrier
-are reduced modulo m as they are read.  On an IntegerWindow, tuples whose
+(`Cocycle2.table`) and regrouped into rows once (`feq._rows`), after the
+budget has bounded the tuples; or on a seeded sample, through
+`_Subscript`, whose `__getitem__` calls the map.  Values on a finite
+carrier are reduced modulo m as they are read.  On an IntegerWindow, tuples whose
 function arguments escape the window or miss a dict table's entry are
 skipped and counted.  The module also extends positive-domain cocycles
 to signed windows via sign tables, reconstructs a primitive from its
@@ -38,7 +38,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from .exact import Carrier, FiniteCarrier, IntegerWindow, bound_exhaustive, bound_sample
 from .feq import (CORPUS, CheckReport, Equation, FnTable, _INADMISSIBLE, _Subscript, _check,
-                  _residual, feq_check, feq_solve_brute)
+                  _residual, _rows, feq_check, feq_solve_brute)
 
 
 class CocycleError(Exception):
@@ -217,7 +217,9 @@ def cocycle_verify(
     results: Dict[str, CheckReport] = {}
     rng = random.Random(seed)
     maps = {"F": F, "G": G}
-    tables: Dict[str, Mapping] = {}  # how each map is read, made on first use
+    # How each map is read, made on first use: a tabulated map is regrouped
+    # by rows once (`_rows`), for every axiom that reads it.
+    tables: Dict[str, Mapping] = {}
     for axiom in axioms:
         if axiom == "zeta":
             results[axiom] = _check_zeta(F, carrier)
@@ -226,7 +228,8 @@ def cocycle_verify(
         tuples = (_sampled_tuples(elems, len(eq.variables), sample, rng)
                   if mode == "sampled" else None)
         for name in [f for f in eq.functions if f not in tables]:
-            tables[name] = _Subscript(maps[name].read) if mode == "sampled" else maps[name].table()
+            tables[name] = (_Subscript(maps[name].read) if mode == "sampled"
+                            else _rows(maps[name].table()))
         results[axiom] = _check(eq, carrier, tables, {}, tuples)
         if tuples is not None:
             # After a witness, make the draws left, so that the next axiom

@@ -51,21 +51,27 @@ are examined, one emitter (`_check_loop`) makes two check loops from the
 lines of both sides (`_Code`): the nest, one loop per variable, each line
 in the loop of its depth, which an exhaustive check runs on every tuple;
 and the stream loop, one loop over the tuples it is given, which sampled
-checks and the search run.  The third function is the residual lhs - rhs at
-one tuple.  Elimination reads its rows, the search its dependencies and the
-cocycle module its Cauchy and Leibniz differences off the residual.  No
-user text reaches the source: variables, functions and constants are
-numbered slots.  An exhaustive check of more tuples than the budget is
-refused before it runs (`bound_exhaustive`).
+checks run.  The search's step runs the stream loop's lines inside a loop
+over the values of the entry it places, one call per node of the search.
+The residual is lhs - rhs at one tuple; the search reads its dependencies
+and the cocycle module its Cauchy and Leibniz differences off it.
+Elimination's row is lhs - rhs once more, for sides of degree at most 1:
+another fold (`_Linear`) writes it as c0 + sum of c_k * T[x_k], each c and
+x an entry-free subtree, which a `_Side` of its own generates, so a row is
+one call that returns a sparse dict.  No user text reaches the source:
+variables, functions and constants are numbered slots.  An exhaustive
+check of more tuples than the budget is refused before it runs
+(`bound_exhaustive`).
 """
 from __future__ import annotations
 
-import collections
+import functools
 import itertools
 import math
 import random
 import types
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -146,7 +152,7 @@ class Equation:
     min_size: int = 0
     note: str = ""
     variables: Tuple[str, ...] = ("x", "y")
-    # The generated check loops and residual, per carrier key (see `_code`).  It
+    # The generated code (`_Code`), per carrier key (see `_code`).  It
     # is not part of the equation's value, and it is not keyed on the
     # trees: hashing a tree recurses once per level.
     code: Dict[tuple, "_Code"] = field(
@@ -225,13 +231,19 @@ class _Subscript:
         return self.fn(key)
 
 
+class _Rows(dict):
+    """A table keyed by pairs, regrouped by rows (`_rows`)."""
+
+
 def _rows(table: Mapping) -> Mapping:
     """A table keyed by pairs, read by rows as generated code reads it:
     rows[a][b] is table[a, b], and a missing pair still raises KeyError.  A
-    dict is regrouped once; any other mapping is read through."""
+    dict is regrouped into `_Rows`, which the code binds as it is, so a
+    caller that checks one table against several equations regroups it
+    once; any other mapping is read through."""
     if type(table) is not dict:
         return _Subscript(lambda a: _Subscript(lambda b: table[a, b]))
-    rows: Dict[int, Dict[int, int]] = {}
+    rows = _Rows()
     for (a, b), v in table.items():
         rows.setdefault(a, {})[b] = v
     return rows
@@ -253,11 +265,12 @@ _INLINE = 8  # the most operators nested in one generated expression
 
 
 class _Side(Arithmetic):
-    """One side of an equation, generated as Python source for one carrier
-    by folding the side (`compiled`) in this algebra into `lines`, (depth,
-    line) pairs, and the name `result` of its value.  A value of the fold
-    is an `_Expr`, or a subtree without a variable or a function call,
-    which is constant and is not named until an operator that is not
+    """Trees generated as Python source for one carrier: `value` folds a
+    tree (`compiled`) in this algebra into `lines`, (depth, line) pairs,
+    and returns the name of its value.  One `_Side` folds one side of an
+    equation, or the entry-free subtrees of a row (`_Linear`).  A value of
+    the fold is an `_Expr`, or a subtree without a variable or a function
+    call, which is constant and is not named until an operator that is not
     constant takes it.  No user text is named: variable i is a<i>, function
     i the table T<i>, read by subscription as T<i>[a] or by rows as
     T<i>[a][b], a node made a local <tag><j>, and each maximal constant
@@ -279,17 +292,21 @@ class _Side(Arithmetic):
     argument lies in the window, or the division is exact, before the
     line that reads them."""
 
-    def __init__(self, side, functions: Sequence[str], carrier: Carrier,
+    def __init__(self, functions: Sequence[str], carrier: Carrier,
                  variables: Sequence[str] = ("x", "y"), tag: str = "v"):
         self.functions, self.tag = functions, tag
         self.modulus = carrier.characteristic
         self.carrier = carrier
+        self.variables = tuple(variables)
         self.slots = [_Expr(f"a{i}", i + 1) for i in range(len(variables))]
         self.registers = itertools.count()
         self.lines: List[Tuple[int, str]] = []
         self.constants: List[Tuple[str, object, bool]] = []  # (name, subtree, invert)
         self.pairs: set = set()  # the indices of the tables it reads at two arguments
-        self.result = self.local(compiled(side, self, variables)(*self.slots)).text
+
+    def value(self, tree) -> str:
+        """Folds `tree` into `lines`; the name of its value, reduced."""
+        return self.local(compiled(tree, self, self.variables)(*self.slots)).text
 
     def name(self, value, invert: bool = False) -> _Expr:
         if isinstance(value, _Expr):
@@ -414,9 +431,99 @@ def _check_loop(loops: Sequence[str], skips: Sequence[str], lines: Sequence[Tupl
                    "return None, None, None, checked, skipped"]
 
 
+class _Affine(NamedTuple):
+    """A value of `_Linear`'s fold: `const` plus the sum of c * T<i>[x] over
+    the `terms` (c, i, x), where `const`, each c and each x is an
+    entry-free subtree.  `const` is None where it is 0 and reads nothing,
+    which a value without terms never is.  A value of degree 2 has `terms`
+    None, and its `const` is its guard (`_guard`)."""
+    const: object
+    terms: Optional[Tuple[Tuple[object, int, object], ...]] = ()
+
+
+_CONST = -1  # the key of a row's constant term; slots are >= 0
+
+
+def _guard(a: _Affine):
+    """An entry-free subtree whose value is 1, and which raises where `a`
+    does: the product of the powers 0 of a's subtrees."""
+    if a.terms is None:
+        return a.const
+    parts = ([a.const] if a.const else []) + [g for c, _, x in a.terms for g in (c, x)]
+    return functools.reduce(lambda p, q: Bin("*", p, q), [Pow(g, 0) for g in parts])
+
+
+class _Linear(Arithmetic):
+    """The algebra of a row: a side of degree at most 1 (`_degree`) as an
+    affine function of the table entries (`_Affine`).  Every entry-free
+    subtree the side evaluates stays in the value, in its constant, a
+    coefficient or a key, so the row is inadmissible where the side is.  A
+    power 0, which the side evaluates and discards, is the guard of its
+    base (`_guard`); so is a value of degree 2, such as a product of two
+    values with terms, which only a power 0 takes back to a constant.  A
+    read in a divisor, a negative power or a function argument raises
+    FeqError, as does a difference of degree 2 (`_linear`); `_degree`
+    keeps them from the fold."""
+
+    def __init__(self, functions: Sequence[str]):
+        super().__init__(FeqError)
+        self.functions = functions
+
+    def num(self, value: Fraction):
+        return _Affine(Num(value))
+
+    def sym(self, name: str):
+        return _Affine(Sym(name))
+
+    def neg(self, a: _Affine):
+        if a.terms is None:
+            return a
+        return _Affine(a.const and Neg(a.const), tuple((Neg(c), i, x) for c, i, x in a.terms))
+
+    def pow(self, a: _Affine, e: int):
+        if a.terms == ():
+            return _Affine(Pow(a.const, e))
+        if e < 0:
+            raise self.error(f"a power {e} of a table entry is not linear")
+        return a if e == 1 else _Affine(_guard(a), None if e else ())
+
+    def bin(self, op: str, a: _Affine, b: _Affine):
+        if op == "/" and b.terms != ():
+            raise self.error("a table entry in a divisor is not linear")
+        if a.terms is None or b.terms is None or op == "*" and a.terms and b.terms:
+            if op == "/":  # raises where the divisor is not invertible
+                return _Affine(Pow(Bin("/", _guard(a), b.const), 0), None)
+            return _Affine(Bin("*", _guard(a), _guard(b)), None)
+        if op in "+-":
+            if a.const and b.const:
+                const = Bin(op, a.const, b.const)
+            else:
+                const = Neg(b.const) if op == "-" and b.const else a.const or b.const
+            return _Affine(const, a.terms + (b.terms if op == "+" else self.neg(b).terms))
+        if b.terms:
+            a, b = b, a  # the factor with terms first
+        k = b.const
+        return _Affine(a.const and Bin(op, a.const, k),
+                       tuple((Bin(op, c, k), i, x) for c, i, x in a.terms))
+
+    def apply(self, func: str, *args: _Affine):
+        if len(args) != 1 or args[0].terms != ():
+            raise self.error(f"a read of {func!r} here is not linear")
+        return _Affine(None, ((Num(Fraction(1)), self.functions.index(func), args[0].const),))
+
+
+def _linear(eq: "Equation") -> _Affine:
+    """lhs - rhs of `eq` folded in `_Linear`; FeqError where it has degree 2."""
+    algebra = _Linear(eq.functions)
+    form = algebra.bin("-", fold(eq.lhs, algebra), fold(eq.rhs, algebra))
+    if form.terms is None:
+        raise FeqError(f"equation {eq.name!r} is not linear in the table entries")
+    return form
+
+
 class _Code:
     """The generated code of an equation on one carrier: both sides, with
-    the lines of both inlined into three functions, each compiled on its
+    the lines of both inlined into five functions, each compiled on its
     first use (`function`), as most equations run only one or two.
 
     A check loop returns (witness, lhs, rhs, checked, skipped): the first
@@ -429,18 +536,28 @@ class _Code:
     order, one loop per variable, each line in the loop of the last
     variable it reads (`_Side`): a line runs once per value of the
     variables it reads, and where it fails, the tuples under it are
-    counted as skipped at once.  The "residual", `residual(a0, a1, ...)`,
-    is lhs - rhs at one tuple, reduced modulo a finite carrier, and raises
-    where the tuple is inadmissible.  `pairs` holds the indices of the
-    tables read at two arguments, which the code reads by rows (`_rows`).
-    `degree` is the larger `_degree` of the two sides, which picks the
-    solver's path."""
+    counted as skipped at once.  "values", `values(tuples, T, key, n)`,
+    is the search's step: the stream loop's lines inside `for v in
+    range(n): T[key] = v`, it returns the values v, ascending, at which
+    no tuple given fails.  The "residual", `residual(a0, a1, ...)`, is lhs
+    - rhs at one tuple, reduced modulo a finite carrier, and raises where
+    the tuple is inadmissible.  The "row", `row(a0, a1, ...)`, is the same
+    difference, for sides of degree at most 1 on a finite carrier, as the
+    linear form elimination reads (`_Linear`): {slot: coefficient,
+    _CONST: constant}, reduced, with the slot of T<i>[x] x * k + S<i> for
+    k tables; it raises where the residual raises.  `pairs` holds the
+    indices of the tables read at two arguments, which the code reads by
+    rows (`_rows`).  `degree` is the larger `_degree` of the two sides,
+    which picks the solver's path."""
 
-    __slots__ = ("lhs", "rhs", "degree", "arity", "modulus", "pairs", "codes")
+    __slots__ = ("eq", "lhs", "rhs", "results", "linear", "degree", "arity", "modulus",
+                 "pairs", "codes")
 
     def __init__(self, eq: "Equation", carrier: Carrier):
-        self.lhs, self.rhs = (_Side(side, eq.functions, carrier, eq.variables, tag)
-                              for side, tag in ((eq.lhs, "l"), (eq.rhs, "r")))
+        self.eq = eq
+        self.lhs, self.rhs = (_Side(eq.functions, carrier, eq.variables, tag) for tag in "lr")
+        self.results = self.lhs.value(eq.lhs), self.rhs.value(eq.rhs)
+        self.linear: Optional[_Side] = None  # the row's subtrees, folded with the row
         self.degree = max(_degree(eq.lhs), _degree(eq.rhs))
         self.arity = len(eq.variables)
         self.modulus = carrier.characteristic
@@ -448,11 +565,11 @@ class _Code:
         self.codes: Dict[str, types.CodeType] = {}
 
     def function(self, name: str) -> types.CodeType:
-        """The code of the function `name`, "loop", "nest" or "residual",
-        compiled on its first use."""
+        """The code of the function `name`, "loop", "nest", "values",
+        "residual" or "row", compiled on its first use."""
         if name not in self.codes:
             k, lines = self.arity, self.lhs.lines + self.rhs.lines
-            lhs, rhs, m = self.lhs.result, self.rhs.result, self.modulus
+            (lhs, rhs), m = self.results, self.modulus
             # The loop target and the witness; "a0, " and "" still make tuples.
             slots = "".join(f"a{i}, " for i in range(k))
             if name == "loop":
@@ -464,22 +581,51 @@ class _Code:
                     [f"for a{i} in E:" for i in range(k)],
                     [f"len(E) ** {k - level}" if level < k else "1" for level in range(k + 1)],
                     lines, slots, lhs, rhs)
-            else:
+            elif name == "values":
+                here = [_statement(line, "continue") for _, line in lines]
+                source = "def values(tuples, T, key, n):", [
+                    "passing = []", "for v in range(n):", "    T[key] = v",
+                    f"    for ({slots}) in tuples:",
+                    *(["        try:", *(f"            {line}" for line in here),
+                       "        except INADMISSIBLE: continue"] if here else []),
+                    f"        if {lhs} != {rhs}: break",
+                    "    else:", "        passing.append(v)", "return passing"]
+            elif name == "residual":
                 source = f"def residual({slots}):", (
                     [_statement(line, "raise Inadmissible") for _, line in lines]
                     + [f"return ({lhs} - {rhs}) % {m}" if m else f"return {lhs} - {rhs}"])
+            else:
+                source = f"def row({slots}):", self._row_body()
             self.codes[name] = _compile(*source)
         return self.codes[name]
 
-    def _globals(self, carrier: Carrier, params: Dict[str, int],
-                 tables: Sequence[Mapping]) -> Optional[dict]:
+    def _row_body(self) -> List[str]:
+        """The body of "row": lhs - rhs folded into `_Linear` (`_linear`),
+        its subtrees into `linear`, one `_Side` of their own."""
+        eq, m = self.eq, self.modulus
+        form = _linear(eq)
+        side = self.linear = _Side(eq.functions, self.lhs.carrier, eq.variables, "w")
+        const = side.value(form.const) if form.const else "0"
+        terms = [(side.value(c), i, side.value(x)) for c, i, x in form.terms]
+        k = len(eq.functions)
+        body = [_statement(line, "raise Inadmissible") for _, line in side.lines]
+        body.append(f"form = {{{_CONST}: {const}}}")
+        for c, i, x in terms:
+            slot = x if k == 1 else f"{x} * {k} + S{i}"
+            body.append(f"slot = {slot}; form[slot] = (form.get(slot, 0) + {c}) % {m}")
+        return body + ["return form"]
+
+    def _globals(self, carrier: Carrier, params: Dict[str, int], tables: Sequence[Mapping],
+                 sides: Sequence[_Side] = ()) -> Optional[dict]:
         """The globals of the code reading `tables` as T0, T1, ..., with the
-        constants of both sides folded; None when one is inadmissible, and
-        then every tuple is skipped."""
+        constants of `sides`, or of both sides, folded; None when one is
+        inadmissible, and then every tuple is skipped.  A table already
+        regrouped by rows (`_Rows`) is bound as it is."""
         env = {"pow": pow, "POW": carrier.pow, "BIN": carrier.bin,
                "Inadmissible": Inadmissible, "INADMISSIBLE": _INADMISSIBLE}
-        env.update((f"T{i}", _rows(t) if i in self.pairs else t) for i, t in enumerate(tables))
-        folded = self.lhs.fold(carrier, params, env) and self.rhs.fold(carrier, params, env)
+        env.update((f"T{i}", _rows(t) if i in self.pairs and type(t) is not _Rows else t)
+                   for i, t in enumerate(tables))
+        folded = all(side.fold(carrier, params, env) for side in sides or (self.lhs, self.rhs))
         return env if folded else None
 
     def bind(self, carrier: Carrier, params: Dict[str, int], tables: Sequence[Mapping],
@@ -490,10 +636,26 @@ class _Code:
             return _skip_every(self.arity if nest else None)
         return types.FunctionType(self.function("nest" if nest else "loop"), env)
 
+    def values(self, carrier: Carrier, params: Dict[str, int], tables: Sequence[Mapping]):
+        """The search's step, "values", reading `tables`."""
+        env = self._globals(carrier, params, tables)
+        if env is None:  # every tuple is skipped, so no value fails
+            return lambda tuples, T, key, n: range(n)
+        return types.FunctionType(self.function("values"), env)
+
     def residual(self, carrier: Carrier, params: Dict[str, int], tables: Sequence[Mapping]):
         """The residual reading `tables`."""
         env = self._globals(carrier, params, tables)
         return _always_skip if env is None else types.FunctionType(self.function("residual"), env)
+
+    def row(self, carrier: Carrier, params: Dict[str, int], offsets: Sequence[int]):
+        """The row, with T<i>'s entry at x in slot x * k + offsets[i]."""
+        code = self.function("row")
+        env = self._globals(carrier, params, (), (self.linear,))
+        if env is None:
+            return _always_skip
+        env.update((f"S{i}", s) for i, s in enumerate(offsets))
+        return types.FunctionType(code, env)
 
 
 def _code(eq: "Equation", carrier: Carrier) -> _Code:
@@ -691,9 +853,6 @@ def feq_solve_brute(
 Solutions = Tuple[Tuple[FnTable, ...], ...]
 
 
-_CONST = -1  # the key of a row's constant term; slots are >= 0
-
-
 def _normal(form: Dict[int, int]):
     """A row without zero coefficients, or its constant when no slot is
     left."""
@@ -731,47 +890,34 @@ def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     """Solutions, skipped pairs and the solutions that span the rest, by
     elimination mod a prime, for sides of degree at most 1 (`_degree`).
 
-    Each admissible tuple adds the row lhs - rhs = 0, read off the
-    residual (`_probe`): its constant is the residual at the zero tables,
-    and the coefficient of each entry the tuple reads is the change in the
-    residual when that entry alone is set to 1.  The rows are kept in reduced
-    row-echelon form with the highest slot of a row as its pivot, so a
-    pivot entry is fixed by free entries at lower slots, and the first
+    Each admissible tuple adds the row lhs - rhs = 0, one call of the
+    generated row (`_Code`, "row"): lhs - rhs as c0 + sum of c_k * T[x_k],
+    each c and x an entry-free subtree (`_Linear`).  The rows are kept in
+    reduced row-echelon form with the highest slot of a row as its pivot,
+    so a pivot entry is fixed by free entries at lower slots, and the first
     entry at which two solutions differ is free.  The solutions are
     p0 + sum of l_i * b_i over every choice of the l_i (`_span`), where
     p0 has every free entry 0 and the kernel vector b_i has free entry i
     at 1 and the others at 0; listing the choices in lexicographic order
     lists the solutions in lexicographic order.  The spanning solutions
     are the listed p0 and p0 + b_i."""
-    m = carrier.modulus
-    slots = [(f, e) for e in range(m) for f in unknowns]
-    slot_index = {fe: i for i, fe in enumerate(slots)}
-    zeros, read = _probe(unknowns)
-    residual = _residual(eq, carrier, zeros, params)
-    # Tables that read 0 but at the one entry whose coefficient is taken.
-    tables = {f: collections.defaultdict(int) for f in unknowns}
-    residual_one = _residual(eq, carrier, tables, params)
+    m, k = carrier.modulus, len(unknowns)
+    # slot e * k + i holds the value of unknown i at e
+    row = _code(eq, carrier).row(carrier, params, [unknowns.index(f) for f in eq.functions])
     pivots: Dict[int, Dict[int, int]] = {}  # pivot slot -> the rest of its row
     consistent = True
     skipped_pairs = 0
     for tup in itertools.product(range(m), repeat=len(eq.variables)):
-        read.clear()
         try:
-            const = residual(*tup)
+            form = row(*tup)
         except Inadmissible:
             skipped_pairs += 1
             continue
-        if not consistent:
-            continue
-        row = {_CONST: const}
-        for f, x in read:
-            tables[f][x] = 1
-            row[slot_index[f, x]] = (residual_one(*tup) - const) % m
-            tables[f][x] = 0
-        consistent = _add_row(pivots, _normal(row), m)
+        if consistent:
+            consistent = _add_row(pivots, _normal(form), m)
     if not consistent:
         return (), skipped_pairs, ()
-    free = [s for s in range(len(slots)) if s not in pivots]
+    free = [s for s in range(m * k) if s not in pivots]
     if m ** len(free) > budget:
         raise BudgetError(f"{m}^{len(free)} solutions exceed budget {budget}; "
                           f"raise it with --budget or DERCALC_BUDGET")
@@ -779,10 +925,8 @@ def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     def vector(t: int) -> List[int]:
         # p0 (t = _CONST) or b_t: a pivot entry is -(its row's coefficient of t)
         return [-pivots[s].get(t, 0) % m if s in pivots else int(s == t)
-                for s in range(len(slots))]
+                for s in range(m * k)]
 
-    k = len(unknowns)
-    # slot e * k + i holds the value of unknown i at e
     solutions = tuple(tuple(FnTable(carrier, dict(enumerate(values[i::k]))) for i in range(k))
                       for values in _span(vector(_CONST), [vector(t) for t in free], m))
     # p0 sits at 0 in the listing, and p0 + b_i at m^(dim - 1 - i)
@@ -830,10 +974,14 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
 
     Tables are filled one slot at a time, and each argument tuple is
     checked the moment the last entry it reads is placed; a violated tuple
-    prunes the whole subtree.  With an unknown inside a divisor,
-    admissibility depends on table values, and with one inside a function
-    argument, so do the entries a tuple reads; then every tuple is
-    rechecked at every node.  The budget bounds the entries placed."""
+    prunes the whole subtree.  The entries a tuple reads are found once,
+    off the residual at tables that record each read (`_probe`).  With an
+    unknown inside a divisor, admissibility depends on table values, and
+    with one inside a function argument, so do the entries a tuple reads;
+    then every tuple is rechecked at every node.  A node is one call of
+    the generated step (`_Code`, "values"), which places each value at the
+    slot, runs the tuples the slot completes and returns the values that
+    pass.  The budget bounds the entries placed."""
     elems = list(carrier.elements())
     slots = [(f, e) for e in elems for f in unknowns]
     partial: Dict[str, Dict[int, int]] = {f: {} for f in unknowns}
@@ -865,41 +1013,53 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
         if check(pending)[0] is not None:
             return (), skipped_pairs
 
-    solutions = _search([(partial[f], e) for f, e in slots], carrier.modulus,
-                        lambda k: check(tuples_at[k])[0] is None,
+    m = carrier.modulus
+    values = _code(eq, carrier).values(carrier, params, [partial[f] for f in eq.functions])
+    cells = [(partial[f], e) for f, e in slots]
+    solutions = _search(cells, m, lambda k: values(tuples_at[k], *cells[k], m),
                         lambda: tuple(FnTable(carrier, dict(partial[f])) for f in unknowns),
                         budget)
     return solutions, skipped_pairs
 
 
-def _search(slots: Sequence[Tuple[Dict[int, int], int]], values: int,
-            holds: Callable[[int], bool], record: Callable[[], object], budget: int) -> tuple:
+def _search(slots: Sequence[Tuple[Dict[int, int], int]], n: int,
+            values: Callable[[int], Iterable[int]], record: Callable[[], object],
+            budget: int) -> tuple:
     """The one table search: every filling of `slots`, each a (table, key)
-    pair, with values in range(values), in lexicographic order, as
-    `record()` returns it at the leaf.  Placing slot k is pruned unless
-    `holds(k)`, the check of everything slot k completes.
-    BudgetError once more than `budget` entries have been placed; its
-    message counts the entries placed and the nodes visited."""
+    pair, with values in range(n), in lexicographic order, as `record()`
+    returns it at the leaf.  `values(k)` places each of the n values at
+    slot k in turn, checks everything slot k completes, and returns the
+    values that pass, ascending; the search goes on below each of them.
+    Each of the n values counts as placed, in order, so BudgetError is
+    raised at the placement where more than `budget` entries have been
+    placed; its message counts the entries placed and the nodes visited."""
     solutions: List[object] = []
     placed = visited = 0
 
+    def place(count: int) -> None:
+        # `count` more placements; the first over the budget raises, counted
+        nonlocal placed
+        if placed + count > budget:
+            raise BudgetError(
+                f"search over budget {budget}: {max(placed + 1, budget + 1)} table entries "
+                f"placed, {visited} nodes visited; raise it with --budget or DERCALC_BUDGET")
+        placed += count
+
     def assign(k: int) -> None:
-        nonlocal placed, visited
+        nonlocal visited
         visited += 1
         if k == len(slots):  # the last placement checked everything that reads it
             solutions.append(record())
             return
         table, key = slots[k]
-        for v in range(values):
-            placed += 1
-            if placed > budget:
-                raise BudgetError(
-                    f"search over budget {budget}: {placed} table entries placed, "
-                    f"{visited} nodes visited; raise it with --budget or DERCALC_BUDGET")
+        last = -1
+        for v in values(k):
+            place(v - last)
+            last = v
             table[key] = v
-            if holds(k):
-                assign(k + 1)
-        del table[key]
+            assign(k + 1)
+        place(n - 1 - last)
+        table.pop(key, None)
 
     assign(0)
     return tuple(solutions)
@@ -1046,13 +1206,18 @@ def logarithmic_zero_check(
         pairs_at[max(slot[x], slot[y], slot[xy])].append((x, y, xy))
     table: Dict[int, int] = {}
 
-    def holds(k: int) -> bool:
-        for x, y, xy in pairs_at[k]:
-            if table[xy] != (table[x] + table[y]) % n:
-                return False
-        return True
+    def values(k: int) -> List[int]:
+        passing = []
+        for v in range(n):
+            table[units[k]] = v
+            for x, y, xy in pairs_at[k]:
+                if table[xy] != (table[x] + table[y]) % n:
+                    break
+            else:
+                passing.append(v)
+        return passing
 
-    solutions = _search([(table, u) for u in units], n, holds, lambda: dict(table), budget)
+    solutions = _search([(table, u) for u in units], n, values, lambda: dict(table), budget)
     return LogZeroReport(carrier, True, solutions)
 
 

@@ -3,10 +3,12 @@
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dercalc import feq
 from dercalc.exact import BudgetError, IntegerWindow, gf, zmod
 from dercalc.cocycle import (
     Cocycle2,
@@ -55,6 +57,21 @@ def test_coboundary_pair_satisfies_all_axioms(tab):
     assert set(report.axioms) == set(PAIR_AXIOMS)
     assert report.ok
     assert all(r.status == "pass" for r in report.axioms.values())
+
+
+def test_each_map_is_regrouped_by_rows_once_per_verify():
+    # The six pair axioms read F and G; each table is regrouped once, not
+    # once per axiom that reads it.
+    k = gf(11)
+    F = cauchy_difference(lambda x: x * x % 11, k)
+    G = leibniz_difference(lambda x: x * x % 11, k)
+    want = cocycle_verify(F, G)
+    regroup = feq._rows
+    with mock.patch("dercalc.feq._rows", wraps=regroup) as in_feq, \
+            mock.patch("dercalc.cocycle._rows", wraps=regroup) as in_cocycle:
+        got = cocycle_verify(F, G)
+    assert got == want and set(got.axioms) == set(PAIR_AXIOMS) and got.ok
+    assert in_feq.call_count + in_cocycle.call_count == 2
 
 
 @given(table_fn(7))

@@ -1,5 +1,6 @@
 """Brute-force functional equation checking and solving on finite carriers."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -1045,3 +1046,290 @@ def test_a_side_with_an_inadmissible_constant_skips_every_pair():
     assert (report.checked, report.skipped) == (0, 36)
     report = feq_check(eq, {"f": FnTable.zero(zmod(6))}, {"lam": 5})
     assert (report.checked, report.skipped) == (36, 0)
+
+
+# -- generated rows against the residual reader --------------------------------------
+
+
+def reference_rows(eq, unknowns, carrier, params):
+    """The rows read off the residual, the reference for the generated
+    rows: the constant is the residual at zero tables, and the
+    coefficient of each entry a tuple reads is the change in the residual
+    when that entry alone is 1.  {tuple: row without zero coefficients, or
+    "inadmissible"}, with unknown i's entry at e in slot e * k + i."""
+    m, k = carrier.modulus, len(unknowns)
+    slot_index = {(f, e): e * k + i for e in range(m) for i, f in enumerate(unknowns)}
+    zeros, read = feq._probe(unknowns)
+    residual = _residual(eq, carrier, zeros, params)
+    tables = {f: collections.defaultdict(int) for f in unknowns}
+    residual_one = _residual(eq, carrier, tables, params)
+    rows = {}
+    for tup in itertools.product(range(m), repeat=len(eq.variables)):
+        read.clear()
+        try:
+            const = residual(*tup)
+        except Inadmissible:
+            rows[tup] = "inadmissible"
+            continue
+        row = {feq._CONST: const}
+        for f, x in read:
+            tables[f][x] = 1
+            row[slot_index[f, x]] = (residual_one(*tup) - const) % m
+            tables[f][x] = 0
+        rows[tup] = without_zeros(row)
+    return rows
+
+
+def without_zeros(row):
+    return {s: c for s, c in row.items() if c or s == feq._CONST}
+
+
+def generated_rows(eq, unknowns, carrier, params):
+    """The generated row at every tuple, as `reference_rows` gives it."""
+    row = _code(eq, carrier).row(carrier, params, [unknowns.index(f) for f in eq.functions])
+    rows = {}
+    for tup in itertools.product(range(carrier.modulus), repeat=len(eq.variables)):
+        try:
+            rows[tup] = without_zeros(row(*tup))
+        except Inadmissible:
+            rows[tup] = "inadmissible"
+    return rows
+
+
+@given(linear_trees, linear_trees, st.sampled_from([gf(2), gf(3), gf(5), gf(7)]), st.booleans(),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_generated_rows_match_the_residual_reader(lhs, rhs, carrier, swap, data):
+    eq = oracle_equation(lhs, rhs)
+    unknowns = eq.functions[::-1] if swap else eq.functions
+    residues = st.integers(0, carrier.modulus - 1)
+    params = {"lam": data.draw(residues), "mu": data.draw(residues)}
+    try:
+        _code(eq, carrier)
+    except CarrierUnsupportedError:
+        return  # refused for a constant divisor, before any row is read
+    assert generated_rows(eq, unknowns, carrier, params) == reference_rows(
+        eq, unknowns, carrier, params)
+
+
+@pytest.mark.parametrize("source, skipped", [
+    ("(f(x)/y)^0 = 1", 3),
+    ("f(x) + 0*(f(y)/x) = f(x)", 3),
+    ("(f(x)*f(x))^0 = 0", 0),
+    ("(f(x)*f(y)/y)^0 = 1 + (f(x)^2)^0", 3),
+])
+def test_rows_keep_the_tuples_a_discarded_read_makes_inadmissible(source, skipped):
+    # The side evaluates f(x)/y, f(y)/x or a product of reads, and
+    # discards it: a power 0 is 1, a product with 0 is 0, but the tuples
+    # where a divisor is 0 are still skipped.
+    eq = Equation.parse("discarded", source)
+    rows = generated_rows(eq, ("f",), gf(3), {})
+    assert rows == reference_rows(eq, ("f",), gf(3), {})
+    assert list(rows.values()).count("inadmissible") == skipped
+    report = feq_solve_brute(eq, ["f"], gf(3))
+    assert (report.solutions, report.skipped_pairs) == _backtrack(eq, ("f",), gf(3), {}, 10 ** 6)
+    assert report.skipped_pairs == skipped
+
+
+def test_one_row_code_serves_every_binding():
+    eq = Equation.parse("alien-twin", CORPUS["alien-c22"].source, params=("lam", "mu"))
+    carrier = gf(7)
+    code = _code(eq, carrier)
+    got = []
+    for params in ({"lam": 0, "mu": 0}, {"lam": 3, "mu": 5}, {"lam": 0, "mu": 0}):
+        rows = generated_rows(eq, ("f",), carrier, params)
+        assert rows == reference_rows(eq, ("f",), carrier, params)
+        got.append(rows)
+    assert got[0] == got[2] == {tup: {feq._CONST: 0} for tup in got[0]}
+    assert got[1] != got[0]
+    # The parameters are folded when the row is bound, not compiled in.
+    first, second = (code.row(carrier, params, [0]) for params in (
+        {"lam": 0, "mu": 0}, {"lam": 3, "mu": 5}))
+    assert first.__code__ is second.__code__
+
+
+@pytest.mark.parametrize("source", ["f(x)*f(y)", "f(x)^2", "f(x)^-1", "1/f(x)", "f(f(x))",
+                                    "(x - x)*f(x)*f(y)", "(f(x)*f(y))^0 + f(x)*f(y)"])
+def test_the_row_fold_refuses_a_side_that_is_not_linear(source):
+    with pytest.raises(FeqError, match="not linear"):
+        feq._linear(Equation.parse("q", f"{source} = f(y)"))
+
+
+# -- the search step against the per-value search ------------------------------------
+
+
+def per_value_search(slots, n, holds, record, budget, trace):
+    """The search as it placed one value at a time and checked it with
+    `holds(k)`: the reference for `_search`.  `trace` gets the nodes
+    visited at each placement."""
+    solutions = []
+    placed = visited = 0
+
+    def assign(k):
+        nonlocal placed, visited
+        visited += 1
+        if k == len(slots):
+            solutions.append(record())
+            return
+        table, key = slots[k]
+        for v in range(n):
+            placed += 1
+            trace.append(visited)
+            if placed > budget:
+                raise BudgetError(
+                    f"search over budget {budget}: {placed} table entries placed, "
+                    f"{visited} nodes visited; raise it with --budget or DERCALC_BUDGET")
+            table[key] = v
+            if holds(k):
+                assign(k + 1)
+        del table[key]
+
+    assign(0)
+    return tuple(solutions)
+
+
+def per_value_backtrack(eq, unknowns, carrier, params, budget, trace):
+    """`_backtrack` on the per-value search: slot k holds where the check
+    loop passes the tuples whose last entry read is slot k."""
+    elems = list(carrier.elements())
+    slots = [(f, e) for e in elems for f in unknowns]
+    partial = {f: {} for f in unknowns}
+    check = _loop(eq, carrier, partial, params)
+    skipped_pairs = 0
+    every = list(itertools.product(elems, repeat=len(eq.variables)))
+    if _code(eq, carrier).degree == feq._VALUE_DEPENDENT:
+        tuples_at = [every] * len(slots)
+    else:
+        slot_index = {fe: i for i, fe in enumerate(slots)}
+        tuples_at = [[] for _ in slots]
+        pending = []
+        zeros, points = feq._probe(unknowns)
+        probe = _residual(eq, carrier, zeros, params)
+        for tup in every:
+            points.clear()
+            try:
+                probe(*tup)
+            except Inadmissible:
+                skipped_pairs += 1
+                continue
+            if points:
+                tuples_at[max(slot_index[pt] for pt in points)].append(tup)
+            else:
+                pending.append(tup)
+        if check(pending)[0] is not None:
+            return (), skipped_pairs
+    solutions = per_value_search(
+        [(partial[f], e) for f, e in slots], carrier.modulus,
+        lambda k: check(tuples_at[k])[0] is None,
+        lambda: tuple(FnTable(carrier, dict(partial[f])) for f in unknowns), budget, trace)
+    return solutions, skipped_pairs
+
+
+def per_value_log_zero(carrier, budget, trace):
+    """The units-only solutions of `logarithmic_zero_check` on the per-value
+    search, each pair x <= y checked when the last of x, y, xy is placed."""
+    units = carrier.units()
+    n, m = len(units), carrier.modulus
+    slot = {u: k for k, u in enumerate(units)}
+    pairs_at = [[] for _ in units]
+    for x, y in itertools.combinations_with_replacement(units, 2):
+        pairs_at[max(slot[x], slot[y], slot[x * y % m])].append((x, y, x * y % m))
+    table = {}
+
+    def holds(k):
+        return all(table[xy] == (table[x] + table[y]) % n for x, y, xy in pairs_at[k])
+
+    return per_value_search([(table, u) for u in units], n, holds, lambda: dict(table), budget,
+                            trace)
+
+
+class Unbounded:
+    """A budget that no count of entries placed exceeds.  `_search` asks
+    whether `count > budget`, which Python answers with `budget < count`;
+    each count is recorded with the nodes visited then."""
+
+    def __init__(self, visits):
+        self.visits, self.counts = visits, []
+
+    def __lt__(self, count):
+        self.counts.append((count, self.visits[0]))
+        return False
+
+
+def traced(monkeypatch, trace):
+    """Runs every later `_search` without a budget, and appends to `trace`
+    the nodes visited at each placement, as `per_value_search` does.  Each
+    node visited calls `values` or, at a leaf, `record` once."""
+    search = feq._search
+
+    def run(slots, n, values, record, budget):
+        visits = [0]
+
+        def counted(fn):
+            def call(*args):
+                visits[0] += 1
+                return fn(*args)
+            return call
+
+        unbounded = Unbounded(visits)
+        solutions = search(slots, n, counted(values), counted(record), unbounded)
+        placed = 0
+        for count, visited in unbounded.counts:
+            trace.extend([visited] * (count - placed))
+            placed = count
+        return solutions
+
+    monkeypatch.setattr(feq, "_search", run)
+
+
+def outcome_at(run, budget):
+    """What `run(budget)` returns, or the message of the BudgetError it raises."""
+    try:
+        return run(budget)
+    except BudgetError as err:
+        return str(err)
+
+
+def assert_searches_agree(monkeypatch, search, reference, samples=3):
+    """`search(budget)` and `reference(budget, trace)` agree at every budget
+    from 0 to the total placements: the solutions, and the message of the
+    BudgetError.  Both raise at placement budget + 1, so equal traces (the
+    nodes visited at each placement) give equal messages at every budget;
+    where there are at most 600 placements every budget is run, and
+    elsewhere `samples` drawn budgets and the total."""
+    want_trace = []
+    want = reference(10 ** 12, want_trace)
+    trace = []
+    with monkeypatch.context() as patch:
+        traced(patch, trace)
+        assert search(10 ** 12) == want
+    assert trace == want_trace
+    total = len(want_trace)
+    budgets = (range(total + 1) if total <= 600 else
+               sorted(random.Random(total).sample(range(total), samples)) + [total])
+    for budget in budgets:
+        got = outcome_at(search, budget)
+        assert got == outcome_at(lambda b: reference(b, []), budget)
+        assert got == (want if budget == total else
+                       f"search over budget {budget}: {budget + 1} table entries placed, "
+                       f"{want_trace[budget]} nodes visited; raise it with --budget or "
+                       f"DERCALC_BUDGET")
+
+
+@pytest.mark.parametrize("carrier", [gf(5), gf(7), zmod(4), zmod(6), zmod(8), zmod(9)], ids=str)
+@pytest.mark.parametrize("name", ["cauchy-mult", "cauchy-exp", "ger-hom", "hosszu", "0 = 0"])
+def test_search_step_matches_the_per_value_search(monkeypatch, name, carrier):
+    # "0 = 0" generates no lines, and has no slot to search.
+    eq = CORPUS[name] if name in CORPUS else Equation.parse("none", name)
+    unknowns = eq.functions
+    assert_searches_agree(
+        monkeypatch, lambda budget: _backtrack(eq, unknowns, carrier, {}, budget),
+        lambda budget, trace: per_value_backtrack(eq, unknowns, carrier, {}, budget, trace))
+
+
+@pytest.mark.parametrize("m", [8, 9, 10, 12])
+def test_log_zero_search_step_matches_the_per_value_search(monkeypatch, m):
+    assert_searches_agree(
+        monkeypatch,
+        lambda budget: logarithmic_zero_check(zmod(m), units_only=True, budget=budget).solutions,
+        lambda budget, trace: per_value_log_zero(zmod(m), budget, trace))
