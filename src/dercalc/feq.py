@@ -52,7 +52,8 @@ lines of both sides (`_Code`): the nest, one loop per variable, each line
 in the loop of its depth, which an exhaustive check runs on every tuple;
 and the stream loop, one loop over the tuples it is given, which sampled
 checks run.  The search's step runs the stream loop's lines inside a loop
-over the values of the entry it places, one call per node of the search.
+over the candidate values of the entry it places, one call per node of the
+search: every value, or the one a tuple pins (`_backtrack`).
 The residual is lhs - rhs at one tuple; the search reads its dependencies
 and the cocycle module its Cauchy and Leibniz differences off it.
 Elimination's row is lhs - rhs once more, for sides of degree at most 1:
@@ -523,8 +524,9 @@ def _linear(eq: "Equation") -> _Affine:
 
 class _Code:
     """The generated code of an equation on one carrier: both sides, with
-    the lines of both inlined into five functions, each compiled on its
-    first use (`function`), as most equations run only one or two.
+    the lines of both inlined into six kinds of function, each compiled on
+    its first use (`function`) and bound to tables (`bind`), as most
+    equations run only one or two.
 
     A check loop returns (witness, lhs, rhs, checked, skipped): the first
     tuple whose sides differ, or None three times, after counting the
@@ -536,19 +538,21 @@ class _Code:
     order, one loop per variable, each line in the loop of the last
     variable it reads (`_Side`): a line runs once per value of the
     variables it reads, and where it fails, the tuples under it are
-    counted as skipped at once.  "values", `values(tuples, T, key, n)`,
-    is the search's step: the stream loop's lines inside `for v in
-    range(n): T[key] = v`, it returns the values v, ascending, at which
-    no tuple given fails.  The "residual", `residual(a0, a1, ...)`, is lhs
-    - rhs at one tuple, reduced modulo a finite carrier, and raises where
-    the tuple is inadmissible.  The "row", `row(a0, a1, ...)`, is the same
-    difference, for sides of degree at most 1 on a finite carrier, as the
-    linear form elimination reads (`_Linear`): {slot: coefficient,
-    _CONST: constant}, reduced, with the slot of T<i>[x] x * k + S<i> for
-    k tables; it raises where the residual raises.  `pairs` holds the
-    indices of the tables read at two arguments, which the code reads by
-    rows (`_rows`).  `degree` is the larger `_degree` of the two sides,
-    which picks the solver's path."""
+    counted as skipped at once.  "values", `values(tuples, T, key,
+    candidates)`, is the search's step: the stream loop's lines inside
+    `for v in candidates: T[key] = v`, it returns the candidates v, in
+    their order, at which no tuple given fails.  The "residual",
+    `residual(a0, a1, ...)`, is lhs - rhs at one tuple, reduced modulo a
+    finite carrier, and raises where the tuple is inadmissible; "lhs" and
+    "rhs", `side(a0, a1, ...)`, are the value of one side alone, reduced,
+    which the search reads where a tuple forces an entry.  The "row",
+    `row(a0, a1, ...)`, is the same difference, for sides of degree at
+    most 1 on a finite carrier, as the linear form elimination reads
+    (`_Linear`): {slot: coefficient, _CONST: constant}, reduced, with the
+    slot of T<i>[x] x * k + S<i> for k tables; it raises where the
+    residual raises.  `pairs` holds the indices of the tables read at two
+    arguments, which the code reads by rows (`_rows`).  `degree` is the
+    larger `_degree` of the two sides, which picks the solver's path."""
 
     __slots__ = ("eq", "lhs", "rhs", "results", "linear", "degree", "arity", "modulus",
                  "pairs", "codes")
@@ -566,7 +570,7 @@ class _Code:
 
     def function(self, name: str) -> types.CodeType:
         """The code of the function `name`, "loop", "nest", "values",
-        "residual" or "row", compiled on its first use."""
+        "residual", "lhs", "rhs" or "row", compiled on its first use."""
         if name not in self.codes:
             k, lines = self.arity, self.lhs.lines + self.rhs.lines
             (lhs, rhs), m = self.results, self.modulus
@@ -583,8 +587,8 @@ class _Code:
                     lines, slots, lhs, rhs)
             elif name == "values":
                 here = [_statement(line, "continue") for _, line in lines]
-                source = "def values(tuples, T, key, n):", [
-                    "passing = []", "for v in range(n):", "    T[key] = v",
+                source = "def values(tuples, T, key, candidates):", [
+                    "passing = []", "for v in candidates:", "    T[key] = v",
                     f"    for ({slots}) in tuples:",
                     *(["        try:", *(f"            {line}" for line in here),
                        "        except INADMISSIBLE: continue"] if here else []),
@@ -594,6 +598,11 @@ class _Code:
                 source = f"def residual({slots}):", (
                     [_statement(line, "raise Inadmissible") for _, line in lines]
                     + [f"return ({lhs} - {rhs}) % {m}" if m else f"return {lhs} - {rhs}"])
+            elif name in ("lhs", "rhs"):
+                side = self.lhs if name == "lhs" else self.rhs
+                source = f"def side({slots}):", (
+                    [_statement(line, "raise Inadmissible") for _, line in side.lines]
+                    + [f"return {self.results[name == 'rhs']}"])
             else:
                 source = f"def row({slots}):", self._row_body()
             self.codes[name] = _compile(*source)
@@ -628,25 +637,12 @@ class _Code:
         folded = all(side.fold(carrier, params, env) for side in sides or (self.lhs, self.rhs))
         return env if folded else None
 
-    def bind(self, carrier: Carrier, params: Dict[str, int], tables: Sequence[Mapping],
-             nest: bool = False):
-        """The check loop reading `tables`: the nest, or else the stream loop."""
+    def bind(self, name: str, carrier: Carrier, params: Dict[str, int],
+             tables: Sequence[Mapping], skip: Callable):
+        """The function `name` reading `tables`, or `skip` where a constant
+        is inadmissible, and every tuple is skipped."""
         env = self._globals(carrier, params, tables)
-        if env is None:
-            return _skip_every(self.arity if nest else None)
-        return types.FunctionType(self.function("nest" if nest else "loop"), env)
-
-    def values(self, carrier: Carrier, params: Dict[str, int], tables: Sequence[Mapping]):
-        """The search's step, "values", reading `tables`."""
-        env = self._globals(carrier, params, tables)
-        if env is None:  # every tuple is skipped, so no value fails
-            return lambda tuples, T, key, n: range(n)
-        return types.FunctionType(self.function("values"), env)
-
-    def residual(self, carrier: Carrier, params: Dict[str, int], tables: Sequence[Mapping]):
-        """The residual reading `tables`."""
-        env = self._globals(carrier, params, tables)
-        return _always_skip if env is None else types.FunctionType(self.function("residual"), env)
+        return skip if env is None else types.FunctionType(self.function(name), env)
 
     def row(self, carrier: Carrier, params: Dict[str, int], offsets: Sequence[int]):
         """The row, with T<i>'s entry at x in slot x * k + offsets[i]."""
@@ -685,14 +681,17 @@ def _loop(eq: "Equation", carrier: Carrier, tables: Dict[str, Mapping],
           params: Dict[str, int], nest: bool = False):
     """The check loop of `eq` on `carrier`, reading the table bound to each
     function name: the stream loop, or the nest (see `_Code`)."""
-    return _code(eq, carrier).bind(carrier, params, [tables[f] for f in eq.functions], nest)
+    return _code(eq, carrier).bind("nest" if nest else "loop", carrier, params,
+                                   [tables[f] for f in eq.functions],
+                                   _skip_every(len(eq.variables) if nest else None))
 
 
 def _residual(eq: "Equation", carrier: Carrier, tables: Dict[str, Mapping],
               params: Dict[str, int]):
     """lhs - rhs of `eq` on `carrier` as a function of its variables,
     reading the table bound to each function name (see `_Code`)."""
-    return _code(eq, carrier).residual(carrier, params, [tables[f] for f in eq.functions])
+    return _code(eq, carrier).bind("residual", carrier, params,
+                                   [tables[f] for f in eq.functions], _always_skip)
 
 
 @dataclass(frozen=True)
@@ -914,7 +913,7 @@ def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
             skipped_pairs += 1
             continue
         if consistent:
-            consistent = _add_row(pivots, _normal(form), m)
+            consistent = _add_row(pivots, form, m)
     if not consistent:
         return (), skipped_pairs, ()
     free = [s for s in range(m * k) if s not in pivots]
@@ -943,17 +942,18 @@ def _span(base: List[int], kernel: List[List[int]], m: int) -> List[List[int]]:
     return points
 
 
-def _add_row(pivots: Dict[int, Dict[int, int]], row, m: int) -> bool:
+def _add_row(pivots: Dict[int, Dict[int, int]], row: Dict[int, int], m: int) -> bool:
     """Adds the equation row = 0 to a reduced system; False when the system
     has become inconsistent.  `pivots` maps each pivot slot s to the rest
     of its row, so v_s = -(sum of c * v_t over that rest), the constant
-    counting as v_{_CONST} = 1; the rest holds free slots below s only."""
-    if type(row) is int:
-        return row == 0
+    counting as v_{_CONST} = 1; the rest holds free slots below s only.
+    The row may hold zero coefficients, which are skipped; the reduced row
+    is normalised once (`_normal`)."""
     reduced: Dict[int, int] = {}
     for s, c in row.items():
-        for t, d in pivots[s].items() if s in pivots else ((s, -1),):
-            reduced[t] = (reduced.get(t, 0) - c * d) % m
+        if c:
+            for t, d in pivots[s].items() if s in pivots else ((s, -1),):
+                reduced[t] = (reduced.get(t, 0) - c * d) % m
     row = _normal(reduced)
     if type(row) is int:
         return row == 0
@@ -979,19 +979,28 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     unknown inside a divisor, admissibility depends on table values, and
     with one inside a function argument, so do the entries a tuple reads;
     then every tuple is rechecked at every node.  A node is one call of
-    the generated step (`_Code`, "values"), which places each value at the
-    slot, runs the tuples the slot completes and returns the values that
-    pass.  The budget bounds the entries placed."""
+    the generated step (`_Code`, "values"), which places each candidate
+    value at the slot, runs the tuples the slot completes and returns the
+    candidates that pass.  The candidates are every value, unless the slot
+    is forced: a tuple filed under slot k whose one side is a bare read
+    f(arg) of slot k's entry, while the other side does not read it (a
+    probe of the other side alone finds the first such tuple).  That
+    tuple passes only where the entry equals the other side's value, so
+    that value, from the generated side (`_Code`, "lhs" or "rhs"), is the
+    one candidate.  The budget bounds the entries placed."""
     elems = list(carrier.elements())
     slots = [(f, e) for e in elems for f in unknowns]
     partial: Dict[str, Dict[int, int]] = {f: {} for f in unknowns}
     check = _loop(eq, carrier, partial, params)
+    code = _code(eq, carrier)
 
     # Static dependency analysis: unless a side is value-dependent, the
     # table entries a pair reads are known up front.
     skipped_pairs = 0
     every = list(itertools.product(elems, repeat=len(eq.variables)))
-    if _code(eq, carrier).degree == _VALUE_DEPENDENT:
+    # per slot, None or (the other side, a tuple at which it forces the slot)
+    forcing: List[Optional[Tuple[Callable, tuple]]] = [None] * len(slots)
+    if code.degree == _VALUE_DEPENDENT:
         tuples_at = [every] * len(slots)
     else:
         slot_index = {fe: i for i, fe in enumerate(slots)}
@@ -999,6 +1008,10 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
         pending = []
         zeros, points = _probe(unknowns)
         probe = _residual(eq, carrier, zeros, params)
+        others = [[code.bind(other, carrier, params, [t[f] for f in eq.functions], _always_skip)
+                   for t in (zeros, partial)]
+                  for side, other in zip((eq.lhs, eq.rhs), ("rhs", "lhs"))
+                  if isinstance(side, Apply)]
         for tup in every:
             points.clear()
             try:
@@ -1006,17 +1019,30 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
             except Inadmissible:  # skipped, whatever the tables hold
                 skipped_pairs += 1
                 continue
-            if points:
-                tuples_at[max(slot_index[pt] for pt in points)].append(tup)
-            else:
+            if not points:
                 pending.append(tup)
+                continue
+            k = max(slot_index[pt] for pt in points)
+            tuples_at[k].append(tup)
+            for read, other in others if forcing[k] is None else ():
+                points.clear()
+                read(*tup)
+                if slots[k] not in points:  # then the bare read is of slot k
+                    forcing[k] = other, tup
+                    break
         if check(pending)[0] is not None:
             return (), skipped_pairs
 
     m = carrier.modulus
-    values = _code(eq, carrier).values(carrier, params, [partial[f] for f in eq.functions])
+    values = code.bind("values", carrier, params, [partial[f] for f in eq.functions],
+                       lambda tuples, T, key, candidates: candidates)
     cells = [(partial[f], e) for f, e in slots]
-    solutions = _search(cells, m, lambda k: values(tuples_at[k], *cells[k], m),
+
+    def step(k: int) -> List[int]:
+        force = forcing[k]
+        return values(tuples_at[k], *cells[k], (force[0](*force[1]),) if force else range(m))
+
+    solutions = _search(cells, m, step,
                         lambda: tuple(FnTable(carrier, dict(partial[f])) for f in unknowns),
                         budget)
     return solutions, skipped_pairs
@@ -1027,12 +1053,14 @@ def _search(slots: Sequence[Tuple[Dict[int, int], int]], n: int,
             budget: int) -> tuple:
     """The one table search: every filling of `slots`, each a (table, key)
     pair, with values in range(n), in lexicographic order, as `record()`
-    returns it at the leaf.  `values(k)` places each of the n values at
-    slot k in turn, checks everything slot k completes, and returns the
-    values that pass, ascending; the search goes on below each of them.
-    Each of the n values counts as placed, in order, so BudgetError is
-    raised at the placement where more than `budget` entries have been
-    placed; its message counts the entries placed and the nodes visited."""
+    returns it at the leaf.  `values(k)` returns the values that pass at
+    slot k, ascending, given everything slot k completes; the search goes
+    on below each of them.  It may try only the values that can pass, such
+    as the one a forcing tuple leaves (`_backtrack`), and the search is
+    the same: each of the n values counts as placed, in order, whether it
+    was tried or not, so BudgetError is raised at the placement where more
+    than `budget` entries have been placed; its message counts the entries
+    placed and the nodes visited."""
     solutions: List[object] = []
     placed = visited = 0
 
@@ -1189,7 +1217,9 @@ def logarithmic_zero_check(
     domain shrinks to the unit group and the codomain to integers modulo the
     group order, where nonzero homomorphisms exist.  That search is the
     solver's own (`_search`), one unit per slot, and the budget bounds the
-    entries it places."""
+    entries it places.  As in `_backtrack`, a slot is forced where a pair
+    places x*y last and x, y before it: only table[x] + table[y] mod |U|
+    can pass there, so that is the one value tried."""
     if budget is None:
         budget = default_budget()
     if not units_only:
@@ -1201,14 +1231,19 @@ def logarithmic_zero_check(
     # Each pair x <= y, with x*y (a unit), is checked once, when the last of
     # x, y, x*y is placed; (y, x) is the same pair in a commutative group.
     pairs_at: List[List[Tuple[int, int, int]]] = [[] for _ in units]
+    forcing: List[Optional[Tuple[int, int]]] = [None] * n  # a pair (x, y) with x*y last
     for x, y in itertools.combinations_with_replacement(units, 2):
         xy = x * y % m
-        pairs_at[max(slot[x], slot[y], slot[xy])].append((x, y, xy))
+        k = max(slot[x], slot[y], slot[xy])
+        pairs_at[k].append((x, y, xy))
+        if forcing[k] is None and slot[xy] > max(slot[x], slot[y]):
+            forcing[k] = x, y
     table: Dict[int, int] = {}
 
     def values(k: int) -> List[int]:
+        force = forcing[k]
         passing = []
-        for v in range(n):
+        for v in ((table[force[0]] + table[force[1]]) % n,) if force else range(n):
             table[units[k]] = v
             for x, y, xy in pairs_at[k]:
                 if table[xy] != (table[x] + table[y]) % n:

@@ -1316,8 +1316,24 @@ def assert_searches_agree(monkeypatch, search, reference, samples=3):
                        f"DERCALC_BUDGET")
 
 
-@pytest.mark.parametrize("carrier", [gf(5), gf(7), zmod(4), zmod(6), zmod(8), zmod(9)], ids=str)
-@pytest.mark.parametrize("name", ["cauchy-mult", "cauchy-exp", "ger-hom", "hosszu", "0 = 0"])
+# Each branch of the forcing rule (`_backtrack`): a bare read on the right;
+# a linear equation, which the search takes on zmod; two unknowns; another
+# side that raises at some tuples; another side that reads the bare read's
+# entry at every tuple, so nothing is forced; a value-dependent equation
+# with a bare read, never forced.  (f(x*y) = f(x*y)*f(1) and f(f(x)) = f(x)
+# show the last two as well, but have over 11^10 solutions on GF(11) and
+# 41,393 on Z/8.)
+FORCING = ["f(x)*f(y) = f(x*y)", "f(x) + f(y) = f(x + y)", "f(x*y) = g(x)*g(y)",
+           "f(x*y) = f(x)/y", "f(x*y) = f(x*y)*f(1) + f(x) - f(y)", "f(x + f(y)) = f(x) + y"]
+
+
+@pytest.mark.parametrize("name, carrier", [
+    pytest.param(name, carrier, id=f"{name}-{carrier}")
+    for names, carriers in [
+        (["cauchy-mult", "cauchy-exp", "ger-hom", "hosszu", "0 = 0"],
+         [gf(5), gf(7), zmod(4), zmod(6), zmod(8), zmod(9)]),
+        (FORCING, [gf(5), gf(7), gf(11), zmod(4), zmod(6), zmod(8), zmod(9)])]
+    for name in names for carrier in carriers])
 def test_search_step_matches_the_per_value_search(monkeypatch, name, carrier):
     # "0 = 0" generates no lines, and has no slot to search.
     eq = CORPUS[name] if name in CORPUS else Equation.parse("none", name)
@@ -1325,6 +1341,37 @@ def test_search_step_matches_the_per_value_search(monkeypatch, name, carrier):
     assert_searches_agree(
         monkeypatch, lambda budget: _backtrack(eq, unknowns, carrier, {}, budget),
         lambda budget, trace: per_value_backtrack(eq, unknowns, carrier, {}, budget, trace))
+
+
+def test_a_forced_slot_tries_one_value(monkeypatch):
+    # cauchy-mult on GF(7), f(x*y) = f(x) * f(y): slot e is forced where
+    # x*y = e for some x, y < e, as the right side then reads only entries
+    # placed before e; there only one reduced value reaches the step.
+    p = 7
+    forced = {e for e in range(p) for x in range(e) for y in range(e) if x * y % p == e}
+    assert forced == {4, 5, 6}
+    received = []
+    bind = feq._Code.bind
+
+    def recording(self, name, *args):
+        function = bind(self, name, *args)
+        if name != "values":
+            return function
+
+        def values(tuples, T, key, candidates):
+            received.append((key, tuple(candidates)))
+            return function(tuples, T, key, candidates)
+        return values
+
+    monkeypatch.setattr(feq._Code, "bind", recording)
+    report = feq_solve_brute(CORPUS["cauchy-mult"], ["f"], gf(p))
+    assert report.count == 8
+    assert {key for key, _ in received} == set(range(p))
+    for key, candidates in received:
+        if key in forced:
+            assert len(candidates) == 1 and 0 <= candidates[0] < p
+        else:
+            assert candidates == tuple(range(p))
 
 
 @pytest.mark.parametrize("m", [8, 9, 10, 12])

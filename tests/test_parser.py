@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dercalc.exact import Inadmissible, gf
-from dercalc.feq import Equation, _Code
+from dercalc.feq import Equation, _Code, _always_skip
 from dercalc.parser import (
     Apply,
     Arithmetic,
@@ -295,7 +295,7 @@ def test_compiled_carrier_side_agrees_with_exact_rationals(tree, p, data):
     # The tree as the side of tree = 0, whose residual is the side's value.
     eq = Equation("side", "", tree, Num(Fraction(0)), ())
     try:
-        got = _Code(eq, gf(p)).residual(gf(p), {}, ())(x, y)
+        got = _Code(eq, gf(p)).bind("residual", gf(p), {}, (), _always_skip)(x, y)
     except Inadmissible:
         return
     # Every divisor is a unit mod p where the carrier does not skip, so the
