@@ -54,8 +54,10 @@ and the stream loop, one loop over the tuples it is given, which sampled
 checks run.  The search's step runs the stream loop's lines inside a loop
 over the candidate values of the entry it places, one call per node of the
 search: every value, or the one a tuple pins (`_backtrack`).
-The residual is lhs - rhs at one tuple; the search reads its dependencies
-and the cocycle module its Cauchy and Leibniz differences off it.
+The residual is lhs - rhs at one tuple, running the left side's lines
+before the right side's.  The search reads off it the entries each tuple
+reads, in order, the tuples that read none and the value a tuple pins, and
+the cocycle module its Cauchy and Leibniz differences.
 Elimination's row is lhs - rhs once more, for sides of degree at most 1:
 another fold (`_Linear`) writes it as c0 + sum of c_k * T[x_k], each c and
 x an entry-free subtree, which a `_Side` of its own generates, so a row is
@@ -524,7 +526,7 @@ def _linear(eq: "Equation") -> _Affine:
 
 class _Code:
     """The generated code of an equation on one carrier: both sides, with
-    the lines of both inlined into six kinds of function, each compiled on
+    the lines of both inlined into five kinds of function, each compiled on
     its first use (`function`) and bound to tables (`bind`), as most
     equations run only one or two.
 
@@ -543,9 +545,9 @@ class _Code:
     `for v in candidates: T[key] = v`, it returns the candidates v, in
     their order, at which no tuple given fails.  The "residual",
     `residual(a0, a1, ...)`, is lhs - rhs at one tuple, reduced modulo a
-    finite carrier, and raises where the tuple is inadmissible; "lhs" and
-    "rhs", `side(a0, a1, ...)`, are the value of one side alone, reduced,
-    which the search reads where a tuple forces an entry.  The "row",
+    finite carrier, and raises where the tuple is inadmissible; the search
+    reads off it the entries a tuple reads, in order, and the value a
+    tuple forces (`_backtrack`).  The "row",
     `row(a0, a1, ...)`, is the same difference, for sides of degree at
     most 1 on a finite carrier, as the linear form elimination reads
     (`_Linear`): {slot: coefficient, _CONST: constant}, reduced, with the
@@ -570,7 +572,7 @@ class _Code:
 
     def function(self, name: str) -> types.CodeType:
         """The code of the function `name`, "loop", "nest", "values",
-        "residual", "lhs", "rhs" or "row", compiled on its first use."""
+        "residual" or "row", compiled on its first use."""
         if name not in self.codes:
             k, lines = self.arity, self.lhs.lines + self.rhs.lines
             (lhs, rhs), m = self.results, self.modulus
@@ -598,11 +600,6 @@ class _Code:
                 source = f"def residual({slots}):", (
                     [_statement(line, "raise Inadmissible") for _, line in lines]
                     + [f"return ({lhs} - {rhs}) % {m}" if m else f"return {lhs} - {rhs}"])
-            elif name in ("lhs", "rhs"):
-                side = self.lhs if name == "lhs" else self.rhs
-                source = f"def side({slots}):", (
-                    [_statement(line, "raise Inadmissible") for _, line in side.lines]
-                    + [f"return {self.results[name == 'rhs']}"])
             else:
                 source = f"def row({slots}):", self._row_body()
             self.codes[name] = _compile(*source)
@@ -862,26 +859,16 @@ def _normal(form: Dict[int, int]):
     return form.get(_CONST, 0)
 
 
-class _Reads(dict):
-    """A table of zeros that adds each entry (f, point) read to `read`; it
-    holds no entry, so every read reaches `__missing__`."""
+def _probe(unknowns: Tuple[str, ...]) -> Tuple[Dict[str, _Subscript], List[tuple]]:
+    """(tables, read): zero tables for `unknowns` that append every entry
+    (f, point) the code bound to them reads to the list `read`, in the
+    order the code reads them."""
+    read: List[tuple] = []
 
-    __slots__ = ("f", "read")
+    def zeros(f: str) -> _Subscript:
+        return _Subscript(lambda x: read.append((f, x)) or 0)
 
-    def __init__(self, f: str, read: set):
-        super().__init__()
-        self.f, self.read = f, read
-
-    def __missing__(self, x: int) -> int:
-        self.read.add((self.f, x))
-        return 0
-
-
-def _probe(unknowns: Tuple[str, ...]) -> Tuple[Dict[str, _Reads], set]:
-    """(tables, read): zero tables for `unknowns` that add every entry
-    (f, point) the code bound to them reads to the set `read`."""
-    read: set = set()
-    return {f: _Reads(f, read) for f in unknowns}, read
+    return {f: zeros(f) for f in unknowns}, read
 
 
 def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
@@ -974,73 +961,78 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
 
     Tables are filled one slot at a time, and each argument tuple is
     checked the moment the last entry it reads is placed; a violated tuple
-    prunes the whole subtree.  The entries a tuple reads are found once,
-    off the residual at tables that record each read (`_probe`).  With an
-    unknown inside a divisor, admissibility depends on table values, and
-    with one inside a function argument, so do the entries a tuple reads;
-    then every tuple is rechecked at every node.  A node is one call of
-    the generated step (`_Code`, "values"), which places each candidate
-    value at the slot, runs the tuples the slot completes and returns the
-    candidates that pass.  The candidates are every value, unless the slot
-    is forced: a tuple filed under slot k whose one side is a bare read
-    f(arg) of slot k's entry, while the other side does not read it (a
-    probe of the other side alone finds the first such tuple).  That
-    tuple passes only where the entry equals the other side's value, so
-    that value, from the generated side (`_Code`, "lhs" or "rhs"), is the
-    one candidate.  The budget bounds the entries placed."""
+    prunes the whole subtree.  With an unknown inside a divisor,
+    admissibility depends on table values, and with one inside a function
+    argument, so do the entries a tuple reads; then every tuple is
+    rechecked at every node.  Otherwise one pass of the residual at tables
+    that record each read (`_probe`) finds the tuples skipped and the
+    entries each reads, in order; one that reads none has the same
+    residual on every table, and a nonzero one leaves no solution.  A node
+    is one call of the generated step (`_Code`, "values"), which places
+    each candidate value at the slot, runs the tuples the slot completes
+    and returns the candidates that pass.  The candidates are every value,
+    unless a tuple filed under slot k forces it: one side is a bare read
+    f(arg) of slot k's entry, which the tuple reads nowhere else.  As arg
+    reads no entry and the left side's lines run first, that read is the
+    tuple's first for a bare left side and its last for a bare right side.
+    The tuple passes only where the entry equals the other side's value;
+    with the entry at 0, the residual there is r = -value or value, so -r
+    or r mod m is the one candidate.  The budget bounds the entries
+    placed."""
     elems = list(carrier.elements())
     slots = [(f, e) for e in elems for f in unknowns]
     partial: Dict[str, Dict[int, int]] = {f: {} for f in unknowns}
-    check = _loop(eq, carrier, partial, params)
     code = _code(eq, carrier)
 
     # Static dependency analysis: unless a side is value-dependent, the
     # table entries a pair reads are known up front.
     skipped_pairs = 0
     every = list(itertools.product(elems, repeat=len(eq.variables)))
-    # per slot, None or (the other side, a tuple at which it forces the slot)
-    forcing: List[Optional[Tuple[Callable, tuple]]] = [None] * len(slots)
+    # per slot, None or (the sign of its entry in lhs - rhs, a tuple that forces it)
+    forcing: List[Optional[Tuple[int, tuple]]] = [None] * len(slots)
     if code.degree == _VALUE_DEPENDENT:
         tuples_at = [every] * len(slots)
     else:
         slot_index = {fe: i for i, fe in enumerate(slots)}
         tuples_at = [[] for _ in slots]
-        pending = []
         zeros, points = _probe(unknowns)
         probe = _residual(eq, carrier, zeros, params)
-        others = [[code.bind(other, carrier, params, [t[f] for f in eq.functions], _always_skip)
-                   for t in (zeros, partial)]
-                  for side, other in zip((eq.lhs, eq.rhs), ("rhs", "lhs"))
-                  if isinstance(side, Apply)]
+        # (where in `points` a bare side's read is, its sign), left side first
+        bare = [(end, sign) for side, end, sign in ((eq.lhs, 0, 1), (eq.rhs, -1, -1))
+                if isinstance(side, Apply)]
+        solvable = True
         for tup in every:
             points.clear()
             try:
-                probe(*tup)
+                r = probe(*tup)
             except Inadmissible:  # skipped, whatever the tables hold
                 skipped_pairs += 1
                 continue
             if not points:
-                pending.append(tup)
+                solvable = solvable and r == 0
                 continue
             k = max(slot_index[pt] for pt in points)
             tuples_at[k].append(tup)
-            for read, other in others if forcing[k] is None else ():
-                points.clear()
-                read(*tup)
-                if slots[k] not in points:  # then the bare read is of slot k
-                    forcing[k] = other, tup
+            for end, sign in bare if forcing[k] is None else ():
+                if points[end] == slots[k] and points.count(slots[k]) == 1:
+                    forcing[k] = sign, tup
                     break
-        if check(pending)[0] is not None:
+        if not solvable:
             return (), skipped_pairs
 
     m = carrier.modulus
     values = code.bind("values", carrier, params, [partial[f] for f in eq.functions],
                        lambda tuples, T, key, candidates: candidates)
+    residual = _residual(eq, carrier, partial, params)
     cells = [(partial[f], e) for f, e in slots]
 
     def step(k: int) -> List[int]:
-        force = forcing[k]
-        return values(tuples_at[k], *cells[k], (force[0](*force[1]),) if force else range(m))
+        table, key = cells[k]
+        if forcing[k] is None:
+            return values(tuples_at[k], table, key, range(m))
+        sign, tup = forcing[k]
+        table[key] = 0
+        return values(tuples_at[k], table, key, (-sign * residual(*tup) % m,))
 
     solutions = _search(cells, m, step,
                         lambda: tuple(FnTable(carrier, dict(partial[f])) for f in unknowns),

@@ -1330,12 +1330,13 @@ FORCING = ["f(x)*f(y) = f(x*y)", "f(x) + f(y) = f(x + y)", "f(x*y) = g(x)*g(y)",
 @pytest.mark.parametrize("name, carrier", [
     pytest.param(name, carrier, id=f"{name}-{carrier}")
     for names, carriers in [
-        (["cauchy-mult", "cauchy-exp", "ger-hom", "hosszu", "0 = 0"],
+        (["cauchy-mult", "cauchy-exp", "ger-hom", "hosszu", "0 = 0", "x = y", "x*y = y*x"],
          [gf(5), gf(7), zmod(4), zmod(6), zmod(8), zmod(9)]),
         (FORCING, [gf(5), gf(7), gf(11), zmod(4), zmod(6), zmod(8), zmod(9)])]
     for name in names for carrier in carriers])
 def test_search_step_matches_the_per_value_search(monkeypatch, name, carrier):
-    # "0 = 0" generates no lines, and has no slot to search.
+    # "0 = 0", "x = y" and "x*y = y*x" read no entry and have no slot to
+    # search; "x = y" fails at some tuple on every table, so has no solution.
     eq = CORPUS[name] if name in CORPUS else Equation.parse("none", name)
     unknowns = eq.functions
     assert_searches_agree(
@@ -1343,13 +1344,20 @@ def test_search_step_matches_the_per_value_search(monkeypatch, name, carrier):
         lambda budget, trace: per_value_backtrack(eq, unknowns, carrier, {}, budget, trace))
 
 
-def test_a_forced_slot_tries_one_value(monkeypatch):
-    # cauchy-mult on GF(7), f(x*y) = f(x) * f(y): slot e is forced where
-    # x*y = e for some x, y < e, as the right side then reads only entries
-    # placed before e; there only one reduced value reaches the step.
+@pytest.mark.parametrize("source", ["f(x*y) = f(x) * f(y)", "f(x)*f(y) = f(x*y)"],
+                         ids=["cauchy-mult", "right-bare"])
+def test_a_forced_slot_tries_one_value(monkeypatch, source):
+    # f(x*y) = f(x) * f(y) on GF(7), with the bare read on either side:
+    # slot e is forced where x*y = e for some x, y < e, as the other side
+    # then reads only entries placed before e.  There the one value that
+    # reaches the step is the other side's, f(x) * f(y), at the first such
+    # tuple.
     p = 7
-    forced = {e for e in range(p) for x in range(e) for y in range(e) if x * y % p == e}
-    assert forced == {4, 5, 6}
+    forcing = {}
+    for x, y in itertools.product(range(p), repeat=2):
+        if x < x * y % p and y < x * y % p:
+            forcing.setdefault(x * y % p, (x, y))
+    assert set(forcing) == {4, 5, 6}
     received = []
     bind = feq._Code.bind
 
@@ -1359,19 +1367,87 @@ def test_a_forced_slot_tries_one_value(monkeypatch):
             return function
 
         def values(tuples, T, key, candidates):
-            received.append((key, tuple(candidates)))
+            received.append((key, tuple(candidates), dict(T)))
             return function(tuples, T, key, candidates)
         return values
 
     monkeypatch.setattr(feq._Code, "bind", recording)
-    report = feq_solve_brute(CORPUS["cauchy-mult"], ["f"], gf(p))
+    report = feq_solve_brute(Equation.parse("forced", source), ["f"], gf(p))
     assert report.count == 8
-    assert {key for key, _ in received} == set(range(p))
-    for key, candidates in received:
-        if key in forced:
-            assert len(candidates) == 1 and 0 <= candidates[0] < p
+    assert {key for key, _, _ in received} == set(range(p))
+    for key, candidates, T in received:
+        if key in forcing:
+            x, y = forcing[key]
+            assert candidates == (T[x] * T[y] % p,)
         else:
             assert candidates == tuple(range(p))
+
+
+# The equations with a bare side, f(arg), that are not value-dependent.
+BARE = [eq for eq in [*CORPUS.values(), *(Equation.parse("forcing", s) for s in FORCING)]
+        if any(isinstance(side, Apply) for side in (eq.lhs, eq.rhs))
+        and max(_degree(eq.lhs), _degree(eq.rhs)) != feq._VALUE_DEPENDENT]
+
+
+@pytest.mark.parametrize("carrier", [gf(5), gf(7), zmod(8)], ids=str)
+@pytest.mark.parametrize("eq", BARE, ids=lambda eq: eq.source)
+def test_a_bare_read_is_the_first_or_last_read_of_the_residual(eq, carrier):
+    # The forcing rule (`_backtrack`) finds a bare side's one read first
+    # among the residual's reads when it is the left side, and last when it
+    # is the right: the entry at the key the tree's argument gives.
+    try:
+        _code(eq, carrier)
+    except CarrierUnsupportedError:
+        return  # jensen's division by 2 on Z/8
+    zeros, points = feq._probe(eq.functions)
+    probe = _residual(eq, carrier, zeros, {})
+    checked = 0
+    for tup in itertools.product(carrier.elements(), repeat=len(eq.variables)):
+        points.clear()
+        try:
+            probe(*tup)
+        except Inadmissible:
+            continue
+        for side, end in ((eq.lhs, 0), (eq.rhs, -1)):
+            if isinstance(side, Apply):
+                key = compiled(side.args[0], carrier, eq.variables)(*tup)
+                assert points[end] == (side.func, key)
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("carrier", [zmod(8), zmod(9), zmod(10), zmod(12), gf(19)], ids=str)
+def test_the_log_check_tries_one_value_at_a_forced_slot(monkeypatch, carrier):
+    # A pair x <= y of units whose product x*y is placed after both forces
+    # the slot of x*y: only table[x] + table[y] can pass there.  A node at
+    # such a slot asks for no range of values, and every other node asks
+    # for all n of them once.
+    units, m = carrier.units(), carrier.modulus
+    n = len(units)
+    slot = {u: k for k, u in enumerate(units)}
+    forced = {slot[x * y % m] for x, y in itertools.combinations_with_replacement(units, 2)
+              if slot[x * y % m] > max(slot[x], slot[y])}
+    assert forced and len(forced) < n
+    nodes_asked = []  # [slot, calls of range(n)] per node
+    search = feq._search
+
+    def counted_range(*args):
+        if args == (n,):
+            nodes_asked[-1][1] += 1
+        return range(*args)
+
+    def run(slots, n, values, record, budget):
+        def node(k):
+            nodes_asked.append([k, 0])
+            return values(k)
+        return search(slots, n, node, record, budget)
+
+    monkeypatch.setattr(feq, "_search", run)
+    monkeypatch.setattr(feq, "range", counted_range, raising=False)
+    assert logarithmic_zero_check(carrier, units_only=True).solutions
+    assert {k for k, _ in nodes_asked} == set(range(n))
+    for k, asked in nodes_asked:
+        assert asked == (0 if k in forced else 1), k
 
 
 @pytest.mark.parametrize("m", [8, 9, 10, 12])
