@@ -192,9 +192,9 @@ def cocycle_verify(
 
     Values are compared modulo the carrier where it has a modulus; the
     first offending tuple in canonical enumeration order is the witness.
-    The sum axiom (zeta) is void on characteristic-zero carriers.  An
-    exhaustive check of more tuples than the budget is refused before a
-    map is tabulated.
+    The sum axiom (zeta) is void on characteristic-zero carriers.  F and G
+    must share one carrier.  An exhaustive check of more tuples than the
+    budget is refused before a map is tabulated.
     """
     if mode not in ("exhaustive", "sampled"):
         raise CocycleError(f"unknown mode {mode!r}")
@@ -203,6 +203,8 @@ def cocycle_verify(
             raise CocycleError("sampled mode needs a positive sample size")
         bound_sample(sample)
     carrier = F.carrier
+    if G is not None and G.carrier != carrier:
+        raise CocycleError("F and G must share one carrier")
     if axioms is None:
         axioms = PAIR_AXIOMS if G is not None else F_AXIOMS
     for axiom in axioms:

@@ -7,12 +7,13 @@ through every admissible tuple of variable values; a solve lists every
 table assignment that passes.  Two-argument unknowns are check-only: the
 cocycle module binds them, and no solve takes them.
 
-A solve takes one of two paths, chosen by the sides' degree, a fold found
-once per equation and carrier (`_degree`).  On a prime modulus, when both
-sides have degree at most 1 in the table entries (no product of two reads,
-no power of one above the first, no read inside a divisor, a negative-power
-base or a function argument), each tuple gives one linear equation mod p and
-the solutions are the kernel of that system, found by elimination (Aczel &
+A solve takes one of two paths, chosen by the sides' degree (`_degree`),
+found once per equation and carrier from the fold that also writes
+elimination's row (`_Linear`).  On a prime modulus, when both sides have
+degree at most 1 in the table entries (no product of two reads, no power of
+one above the first, no read inside a divisor, a negative-power base or a
+function argument), each tuple gives one linear equation mod p and the
+solutions are the kernel of that system, found by elimination (Aczel &
 Dhombres, Functional Equations in Several Variables, ch. 1-2).  Everything
 else -- nonlinear equations, unknowns in divisors, composite moduli -- goes
 to a backtracking search that fills tables one entry at a time and prunes a
@@ -59,9 +60,9 @@ before the right side's.  The search reads off it the entries each tuple
 reads, in order, the tuples that read none and the value a tuple pins, and
 the cocycle module its Cauchy and Leibniz differences.
 Elimination's row is lhs - rhs once more, for sides of degree at most 1:
-another fold (`_Linear`) writes it as c0 + sum of c_k * T[x_k], each c and
-x an entry-free subtree, which a `_Side` of its own generates, so a row is
-one call that returns a sparse dict.  No user text reaches the source:
+the fold that gave the degree writes it as c0 + sum of c_k * T[x_k], each
+c and x an entry-free subtree, which a `_Side` of its own generates, so a
+row is one call that returns a sparse dict.  No user text reaches the source:
 variables, functions and constants are numbered slots.  An exhaustive
 check of more tuples than the budget is refused before it runs
 (`bound_exhaustive`).
@@ -435,13 +436,14 @@ def _check_loop(loops: Sequence[str], skips: Sequence[str], lines: Sequence[Tupl
 
 
 class _Affine(NamedTuple):
-    """A value of `_Linear`'s fold: `const` plus the sum of c * T<i>[x] over
-    the `terms` (c, i, x), where `const`, each c and each x is an
-    entry-free subtree.  `const` is None where it is 0 and reads nothing,
+    """A value of `_Linear`'s fold: `const` plus the sum of c * f(*key) over
+    the `terms` (c, f, key), where `const`, each c and each subtree of the
+    key is entry-free: f names the function, and the key holds its one
+    argument, or its two.  `const` is None where it is 0 and reads nothing,
     which a value without terms never is.  A value of degree 2 has `terms`
     None, and its `const` is its guard (`_guard`)."""
     const: object
-    terms: Optional[Tuple[Tuple[object, int, object], ...]] = ()
+    terms: Optional[Tuple[Tuple[object, str, Tuple[object, ...]], ...]] = ()
 
 
 _CONST = -1  # the key of a row's constant term; slots are >= 0
@@ -452,25 +454,24 @@ def _guard(a: _Affine):
     does: the product of the powers 0 of a's subtrees."""
     if a.terms is None:
         return a.const
-    parts = ([a.const] if a.const else []) + [g for c, _, x in a.terms for g in (c, x)]
+    parts = ([a.const] if a.const else []) + [g for c, _, key in a.terms for g in (c, *key)]
     return functools.reduce(lambda p, q: Bin("*", p, q), [Pow(g, 0) for g in parts])
 
 
 class _Linear(Arithmetic):
-    """The algebra of a row: a side of degree at most 1 (`_degree`) as an
-    affine function of the table entries (`_Affine`).  Every entry-free
-    subtree the side evaluates stays in the value, in its constant, a
-    coefficient or a key, so the row is inadmissible where the side is.  A
-    power 0, which the side evaluates and discards, is the guard of its
-    base (`_guard`); so is a value of degree 2, such as a product of two
-    values with terms, which only a power 0 takes back to a constant.  A
-    read in a divisor, a negative power or a function argument raises
-    FeqError, as does a difference of degree 2 (`_linear`); `_degree`
-    keeps them from the fold."""
+    """The algebra of a side's shape in the table entries: a side as an
+    affine function of them (`_Affine`), which `_degree` classifies and
+    which, for lhs - rhs, is elimination's row (`_linear`).  Every
+    entry-free subtree the side evaluates stays in the value, in its
+    constant, a coefficient or a key, so the row is inadmissible where the
+    side is.  A power 0, which the side evaluates and discards, is the
+    guard of its base (`_guard`); so is a value of degree 2, such as a
+    product of two values with terms, which only a power 0 takes back to a
+    constant.  A read in a divisor, under a negative power or inside a
+    function argument raises FeqError: the side is value-dependent."""
 
-    def __init__(self, functions: Sequence[str]):
+    def __init__(self):
         super().__init__(FeqError)
-        self.functions = functions
 
     def num(self, value: Fraction):
         return _Affine(Num(value))
@@ -481,7 +482,7 @@ class _Linear(Arithmetic):
     def neg(self, a: _Affine):
         if a.terms is None:
             return a
-        return _Affine(a.const and Neg(a.const), tuple((Neg(c), i, x) for c, i, x in a.terms))
+        return _Affine(a.const and Neg(a.const), tuple((Neg(c), f, key) for c, f, key in a.terms))
 
     def pow(self, a: _Affine, e: int):
         if a.terms == ():
@@ -507,21 +508,41 @@ class _Linear(Arithmetic):
             a, b = b, a  # the factor with terms first
         k = b.const
         return _Affine(a.const and Bin(op, a.const, k),
-                       tuple((Bin(op, c, k), i, x) for c, i, x in a.terms))
+                       tuple((Bin(op, c, k), f, key) for c, f, key in a.terms))
 
     def apply(self, func: str, *args: _Affine):
-        if len(args) != 1 or args[0].terms != ():
+        if any(a.terms != () for a in args):
             raise self.error(f"a read of {func!r} here is not linear")
-        return _Affine(None, ((Num(Fraction(1)), self.functions.index(func), args[0].const),))
+        return _Affine(None, ((Num(Fraction(1)), func, tuple(a.const for a in args)),))
 
 
 def _linear(eq: "Equation") -> _Affine:
     """lhs - rhs of `eq` folded in `_Linear`; FeqError where it has degree 2."""
-    algebra = _Linear(eq.functions)
+    algebra = _Linear()
     form = algebra.bin("-", fold(eq.lhs, algebra), fold(eq.rhs, algebra))
     if form.terms is None:
         raise FeqError(f"equation {eq.name!r} is not linear in the table entries")
     return form
+
+
+_VALUE_DEPENDENT = 3  # above every degree
+
+
+def _degree(side) -> int:
+    """The degree of a side in the table entries, read off its fold in
+    `_Linear`: 0 or 1 when the side is affine in the entries on every
+    tuple, 1 where the form has terms; 2 when it may not be, where the
+    form's `terms` is None; and _VALUE_DEPENDENT where the fold raises, at
+    a read in a divisor, under a negative power or inside a function
+    argument: which tuples are admissible, or which entries a tuple reads,
+    then depends on table values, not only on the variables.  Nothing is folded into constants,
+    so (x - x)*f(x)*f(y) has degree 2 and (1/f(x))^0 is value-dependent.
+    It is computed once per equation and carrier, as `_Code.degree`."""
+    try:
+        terms = fold(side, _Linear()).terms
+    except FeqError:
+        return _VALUE_DEPENDENT
+    return 2 if terms is None else 1 if terms else 0
 
 
 class _Code:
@@ -554,7 +575,8 @@ class _Code:
     slot of T<i>[x] x * k + S<i> for k tables; it raises where the
     residual raises.  `pairs` holds the indices of the tables read at two
     arguments, which the code reads by rows (`_rows`).  `degree` is the
-    larger `_degree` of the two sides, which picks the solver's path."""
+    larger `_degree` of the two sides, read off the row's fold, which picks
+    the solver's path."""
 
     __slots__ = ("eq", "lhs", "rhs", "results", "linear", "degree", "arity", "modulus",
                  "pairs", "codes")
@@ -607,12 +629,14 @@ class _Code:
 
     def _row_body(self) -> List[str]:
         """The body of "row": lhs - rhs folded into `_Linear` (`_linear`),
-        its subtrees into `linear`, one `_Side` of their own."""
+        its subtrees into `linear`, one `_Side` of their own, and each
+        term's function name into the index of its table."""
         eq, m = self.eq, self.modulus
         form = _linear(eq)
         side = self.linear = _Side(eq.functions, self.lhs.carrier, eq.variables, "w")
         const = side.value(form.const) if form.const else "0"
-        terms = [(side.value(c), i, side.value(x)) for c, i, x in form.terms]
+        terms = [(side.value(c), eq.functions.index(f), side.value(x))
+                 for c, f, (x,) in form.terms]
         k = len(eq.functions)
         body = [_statement(line, "raise Inadmissible") for _, line in side.lines]
         body.append(f"form = {{{_CONST}: {const}}}")
@@ -818,10 +842,10 @@ def feq_solve_brute(
     if not isinstance(carrier, FiniteCarrier):
         raise FeqError("brute-force solving needs a finite carrier")
     unknowns = tuple(unknowns)
-    if set(unknowns) != set(eq.functions):
+    if sorted(unknowns) != sorted(eq.functions):
         raise FeqError(
-            f"unknowns {sorted(unknowns)} must match the equation's "
-            f"function symbols {sorted(eq.functions)}"
+            f"unknowns {sorted(unknowns)} must name each of the equation's "
+            f"function symbols {sorted(eq.functions)} once"
         )
     params = {k: carrier.reduce(v) for k, v in (params or {}).items()}
     missing_params = [p for p in eq.params if p not in params]
@@ -1083,45 +1107,6 @@ def _search(slots: Sequence[Tuple[Dict[int, int], int]], n: int,
 
     assign(0)
     return tuple(solutions)
-
-
-_VALUE_DEPENDENT = 3  # above every degree, so it absorbs the nodes above it
-
-
-class _Degree(Arithmetic):
-    """The algebra of `_degree`: a value is a degree."""
-
-    def sym(self, name: str):
-        return 0
-
-    num = sym
-
-    def neg(self, a):
-        return a
-
-    def pow(self, a, e: int):
-        if a == _VALUE_DEPENDENT or a and e < 0:
-            return _VALUE_DEPENDENT
-        return min(a * e, 2)
-
-    def bin(self, op: str, a, b):
-        if _VALUE_DEPENDENT in (a, b) or op == "/" and b:
-            return _VALUE_DEPENDENT
-        return min(a + b, 2) if op == "*" else a if op == "/" else max(a, b)
-
-    def apply(self, func: str, *args):
-        return _VALUE_DEPENDENT if any(args) else 1
-
-
-def _degree(side) -> int:
-    """The degree of a side in the table entries, read off the tree: 0 or 1
-    when the side is affine in the entries on every tuple, 2 when it may
-    not be, and _VALUE_DEPENDENT when which tuples are admissible, or
-    which entries a tuple reads, depends on table values, not only on the
-    variables.  Nothing is folded into constants, so (x - x)*f(x)*f(y) has
-    degree 2 and (1/f(x))^0 is value-dependent.  It is computed once per
-    equation and carrier, as `_Code.degree`."""
-    return fold(side, _Degree())
 
 
 # -- built-in corpus ----------------------------------------------------------

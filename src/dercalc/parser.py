@@ -36,8 +36,8 @@ constants of functional equations.  The other walks are folds too: the
 printer `to_text` folds into (text, precedence) pairs, so it round-trips a
 tree of any depth; `feq` generates the Python of an equation side by
 folding with its own algebra, whose values are the names of generated
-locals, reads a side's degree in the table entries off another fold,
-and a linear side's coefficients and keys off a third.
+locals, and reads a side's degree in the table entries and a linear
+side's coefficients and keys off one other fold.
 `nodes` walks a tree for structural questions, such as which functions it
 calls.  Only `nodes` and `compiled` ask which kind a node is.
 """

@@ -195,6 +195,13 @@ def test_a_sample_over_the_budget_is_refused(monkeypatch):
     assert report.axioms["beta"].checked == 100
 
 
+def test_verify_refuses_maps_on_two_carriers():
+    F = cauchy_difference(lambda x: x * x, gf(5))
+    G = leibniz_difference(lambda x: x * x, gf(7))
+    with pytest.raises(CocycleError, match="share one carrier"):
+        cocycle_verify(F, G)
+
+
 def test_sampled_mode_bounds_work():
     k = gf(7)
     F = cauchy_difference(lambda x: x * x % 7, k)

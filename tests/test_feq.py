@@ -36,8 +36,9 @@ from dercalc.feq import (
     _residual,
 )
 from dercalc import feq
-from dercalc.parser import (Apply, Bin, DercalcSyntaxError, Neg, Num, Pow, Sym, compiled, nodes,
-                            parse_expr, to_text)
+from dercalc.cocycle import CONDITIONS
+from dercalc.parser import (Apply, Arithmetic, Bin, DercalcSyntaxError, Neg, Num, Pow, Sym,
+                            compiled, fold, nodes, parse_expr, to_text)
 
 
 def window_parity(lo=-10, hi=10):
@@ -100,6 +101,15 @@ def test_check_rejects_mixed_carriers():
     eq = Equation.parse("two", "f(x) = g(x)")
     with pytest.raises(FeqError):
         feq_check(eq, {"f": FnTable.zero(gf(3)), "g": FnTable.zero(gf(5))})
+
+
+@pytest.mark.parametrize("source, unknowns", [("f(x+y) = f(x) + f(y)", ["f", "f"]),
+                                              ("f(x+y) = f(x) * f(y)", ["f", "f"]),
+                                              ("f(x) = g(x)", ["g", "f", "f"])])
+def test_solve_refuses_unknowns_that_name_a_function_twice(source, unknowns):
+    # Elimination, the search, and two functions of which one is repeated.
+    with pytest.raises(FeqError, match="once"):
+        feq_solve_brute(Equation.parse("twice", source), unknowns, gf(3))
 
 
 def test_carriers_compare_by_value():
@@ -1146,6 +1156,43 @@ def test_one_row_code_serves_every_binding():
     first, second = (code.row(carrier, params, [0]) for params in (
         {"lam": 0, "mu": 0}, {"lam": 3, "mu": 5}))
     assert first.__code__ is second.__code__
+
+
+class ReferenceDegree(Arithmetic):
+    """The degree as a fold of its own, the reference `_degree` is tested
+    against: a value is a degree."""
+
+    def sym(self, name: str):
+        return 0
+
+    num = sym
+
+    def neg(self, a):
+        return a
+
+    def pow(self, a, e: int):
+        if a == feq._VALUE_DEPENDENT or a and e < 0:
+            return feq._VALUE_DEPENDENT
+        return min(a * e, 2)
+
+    def bin(self, op: str, a, b):
+        if feq._VALUE_DEPENDENT in (a, b) or op == "/" and b:
+            return feq._VALUE_DEPENDENT
+        return min(a + b, 2) if op == "*" else a if op == "/" else max(a, b)
+
+    def apply(self, func: str, *args):
+        return feq._VALUE_DEPENDENT if any(args) else 1
+
+
+@given(st.one_of(read_trees, loop_trees(("x", "y", "z"))))
+@settings(max_examples=500, deadline=None)
+def test_the_degree_is_the_reference_degree(tree):
+    assert _degree(tree) == fold(tree, ReferenceDegree())
+
+
+def test_every_corpus_and_cocycle_side_has_the_reference_degree():
+    sides = [side for eq in [*CORPUS.values(), *CONDITIONS.values()] for side in (eq.lhs, eq.rhs)]
+    assert [_degree(side) for side in sides] == [fold(side, ReferenceDegree()) for side in sides]
 
 
 @pytest.mark.parametrize("source", ["f(x)*f(y)", "f(x)^2", "f(x)^-1", "1/f(x)", "f(f(x))",

@@ -1,6 +1,7 @@
 """The experiment scripts under scripts/ run end to end."""
 import importlib.util
 import pathlib
+import re
 
 SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
 
@@ -29,3 +30,11 @@ def test_tower_walkthrough_prints_its_tour(capsys):
     assert script.main() == 0
     expected = (pathlib.Path(__file__).parent / "data" / "tower_walkthrough.expected").read_text()
     assert capsys.readouterr().out == expected
+
+
+def test_solve_sweep_prints_every_outcome_and_their_digest(capsys):
+    script = load_script("solve_sweep")
+    assert script.main() == 0
+    *outcomes, last = capsys.readouterr().out.splitlines()
+    assert len(outcomes) == 312
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}", last)
