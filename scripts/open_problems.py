@@ -14,20 +14,13 @@ listed; a nonzero solution would be an actual counterexample for that field.
 """
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence
 
 from dercalc.exact import gf
 from dercalc.feq import CORPUS, FnTable, equation_by_name, feq_check, feq_solve_brute
 
 EQUATIONS = ("opp2", "opp3")
 BUDGET = 10 ** 30
-
-
-@dataclass
-class ExperimentConfig:
-    primes: Tuple[int, ...] = (3, 5, 7, 11, 13)
-    show_tables: bool = True
 
 
 def classify(tab: FnTable) -> str:
@@ -42,19 +35,19 @@ def classify(tab: FnTable) -> str:
     return "neither part holds separately"
 
 
-def run(config: ExperimentConfig) -> int:
+def run(primes: Sequence[int], show_tables: bool) -> int:
     surprises = 0
     for name in EQUATIONS:
         eq = equation_by_name(name)
         print(f"== {eq.describe()}")
-        for p in config.primes:
+        for p in primes:
             report = feq_solve_brute(eq, ("f",), gf(p), budget=BUDGET)
             nonzero = [
                 sol[0] for sol in report.solutions
                 if any(v != 0 for v in sol[0].values.values())
             ]
             print(f"GF({p}): {report.count} solution(s), status {report.status}")
-            if config.show_tables:
+            if show_tables:
                 for (tab,) in report.solutions:
                     print(f"  f = {tab}  [{classify(tab)}]")
             if nonzero:
@@ -77,9 +70,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--quiet", action="store_true", help="suppress solution tables")
     args = parser.parse_args(argv)
-    primes = tuple(int(p) for p in args.primes.split(","))
-    config = ExperimentConfig(primes=primes, show_tables=not args.quiet)
-    return run(config)
+    return run([int(p) for p in args.primes.split(",")], show_tables=not args.quiet)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """dercalc command-line interface.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error;
+`main` returns the `exit_code` of the `DercalcError` it catches.
 `--format records` prints one machine-readable record per line instead of
 the human text.  DERCALC_BUDGET overrides enumeration and power-size budgets.
 """
@@ -13,10 +14,6 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .cocycle import (
-    CocycleError,
-    DecompositionDefectError,
-    NotACoboundaryError,
-    NotACocycleError,
     alien_check,
     cauchy_difference,
     char_decompose,
@@ -39,17 +36,14 @@ from .derivations import (
     reflection_residual,
     square_rule_residual,
 )
-from .exact import ExactError, FiniteCarrier, IntegerWindow, MultiPoly, rational
+from .exact import DercalcError, FiniteCarrier, IntegerWindow, MultiPoly, rational
 from .feq import (
-    FeqError,
     CORPUS,
     equation_by_name,
     feq_check,
     feq_solve_brute,
 )
 from .higher import (
-    CocycleConditionError,
-    GammaError,
     GammaTable,
     gamma_check,
     gamma_factor,
@@ -59,8 +53,6 @@ from .higher import (
     hod_leibniz_residual,
 )
 from .multiadd import (
-    MultiAddError,
-    NotPolynomialError,
     SymMultiMap,
     binomial_check,
     check_recovery,
@@ -69,7 +61,7 @@ from .multiadd import (
     trace,
 )
 from .multiadd import delta as multi_delta
-from .parser import Arithmetic, DercalcSyntaxError, Sym, compiled, fold, nodes, parse_expr
+from .parser import Arithmetic, Sym, compiled, fold, nodes, parse_expr
 from .session import (
     SessionError,
     adjoin_generator,
@@ -81,7 +73,7 @@ from .session import (
     parse_params,
     run_session,
 )
-from .towers import FieldTower, TowerError, element_eval, tower_new
+from .towers import FieldTower, element_eval, tower_new
 
 
 class Out:
@@ -872,38 +864,16 @@ _HANDLERS = {
     "run": _cmd_run,
 }
 
-_CHECK_FAILURES = (
-    CocycleConditionError,
-    NotACocycleError,
-    NotACoboundaryError,
-    DecompositionDefectError,
-    NotPolynomialError,
-)
-
-_USAGE_ERRORS = (
-    SessionError,
-    DercalcSyntaxError,
-    ExactError,
-    TowerError,
-    GammaError,
-    CocycleError,
-    MultiAddError,
-    FeqError,
-    OSError,
-    ValueError,
-)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out = Out(args.format)
     try:
         return _HANDLERS[args.cmd](args, out)
-    except _CHECK_FAILURES as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-    except _USAGE_ERRORS as exc:
+    except DercalcError as exc:
+        print(f"{'check failed' if exc.exit_code == 1 else 'error'}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

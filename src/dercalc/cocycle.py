@@ -36,17 +36,20 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .exact import Carrier, FiniteCarrier, IntegerWindow, bound_exhaustive, bound_sample
+from .exact import (Carrier, DercalcError, FiniteCarrier, IntegerWindow, bound_exhaustive,
+                    bound_sample)
 from .feq import (CORPUS, CheckReport, Equation, FnTable, _INADMISSIBLE, _Subscript, _check,
                   _residual, _rows, feq_check, feq_solve_brute)
 
 
-class CocycleError(Exception):
+class CocycleError(DercalcError):
     """Base error for the cocycle laboratory."""
 
 
 class NotACocycleError(CocycleError):
     """A required axiom failed; carries the witness tuple."""
+
+    exit_code = 1
 
     def __init__(self, axiom: str, witness: tuple, lhs, rhs):
         self.axiom = axiom
@@ -59,10 +62,14 @@ class NotACocycleError(CocycleError):
 class NotACoboundaryError(CocycleError):
     """Reconstruction succeeded pointwise but re-differencing disagrees."""
 
+    exit_code = 1
+
 
 class DecompositionDefectError(CocycleError):
     """No decomposition exists; this would falsify the structure theorem,
     so it is raised loudly instead of returned as data."""
+
+    exit_code = 1
 
 
 FnLike = Union[Dict[int, int], Callable[[int], int]]
@@ -363,7 +370,7 @@ def leibniz_coboundary_check(D: Fn2Like, carrier: Carrier) -> CocycleReport:
     in the first slot.  More tuples than the budget are refused before D
     is tabulated."""
     bound_exhaustive(carrier.size ** 3)
-    tables = {"D": Cocycle2(carrier, _as_fn2(D), "D").table()}
+    tables = {"D": _rows(Cocycle2(carrier, _as_fn2(D), "D").table())}
     return CocycleReport({name: _check(CONDITIONS[name], carrier, tables, {})
                           for name in ("symmetry", "associator", "additivity")})
 

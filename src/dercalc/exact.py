@@ -34,7 +34,14 @@ from typing import Dict, Iterator, List, Sequence, Tuple, Union
 Rational = Fraction
 
 
-class ExactError(Exception):
+class DercalcError(Exception):
+    """Base of every error dercalc reports; the command line exits with its
+    `exit_code`: 2, the input was unusable, or 1, a check failed with a witness."""
+
+    exit_code = 2
+
+
+class ExactError(DercalcError):
     """Base error for the exact-arithmetic layer."""
 
 

@@ -79,13 +79,13 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .exact import (BudgetError, Carrier, FiniteCarrier, Inadmissible, _is_prime,
+from .exact import (BudgetError, Carrier, DercalcError, FiniteCarrier, Inadmissible, _is_prime,
                     bound_exhaustive, bound_sample, default_budget, gf)
 from .parser import (Apply, Arithmetic, Bin, Neg, Num, Pow, Sym, compiled, fold, nodes,
                      parse_equation)
 
 
-class FeqError(Exception):
+class FeqError(DercalcError):
     """Base error for equation checking and solving."""
 
 
@@ -752,6 +752,18 @@ def _check(eq: Equation, carrier: Carrier, tables: Dict[str, Mapping], params: D
                        witness, lhs, rhs, checked, skipped)
 
 
+def _params(eq: Equation, carrier: Carrier, params: Optional[Dict[str, int]]) -> Dict[str, int]:
+    """`params` reduced on `carrier`, refused unless they bind exactly `eq.params`."""
+    params = params or {}
+    missing = [p for p in eq.params if p not in params]
+    if missing:
+        raise UnboundSymbolError(f"no value bound for parameters {missing}")
+    undeclared = sorted(set(params) - set(eq.params))
+    if undeclared:
+        raise FeqError(f"{eq.name} does not declare parameters {undeclared}")
+    return {k: carrier.reduce(v) for k, v in params.items()}
+
+
 def feq_check(
     eq: Equation,
     bindings: Dict[str, FnTable],
@@ -766,19 +778,15 @@ def feq_check(
     The witness of a failure is the first offending tuple in the carrier's
     canonical enumeration order.  An exhaustive check of more tuples than
     the budget (`default_budget`) is refused before it runs."""
-    params = dict(params or {})
     missing = [f for f in eq.functions if f not in bindings]
     if missing:
         raise UnboundSymbolError(f"no table bound for {missing}")
-    missing_params = [p for p in eq.params if p not in params]
-    if missing_params:
-        raise UnboundSymbolError(f"no value bound for parameters {missing_params}")
     carriers = {t.carrier for t in bindings.values()}
     if len(carriers) != 1:
         raise FeqError("all bound tables must share one carrier")
     carrier = next(iter(carriers))
+    params = _params(eq, carrier, params)
     _table_code(eq, carrier)
-    params = {k: carrier.reduce(v) for k, v in params.items()}
     tuples: Optional[Iterable[tuple]] = None
     if mode == "sampled":
         if sample <= 0:
@@ -847,10 +855,7 @@ def feq_solve_brute(
             f"unknowns {sorted(unknowns)} must name each of the equation's "
             f"function symbols {sorted(eq.functions)} once"
         )
-    params = {k: carrier.reduce(v) for k, v in (params or {}).items()}
-    missing_params = [p for p in eq.params if p not in params]
-    if missing_params:
-        raise UnboundSymbolError(f"no value bound for parameters {missing_params}")
+    params = _params(eq, carrier, params)
     if budget is None:
         budget = default_budget()
     if eq.min_size and carrier.modulus < eq.min_size:

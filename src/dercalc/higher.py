@@ -21,15 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import BudgetError, MultiPoly, default_budget, rational
+from .exact import BudgetError, DercalcError, MultiPoly, default_budget, rational
 
 
-class GammaError(Exception):
+class GammaError(DercalcError):
     """Invalid weight table or factorization failure."""
 
 
 class CocycleConditionError(GammaError):
     """The weight table fails the cocycle condition; carries one witness."""
+
+    exit_code = 1
 
     def __init__(self, triple: Tuple[int, int, int], lhs: Fraction, rhs: Fraction):
         self.triple = triple
@@ -372,6 +374,8 @@ def hod_construct_next(
     additive part fixed by `choice` (the values d_n(t_j), default 0); the
     product rule at order n is verified on a monomial grid before returning.
     """
+    if grid_degree < 0:
+        raise GammaError(f"grid degree must be nonnegative, got {grid_degree}")
     n = hd.order + 1
     if gamma_next.order != n:
         raise GammaError(f"extension table must have order {n}")

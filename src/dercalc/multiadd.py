@@ -19,17 +19,19 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .exact import bound_recovery, rational
+from .exact import DercalcError, bound_recovery, rational
 
 Vector = Tuple[Fraction, ...]
 
 
-class MultiAddError(Exception):
+class MultiAddError(DercalcError):
     """Invalid tensor data or mismatched dimensions."""
 
 
 class NotPolynomialError(MultiAddError):
     """Recovery residual is nonzero; carries the witness point."""
+
+    exit_code = 1
 
     def __init__(self, point: Vector, expected: Fraction, got: Fraction):
         self.point = point

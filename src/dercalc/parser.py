@@ -49,10 +49,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Sequence, Tuple, Type, Union
 
-from .exact import bit_size, bound_power
+from .exact import DercalcError, bit_size, bound_power
 
 
-class DercalcSyntaxError(Exception):
+class DercalcSyntaxError(DercalcError):
     """Parse failure with the offending position."""
 
     def __init__(self, message: str, line: int, column: int):

@@ -41,7 +41,7 @@ from .cocycle import (
     leibniz_difference,
 )
 from .derivations import Derivation, derivation_define
-from .exact import Carrier, Inadmissible, IntegerWindow, gf, zmod
+from .exact import Carrier, DercalcError, Inadmissible, IntegerWindow, gf, zmod
 from .feq import FnTable, equation_by_name, feq_check
 from .parser import (
     Apply, Arithmetic, DercalcSyntaxError, Sym, compiled, nodes, parse_equation, parse_expr,
@@ -49,7 +49,7 @@ from .parser import (
 from .towers import FieldTower, TowerElement, element_eval, tower_new
 
 
-class SessionError(Exception):
+class SessionError(DercalcError):
     """Malformed script or spec string; carries the line number when known."""
 
     def __init__(self, message: str, line_no: Optional[int] = None):
@@ -186,8 +186,10 @@ def build_derivation(
         if not (isinstance(lhs, Apply) and len(lhs.args) == 1 and isinstance(lhs.args[0], Sym)
                 and (name is None or lhs.func == name)):
             raise SessionError(f"expected '{name or 'name'}(generator) = expression', got {text!r}")
-        name = lhs.func
-        values[lhs.args[0].name] = element_eval(tower, rhs, derivations)
+        name, gen = lhs.func, lhs.args[0].name
+        if gen in values:
+            raise SessionError(f"{name}({gen}) is given twice")
+        values[gen] = element_eval(tower, rhs, derivations)
     if name is None:
         if tower.transcendental_names():
             raise SessionError("empty derivation spec")

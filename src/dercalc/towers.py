@@ -71,6 +71,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .exact import (
     QQ,
     ZZ,
+    DercalcError,
     PolyRing,
     RatFunc,
     _divider,
@@ -95,7 +96,7 @@ from .exact import (
 from .parser import Arithmetic, fold, parse_expr
 
 
-class TowerError(Exception):
+class TowerError(DercalcError):
     """Base error for tower construction and element arithmetic."""
 
 
@@ -873,6 +874,7 @@ class _Elements(Arithmetic):
     applications go through the derivations map."""
 
     def __init__(self, tower: FieldTower, derivations: Dict[str, Callable]):
+        super().__init__(DivisionByZeroElementError)
         self.tower = tower
         self.derivations = derivations
 

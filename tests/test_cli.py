@@ -71,6 +71,11 @@ def test_der_define_reports_forced_values(cli):
     assert out == ["d(t) = 1", "d(s) = s/(2*t) (forced)"]
 
 
+def test_der_define_refuses_a_generator_given_twice(cli):
+    assert cli("der", "define", "--tower", QT, "--der", "d(t)=1;d(t)=2") == (
+        2, [], ["error: d(t) is given twice"])
+
+
 def test_der_eval_text_and_records(cli):
     argv = ("der", "eval", "--tower", QT, "--der", D1,
             "--expr", "d((t^2 + 1)/(t - 1))")
@@ -92,6 +97,14 @@ def test_der_eval_inverse_of_a_zero_divisor_is_a_usage_error(cli):
         "the minimal polynomial is likely reducible"])
     code, _, err = cli("der", "eval", "--tower", tower, "--der", D1, "--expr", "1/(r-r)")
     assert (code, err) == (2, ["error: division by an element that reduces to zero"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("der", "eval", "--tower", QT, "--der", D1, "--expr", "(t-t)^-2"),
+    ("tower", "show", "--spec", "t:trans;s:alg:s^2 - 0^-1"),
+])
+def test_negative_power_of_zero_is_a_usage_error(cli, argv):
+    assert cli(*argv) == (2, [], ["error: division by zero in expression"])
 
 
 def test_der_eval_on_a_tower_with_no_transcendental_generator(cli):
@@ -330,6 +343,12 @@ def test_hod_construct_default_and_chosen_top_value(cli):
                        "--binomial", "--n", "2", "--choice", "t=t")
     assert code == 0
     assert out[0] == "d_2(t) = t"
+
+
+def test_hod_construct_refuses_a_negative_grid(cli):
+    assert cli("hod", "construct", "--n", "3", "--binomial", "--vars", "t",
+               "--values", "1:t=1", "--grid", "-1") == (
+        2, [], ["error: grid degree must be nonnegative, got -1"])
 
 
 def test_hod_residual_zero(cli):
@@ -825,6 +844,16 @@ def test_feq_bad_params_name_the_bad_piece(cli, cmd, params, message):
     code, out, err = cli("feq", *cmd, "--eq", "alien-c22", "--carrier", "gf:5",
                          "--params", params)
     assert (code, out, err) == (2, [], [f"error: {message}"])
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("solve", "--params", "lam=1"), "['lam']"),
+    (("check", "--f", "x", "--params", "all-units"), "['lam', 'mu']"),
+    (("solve", "--params", "all-units"), "['lam', 'mu']"),
+])
+def test_feq_refuses_parameters_the_equation_does_not_declare(cli, argv, names):
+    assert cli("feq", *argv, "--eq", "cauchy-add", "--carrier", "gf:5") == (
+        2, [], [f"error: cauchy-add does not declare parameters {names}"])
 
 
 def test_feq_check_all_units_runs_every_unit_pair(cli):

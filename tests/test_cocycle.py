@@ -74,6 +74,20 @@ def test_each_map_is_regrouped_by_rows_once_per_verify():
     assert in_feq.call_count + in_cocycle.call_count == 2
 
 
+def test_coboundary_check_regroups_d_by_rows_once():
+    # Symmetry, the associator identity and additivity all read D; it is
+    # regrouped once for the three.
+    k = gf(11)
+    D = leibniz_difference(lambda x: 3 * x % 11, k)
+    want = leibniz_coboundary_check(D, k)
+    regroup = feq._rows
+    with mock.patch("dercalc.feq._rows", wraps=regroup) as in_feq, \
+            mock.patch("dercalc.cocycle._rows", wraps=regroup) as in_cocycle:
+        got = leibniz_coboundary_check(D, k)
+    assert got == want and len(got.axioms) == 3 and got.ok
+    assert in_feq.call_count + in_cocycle.call_count == 1
+
+
 @given(table_fn(7))
 @settings(max_examples=20, deadline=None)
 def test_coboundary_satisfies_scaling_axiom_only_if_linear(tab):

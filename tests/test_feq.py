@@ -97,6 +97,17 @@ def test_check_needs_complete_bindings():
         feq_check(equation_by_name("alien-c22"), {"f": FnTable.zero(gf(3))})
 
 
+def test_check_and_solve_refuse_undeclared_parameters():
+    message = r"^cauchy-add does not declare parameters \['lam'\]$"
+    with pytest.raises(FeqError, match=message):
+        feq_check(equation_by_name("cauchy-add"), {"f": FnTable.zero(gf(5))}, {"lam": 1})
+    with pytest.raises(FeqError, match=message):
+        feq_solve_brute(equation_by_name("cauchy-add"), ["f"], gf(5), {"lam": 1})
+    with pytest.raises(FeqError, match=r"alien-c22 does not declare parameters \['nu'\]"):
+        feq_check(equation_by_name("alien-c22"), {"f": FnTable.zero(gf(5))},
+                  {"lam": 1, "mu": 1, "nu": 1})
+
+
 def test_check_rejects_mixed_carriers():
     eq = Equation.parse("two", "f(x) = g(x)")
     with pytest.raises(FeqError):

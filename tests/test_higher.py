@@ -210,6 +210,13 @@ def test_construct_next_validates_table():
         hod_construct_next(hd2, GammaTable.ones(3))
 
 
+def test_construct_next_refuses_a_negative_grid_degree():
+    hd = hod_define(GammaTable.binomial(2), ("t",), {(1, "t"): tpoly({0: 1})})
+    with pytest.raises(GammaError, match="grid degree must be nonnegative, got -1"):
+        hod_construct_next(hd, GammaTable.binomial(3), grid_degree=-1)
+    assert hod_construct_next(hd, GammaTable.binomial(3), grid_degree=0).order == 3
+
+
 def test_construct_next_rejects_broken_extension():
     hd = hod_define(GammaTable.binomial(3), ("t",), {(1, "t"): tpoly({0: 1})})
     with pytest.raises(CocycleConditionError) as err:

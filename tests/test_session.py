@@ -97,6 +97,13 @@ def test_derivation_lines_must_target_generators():
         run_session_text(text)
 
 
+def test_derivation_value_given_twice_names_the_second_line():
+    text = "[tower]\nt: transcendental\n[derivation d]\nd(t) = 1\nd(t) = t\n[check]\neval d(t)\n"
+    with pytest.raises(SessionError) as info:
+        run_session_text(text)
+    assert str(info.value) == "line 5: d(t) is given twice"
+
+
 def test_unknown_check_command():
     with pytest.raises(SessionError, match="line 2: unknown check command"):
         run_session_text("[check]\nfrobnicate t\n")
