@@ -28,13 +28,8 @@ from .derivations import (
     derivation_bracket,
     independence_rank,
     iterate,
-    leibniz_residual,
-    mobius_residual,
-    monomial_residual,
-    nth_power_hom_residual,
-    power_rule_residual,
-    reflection_residual,
-    square_rule_residual,
+    RULES,
+    residual,
 )
 from .exact import DercalcError, FiniteCarrier, IntegerWindow, MultiPoly, rational
 from .feq import (
@@ -383,42 +378,44 @@ def _cmd_der(args, out: Out) -> int:
     raise SessionError(f"unknown der subcommand {args.cmd2!r}")
 
 
-# The options each kind of `der residual` reads.
-_RESIDUAL_OPTIONS = {"leibniz": ("u", "v"), "power": ("k", "x"), "monomial": ("n", "m", "x"),
-                     "mobius": ("a", "b", "c", "dd", "n", "x"), "reflect": ("x",),
-                     "square": ("x",), "nhom": ("n", "x")}
+# The options of the names a residual reads, where they differ: --d would
+# abbreviate --der.
+_OPTIONS = {"d": ("dd",), "g": ("der2", "slope2")}
+# The options each kind of `der residual` reads besides --der and --slope;
+# all but --der2 and --slope2 are needed.
+_RESIDUAL_OPTIONS = {kind: tuple(o for name in rule.reads for o in _OPTIONS.get(name, (name,)))
+                     for kind, rule in RULES.items()}
+_RESIDUAL_ALL = tuple(dict.fromkeys(o for opts in _RESIDUAL_OPTIONS.values() for o in opts))
+
+
+class _Spelled(dict):
+    """Format keys as themselves: "{k-1}" reads (k-1)."""
+
+    def __missing__(self, key: str) -> str:
+        return key if key.isidentifier() else f"({key})"
 
 
 def _cmd_der_residual(args, out: Out, tower: FieldTower) -> int:
     kind = args.kind
-    missing = [f"--{o}" for o in _RESIDUAL_OPTIONS[kind] if getattr(args, o) is None]
+    reads = _RESIDUAL_OPTIONS[kind]
+    missing = [f"--{o}" for o in reads if o not in _OPTIONS["g"] and getattr(args, o) is None]
     if missing:
         raise SessionError(f"der residual {kind} needs {' '.join(missing)}")
-    if kind == "leibniz":
-        name, der = build_derivation(tower, args.der.split(";"))
-        u = element_eval(tower, args.u, {name: der})
-        v = element_eval(tower, args.v, {name: der})
-        value = leibniz_residual(der, u, v)
-    else:
-        name, f = _affine(tower, args.der, args.slope, "--slope")
-        x = element_eval(tower, args.x)
-        if kind == "power":
-            value = power_rule_residual(f, args.k, x)
-        elif kind == "monomial":
-            if args.der2 is None:
-                g = f
-            else:
-                _, g = _affine(tower, args.der2, args.slope2, "--slope2")
-            value = monomial_residual(f, g, args.n, args.m, x)
-        elif kind == "mobius":
-            a, b, c, d = (_rational(getattr(args, o), f"--{o}") for o in ("a", "b", "c", "dd"))
-            value = mobius_residual(f, a, b, c, d, args.n, x)
-        elif kind == "reflect":
-            value = reflection_residual(f, x)
-        elif kind == "square":
-            value = square_rule_residual(f, x)
-        else:
-            value = nth_power_hom_residual(f, args.n, x)
+    stray = [f"--{o}" for o in _RESIDUAL_ALL if o not in reads and getattr(args, o) is not None]
+    if stray:
+        raise SessionError(f"der residual {kind} does not read {' '.join(stray)}")
+    name, f = _affine(tower, args.der, args.slope, "--slope")
+    given = {p: element_eval(tower, getattr(args, p), {name: f.der})
+             for p in ("u", "v", "x") if p in reads}
+    g = f
+    if args.der2 is not None or args.slope2 is not None:
+        _, g = _affine(tower, args.der if args.der2 is None else args.der2,
+                       "0" if args.slope2 is None else args.slope2, "--slope2")
+    for r, o in zip("abcd", ("a", "b", "c", "dd")):
+        if o in reads:
+            given[r] = _rational(getattr(args, o), f"--{o}")
+    given.update((e, getattr(args, e)) for e in ("k", "n", "m") if e in reads)
+    value = residual(kind, f, g, **given)
     out.emit("residual", f"residual = {value}", rule=kind, value=value)
     return 0
 
@@ -698,22 +695,16 @@ def _build_parser() -> argparse.ArgumentParser:
     dp = der_sub.add_parser("eval")
     der_common(dp)
     dp.add_argument("--expr", required=True)
-    dp = der_sub.add_parser("residual")
+    dp = der_sub.add_parser(
+        "residual", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="lhs - rhs of the KIND's rule in f = d + SLOPE*id and in g, which is f\n"
+        "unless --der2 or --slope2 gives it; the rational d is given by --dd:\n\n" + "\n".join(
+            f"  {kind:9} {rule.equation.format_map(_Spelled())}" for kind, rule in RULES.items()))
     der_common(dp)
-    dp.add_argument("kind", choices=tuple(_RESIDUAL_OPTIONS))
-    dp.add_argument("--u")
-    dp.add_argument("--v")
-    dp.add_argument("--x")
-    dp.add_argument("--k", type=int)
-    dp.add_argument("--n", type=int)
-    dp.add_argument("--m", type=int)
-    dp.add_argument("--a")
-    dp.add_argument("--b")
-    dp.add_argument("--c")
-    dp.add_argument("--dd")
+    dp.add_argument("kind", choices=tuple(RULES))
     dp.add_argument("--slope", default="0")
-    dp.add_argument("--der2")
-    dp.add_argument("--slope2", default="0")
+    for o in _RESIDUAL_ALL:
+        dp.add_argument(f"--{o}", type=int if o in ("k", "n", "m") else None)
     dp = der_sub.add_parser("bracket")
     der_common(dp)
     dp.add_argument("--der2", required=True)

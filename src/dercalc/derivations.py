@@ -25,11 +25,21 @@ algebraic level itself.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import BudgetError, _padd, _pderiv, _pmul, _psub, _pstrip, rational
-from .towers import FieldTower, TowerElement, TowerError, TowerMismatchError, element_eval
+from .parser import Arithmetic, Bin, Expr, compiled, parse_equation, parse_expr
+from .towers import (
+    DivisionByZeroElementError,
+    FieldTower,
+    TowerElement,
+    TowerError,
+    TowerMismatchError,
+    _Elements,
+    element_eval,
+)
 
 
 class DerivationError(TowerError):
@@ -209,13 +219,6 @@ def derivation_bracket(d1: Derivation, d2: Derivation) -> Derivation:
     return derivation_define(tower, values)
 
 
-def leibniz_residual(d: Derivation, x: ElementLike, y: ElementLike) -> TowerElement:
-    """d(xy) - x d(y) - y d(x); identically zero for a derivation."""
-    xe = _coerce_element(d.tower, x)
-    ye = _coerce_element(d.tower, y)
-    return d(xe * ye) - xe * d(ye) - ye * d(xe)
-
-
 class AffineDerivation:
     """f = chi + slope*id: a derivation plus a rational multiple of the
     identity.  These are exactly the maps the power-rule and substitution
@@ -241,113 +244,92 @@ class AffineDerivation:
 AffineLike = Union[Derivation, AffineDerivation]
 
 
-def _as_affine(f: AffineLike) -> AffineDerivation:
-    if isinstance(f, AffineDerivation):
-        return f
-    if isinstance(f, Derivation):
-        return AffineDerivation(f, 0)
-    raise TypeError("expected a Derivation or AffineDerivation")
+class Rule(NamedTuple):
+    """A kind of residual: the functional equation in the maps f and g
+    whose lhs - rhs it is, the names it reads, and the preconditions on
+    them, each with the message that refuses it."""
+
+    equation: str
+    reads: Tuple[str, ...]
+    requires: Tuple[Tuple[Callable[..., bool], str], ...] = ()
+
+
+def _ints(*values) -> bool:
+    return all(isinstance(v, int) for v in values)
+
+
+_EXPONENTS = ("k", "n", "m")  # written into the text: "{k-1}" is folded from k
+_RATIONALS = ("a", "b", "c", "d")  # symbols of the text, as are the points u, v, x
+
+# Derivations satisfy the leibniz, power, mobius, reflect and square rules,
+# so their residuals at f = d + c*id separate d from its perturbations;
+# monomial compares f and g on two powers, nhom is multiplicativity.
+RULES: Dict[str, Rule] = {
+    "leibniz": Rule("f(u*v) = u*f(v) + v*f(u)", ("u", "v")),
+    "power": Rule("f(x^{k}) = {k}*x^{k-1}*f(x)", ("k", "x"), (
+        (lambda k, **_: _ints(k) and k != 0, "power rule takes a nonzero integer exponent"),)),
+    "monomial": Rule("f(x^{n}) = x^{n-m}*g(x^{m})", ("n", "m", "x", "g"), (
+        (lambda n, m, **_: _ints(n, m), "monomial residual takes integer exponents"),
+        (lambda n, m, **_: n != m, "monomial residual needs distinct exponents"))),
+    "mobius": Rule("f((a*x^{n} + b)/(c*x^{n} + d)) = (a*d - b*c)*{n}*x^{n-1}/(c*x^{n} + d)^2*f(x)",
+                   ("a", "b", "c", "d", "n", "x"), (
+        (lambda a, b, c, d, **_: a * d != b * c, "singular coefficient matrix: a*d - b*c = 0"),
+        (lambda n, **_: _ints(n) and n != 0, "substitution exponent must be a nonzero integer"))),
+    "reflect": Rule("f(x) = -x^2*f(1/x)", ("x",)),
+    "square": Rule("f(x^2) = 2*x*f(x)", ("x",)),
+    "nhom": Rule("f(x^{n}) = f(x)^{n}", ("n", "x"), (
+        (lambda n, **_: _ints(n) and n >= 2, "n-th power residual needs an integer n >= 2"),)),
+}
+
+
+class _Exponents(dict):
+    """Integer exponents by name; a key that is an expression in them, such
+    as "k-1", is folded from them."""
+
+    def __missing__(self, key: str) -> Fraction:
+        return compiled(parse_expr(key), Arithmetic(), tuple(self))(*self.values())
+
+
+@functools.lru_cache(maxsize=256)
+def _residual_tree(kind: str, exponents: Tuple[Tuple[str, int], ...]) -> Expr:
+    """lhs - rhs of the kind's equation with the exponents written in."""
+    lhs, rhs = parse_equation(RULES[kind].equation.format_map(_Exponents(exponents)))
+    return Bin("-", lhs, rhs)
+
+
+def residual(kind: str, f: AffineLike, g: Optional[AffineLike] = None, **args) -> TowerElement:
+    """lhs - rhs of RULES[kind] with the maps f and g (g defaults to f), at
+    the points, exponents and rationals that `args` binds by name, folded in
+    f's tower.  A division by zero at the point raises DerivationError."""
+    rule = RULES[kind]
+    args = {name: rational(v) if name in _RATIONALS else v for name, v in args.items()}
+    for holds, message in rule.requires:
+        if not holds(**args):
+            raise DerivationError(message)
+    tree = _residual_tree(kind, tuple((n, int(args[n])) for n in _EXPONENTS if n in rule.reads))
+    names = [n for n in rule.reads if n not in _EXPONENTS and n != "g"]
+    tower = f.tower
+    run = compiled(tree, _Elements(tower, {"f": f, "g": g or f}), names)
+    values = [_coerce_element(tower, args[n]) for n in names]
+    try:
+        return run(*values)
+    except DivisionByZeroElementError:
+        raise DerivationError(f"{kind} residual divides by zero at this point") from None
+
+
+def leibniz_residual(d: Derivation, x: ElementLike, y: ElementLike) -> TowerElement:
+    """d(xy) - x d(y) - y d(x); identically zero for a derivation."""
+    return residual("leibniz", d, u=x, v=y)
 
 
 def power_rule_residual(f: AffineLike, k: int, x: ElementLike) -> TowerElement:
     """f(x^k) - k x^(k-1) f(x) for integer k != 0."""
-    if not isinstance(k, int) or k == 0:
-        raise DerivationError("power rule takes a nonzero integer exponent")
-    f = _as_affine(f)
-    xe = _coerce_element(f.tower, x)
-    if k < 0 and xe.is_zero():
-        raise DerivationError("negative power rule needs a nonzero point")
-    return f(xe ** k) - k * (xe ** (k - 1)) * f(xe)
-
-
-def monomial_residual(
-    f: AffineLike,
-    g: AffineLike,
-    n: int,
-    m: int,
-    x: ElementLike,
-) -> TowerElement:
-    """f(x^n) - x^(n-m) g(x^m) for integers n != m."""
-    if not isinstance(n, int) or not isinstance(m, int):
-        raise DerivationError("monomial residual takes integer exponents")
-    if n == m:
-        raise DerivationError("monomial residual needs distinct exponents")
-    f = _as_affine(f)
-    g = _as_affine(g)
-    if f.tower is not g.tower:
-        raise TowerMismatchError("residual maps live on different towers")
-    xe = _coerce_element(f.tower, x)
-    if xe.is_zero() and (n < 0 or m < 0 or n - m < 0):
-        raise DerivationError("negative exponents need a nonzero point")
-    return f(xe ** n) - (xe ** (n - m)) * g(xe ** m)
-
-
-def mobius_transform(
-    tower: FieldTower,
-    a: Union[int, Fraction],
-    b: Union[int, Fraction],
-    c: Union[int, Fraction],
-    d: Union[int, Fraction],
-    n: int,
-    x: ElementLike,
-):
-    """xi(x) = (a x^n + b)/(c x^n + d) and its formal derivative at x."""
-    a, b, c, d = (rational(v) for v in (a, b, c, d))
-    if a * d - b * c == 0:
-        raise DerivationError("singular coefficient matrix: a*d - b*c = 0")
-    if not isinstance(n, int) or n == 0:
-        raise DerivationError("substitution exponent must be a nonzero integer")
-    xe = _coerce_element(tower, x)
-    if n < 0 and xe.is_zero():
-        raise DerivationError("negative exponent needs a nonzero point")
-    xn = xe ** n
-    den = c * xn + d
-    if den.is_zero():
-        raise DerivationError("substitution denominator vanishes at this point")
-    xi = (a * xn + b) / den
-    xi_prime = (a * d - b * c) * n * (xe ** (n - 1)) / (den * den)
-    return xi, xi_prime
-
-
-def mobius_residual(
-    f: AffineLike,
-    a: Union[int, Fraction],
-    b: Union[int, Fraction],
-    c: Union[int, Fraction],
-    d: Union[int, Fraction],
-    n: int,
-    x: ElementLike,
-) -> TowerElement:
-    """f(xi(x)) - xi'(x) f(x) for the fractional-linear substitution in x^n."""
-    f = _as_affine(f)
-    xe = _coerce_element(f.tower, x)
-    xi, xi_prime = mobius_transform(f.tower, a, b, c, d, n, xe)
-    return f(xi) - xi_prime * f(xe)
+    return residual("power", f, k=k, x=x)
 
 
 def reflection_residual(f: AffineLike, x: ElementLike) -> TowerElement:
     """f(x) + x^2 f(1/x); zero exactly on derivations among additive maps."""
-    f = _as_affine(f)
-    xe = _coerce_element(f.tower, x)
-    if xe.is_zero():
-        raise DerivationError("reflection residual needs a nonzero point")
-    return f(xe) + (xe * xe) * f(xe.inv())
-
-
-def square_rule_residual(f: AffineLike, x: ElementLike) -> TowerElement:
-    """f(x^2) - 2x f(x)."""
-    f = _as_affine(f)
-    xe = _coerce_element(f.tower, x)
-    return f(xe * xe) - 2 * xe * f(xe)
-
-
-def nth_power_hom_residual(f: AffineLike, n: int, x: ElementLike) -> TowerElement:
-    """f(x^n) - f(x)^n, the defect of being multiplicative on n-th powers."""
-    if not isinstance(n, int) or n < 2:
-        raise DerivationError("n-th power residual needs an integer n >= 2")
-    f = _as_affine(f)
-    xe = _coerce_element(f.tower, x)
-    return f(xe ** n) - f(xe) ** n
+    return residual("reflect", f, x=x)
 
 
 # d^k calls the map of d^(k-1), so k bounds the nesting of the maps.

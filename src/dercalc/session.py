@@ -314,7 +314,8 @@ class _Session:
 
 def run_session_text(text: str) -> Tuple[List[str], int]:
     """Execute a script given as text; returns (transcript lines, exit code).
-    Whatever a line raises comes out as a SessionError naming that line."""
+    Bad input on a line comes out as a SessionError naming that line; any
+    other exception is a fault of the program and escapes as it is."""
     session = _Session()
     try:
         for no, raw in enumerate(text.splitlines(), start=1):
@@ -325,7 +326,7 @@ def run_session_text(text: str) -> Tuple[List[str], int]:
             if not session.read(line):
                 return session.lines, 1
         session.end_derivation()
-    except Exception as exc:
+    except (DercalcError, ValueError, ZeroDivisionError) as exc:
         raise SessionError(str(exc), session.at) from None
     return session.lines, 0
 

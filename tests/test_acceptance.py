@@ -22,10 +22,9 @@ from dercalc.derivations import (
     independence_rank,
     iterate,
     leibniz_residual,
-    mobius_residual,
     power_rule_residual,
     reflection_residual,
-    square_rule_residual,
+    residual,
 )
 from dercalc.exact import IntegerWindow, MultiPoly, gf
 from dercalc.feq import equation_by_name, feq_check
@@ -328,17 +327,17 @@ def test_15_substitution_residuals_and_their_closed_forms():
         for res in (
             power_rule_residual(d, k, x),
             reflection_residual(d, x),
-            square_rule_residual(d, x),
-            mobius_residual(d, a, b, c, dd, n, x),
+            residual("square", d, x=x),
+            residual("mobius", d, a=a, b=b, c=c, d=dd, n=n, x=x),
         ):
             assert res.is_zero()
 
         assert element_eq(power_rule_residual(f1, k, x), (1 - k) * x ** k)
         assert element_eq(reflection_residual(f1, x), 2 * x)
-        assert element_eq(square_rule_residual(f1, x), -(x * x))
+        assert element_eq(residual("square", f1, x=x), -(x * x))
         xn = x ** n
         den = c * xn + dd
         xi = (a * xn + b) / den
         xi_prime = Fraction(n) * (a * dd - b * c) * x ** (n - 1) / (den * den)
-        assert element_eq(mobius_residual(f1, a, b, c, dd, n, x), xi - x * xi_prime)
+        assert element_eq(residual("mobius", f1, a=a, b=b, c=c, d=dd, n=n, x=x), xi - x * xi_prime)
     ok("15 four substitution residuals vanish for derivations and match closed forms")

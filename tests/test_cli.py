@@ -8,6 +8,7 @@ import time
 import pytest
 
 from dercalc.cli import main
+from dercalc.derivations import RULES
 from dercalc.session import run_session_text
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -698,6 +699,47 @@ def test_malformed_spec_pieces_are_named(cli, argv, piece):
 def test_der_residual_names_the_options_its_kind_needs(cli, kind, given, missing):
     assert cli("der", "residual", kind, "--tower", QT, "--der", D1, *given) == (
         2, [], [f"error: der residual {kind} needs {missing}"])
+
+
+def test_der_residual_leibniz_reads_the_slope(cli):
+    # f = d + id gives f(t*t) - 2*t*f(t) = -t^2.
+    assert cli("der", "residual", "leibniz", "--tower", QT, "--der", D1,
+               "--u", "t", "--v", "t", "--slope", "1") == (0, ["residual = -t^2"], [])
+
+
+@pytest.mark.parametrize("kind, given, stray", [
+    ("power", ("--k", "2", "--x", "t", "--der2", "e(t)=5", "--slope2", "3"), "--der2 --slope2"),
+    ("power", ("--k", "2", "--x", "t", "--slope2", "3"), "--slope2"),
+    ("leibniz", ("--u", "t", "--v", "t", "--x", "t"), "--x"),
+    ("reflect", ("--x", "t", "--k", "2", "--dd", "1"), "--k --dd"),
+    ("square", ("--x", "t", "--u", "t"), "--u"),
+    ("nhom", ("--n", "2", "--x", "t", "--m", "1"), "--m"),
+    ("mobius", ("--a", "1", "--b", "0", "--c", "0", "--dd", "1", "--n", "1", "--x", "t",
+                "--der2", "e(t)=1"), "--der2"),
+])
+def test_der_residual_refuses_an_option_its_kind_does_not_read(cli, kind, given, stray):
+    assert cli("der", "residual", kind, "--tower", QT, "--der", D1, *given) == (
+        2, [], [f"error: der residual {kind} does not read {stray}"])
+
+
+def test_der_residual_monomial_reads_g_from_der2_and_slope2(cli):
+    base = ("der", "residual", "monomial", "--tower", QT, "--der", D1,
+            "--n", "3", "--m", "1", "--x", "t")
+    # g = f unless given: f(t^3) - t^2 f(t) = 2*t^2 for f = d + c*id, any c.
+    assert cli(*base, "--slope", "1") == (0, ["residual = 2*t^2"], [])
+    # g = d + 1*id: 3*t^2 - t^2*(1 + t).
+    assert cli(*base, "--slope2", "1") == (0, ["residual = -t^3 + 2*t^2"], [])
+    # g = e with e(t) = t: 3*t^2 - t^2*t.
+    assert cli(*base, "--der2", "e(t)=t") == (0, ["residual = -t^3 + 3*t^2"], [])
+
+
+def test_der_residual_help_lists_each_rule(capsys):
+    with pytest.raises(SystemExit):
+        main(["der", "residual", "--help"])
+    out = capsys.readouterr().out
+    assert "  power     f(x^k) = k*x^(k-1)*f(x)\n" in out
+    assert "  reflect   f(x) = -x^2*f(1/x)\n" in out
+    assert all(f"\n  {kind} " in out for kind in RULES)
 
 
 TRACE = ("multi", "trace", "--arity", "1", "--dim", "1")

@@ -3,6 +3,7 @@ input was unusable.  Each error type carries its code; fuzzed command
 lines never escape `cli.main` as a traceback."""
 import contextlib
 import io
+import pathlib
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -43,14 +44,19 @@ def mostly(good, bad=junk):
     return st.one_of(good, good, good, bad)
 
 
-def expr(*names):
+def tree(*names):
+    """Well-formed expressions in the names."""
     def grow(e):
         return st.one_of(st.tuples(e, st.sampled_from("+-*/"), e).map("".join),
                          st.tuples(e, st.sampled_from(["^2", "^3", "^-1", "/0"])).map("".join),
                          e.map(lambda s: f"({s})"))
 
     atom = st.sampled_from(list(names) + ["0", "1", "2", "3"])
-    return mostly(st.recursive(atom, grow, max_leaves=5))
+    return st.recursive(atom, grow, max_leaves=5)
+
+
+def expr(*names):
+    return mostly(tree(*names))
 
 
 small = st.integers(-2, 4).map(str)
@@ -65,9 +71,65 @@ equation = st.sampled_from(["cauchy-add", "leibniz", "jensen", "alien-c22", "hos
                             "cauchy-log", "nope"])
 params = st.one_of(st.none(), mostly(st.sampled_from(["lam=1,mu=2", "all-units"])))
 vector = mostly(st.lists(small, min_size=2, max_size=2).map(",".join))
+ratio = st.sampled_from(["0", "1", "-2", "1/2", "3", "-5/3"])
+rational = mostly(ratio)
+der2 = der.map(lambda spec: spec.replace("d(", "e("))
+point = expr("t", "s", "d(t)")
+tensor = mostly(st.sampled_from(["(0)=1", "(0)=1;(1)=-1", "(0,0)=1;(0,1)=2", "(1,1)=3",
+                                 "(0,0,0)=1", "(0,1)=1/2;(1,1)=1"]))
+hod_values = expr("t").map(lambda e: f"1:t={e}")
+# A table file of order 4 whose (2,2) entry breaks the cocycle condition.
+REM1 = str(pathlib.Path(__file__).parent / "data" / "rem1_table.txt")
+gamma = {"--n": small, "--table": mostly(st.just(REM1), st.just(REM1 + ".missing"))}
+
+
+class Script(str):
+    """The text of a session script, given on the command line as the path
+    of a file that holds it."""
+
+
+check = mostly(st.one_of(
+    point.map(lambda e: f"eval {e}"),
+    point.map(lambda e: f"zero {e}"),
+    st.tuples(expr("x"), carrier).map(lambda p: "cocycle pair f = {} on {}".format(*p)),
+    st.tuples(equation, expr("x"), carrier).map(lambda p: "feq {} f = {} on {}".format(*p))))
+script = st.tuples(
+    mostly(st.sampled_from(["[tower]\nt: transcendental",
+                            "[tower]\nt: transcendental\ns: algebraic s^2 - t"])),
+    mostly(st.sampled_from(["[derivation d]\nd(t) = 1", "[derivation d]\nd(t) = t"])),
+    st.lists(check, max_size=4),
+).map(lambda parts: Script("\n".join([*parts[:2], "[check]", *parts[2]])))
+
+# The options each kind of `der residual` reads, their well-formed values
+# on Q(t), and any values.
+_RESIDUAL_READS = {"leibniz": ("--u", "--v"), "power": ("--k", "--x"),
+                   "monomial": ("--n", "--m", "--x", "--der2", "--slope2"),
+                   "mobius": ("--a", "--b", "--c", "--dd", "--n", "--x"),
+                   "reflect": ("--x",), "square": ("--x",), "nhom": ("--n", "--x")}
+_WELL_FORMED = {"--u": tree("t", "d(t)"), "--v": tree("t", "d(t)"), "--x": tree("t", "d(t)"),
+                "--k": small, "--n": small, "--m": small,
+                "--a": ratio, "--b": ratio, "--c": ratio, "--dd": ratio,
+                "--der2": st.one_of(st.none(), tree("t").map(lambda e: f"e(t)={e}")),
+                "--slope2": st.one_of(st.none(), ratio)}
+_ANY = {"--u": point, "--v": point, "--x": point, "--k": small, "--n": small, "--m": small,
+        "--a": rational, "--b": rational, "--c": rational, "--dd": rational,
+        "--der2": der2, "--slope2": rational}
+
+
+def residual_templates(kind):
+    """The kind on Q(t) with well-formed values of the options it reads, and
+    on any tower with any of all the options."""
+    words = ("der", "residual", kind)
+    yield words, {"--tower": st.just("t:trans"), "--der": tree("t").map(lambda e: f"d(t)={e}"),
+                  "--slope": st.one_of(st.none(), ratio),
+                  **{o: _WELL_FORMED[o] for o in _RESIDUAL_READS[kind]}}
+    yield words, {"--tower": tower, "--der": der, "--slope": st.one_of(st.none(), rational),
+                  **{o: st.one_of(st.none(), v) for o, v in _ANY.items()}}
+
 
 # Each template is its fixed words, then options with their values; an
-# option whose value is drawn as None is left out.
+# option whose value is drawn as None is left out, and the option None
+# stands for a positional argument.
 _TEMPLATES = [
     (("tower", "show"), {"--spec": tower, "--expr": expr("t", "s")}),
     (("der", "eval"), {"--tower": tower, "--der": der, "--expr": expr("t", "s")}),
@@ -85,10 +147,35 @@ _TEMPLATES = [
                           "--ys": st.tuples(vector, vector).map("|".join), "--x": vector}),
     (("multi", "recover"), {"--f": expr("x0", "x1"), "--n": small, "--dim": small}),
     (("hod", "eval", "--binomial"), {"--n": small, "--vars": st.sampled_from(["t", "t,u"]),
-                                     "--values": expr("t").map(lambda e: f"1:t={e}"),
+                                     "--values": hod_values,
                                      "--k": small, "--expr": expr("t", "u")}),
     (("char", "decompose"), {"--f": expr("x"), "--g": expr("x"), "--carrier": carrier}),
     (("char", "alien"), {"--lam": small, "--mu": small, "--carrier": carrier}),
+    *(t for kind in _RESIDUAL_READS for t in residual_templates(kind)),
+    (("der", "bracket"), {"--tower": tower, "--der": der, "--der2": der2,
+                          "--expr": st.one_of(st.none(), expr("t", "s"))}),
+    (("der", "rank"), {"--tower": tower, "--der": der, "--k": small,
+                       "--points": st.lists(expr("t", "s"), min_size=1, max_size=3).map(",".join),
+                       "--subst": st.one_of(st.none(), mostly(st.sampled_from(["t=2", "t=0"])))}),
+    (("cocycle", "diff"), {"--kind": st.sampled_from(["cauchy", "leibniz"]), "--f": expr("x"),
+                           "--carrier": carrier}),
+    (("multi", "trace"), {"--arity": small, "--dim": small, "--tensor": tensor, "--x": vector}),
+    (("multi", "polarize"), {"--arity": small, "--dim": small, "--tensor": tensor,
+                             "--ys": st.tuples(vector, vector).map("|".join), "--x": vector}),
+    (("multi", "binomial"), {"--arity": small, "--dim": small, "--tensor": tensor,
+                             "--x": vector, "--y": vector}),
+    (("hod", "gamma-check"), gamma),
+    (("hod", "gamma-check", "--binomial"), {"--n": small}),
+    (("hod", "gamma-factor"), gamma),
+    (("hod", "gamma-factor", "--ones"), {"--n": small}),
+    (("hod", "construct", "--binomial"), {"--n": small, "--vars": st.sampled_from(["t", "t,u"]),
+                                          "--values": hod_values, "--grid": small,
+                                          "--choice": st.one_of(st.none(), mostly(
+                                              st.sampled_from(["t=0", "t=1", "u=t"])))}),
+    (("hod", "residual", "--binomial"), {"--n": small, "--vars": st.sampled_from(["t", "t,u"]),
+                                         "--values": hod_values, "--k": small,
+                                         "--p": expr("t", "u"), "--q": expr("t", "u")}),
+    (("run",), {None: script}),
 ]
 
 
@@ -99,22 +186,29 @@ def argv(draw):
     for option, value in options.items():
         drawn = draw(value)
         if drawn is not None:
-            args += [option, drawn]
+            args += [drawn] if option is None else [option, drawn]
     return args
 
 
 @given(argv())
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=700, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_fuzzed_command_lines_exit_0_1_or_2(monkeypatch, args):
+def test_fuzzed_command_lines_exit_0_1_or_2(monkeypatch, tmp_path, args):
     monkeypatch.setenv("DERCALC_BUDGET", "20000")
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    for i, arg in enumerate(args):
+        if isinstance(arg, Script):
+            args[i] = str(tmp_path / "script.session")
+            pathlib.Path(args[i]).write_text(arg)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(args)
         except SystemExit as exc:  # argparse refusing the command line
             assert exc.code == 2, args
             return
     assert code in (0, 1, 2), args
+    if code == 1:  # the witness is printed
+        assert err.getvalue().startswith("check failed: ") or any(
+            "FAIL" in line for line in out.getvalue().splitlines()), (args, out.getvalue())
     if code == 2:
         assert err.getvalue().startswith("error: "), (args, err.getvalue())

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from dercalc import session
 from dercalc.session import (
     SessionError,
     fn2_from_expr,
@@ -112,6 +113,20 @@ def test_unknown_check_command():
 def test_syntax_error_in_check_keeps_script_line_number():
     with pytest.raises(SessionError, match="line 4:"):
         run_session_text("[tower]\nt: transcendental\n[check]\neval t ++ 1\n")
+
+
+def test_an_internal_fault_escapes_and_bad_input_still_names_its_line(monkeypatch):
+    script = "[tower]\nt: transcendental\n[check]\neval t + 1\n"
+    assert run_session_text(script) == (["t + 1 = t + 1"], 0)
+    with pytest.raises(SessionError, match="line 4: division by"):
+        run_session_text(script.replace("t + 1", "t/0"))
+
+    def fault(*args):
+        raise AttributeError("an internal fault")
+
+    monkeypatch.setattr(session, "element_eval", fault)
+    with pytest.raises(AttributeError, match="an internal fault"):
+        run_session_text(script)
 
 
 def test_bad_feq_parameter_clause():
