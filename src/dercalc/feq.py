@@ -54,7 +54,8 @@ in the loop of its depth, which an exhaustive check runs on every tuple;
 and the stream loop, one loop over the tuples it is given, which sampled
 checks run.  The search's step runs the stream loop's lines inside a loop
 over the candidate values of the entry it places, one call per node of the
-search: every value, or the one a tuple pins (`_backtrack`).
+search: every value, or the one a tuple pins (`_backtrack`), the entries
+placed in forcing-closure order (`_slot_order`).
 The residual is lhs - rhs at one tuple, running the left side's lines
 before the right side's.  The search reads off it the entries each tuple
 reads, in order, the tuples that read none and the value a tuple pins, and
@@ -70,6 +71,7 @@ check of more tuples than the budget is refused before it runs
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import random
@@ -888,16 +890,18 @@ def _normal(form: Dict[int, int]):
     return form.get(_CONST, 0)
 
 
-def _probe(unknowns: Tuple[str, ...]) -> Tuple[Dict[str, _Subscript], List[tuple]]:
-    """(tables, read): zero tables for `unknowns` that append every entry
-    (f, point) the code bound to them reads to the list `read`, in the
-    order the code reads them."""
-    read: List[tuple] = []
+def _probe(unknowns: Tuple[str, ...]) -> Tuple[Dict[str, _Subscript], List[int]]:
+    """(tables, read): zero tables for `unknowns` on a finite carrier that
+    append the slot of every entry the code bound to them reads to the
+    list `read`, in the order the code reads them: x * k + i for unknown i
+    of k at x, the slots of `_eliminate` and `_backtrack`."""
+    read: List[int] = []
+    k = len(unknowns)
 
-    def zeros(f: str) -> _Subscript:
-        return _Subscript(lambda x: read.append((f, x)) or 0)
+    def zeros(i: int) -> _Subscript:
+        return _Subscript(lambda x: read.append(x * k + i) or 0)
 
-    return {f: zeros(f) for f in unknowns}, read
+    return {f: zeros(i) for i, f in enumerate(unknowns)}, read
 
 
 def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
@@ -992,22 +996,25 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     checked the moment the last entry it reads is placed; a violated tuple
     prunes the whole subtree.  With an unknown inside a divisor,
     admissibility depends on table values, and with one inside a function
-    argument, so do the entries a tuple reads; then every tuple is
-    rechecked at every node.  Otherwise one pass of the residual at tables
-    that record each read (`_probe`) finds the tuples skipped and the
-    entries each reads, in order; one that reads none has the same
-    residual on every table, and a nonzero one leaves no solution.  A node
-    is one call of the generated step (`_Code`, "values"), which places
-    each candidate value at the slot, runs the tuples the slot completes
-    and returns the candidates that pass.  The candidates are every value,
-    unless a tuple filed under slot k forces it: one side is a bare read
-    f(arg) of slot k's entry, which the tuple reads nowhere else.  As arg
-    reads no entry and the left side's lines run first, that read is the
-    tuple's first for a bare left side and its last for a bare right side.
-    The tuple passes only where the entry equals the other side's value;
-    with the entry at 0, the residual there is r = -value or value, so -r
-    or r mod m is the one candidate.  The budget bounds the entries
-    placed."""
+    argument, so do the entries a tuple reads; then the slots are placed in
+    carrier order and every tuple is rechecked at every node.  Otherwise
+    one pass of the residual at tables that record each read (`_probe`)
+    finds the tuples skipped and the entries each reads, in order; one that
+    reads none has the same residual on every table, and a nonzero one
+    leaves no solution.  A tuple forces a slot where one side is a bare
+    read f(arg) of the slot's entry, which the tuple reads nowhere else: as
+    arg reads no entry and the left side's lines run first, that read is
+    the tuple's first for a bare left side and its last for a bare right
+    side.  The slots are placed in forcing-closure order (`_slot_order`).
+    A node is one call of the generated step (`_Code`, "values"), which
+    places each candidate value at the slot, runs the tuples the slot
+    completes and returns the candidates that pass.  The candidates are
+    every value, or at a forced slot one: the tuple passes only where the
+    entry equals the other side's value; with the entry at 0, the residual
+    there is r = -value or value, so -r or r mod m is the one candidate.
+    The search lists the solutions in lexicographic order of the slots as
+    placed; they are sorted back into carrier order.  The budget bounds
+    the entries placed."""
     elems = list(carrier.elements())
     slots = [(f, e) for e in elems for f in unknowns]
     partial: Dict[str, Dict[int, int]] = {f: {} for f in unknowns}
@@ -1017,18 +1024,18 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     # table entries a pair reads are known up front.
     skipped_pairs = 0
     every = list(itertools.product(elems, repeat=len(eq.variables)))
-    # per slot, None or (the sign of its entry in lhs - rhs, a tuple that forces it)
+    # per position, None or (the sign of its entry in lhs - rhs, a tuple that forces it)
     forcing: List[Optional[Tuple[int, tuple]]] = [None] * len(slots)
     if code.degree == _VALUE_DEPENDENT:
+        order = list(range(len(slots)))
         tuples_at = [every] * len(slots)
     else:
-        slot_index = {fe: i for i, fe in enumerate(slots)}
-        tuples_at = [[] for _ in slots]
         zeros, points = _probe(unknowns)
         probe = _residual(eq, carrier, zeros, params)
         # (where in `points` a bare side's read is, its sign), left side first
         bare = [(end, sign) for side, end, sign in ((eq.lhs, 0, 1), (eq.rhs, -1, -1))
                 if isinstance(side, Apply)]
+        records = []
         solvable = True
         for tup in every:
             points.clear()
@@ -1040,48 +1047,112 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
             if not points:
                 solvable = solvable and r == 0
                 continue
-            k = max(slot_index[pt] for pt in points)
-            tuples_at[k].append(tup)
-            for end, sign in bare if forcing[k] is None else ():
-                if points[end] == slots[k] and points.count(slots[k]) == 1:
-                    forcing[k] = sign, tup
-                    break
+            records.append((tup, points[:], [(points[end], sign) for end, sign in bare
+                                             if points.count(points[end]) == 1]))
         if not solvable:
             return (), skipped_pairs
+        order, tuples_at, forcing = _slot_order(len(slots), records)
 
     m = carrier.modulus
     values = code.bind("values", carrier, params, [partial[f] for f in eq.functions],
                        lambda tuples, T, key, candidates: candidates)
     residual = _residual(eq, carrier, partial, params)
     cells = [(partial[f], e) for f, e in slots]
+    placing = [cells[s] for s in order]
 
     def step(k: int) -> List[int]:
-        table, key = cells[k]
+        table, key = placing[k]
         if forcing[k] is None:
             return values(tuples_at[k], table, key, range(m))
         sign, tup = forcing[k]
         table[key] = 0
         return values(tuples_at[k], table, key, (-sign * residual(*tup) % m,))
 
-    solutions = _search(cells, m, step,
-                        lambda: tuple(FnTable(carrier, dict(partial[f])) for f in unknowns),
-                        budget)
+    found = _search(placing, m, step, lambda: tuple(t[e] for t, e in cells), budget)
+    n = len(unknowns)
+    solutions = tuple(tuple(FnTable(carrier, dict(zip(elems, entries[i::n]))) for i in range(n))
+                      for entries in sorted(found))
     return solutions, skipped_pairs
+
+
+def _slot_order(size: int, records: Sequence[Tuple[object, Sequence[int],
+                                                   Sequence[Tuple[int, int]]]]
+                ) -> Tuple[List[int], List[list], List[Optional[Tuple[int, object]]]]:
+    """(order, filed, forcing): the order in which the search places slots
+    0 .. size - 1, and at each position k of it the items of the records
+    whose last slot read is placed at k, in the records' order, and None or
+    (sign, item) of the first of them that forces the slot placed at k.
+
+    A record is (item, reads, forces): an item the search checks, the
+    slots it reads, and the (slot, sign) of each slot it forces, one it
+    reads as a bare side and nowhere else (`_backtrack`).  Once every other
+    slot such a record reads is placed, only one value can pass at the
+    forced slot.  The order is the forcing closure: the least forced slot
+    while there is one, else the least unplaced slot, so a slot a placed
+    slot fixes comes next, not in carrier order.  Each slot is queued once
+    (a heap), and each record is passed once per read."""
+    readers: List[List[int]] = [[] for _ in range(size)]
+    left: List[int] = []  # per record, its reads of slots still unplaced
+    for i, (_, reads, _) in enumerate(records):
+        left.append(len(reads))
+        for s in reads:
+            readers[s].append(i)
+    state = [0] * size  # 0 unplaced, 1 queued, 2 placed
+    heap: List[int] = []
+
+    def queue(forces) -> None:
+        # with one read left, a slot it forces is the one still unplaced
+        for t, _ in forces:
+            if not state[t]:
+                state[t] = 1
+                heapq.heappush(heap, t)
+
+    for (_, _, forces), count in zip(records, left):
+        if count == 1:
+            queue(forces)
+    order: List[int] = []
+    filed: List[list] = []
+    forcing: List[Optional[Tuple[int, object]]] = []
+    least = 0
+    for _ in range(size):
+        if heap:
+            s = heapq.heappop(heap)
+        else:
+            while state[least]:
+                least += 1
+            s = least
+        state[s] = 2
+        order.append(s)
+        here: list = []
+        force = None
+        for i in readers[s]:
+            left[i] -= 1
+            if left[i] == 1:
+                queue(records[i][2])
+            elif not left[i]:
+                item, _, forces = records[i]
+                here.append(item)
+                if force is None:
+                    force = next(((sign, item) for t, sign in forces if t == s), None)
+        filed.append(here)
+        forcing.append(force)
+    return order, filed, forcing
 
 
 def _search(slots: Sequence[Tuple[Dict[int, int], int]], n: int,
             values: Callable[[int], Iterable[int]], record: Callable[[], object],
             budget: int) -> tuple:
     """The one table search: every filling of `slots`, each a (table, key)
-    pair, with values in range(n), in lexicographic order, as `record()`
-    returns it at the leaf.  `values(k)` returns the values that pass at
-    slot k, ascending, given everything slot k completes; the search goes
-    on below each of them.  It may try only the values that can pass, such
-    as the one a forcing tuple leaves (`_backtrack`), and the search is
-    the same: each of the n values counts as placed, in order, whether it
-    was tried or not, so BudgetError is raised at the placement where more
-    than `budget` entries have been placed; its message counts the entries
-    placed and the nodes visited."""
+    pair, with values in range(n), in lexicographic order of the slots as
+    given, as `record()` returns it at the leaf; a caller that places them
+    out of carrier order sorts the fillings back.  `values(k)` returns the
+    values that pass at slot k, ascending, given everything slot k
+    completes; the search goes on below each of them.  It may try only the
+    values that can pass, such as the one a forcing tuple leaves
+    (`_backtrack`), and the search is the same: each of the n values
+    counts as placed, in order, whether it was tried or not, so BudgetError
+    is raised at the placement where more than `budget` entries have been
+    placed; its message counts the entries placed and the nodes visited."""
     solutions: List[object] = []
     placed = visited = 0
 
@@ -1199,9 +1270,13 @@ def logarithmic_zero_check(
     domain shrinks to the unit group and the codomain to integers modulo the
     group order, where nonzero homomorphisms exist.  That search is the
     solver's own (`_search`), one unit per slot, and the budget bounds the
-    entries it places.  As in `_backtrack`, a slot is forced where a pair
-    places x*y last and x, y before it: only table[x] + table[y] mod |U|
-    can pass there, so that is the one value tried."""
+    entries it places.  As in `_backtrack`, a pair x, y forces the slot of
+    x*y, unless x*y is x or y: once x and y are placed, only table[x] +
+    table[y] mod |U| can pass there, so that is the one value tried.  The
+    units are placed in forcing-closure order (`_slot_order`), so a
+    product of placed units comes right after them, and the solutions are
+    sorted back into lexicographic order of the units, each a dict keyed
+    in the units' order."""
     if budget is None:
         budget = default_budget()
     if not units_only:
@@ -1212,21 +1287,21 @@ def logarithmic_zero_check(
     slot = {u: k for k, u in enumerate(units)}
     # Each pair x <= y, with x*y (a unit), is checked once, when the last of
     # x, y, x*y is placed; (y, x) is the same pair in a commutative group.
-    pairs_at: List[List[Tuple[int, int, int]]] = [[] for _ in units]
-    forcing: List[Optional[Tuple[int, int]]] = [None] * n  # a pair (x, y) with x*y last
+    # It forces x*y unless x*y is x or y.
+    records = []
     for x, y in itertools.combinations_with_replacement(units, 2):
         xy = x * y % m
-        k = max(slot[x], slot[y], slot[xy])
-        pairs_at[k].append((x, y, xy))
-        if forcing[k] is None and slot[xy] > max(slot[x], slot[y]):
-            forcing[k] = x, y
+        records.append(((x, y, xy), (slot[x], slot[y], slot[xy]),
+                        () if xy in (x, y) else ((slot[xy], 1),)))
+    order, pairs_at, forcing = _slot_order(n, records)
+    placing = [units[s] for s in order]
     table: Dict[int, int] = {}
 
     def values(k: int) -> List[int]:
-        force = forcing[k]
+        force = forcing[k]  # None or (1, (x, y, x*y))
         passing = []
-        for v in ((table[force[0]] + table[force[1]]) % n,) if force else range(n):
-            table[units[k]] = v
+        for v in ((table[force[1][0]] + table[force[1][1]]) % n,) if force else range(n):
+            table[placing[k]] = v
             for x, y, xy in pairs_at[k]:
                 if table[xy] != (table[x] + table[y]) % n:
                     break
@@ -1234,7 +1309,9 @@ def logarithmic_zero_check(
                 passing.append(v)
         return passing
 
-    solutions = _search([(table, u) for u in units], n, values, lambda: dict(table), budget)
+    found = _search([(table, u) for u in placing], n, values,
+                    lambda: tuple(table[u] for u in units), budget)
+    solutions = tuple(dict(zip(units, entries)) for entries in sorted(found))
     return LogZeroReport(carrier, True, solutions)
 
 
