@@ -5,7 +5,9 @@ an additive-type and a Leibniz-type defect forces both defects to vanish.
 Nobody knows the answer over the rationals; over a prime field GF(p) both
 equations are linear in the table of f, so the solutions are the kernel of
 a p^2 x p system mod p, which `feq_solve_brute` finds by elimination and
-this script lists.
+this script lists.  Elimination reads the system's rows on demand: a seed
+of about 3p rows, then the rows its failing re-checks point to, so a run
+reads a few rows per table entry rather than all p^2.
 
 A run prints, per prime, every solution table of each equation and whether
 it is additive, Leibniz, both, or neither.  Finding only the zero table is

@@ -32,41 +32,22 @@ On a window, a tuple is admissible only while every function argument stays
 inside the window.
 
 Each side is generated as Python by a fold (`parser.compiled`) whose values
-are generated expressions (`_Side`), in post-order with the left operand
-first, so nothing recurses.  Sums, differences, products, negations and
-non-negative powers are inlined, reduced modulo the carrier where a value
-is read; a table read is a subscription, T[a], or T[a][b] by rows for a
-table keyed by pairs, behind the window test on a window, so a table is any
-mapping.  Constant subtrees, parameters included, are folded in the
-carrier's arithmetic when the code is bound, and a constant divisor on a
-finite carrier becomes a product with its inverse.  Other divisions on a
-finite carrier and negative powers call the carrier's own `bin` and `pow`
-(`FiniteCarrier`, `IntegerWindow`), which raise `Inadmissible` where a
-tuple is skipped; a division on a window is inlined behind the test of
-`IntegerWindow.bin`, a nonzero divisor that divides exactly, and a window
-test or a division test that fails skips the tuple without raising.  Each
-value has a depth, that of the last variable it reads, and becomes a line
-of its own where an operator at a greater depth takes it.  Per equation and
-carrier modulus or window (`Equation.code`), after its constant divisors
-are examined, one emitter (`_check_loop`) makes two check loops from the
-lines of both sides (`_Code`): the nest, one loop per variable, each line
-in the loop of its depth, which an exhaustive check runs on every tuple;
-and the stream loop, one loop over the tuples it is given, which sampled
-checks run.  The search's step runs the stream loop's lines inside a loop
-over the candidate values of the entry it places, one call per node of the
-search: every value, or the one a tuple pins (`_backtrack`), the entries
-placed in forcing-closure order (`_slot_order`).
-The residual is lhs - rhs at one tuple, running the left side's lines
-before the right side's.  The search reads off it the entries each tuple
-reads, in order, the tuples that read none and the value a tuple pins, and
-the cocycle module its Cauchy and Leibniz differences.
-Elimination's row is lhs - rhs once more, for sides of degree at most 1:
-the fold that gave the degree writes it as c0 + sum of c_k * T[x_k], each
-c and x an entry-free subtree, which a `_Side` of its own generates, so a
-row is one call that returns a sparse dict.  No user text reaches the source:
+are generated expressions (`_Side`), so nothing recurses: ring operations
+are inlined, a table read is a subscription, so a table is any mapping,
+constant subtrees are folded when the code is bound, and other divisions
+and negative powers call the carrier's `bin` and `pow`, which raise
+`Inadmissible` where a tuple is skipped.  Per equation and carrier modulus
+or window (`Equation.code`), after its constant divisors are examined, the
+lines of both sides make five functions (`_Code`): the nest, which an
+exhaustive check runs, and the stream loop, which a sampled check runs;
+the search's step (`_backtrack`); the residual, lhs - rhs at one tuple;
+and elimination's row, the same difference as a sparse dict for sides of
+degree at most 1.  Elimination reads rows on demand: a seed of tuples,
+then the lines through each tuple where the exhaustive re-check of the
+spanning solutions fails, until it passes, so its final round is the
+listing's re-check (`_eliminate`).  No user text reaches the source:
 variables, functions and constants are numbered slots.  An exhaustive
-check of more tuples than the budget is refused before it runs
-(`bound_exhaustive`).
+check of more tuples than the budget is refused up front (`bound_exhaustive`).
 """
 from __future__ import annotations
 
@@ -836,18 +817,12 @@ def feq_solve_brute(
     carrier point, the unknowns interleaved at each point).
 
     On a prime modulus, when both sides have degree at most 1 in the table
-    entries (`_degree`), the solutions are the kernel of one linear system,
-    solved by elimination (`_eliminate`), and the budget bounds the number
-    of solutions to list.  Otherwise the backtracking search lists them
-    (`_backtrack`), and the budget bounds the table entries it places.
-    Before they are reported, the solutions are re-checked exhaustively.
-    The search's are checked one by one.  Elimination's are checked through
-    the dim + 1 solutions that span them (`_eliminate`): on sides of degree
-    at most 1, which tuples are admissible does not depend on the tables,
-    and on each admissible tuple lhs - rhs is an affine function of the
-    table entries, so where it vanishes at p0 and at every p0 + b_i it
-    vanishes at every p0 + sum of l_i * b_i, which is the whole listing.
-    A solve whose exhaustive re-check the default budget refuses
+    entries (`_degree`), elimination solves one linear system (`_eliminate`),
+    and the budget bounds the number of solutions to list; otherwise the
+    backtracking search lists them (`_backtrack`), and the budget bounds the
+    table entries it places.  Every solution is re-checked exhaustively, the
+    search's one by one and elimination's through the dim + 1 that span
+    them.  A solve whose exhaustive re-check the default budget refuses
     (`feq_check`) is refused before it starts."""
     if not isinstance(carrier, FiniteCarrier):
         raise FeqError("brute-force solving needs a finite carrier")
@@ -866,14 +841,13 @@ def feq_solve_brute(
     bound_exhaustive(carrier.size ** len(eq.variables))  # the re-check's, before any work
 
     if _is_prime(carrier.modulus) and code.degree <= 1:
-        solutions, skipped_pairs, checked = _eliminate(eq, unknowns, carrier, params, budget)
+        solutions, skipped_pairs = _eliminate(eq, unknowns, carrier, params, budget)
     else:
         solutions, skipped_pairs = _backtrack(eq, unknowns, carrier, params, budget)
-        checked = solutions
-    for sol in checked:
-        check = feq_check(eq, dict(zip(unknowns, sol)), params)
-        if not check.ok:
-            raise FeqError(f"internal: emitted solution fails re-check at {check.witness}")
+        for sol in solutions:
+            check = feq_check(eq, dict(zip(unknowns, sol)), params)
+            if not check.ok:
+                raise FeqError(f"internal: emitted solution fails re-check at {check.witness}")
     return SolveReport(eq.name, carrier, unknowns, "complete", solutions, skipped_pairs)
 
 
@@ -904,53 +878,79 @@ def _probe(unknowns: Tuple[str, ...]) -> Tuple[Dict[str, _Subscript], List[int]]
     return {f: zeros(i) for i, f in enumerate(unknowns)}, read
 
 
-def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
-               params: Dict[str, int], budget: int) -> Tuple[Solutions, int, Solutions]:
-    """Solutions, skipped pairs and the solutions that span the rest, by
-    elimination mod a prime, for sides of degree at most 1 (`_degree`).
+_SEED = 3  # elimination's seed: the tuples whose variables after the first are below it
 
-    Each admissible tuple adds the row lhs - rhs = 0, one call of the
-    generated row (`_Code`, "row"): lhs - rhs as c0 + sum of c_k * T[x_k],
-    each c and x an entry-free subtree (`_Linear`).  The rows are kept in
-    reduced row-echelon form with the highest slot of a row as its pivot,
-    so a pivot entry is fixed by free entries at lower slots, and the first
-    entry at which two solutions differ is free.  The solutions are
-    p0 + sum of l_i * b_i over every choice of the l_i (`_span`), where
-    p0 has every free entry 0 and the kernel vector b_i has free entry i
-    at 1 and the others at 0; listing the choices in lexicographic order
-    lists the solutions in lexicographic order.  The spanning solutions
-    are the listed p0 and p0 + b_i."""
-    m, k = carrier.modulus, len(unknowns)
+
+def _eliminate(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
+               params: Dict[str, int], budget: int) -> Tuple[Solutions, int]:
+    """Solutions and skipped pairs by elimination mod a prime, for sides of
+    degree at most 1 (`_degree`), reading rows on demand.
+
+    A tuple's row is lhs - rhs = 0 (`_Code`, "row").  The rows read are kept
+    in reduced row-echelon form, a row's highest slot its pivot; p0 has
+    every free entry 0, and b_i free entry i at 1, the others at 0.  After
+    the seed's rows (`_SEED`), each p0 + b_i and p0 are checked on every
+    tuple (`feq_check`), and where one fails at a witness, the rows of every
+    line through it (one variable runs over the carrier) are read and the
+    checks run again.  Every row read holds on every solution, so the
+    solutions lie in the space A of p0 + sum of l_i * b_i; lhs - rhs is
+    affine in the tables and admissibility does not depend on them, so
+    checks that pass prove A is the solution set: they are the re-check.  A
+    witness's row does not vanish on A, so each failing round raises the
+    rank or leaves no solution; then every row is read to count the tuples
+    skipped.  The echelon form is unique given A, so the listing (`_span`)
+    does not depend on the rows read: p0 at 0, p0 + b_i at m^(dim - 1 - i)."""
+    m, k, arity = carrier.modulus, len(unknowns), len(eq.variables)
     # slot e * k + i holds the value of unknown i at e
     row = _code(eq, carrier).row(carrier, params, [unknowns.index(f) for f in eq.functions])
     pivots: Dict[int, Dict[int, int]] = {}  # pivot slot -> the rest of its row
-    consistent = True
-    skipped_pairs = 0
-    for tup in itertools.product(range(m), repeat=len(eq.variables)):
-        try:
-            form = row(*tup)
-        except Inadmissible:
-            skipped_pairs += 1
-            continue
-        if consistent:
-            consistent = _add_row(pivots, form, m)
-    if not consistent:
-        return (), skipped_pairs, ()
-    free = [s for s in range(m * k) if s not in pivots]
-    if m ** len(free) > budget:
-        raise BudgetError(f"{m}^{len(free)} solutions exceed budget {budget}; "
-                          f"raise it with --budget or DERCALC_BUDGET")
+    tuples = itertools.product(*(range(min(m, _SEED) if i else m) for i in range(arity)))
+    rank = -1  # before the seed's rows are read
 
     def vector(t: int) -> List[int]:
         # p0 (t = _CONST) or b_t: a pivot entry is -(its row's coefficient of t)
         return [-pivots[s].get(t, 0) % m if s in pivots else int(s == t)
                 for s in range(m * k)]
 
-    solutions = tuple(tuple(FnTable(carrier, dict(enumerate(values[i::k]))) for i in range(k))
-                      for values in _span(vector(_CONST), [vector(t) for t in free], m))
-    # p0 sits at 0 in the listing, and p0 + b_i at m^(dim - 1 - i)
-    spanning = solutions[:1] + tuple(solutions[m ** j] for j in range(len(free)))
-    return solutions, skipped_pairs, spanning
+    def tables(values: List[int]) -> Tuple[FnTable, ...]:
+        return tuple(FnTable(carrier, dict(enumerate(values[i::k]))) for i in range(k))
+
+    while True:
+        for tup in tuples:
+            try:
+                form = row(*tup)
+            except Inadmissible:
+                continue
+            if not _add_row(pivots, form, m):
+                skipped = 0
+                for each in itertools.product(range(m), repeat=arity):
+                    try:
+                        row(*each)
+                    except Inadmissible:
+                        skipped += 1
+                return (), skipped
+        if len(pivots) == rank:  # the row and the check disagree at w
+            raise FeqError(f"internal: the row at {w} is in the span of the rows read")
+        free, p0, spanning = [s for s in range(m * k) if s not in pivots], vector(_CONST), []
+        # p0 + b_i from the highest free slot down, then p0: the listing's m^j, then 0;
+        # built as checked, so a failing round builds no more of them
+        points = ([(x + y) % m for x, y in zip(p0, vector(t))] for t in reversed(free))
+        for sol in map(tables, itertools.chain(points, [p0])):
+            spanning.append(sol)
+            check = feq_check(eq, dict(zip(unknowns, sol)), params)
+            if not check.ok:
+                break
+        else:
+            break
+        w, rank = check.witness, len(pivots)
+        tuples = dict.fromkeys(w[:i] + (t,) + w[i + 1:] for i in range(arity) for t in range(m))
+    if m ** len(free) > budget:
+        raise BudgetError(f"{m}^{len(free)} solutions exceed budget {budget}; "
+                          f"raise it with --budget or DERCALC_BUDGET")
+    solutions = tuple(map(tables, _span(p0, [vector(t) for t in free], m)))
+    if [*(solutions[m ** j] for j in range(len(free))), solutions[0]] != spanning:
+        raise FeqError("internal: emitted solution fails re-check: it is not the one checked")
+    return solutions, check.skipped
 
 
 def _span(base: List[int], kernel: List[List[int]], m: int) -> List[List[int]]:
@@ -1035,7 +1035,7 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
         # (where in `points` a bare side's read is, its sign), left side first
         bare = [(end, sign) for side, end, sign in ((eq.lhs, 0, 1), (eq.rhs, -1, -1))
                 if isinstance(side, Apply)]
-        records = []
+        records, readers = [], [[] for _ in slots]  # see `_slot_order`
         solvable = True
         for tup in every:
             points.clear()
@@ -1047,11 +1047,13 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
             if not points:
                 solvable = solvable and r == 0
                 continue
-            records.append((tup, points[:], [(points[end], sign) for end, sign in bare
-                                             if points.count(points[end]) == 1]))
+            for s in points:
+                readers[s].append(len(records))
+            records.append((tup, len(points), [(points[end], sign) for end, sign in bare
+                                               if points.count(points[end]) == 1]))
         if not solvable:
             return (), skipped_pairs
-        order, tuples_at, forcing = _slot_order(len(slots), records)
+        order, tuples_at, forcing = _slot_order(readers, records)
 
     m = carrier.modulus
     values = code.bind("values", carrier, params, [partial[f] for f in eq.functions],
@@ -1075,29 +1077,26 @@ def _backtrack(eq: Equation, unknowns: Tuple[str, ...], carrier: FiniteCarrier,
     return solutions, skipped_pairs
 
 
-def _slot_order(size: int, records: Sequence[Tuple[object, Sequence[int],
-                                                   Sequence[Tuple[int, int]]]]
+def _slot_order(readers: Sequence[Sequence[int]],
+                records: Sequence[Tuple[object, int, Sequence[Tuple[int, int]]]]
                 ) -> Tuple[List[int], List[list], List[Optional[Tuple[int, object]]]]:
-    """(order, filed, forcing): the order in which the search places slots
-    0 .. size - 1, and at each position k of it the items of the records
-    whose last slot read is placed at k, in the records' order, and None or
-    (sign, item) of the first of them that forces the slot placed at k.
+    """(order, filed, forcing): the order in which the search places the
+    slots of `readers`, and at each position k of it the items of the
+    records whose last slot read is placed at k, in the records' order, and
+    None or (sign, item) of the first of them that forces the slot placed
+    at k.
 
     A record is (item, reads, forces): an item the search checks, the
-    slots it reads, and the (slot, sign) of each slot it forces, one it
-    reads as a bare side and nowhere else (`_backtrack`).  Once every other
-    slot such a record reads is placed, only one value can pass at the
-    forced slot.  The order is the forcing closure: the least forced slot
-    while there is one, else the least unplaced slot, so a slot a placed
-    slot fixes comes next, not in carrier order.  Each slot is queued once
-    (a heap), and each record is passed once per read."""
-    readers: List[List[int]] = [[] for _ in range(size)]
-    left: List[int] = []  # per record, its reads of slots still unplaced
-    for i, (_, reads, _) in enumerate(records):
-        left.append(len(reads))
-        for s in reads:
-            readers[s].append(i)
-    state = [0] * size  # 0 unplaced, 1 queued, 2 placed
+    number of slots it reads, and the (slot, sign) of each slot it forces,
+    one it reads as a bare side and nowhere else (`_backtrack`); readers[s]
+    lists the records that read slot s, once per read, filed where they are
+    made.  Once every other slot such a record reads is placed, only one
+    value can pass at the forced slot.  The order is the forcing closure:
+    the least forced slot while there is one, else the least unplaced slot,
+    so a slot a placed slot fixes comes next, not in carrier order.  Each
+    slot is queued once (a heap), and each record is passed once per read."""
+    left = [reads for _, reads, _ in records]  # per record, its reads of slots unplaced
+    state = [0] * len(readers)  # 0 unplaced, 1 queued, 2 placed
     heap: List[int] = []
 
     def queue(forces) -> None:
@@ -1114,7 +1113,7 @@ def _slot_order(size: int, records: Sequence[Tuple[object, Sequence[int],
     filed: List[list] = []
     forcing: List[Optional[Tuple[int, object]]] = []
     least = 0
-    for _ in range(size):
+    for _ in readers:
         if heap:
             s = heapq.heappop(heap)
         else:
@@ -1288,12 +1287,13 @@ def logarithmic_zero_check(
     # Each pair x <= y, with x*y (a unit), is checked once, when the last of
     # x, y, x*y is placed; (y, x) is the same pair in a commutative group.
     # It forces x*y unless x*y is x or y.
-    records = []
+    records, readers = [], [[] for _ in units]  # see `_slot_order`
     for x, y in itertools.combinations_with_replacement(units, 2):
         xy = x * y % m
-        records.append(((x, y, xy), (slot[x], slot[y], slot[xy]),
-                        () if xy in (x, y) else ((slot[xy], 1),)))
-    order, pairs_at, forcing = _slot_order(n, records)
+        for s in (slot[x], slot[y], slot[xy]):
+            readers[s].append(len(records))
+        records.append(((x, y, xy), 3, () if xy in (x, y) else ((slot[xy], 1),)))
+    order, pairs_at, forcing = _slot_order(readers, records)
     placing = [units[s] for s in order]
     table: Dict[int, int] = {}
 

@@ -579,32 +579,63 @@ LINEAR_CASES = [
 ]
 
 
-def assert_elimination_matches_backtracking(eq, unknowns, carrier, params=None):
-    """Identical solutions, in the same order, and identical skipped pairs."""
+def full_elimination(eq, unknowns, carrier, params):
+    """(solutions, skipped pairs) from the rows of every tuple: the
+    reference for elimination, which reads rows on demand.  Every
+    admissible tuple's row is reduced, and the kernel is listed as
+    `feq._eliminate` lists it."""
+    m, k = carrier.modulus, len(unknowns)
+    row = _code(eq, carrier).row(carrier, params, [unknowns.index(f) for f in eq.functions])
+    pivots, consistent, skipped = {}, True, 0
+    for tup in itertools.product(range(m), repeat=len(eq.variables)):
+        try:
+            form = row(*tup)
+        except Inadmissible:
+            skipped += 1
+            continue
+        consistent = consistent and feq._add_row(pivots, form, m)
+    if not consistent:
+        return (), skipped
+
+    def vector(t):
+        return [-pivots[s].get(t, 0) % m if s in pivots else int(s == t) for s in range(m * k)]
+
+    free = [s for s in range(m * k) if s not in pivots]
+    points = feq._span(vector(feq._CONST), [vector(t) for t in free], m)
+    return tuple(tuple(FnTable(carrier, dict(enumerate(p[i::k]))) for i in range(k))
+                 for p in points), skipped
+
+
+def assert_elimination_matches(eq, unknowns, carrier, params=None, backtrack=True):
+    """Identical solutions, in the same order, and identical skipped pairs,
+    from elimination, from full elimination and, with `backtrack`, from the
+    search."""
     params = {k: v % carrier.modulus for k, v in (params or {}).items()}
-    want = _backtrack(eq, tuple(unknowns), carrier, params, 10 ** 30)
-    assert _eliminate(eq, tuple(unknowns), carrier, params, 10 ** 30)[:2] == want
+    want = full_elimination(eq, tuple(unknowns), carrier, params)
+    if backtrack:
+        assert _backtrack(eq, tuple(unknowns), carrier, params, 10 ** 30) == want
+    assert _eliminate(eq, tuple(unknowns), carrier, params, 10 ** 30) == want
     report = feq_solve_brute(eq, unknowns, carrier, params)
     assert (report.solutions, report.skipped_pairs) == want
 
 
 @pytest.mark.parametrize("name, p", LINEAR_CASES)
 def test_elimination_matches_backtracking_on_linear_corpus(name, p):
-    assert_elimination_matches_backtracking(equation_by_name(name), ["f"], gf(p))
+    assert_elimination_matches(equation_by_name(name), ["f"], gf(p))
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_elimination_matches_backtracking_on_alien_weights(p):
     for lam, mu in ((1, 1), (1, -1), (3, 2), (0, 1)):
-        assert_elimination_matches_backtracking(
+        assert_elimination_matches(
             equation_by_name("alien-c22"), ["f"], gf(p), {"lam": lam, "mu": mu})
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_elimination_matches_backtracking_with_two_unknowns(p):
     eq = Equation.parse("pexider", "f(x+y) = g(x) + g(y)")
-    assert_elimination_matches_backtracking(eq, ["f", "g"], gf(p))
-    assert_elimination_matches_backtracking(eq, ["g", "f"], gf(p))
+    assert_elimination_matches(eq, ["f", "g"], gf(p))
+    assert_elimination_matches(eq, ["g", "f"], gf(p))
     # g(x) = c x + d and f(z) = c z + 2 d
     assert feq_solve_brute(eq, ["f", "g"], gf(p)).count == p * p
 
@@ -612,12 +643,79 @@ def test_elimination_matches_backtracking_with_two_unknowns(p):
 def test_elimination_matches_backtracking_with_skipped_pairs():
     eq = Equation.parse("recip", "f(x) * x^-1 = f(1/(x + 1)) + 3*f(y/(x - 2))")
     for p in (3, 5, 7):
-        assert_elimination_matches_backtracking(eq, ["f"], gf(p))
+        assert_elimination_matches(eq, ["f"], gf(p))
     assert feq_solve_brute(eq, ["f"], gf(5)).skipped_pairs == 15
 
 
 def test_elimination_on_prime_zmod():
-    assert_elimination_matches_backtracking(equation_by_name("cauchy-add"), ["f"], zmod(7))
+    assert_elimination_matches(equation_by_name("cauchy-add"), ["f"], zmod(7))
+
+
+@pytest.mark.parametrize("name", ["cauchy-add", "opp2", "opp3"])
+def test_elimination_matches_full_elimination_on_gf101(name):
+    # The search would take minutes here; full elimination reads 101^2 rows.
+    assert_elimination_matches(equation_by_name(name), ["f"], gf(101), backtrack=False)
+
+
+@pytest.mark.parametrize("c", [0, 4])
+def test_each_kernel_vector_the_seed_leaves_is_checked(c):
+    # y*(y-1)*(y-2) vanishes on the seed's y in {0, 1, 2}, so its rows
+    # leave f(c) free; p0 = 0 passes, and only the check of p0 + b_c fails,
+    # at y = 3, whose line gives 6*f(c) = 0.  b_c is the first kernel
+    # vector checked at c = 4, the highest free slot, and the last at c = 0:
+    # a solve that skipped either check would list tables with f(c) != 0.
+    eq = Equation.parse("late-read", f"f(x) = f(x) + y*(y-1)*(y-2)*f({c})")
+    assert_elimination_matches(eq, ["f"], gf(5))
+    assert feq_solve_brute(eq, ["f"], gf(5)).count == 5 ** 4
+
+
+@pytest.mark.parametrize("p, skipped", [(5, 5), (7, 7)])
+def test_a_system_found_inconsistent_late_counts_every_skipped_tuple(p, skipped):
+    # The seed's rows, at y in {0, 1, 2}, are 0 = 0, skipped at x = 1; the
+    # first check fails at (0, 3), whatever the tables, and its row there,
+    # 0 = 6/(0 - 1), leaves no solution.  That check stopped at its
+    # witness, so the tuples skipped, x = 1 for every y, are counted over
+    # every tuple.
+    eq = Equation.parse("late", "f(x) = f(x) + y*(y-1)*(y-2)/(x-1)")
+    report = feq_solve_brute(eq, ["f"], gf(p))
+    assert (report.count, report.skipped_pairs) == (0, skipped)
+    assert_elimination_matches(eq, ["f"], gf(p))
+
+
+def test_a_row_that_misses_the_checks_witness_is_an_internal_fault(monkeypatch):
+    # Rows that read 0 = 0 at y >= 3, where the check fails: the lines
+    # through the witness raise no rank, and refining would never end.
+    row = feq._Code.row
+
+    def blind(self, *args):
+        real = row(self, *args)
+        return lambda *tup: {feq._CONST: 0} if tup[1] >= 3 else real(*tup)
+
+    monkeypatch.setattr(feq._Code, "row", blind)
+    eq = Equation.parse("late-read", "f(x) = f(x) + y*(y-1)*(y-2)*f(0)")
+    with pytest.raises(FeqError, match=r"internal: the row at \(0, 3\) is in the span"):
+        feq_solve_brute(eq, ["f"], gf(5))
+
+
+def count_rows(monkeypatch):
+    """A list whose one item counts the rows every later elimination reduces."""
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return add_row(*args)
+
+    add_row = feq._add_row
+    monkeypatch.setattr(feq, "_add_row", counted)
+    return count
+
+
+def test_cauchy_add_on_gf401_reads_only_the_seed_rows(monkeypatch):
+    # f(x + y) = f(x) + f(y) at y = 0, 1, 2 already makes f linear, so the
+    # first checks pass: 3 * 401 rows are read, not 401^2.
+    rows = count_rows(monkeypatch)
+    assert feq_solve_brute(CORPUS["cauchy-add"], ["f"], gf(401)).count == 401
+    assert rows == [3 * 401]
 
 
 def count_checks(monkeypatch):
@@ -633,21 +731,35 @@ def count_checks(monkeypatch):
     return calls
 
 
+# The failing rounds, where the seed's rows (every variable after the
+# first in {0, 1, 2}) leave a space larger than the solutions'; the other
+# cases below have none.
+FAILING_ROUNDS = {("leibniz", 7): 1, ("opp2", 13): 1, ("opp2", 17): 2}
+
+
 @pytest.mark.parametrize("src, unknowns, p, dim", [
     ("jensen", ["f"], 11, 2),
     ("f(x+y) = g(x) + g(y)", ["f", "g"], 5, 2),
     ("f(x+y) = g(x) + g(y)", ["g", "f"], 7, 2),
     ("f(x) = f(x)", ["f"], 3, 3),
+    ("leibniz", ["f"], 7, 0),
+    ("opp2", ["f"], 13, 0),
+    ("opp2", ["f"], 17, 0),
 ])
 def test_elimination_rechecks_the_dim_plus_one_spanning_solutions(monkeypatch, src, unknowns,
                                                                   p, dim):
     eq = CORPUS[src] if src in CORPUS else Equation.parse("q", src)
+    rounds = FAILING_ROUNDS.get((src, p), 0)
     calls = count_checks(monkeypatch)
     report = feq_solve_brute(eq, unknowns, gf(p))
     assert report.count == p ** dim
-    # p0, then p0 + b_i for each kernel vector b_i, taken from the listing
-    spanning = [report.solutions[0]] + [report.solutions[p ** j] for j in range(dim)]
-    assert calls == [dict(zip(unknowns, sol)) for sol in spanning]
+    # The last round: p0 + b_i for each kernel vector b_i, then p0, taken
+    # from the listing.  On these homogeneous equations p0 = 0 passes, so
+    # each earlier round is one check, of a p0 + b_i that fails.
+    spanning = [report.solutions[p ** j] for j in range(dim)] + [report.solutions[0]]
+    assert len(calls) == rounds + dim + 1
+    assert calls[rounds:] == [dict(zip(unknowns, sol)) for sol in spanning]
+    assert not any(feq_check(eq, tables).ok for tables in calls[:rounds])
 
 
 def test_backtracking_rechecks_every_solution(monkeypatch):
@@ -1083,8 +1195,13 @@ def test_the_slot_order_is_the_rescanned_closure_order(data):
         once = sorted(s for s in reads if reads.count(s) == 1)
         records.append((reads, data.draw(st.lists(st.sampled_from(once), unique=True,
                                                   max_size=2)) if once else []))
+    readers = [[] for _ in range(size)]
+    for i, (reads, _) in enumerate(records):
+        for s in reads:
+            readers[s].append(i)
     order, filed, forcing = feq._slot_order(
-        size, [(i, reads, [(t, (-1) ** t) for t in ts]) for i, (reads, ts) in enumerate(records)])
+        readers, [(i, len(reads), [(t, (-1) ** t) for t in ts])
+                  for i, (reads, ts) in enumerate(records)])
     assert order == closure_order(size, records)
     assert filed == filed_at(order, records)
     assert forcing == [next((((-1) ** s, i) for i in at if s in records[i][1]), None)
